@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import berkson as berkson_mod
-from . import causal, quantum, tomography, witness
+from . import causal, matlin, quantum, tomography, witness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -235,12 +235,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
+    # the numerical classes subclass ValueError, so they are caught first
+    except (ArithmeticError, np.linalg.LinAlgError, matlin.NotPSDError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

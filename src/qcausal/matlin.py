@@ -7,11 +7,12 @@ list.  Everything here is a pure function; nothing mutates its inputs.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
 PSD_EIG_FLOOR = -1e-10
-JACOBI_TOL = 1e-12
 
 Factors = tuple[tuple[str, int], ...]
 
@@ -112,43 +113,15 @@ def reorder(m, factors, new_labels):
     return _join(t, n), tuple(factors[p] for p in perm)
 
 
-def hermitian_eigs(m: np.ndarray, tol: float = JACOBI_TOL):
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eigs(m: np.ndarray):
+    """Eigendecomposition of a Hermitian matrix.
 
     Returns (eigenvalues descending, eigenvectors as columns).
     """
     if not is_hermitian(m, atol=1e-9):
         raise NotHermitianError("matrix is not Hermitian")
-    n = m.shape[0]
-    a = hermitize(m).astype(complex)
-    v = np.eye(n, dtype=complex)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    for _ in range(100):
-        off = np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / abs(apq)
-                # 2x2 Hermitian rotation zeroing a[p,q]
-                theta = 0.5 * np.arctan2(2.0 * abs(apq), aqq - app)
-                c = np.cos(theta)
-                s = np.sin(theta)
-                r = np.eye(n, dtype=complex)
-                r[p, p] = c
-                r[p, q] = s * phase
-                r[q, p] = -s * np.conj(phase)
-                r[q, q] = c
-                a = r.conj().T @ a @ r
-                v = v @ r
-    w = np.diag(a).real
-    order = np.argsort(w)[::-1]
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(hermitize(m).astype(complex))
+    return w[::-1], v[:, ::-1]
 
 
 def trace_norm(m: np.ndarray) -> float:
@@ -170,20 +143,25 @@ def n_cholesky_params(dim: int) -> int:
     return dim * dim
 
 
+@functools.cache
+def _strict_lower(dim: int):
+    """Row and column indices of the strictly-lower triangle, row-major."""
+    return np.tril_indices(dim, k=-1)
+
+
 def cholesky_factor(params: np.ndarray, dim: int) -> np.ndarray:
     """Lower-triangular J with real diagonal from dim**2 real parameters.
 
     Layout: the first dim entries are the diagonal, followed by
     (re, im) pairs for the strictly-lower entries in row-major order.
     """
-    params = np.asarray(params, dtype=float)
+    params = np.ascontiguousarray(params, dtype=float)
     if params.shape != (dim * dim,):
         raise ValueError(f"expected {dim * dim} parameters, got {params.shape}")
     j = np.zeros((dim, dim), dtype=complex)
-    j[np.diag_indices(dim)] = params[:dim]
-    rows, cols = np.tril_indices(dim, k=-1)
-    off = params[dim:].reshape(-1, 2)
-    j[rows, cols] = off[:, 0] + 1j * off[:, 1]
+    j.flat[::dim + 1] = params[:dim]
+    rows, cols = _strict_lower(dim)
+    j[rows, cols] = params[dim:].view(complex)    # (re, im) pairs
     return j
 
 
@@ -210,7 +188,7 @@ def cholesky_params(m: np.ndarray, dim: int) -> np.ndarray:
     j = j * phase.conj()[:, None]
     params = np.empty(dim * dim)
     params[:dim] = np.diag(j).real
-    rows, cols = np.tril_indices(dim, k=-1)
+    rows, cols = _strict_lower(dim)
     params[dim::2] = j[rows, cols].real
     params[dim + 1::2] = j[rows, cols].imag
     return params

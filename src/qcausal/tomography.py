@@ -4,15 +4,19 @@ tripartite Choi state from them.
 The full experiment runs all 27 Pauli setting triples (s on C, t for the
 repreparation on D, u on B), N/27 runs each, recording the 8 outcome triples.
 Reconstruction is weighted least squares over a Cholesky-parametrized PSD
-matrix, with a large quadratic penalty enforcing that the fitted map cannot
-signal from B back to (C, D).
+matrix S = J^dag J, with a large quadratic penalty enforcing that the fitted
+map cannot signal from B back to (C, D).  Every residual row, counts and
+penalty alike, is real-linear in S, so each model is one real matrix L built
+once from the code that defines it; Levenberg-Marquardt then evaluates
+r(x) = L [Re S, Im S] + c and its exact Jacobian from L and J alone.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
@@ -159,85 +163,64 @@ class FitResult:
         })
 
 
-def _batched_psd(params: np.ndarray, dim: int) -> np.ndarray:
-    """(m, dim, dim) stack of J^dag J for an (m, dim**2) parameter stack."""
-    m = params.shape[0]
-    j = np.zeros((m, dim, dim), dtype=complex)
-    di = np.arange(dim)
-    j[:, di, di] = params[:, :dim]
-    rows, cols = np.tril_indices(dim, k=-1)
-    off = params[:, dim:].reshape(m, -1, 2)
-    j[:, rows, cols] = off[:, :, 0] + 1j * off[:, :, 1]
-    return np.conj(np.swapaxes(j, 1, 2)) @ j
-
-
-def _penalty_residuals(s_mat: np.ndarray, sqrt_lam: float) -> np.ndarray:
-    """Deviation of Tr_B(S) from Tr_BD(S) x 1/2, as 32 real numbers."""
-    t = s_mat.reshape(2, 2, 2, 2, 2, 2)
+def _no_retro_deviation(mat: np.ndarray) -> np.ndarray:
+    """Tr_B(S) - Tr_BD(S) x 1/2 as a (c, d, c', d') array."""
+    t = mat.reshape(2, 2, 2, 2, 2, 2)
     marg = np.trace(t, axis1=1, axis2=4)       # (c, d, c', d')
     rho_c = np.trace(marg, axis1=1, axis2=3)   # (c, c')
-    dev = marg - np.einsum("ij,kl->ikjl", rho_c, np.eye(2) / 2)
-    flat = dev.reshape(-1)
-    return sqrt_lam * np.concatenate([flat.real, flat.imag])
+    return marg - np.einsum("ij,kl->ikjl", rho_c, np.eye(2) / 2)
 
 
-def _batched_penalty(s_stack: np.ndarray, sqrt_lam: float) -> np.ndarray:
-    t = s_stack.reshape(-1, 2, 2, 2, 2, 2, 2)
-    marg = np.trace(t, axis1=2, axis2=5)
-    rho_c = np.trace(marg, axis1=2, axis2=4)
-    dev = marg - np.einsum("mij,kl->mikjl", rho_c, np.eye(2) / 2)
-    flat = dev.reshape(dev.shape[0], -1)
-    return sqrt_lam * np.concatenate([flat.real, flat.imag], axis=1)
+def _penalty_residuals(s_mat: np.ndarray) -> np.ndarray:
+    """Deviation of Tr_B(S) from Tr_BD(S) x 1/2, as 32 real numbers."""
+    flat = _no_retro_deviation(s_mat).reshape(-1)
+    return np.concatenate([flat.real, flat.imag])
 
 
-def _quadratic_tensors(dim: int):
-    """Quadratic-form tensors of the Cholesky parametrization (cached).
+def _real_linear_map(fn, dim: int) -> np.ndarray:
+    """Real matrix L with fn(S) = L @ S.reshape(-1).view(float) for a
+    real-linear fn: its columns take Re S_ab and Im S_ab in turn."""
+    units = np.eye(dim * dim).reshape(-1, dim, dim)
+    return np.stack([fn(z * e) for e in units for z in (1.0, 1j)], axis=1)
 
-    Every model quantity here is linear in S = J^dag J and hence an exact
-    quadratic form x^T A x in the parameter vector; precomputing the forms
-    gives the optimizer an exact, cheap Jacobian (2 A x per residual row).
-    Returns (B_model, B_pen) with shapes (n_cells, n, n) and (32, n, n);
-    B_pen is None for the 4-dimensional conditioned-state model.
-    """
-    if dim in _QUAD_CACHE:
-        return _QUAD_CACHE[dim]
+
+# Model rows of the 8x8 fit: the 216 cell probabilities, then the 32
+# no-retrocausation residuals.
+_CBD_MAP = _real_linear_map(
+    lambda s: np.concatenate([_cell_probabilities(s), _penalty_residuals(s)]), 8)
+
+
+@functools.cache
+def _factor_entries(dim: int):
+    """(row, col, value) of the single nonzero entry of dJ/dx_p, for each p."""
+    e = np.stack([matlin.cholesky_factor(u, dim) for u in np.eye(dim * dim)])
+    p, rows, cols = np.nonzero(e)
+    return rows, cols, e[p, rows, cols]
+
+
+def _residual(x: np.ndarray, lin: np.ndarray, const: np.ndarray, dim: int) -> np.ndarray:
+    """r(x) = L [Re S, Im S] + c with S = J^dag J built from x."""
+    return lin @ matlin.cholesky_psd(x, dim).reshape(-1).view(float) + const
+
+
+def _jacobian(x: np.ndarray, lin: np.ndarray, dim: int) -> np.ndarray:
+    """dr/dx: L applied to every dS/dx_p = E_p^dag J + J^dag E_p at once."""
+    rows, cols, vals = _factor_entries(dim)
+    j = matlin.cholesky_factor(x, dim)
     n = dim * dim
-    e = np.stack([matlin.cholesky_factor(np.eye(n)[p], dim) for p in range(n)])
-    g = np.einsum("pij,qik->pqjk", e.conj(), e)      # S(x) = sum_pq x_p x_q g[p,q]
-    if dim == 8:
-        gt = np.swapaxes(g.reshape(n, n, 2, 2, 2, 2, 2, 2), 4, 7).reshape(n, n, n)
-        b_model = np.real(np.einsum("il,pql->ipq", _MEAS_STACK, gt))
-        basis = np.zeros((n, dim, dim), dtype=complex)
-        for l in range(n):
-            basis[l, l // dim, l % dim] = 1.0
-        # the penalty splits re/im and is therefore only real-linear in S
-        p_re = _batched_penalty(basis, 1.0)
-        p_im = _batched_penalty(1j * basis, 1.0)
-        gs = g.reshape(n, n, n)
-        b_pen = (np.einsum("lr,pql->rpq", p_re, gs.real)
-                 + np.einsum("lr,pql->rpq", p_im, gs.imag))
-    else:
-        b_model = np.real(np.einsum("il,pql->ipq", _CD_MEAS_STACK, g.reshape(n, n, n)))
-        b_pen = None
-    _QUAD_CACHE[dim] = (b_model, b_pen)
-    return _QUAD_CACHE[dim]
+    # E_p^dag J is zero except for row cols[p], which is conj(vals[p]) J[rows[p]]
+    half = np.zeros((n, dim, dim), dtype=complex)
+    half[np.arange(n), cols] = vals.conj()[:, None] * j[rows]
+    ds = half + np.conj(np.swapaxes(half, 1, 2))
+    return lin @ ds.reshape(n, -1).view(float).T
 
 
-_QUAD_CACHE: dict = {}
-
-
-def _run_quadratic_fit(a: np.ndarray, const: np.ndarray, x0: np.ndarray,
-                       config: "FitConfig") -> optimize.OptimizeResult:
-    """LM on residuals r(x) = x^T A_i x + const_i with exact Jacobian."""
-
-    def residual(x):
-        return (a @ x) @ x + const
-
-    def jacobian(x):
-        return 2.0 * (a @ x)
-
+def _run_cholesky_fit(lin: np.ndarray, const: np.ndarray, x0: np.ndarray, dim: int,
+                      config: "FitConfig") -> optimize.OptimizeResult:
+    """LM on the residuals of a model linear in S = J^dag J, exact Jacobian."""
     return optimize.levenberg_marquardt(
-        residual, x0, jacobian=jacobian, max_iter=config.max_iter,
+        lambda x: _residual(x, lin, const, dim), x0,
+        jacobian=lambda x: _jacobian(x, lin, dim), max_iter=config.max_iter,
         ftol=config.ftol, gtol=config.gtol, stall_iters=config.stall_iters,
         keep_history=True)
 
@@ -277,11 +260,7 @@ def _linear_inversion_start(data: np.ndarray, scale: float) -> np.ndarray:
 
 def _project_no_retro(mat: np.ndarray) -> np.ndarray:
     """Remove the (traceless) component violating Tr_B tau = rho_C x 1/2."""
-    t = mat.reshape(2, 2, 2, 2, 2, 2)
-    marg = np.trace(t, axis1=1, axis2=4)
-    rho_c = np.trace(marg, axis1=1, axis2=3)
-    delta = marg - np.einsum("ij,kl->ikjl", rho_c, np.eye(2) / 2)
-    corr = np.einsum("ikjl,ab->iakjbl", delta, np.eye(2) / 2)
+    corr = np.einsum("ikjl,ab->iakjbl", _no_retro_deviation(mat), np.eye(2) / 2)
     return matlin.hermitize(mat - corr.reshape(8, 8))
 
 
@@ -297,11 +276,8 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     data = table.counts.reshape(-1)
     weights = 1.0 / np.sqrt(np.maximum(data, config.eps_cell))
     scale = table.n_runs / 27.0
-    b_model, b_pen = _quadratic_tensors(8)
     # S = J^dag J carries the N/27 scale, so Tr[T_D(S) op] is a count.
-    a = np.concatenate([b_model * weights[:, None, None],
-                        np.sqrt(config.lam) * b_pen], axis=0)
-    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    lin = _CBD_MAP * np.concatenate([weights, np.full(32, np.sqrt(config.lam))])[:, None]
     const = np.concatenate([-data * weights, np.zeros(32)])
 
     rng = np.random.default_rng(config.seed)
@@ -310,25 +286,31 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     restart_costs = []
     for k in range(max(1, config.restarts)):
         x0 = base if k == 0 else base + config.jitter * np.sqrt(scale) * rng.standard_normal(64)
-        res = _run_quadratic_fit(a, const, x0, config)
+        res = _run_cholesky_fit(lin, const, x0, 8, config)
         restart_costs.append(res.cost)
         if best is None or res.cost < best.cost:
             best = res
     s_mat = matlin.cholesky_psd(best.x, 8)
     normalized = s_mat / np.trace(s_mat).real
-    penalty = float(np.max(np.abs(_penalty_residuals(normalized, 1.0))))
-    full = (a @ best.x) @ best.x + const
+    penalty = float(np.max(np.abs(_penalty_residuals(normalized))))
+    full = _residual(best.x, lin, const, 8)
     chi2 = float(full[:216] @ full[:216])
-    tau_mat = _project_no_retro(normalized)
-    w_eigs, _ = matlin.hermitian_eigs(tau_mat)
-    if float(w_eigs.min()) < 0.0:
-        # lift roundoff negatives by blending in 1/8, which obeys the
-        # no-retrocausation constraint exactly
-        eta = min(1e-6, 16.0 * -float(w_eigs.min()) + 1e-14)
-        tau_mat = matlin.hermitize((1.0 - eta) * tau_mat + eta * np.eye(8) / 8.0)
-    tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
     converged = (best.converged
                  or (penalty < 1e-6 and _cost_flattened(best.history)))
+    tau_mat = _project_no_retro(normalized)
+    w_min = float(matlin.hermitian_eigs(tau_mat)[0].min())
+    if w_min < 0.0:
+        # lift roundoff negatives by blending in 1/8, which obeys the
+        # no-retrocausation constraint exactly and maps each eigenvalue w
+        # to (1 - eta) w + eta / 8
+        eta = min(1e-6, 16.0 * -w_min + 1e-14)
+        if (1.0 - eta) * w_min + eta / 8.0 < 0.0:
+            # more than roundoff (a fit stopped far from the constraint):
+            # the smallest blend that makes tau PSD
+            eta = -8.0 * w_min / (1.0 - 8.0 * w_min)
+            converged = False
+        tau_mat = matlin.hermitize((1.0 - eta) * tau_mat + eta * np.eye(8) / 8.0)
+    tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
     return FitResult(tau=tau, cost=best.cost, chi2=chi2, penalty_residual=penalty,
                      n_iter=best.n_iter, converged=converged,
                      params=best.x, config=config,
@@ -354,12 +336,20 @@ def _cd_measurement_stack() -> np.ndarray:
 _CD_MEAS_STACK = _cd_measurement_stack()
 
 
+def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
+    """All 36 values Tr[rho Pi_c x T(Pi_d)], flattened."""
+    return np.real(_CD_MEAS_STACK @ rho.reshape(-1))
+
+
+_CD_MAP = _real_linear_map(_cd_cell_probabilities, 4)
+
+
 def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarray:
     """Noiseless (3, 3, 2, 2) table over (s, t, c, d) for a (C, D) state whose
     D wire is a transposed input: model count (N/9) Tr[rho Pi_c x T(Pi_d)]."""
     if state.factors != CD_FACTORS:
         raise ValueError("expected a state over factors (C, D)")
-    cells = np.real(_CD_MEAS_STACK @ state.mat.reshape(-1)) * (n_runs / 9.0)
+    cells = _cd_cell_probabilities(state.mat) * (n_runs / 9.0)
     return cells.reshape(3, 3, 2, 2)
 
 
@@ -380,9 +370,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     n_runs = data.sum()
     scale = n_runs / 9.0
     weights = 1.0 / np.sqrt(np.maximum(data, config.eps_cell))
-    b_model, _ = _quadratic_tensors(4)
-    a = b_model * weights[:, None, None]
-    a = 0.5 * (a + np.swapaxes(a, 1, 2))
+    lin = _CD_MAP * weights[:, None]
     const = -data * weights
 
     rng = np.random.default_rng(config.seed)
@@ -391,7 +379,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     best = None
     for k in range(max(1, config.restarts)):
         x0 = base if k == 0 else base + config.jitter * np.sqrt(scale) * rng.standard_normal(16)
-        res = _run_quadratic_fit(a, const, x0, config)
+        res = _run_cholesky_fit(lin, const, x0, 4, config)
         if best is None or res.cost < best.cost:
             best = res
     s_mat = matlin.cholesky_psd(best.x, 4)

@@ -31,6 +31,22 @@ class TestExitCodes:
     def test_missing_input_file(self):
         assert run(["witness", "--in", "/nonexistent/tau.json"]) == cli.EXIT_USAGE
 
+    def test_non_psd_input_file(self, tmp_path):
+        # unit trace and no retrocausation, but one negative eigenvalue
+        m = np.diag([0.3, 0.2, -0.05, 0.05, 0.25, 0.25, 0.0, 0.0])
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"labels": ["C", "B", "D"], "dim": 8,
+                                    "re": m.tolist(), "im": np.zeros((8, 8)).tolist()}))
+        assert run(["witness", "--in", str(path)]) == cli.EXIT_USAGE
+
+    def test_linalg_failure_is_numerical(self, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(cli.tomography, "fit_causal_map", fail)
+        assert run(["fit", "--runs", "27000", "--out", str(tmp_path / "f.json")]) \
+            == cli.EXIT_NUMERICAL
+
 
 class TestScenario:
     def test_writes_choi_json(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcausal import matlin, quantum, tomography
+from qcausal import matlin, optimize, quantum, tomography
 from qcausal.causal import CBD_FACTORS, build_scenario, induced_state_given_b, joint_distribution
 from qcausal.quantum import fidelity, pauli_projector
 from qcausal.tomography import (
@@ -86,12 +86,57 @@ class TestFullFit:
         assert len(fit.restart_costs) == 3
         assert fit.cost == pytest.approx(min(fit.restart_costs))
 
+    def test_short_budget_returns_valid_unconverged_fit(self):
+        # two iterations leave tau far from the constraint: projecting it
+        # back gives an eigenvalue of about -1.4e-3, more than the roundoff
+        # blend can lift
+        table = sample_counts(build_scenario("coh"), 200_000, seed=0)
+        fit = fit_causal_map(table, FitConfig(restarts=1, max_iter=2))
+        assert fit.n_iter == 2
+        assert not fit.converged
+        assert np.min(np.linalg.eigvalsh(fit.tau.mat)) >= -1e-12
+
     def test_to_json(self):
         import json
         fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000), FAST)
         data = json.loads(fit.to_json())
         assert np.array(data["tau"]["re"]).shape == (8, 8)
         assert data["converged"] is True
+
+
+def _direct_model(s_mat, dim):
+    """The model rows of S computed without the linear map."""
+    if dim == 8:
+        return np.concatenate([tomography._cell_probabilities(s_mat),
+                               tomography._penalty_residuals(s_mat)])
+    return np.real(tomography._CD_MEAS_STACK @ s_mat.reshape(-1))
+
+
+@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
+class TestModelMap:
+    def test_shape(self, dim, lin):
+        assert lin.shape == ({8: 248, 4: 36}[dim], 2 * dim * dim)
+
+    def test_residual_matches_model(self, dim, lin):
+        rng = np.random.default_rng(dim)
+        for _ in range(5):
+            x = rng.standard_normal(dim * dim)
+            const = rng.standard_normal(lin.shape[0])
+            want = _direct_model(matlin.cholesky_psd(x, dim), dim) + const
+            got = tomography._residual(x, lin, const, dim)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_jacobian_matches_finite_differences(self, dim, lin):
+        rng = np.random.default_rng(dim + 1)
+        weighted = lin * rng.uniform(0.5, 2.0, lin.shape[0])[:, None]
+        const = rng.standard_normal(lin.shape[0])
+        for _ in range(5):
+            x = rng.standard_normal(dim * dim)
+            jac = tomography._jacobian(x, weighted, dim)
+            num = optimize.numeric_jacobian(
+                lambda y: tomography._residual(y, weighted, const, dim), x)
+            assert jac.shape == (lin.shape[0], dim * dim)
+            assert np.max(np.abs(jac - num)) <= 1e-6 * np.max(np.abs(jac))
 
 
 class TestConditionedFit:
