@@ -17,14 +17,12 @@ from itertools import product
 
 import numpy as np
 
+from .causal import ConditioningError
+
 
 class NotProbabilisticMixtureError(ValueError):
     """A mechanism depends on both D and E, so the control variable acts as a
     common cause itself."""
-
-
-class ConditioningError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,10 @@ def cmd_pipeline(args) -> int:
     thresholds = witness.Thresholds()
     if args.resamples > 0 and args.noise == "poisson":
         thresholds, bootstrap = _bootstrap_thresholds(table, args, config)
+    elif args.noise == "poisson":
+        print(f"warning: fitted witnesses are compared with the default "
+              f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; "
+              f"pass --resamples K for bootstrap 3-sigma thresholds", file=sys.stderr)
     fitted = witness.classify(fit.tau, thresholds, ccd_settings=settings,
                               stddevs=(bootstrap or {}).get("std"))
     fid = quantum.fidelity(fit.tau.tau, tau.tau)

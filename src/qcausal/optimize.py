@@ -89,6 +89,8 @@ def levenberg_marquardt(residual_fn, x0, *, jacobian=None, residual_batch=None,
     converged = False
     n = x.size
     col_scale = np.zeros(n)
+    damped = np.empty((n, n))         # J^T J plus the damping, refilled per trial
+    damped_diag = damped.reshape(-1)[::n + 1]
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
@@ -102,12 +104,15 @@ def levenberg_marquardt(residual_fn, x0, *, jacobian=None, residual_batch=None,
             break
         jtj = jac.T @ jac
         col_scale = np.maximum(col_scale, np.sqrt(np.diag(jtj)))
-        damp = np.diag(np.maximum(col_scale, 1e-12) ** 2)
+        damp = np.maximum(col_scale, 1e-12) ** 2
+        neg_g = -g
         accepted = False
         gain = 0.0
         for _ in range(30):
+            np.copyto(damped, jtj)
+            damped_diag += lam * damp
             try:
-                delta = np.linalg.solve(jtj + lam * damp, -g)
+                delta = np.linalg.solve(damped, neg_g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue

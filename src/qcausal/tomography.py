@@ -8,7 +8,8 @@ matrix S = J^dag J, with a large quadratic penalty enforcing that the fitted
 map cannot signal from B back to (C, D).  Every residual row, counts and
 penalty alike, is real-linear in S, so each model is one real matrix L built
 once from the code that defines it; Levenberg-Marquardt then evaluates
-r(x) = L [Re S, Im S] + c and its exact Jacobian from L and J alone.
+r(x) = L [Re S, Im S] + c.  Row k is also Tr(A_k S) + c_k for a Hermitian
+A_k, so the exact Jacobian is one real product of J with the stacked A_k.
 """
 
 from __future__ import annotations
@@ -72,14 +73,32 @@ class CountTable:
 
     @classmethod
     def from_csv(cls, text: str, n_runs: int | None = None) -> "CountTable":
+        """Read the to_csv format.  Cells without a row count zero; rows
+        without 7 fields, unknown axes, outcomes other than +-1, repeated
+        cells and counts that are negative or not finite raise ValueError."""
         rows = list(csv.reader(io.StringIO(text)))
-        if rows[0] != ["s", "t", "u", "c", "b", "d", "count"]:
+        if not rows or rows[0] != ["s", "t", "u", "c", "b", "d", "count"]:
             raise ValueError("unexpected CSV header")
         counts = np.zeros((3, 3, 3, 2, 2, 2))
-        for s, t, u, c, b, d, n in rows[1:]:
+        seen = set()
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != 7:
+                raise ValueError(f"line {line}: expected 7 fields, got {len(row)}")
+            s, t, u, c, b, d, n = row
+            if not {s, t, u} <= set(AXES):
+                raise ValueError(f"line {line}: unknown axis in {(s, t, u)}")
+            outcomes = tuple(int(o) for o in (c, b, d))
+            if not set(outcomes) <= {1, -1}:
+                raise ValueError(f"line {line}: outcomes {outcomes} are not all +-1")
             idx = (AXES.index(s), AXES.index(t), AXES.index(u),
-                   (1 - int(c)) // 2, (1 - int(b)) // 2, (1 - int(d)) // 2)
-            counts[idx] = float(n)
+                   *((1 - o) // 2 for o in outcomes))
+            if idx in seen:
+                raise ValueError(f"line {line}: duplicate cell {(s, t, u) + outcomes}")
+            seen.add(idx)
+            value = float(n)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"line {line}: count {n!r} is not finite and non-negative")
+            counts[idx] = value
         total = int(round(counts.sum())) if n_runs is None else n_runs
         return cls(counts, total)
 
@@ -131,7 +150,6 @@ class FitConfig:
     ftol: float = 1e-6
     gtol: float = 1e-8
     stall_iters: int = 10
-    fd_step: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -184,18 +202,36 @@ def _real_linear_map(fn, dim: int) -> np.ndarray:
     return np.stack([fn(z * e) for e in units for z in (1.0, 1j)], axis=1)
 
 
+def _hermitian_stack(lin: np.ndarray, dim: int) -> np.ndarray:
+    """The K Hermitian A_k with Tr(A_k S) = row k of lin applied to a
+    Hermitian S, as a real (2 dim, dim, K) stack whose entry [p dim + a, b, k]
+    is 2 Re (A_k)_ab for p = 0 and 2 Im (A_k)_ab for p = 1."""
+    cols = lin.reshape(-1, dim, dim, 2)
+    b = cols[..., 0] - 1j * cols[..., 1]
+    a = np.swapaxes(b, 1, 2) + b.conj()          # 2 A_k = B_k^T + conj(B_k)
+    parts = np.stack([a.real, a.imag])             # (part, k, a, b)
+    return np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).reshape(2 * dim, dim, -1)
+
+
 # Model rows of the 8x8 fit: the 216 cell probabilities, then the 32
 # no-retrocausation residuals.
 _CBD_MAP = _real_linear_map(
     lambda s: np.concatenate([_cell_probabilities(s), _penalty_residuals(s)]), 8)
+_CBD_STACK = _hermitian_stack(_CBD_MAP, 8)
 
 
 @functools.cache
-def _factor_entries(dim: int):
-    """(row, col, value) of the single nonzero entry of dJ/dx_p, for each p."""
-    e = np.stack([matlin.cholesky_factor(u, dim) for u in np.eye(dim * dim)])
-    p, rows, cols = np.nonzero(e)
-    return rows, cols, e[p, rows, cols]
+def _factor_layout(dim: int):
+    """Where each parameter x_p enters J: the entries of the real block form
+    [[Re J, -Im J], [Im J, Re J]] it fills, with their signs, and the row
+    (Re or Im, a, b) of the grid of J A_k entries that holds dr/dx_p."""
+    n = dim * dim
+    e = np.stack([matlin.cholesky_factor(u, dim) for u in np.eye(n)])   # dJ/dx_p
+    blocks = np.concatenate([np.concatenate([e.real, -e.imag], axis=2),
+                             np.concatenate([e.imag, e.real], axis=2)], axis=1)
+    p, pos = np.nonzero(blocks.reshape(n, -1))
+    _, rows = np.nonzero(np.stack([e.real, e.imag], axis=1).reshape(n, -1))
+    return pos, p, blocks.reshape(n, -1)[p, pos], rows
 
 
 def _residual(x: np.ndarray, lin: np.ndarray, const: np.ndarray, dim: int) -> np.ndarray:
@@ -203,24 +239,27 @@ def _residual(x: np.ndarray, lin: np.ndarray, const: np.ndarray, dim: int) -> np
     return lin @ matlin.cholesky_psd(x, dim).reshape(-1).view(float) + const
 
 
-def _jacobian(x: np.ndarray, lin: np.ndarray, dim: int) -> np.ndarray:
-    """dr/dx: L applied to every dS/dx_p = E_p^dag J + J^dag E_p at once."""
-    rows, cols, vals = _factor_entries(dim)
-    j = matlin.cholesky_factor(x, dim)
-    n = dim * dim
-    # E_p^dag J is zero except for row cols[p], which is conj(vals[p]) J[rows[p]]
-    half = np.zeros((n, dim, dim), dtype=complex)
-    half[np.arange(n), cols] = vals.conj()[:, None] * j[rows]
-    ds = half + np.conj(np.swapaxes(half, 1, 2))
-    return lin @ ds.reshape(n, -1).view(float).T
+def _jacobian(x: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
+    """dr/dx for the rows r_k = Tr(A_k S) + c_k whose _hermitian_stack is stack.
+
+    With S = J^dag J, dr_k/dRe J_ab = 2 Re(J A_k)_ab and dr_k/dIm J_ab =
+    2 Im(J A_k)_ab, so every J A_k comes from one real product of the block
+    form of J with the stack, and the Jacobian is a gather of its rows.
+    """
+    pos, src, sign, rows = _factor_layout(dim)
+    block = np.zeros(4 * dim * dim)
+    block[pos] = sign * x[src]
+    grid = block.reshape(2 * dim, 2 * dim) @ stack.reshape(2 * dim, -1)
+    return grid.reshape(2 * dim * dim, -1)[rows].T
 
 
-def _run_cholesky_fit(lin: np.ndarray, const: np.ndarray, x0: np.ndarray, dim: int,
+def _run_cholesky_fit(lin: np.ndarray, stack: np.ndarray, const: np.ndarray,
+                      x0: np.ndarray, dim: int,
                       config: "FitConfig") -> optimize.OptimizeResult:
     """LM on the residuals of a model linear in S = J^dag J, exact Jacobian."""
     return optimize.levenberg_marquardt(
         lambda x: _residual(x, lin, const, dim), x0,
-        jacobian=lambda x: _jacobian(x, lin, dim), max_iter=config.max_iter,
+        jacobian=lambda x: _jacobian(x, stack, dim), max_iter=config.max_iter,
         ftol=config.ftol, gtol=config.gtol, stall_iters=config.stall_iters,
         keep_history=True)
 
@@ -277,7 +316,9 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     weights = 1.0 / np.sqrt(np.maximum(data, config.eps_cell))
     scale = table.n_runs / 27.0
     # S = J^dag J carries the N/27 scale, so Tr[T_D(S) op] is a count.
-    lin = _CBD_MAP * np.concatenate([weights, np.full(32, np.sqrt(config.lam))])[:, None]
+    row_weights = np.concatenate([weights, np.full(32, np.sqrt(config.lam))])
+    lin = _CBD_MAP * row_weights[:, None]
+    stack = _CBD_STACK * row_weights
     const = np.concatenate([-data * weights, np.zeros(32)])
 
     rng = np.random.default_rng(config.seed)
@@ -286,7 +327,7 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     restart_costs = []
     for k in range(max(1, config.restarts)):
         x0 = base if k == 0 else base + config.jitter * np.sqrt(scale) * rng.standard_normal(64)
-        res = _run_cholesky_fit(lin, const, x0, 8, config)
+        res = _run_cholesky_fit(lin, stack, const, x0, 8, config)
         restart_costs.append(res.cost)
         if best is None or res.cost < best.cost:
             best = res
@@ -342,6 +383,7 @@ def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
 
 
 _CD_MAP = _real_linear_map(_cd_cell_probabilities, 4)
+_CD_STACK = _hermitian_stack(_CD_MAP, 4)
 
 
 def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarray:
@@ -371,6 +413,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     scale = n_runs / 9.0
     weights = 1.0 / np.sqrt(np.maximum(data, config.eps_cell))
     lin = _CD_MAP * weights[:, None]
+    stack = _CD_STACK * weights
     const = -data * weights
 
     rng = np.random.default_rng(config.seed)
@@ -379,7 +422,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     best = None
     for k in range(max(1, config.restarts)):
         x0 = base if k == 0 else base + config.jitter * np.sqrt(scale) * rng.standard_normal(16)
-        res = _run_cholesky_fit(lin, const, x0, 4, config)
+        res = _run_cholesky_fit(lin, stack, const, x0, 4, config)
         if best is None or res.cost < best.cost:
             best = res
     s_mat = matlin.cholesky_psd(best.x, 4)

@@ -151,6 +151,14 @@ class TestPipeline:
         # C_CD of a probabilistic mixture stays within 3 sigma of zero
         assert abs(report["fitted"]["ccd"]) <= 3.0 * report["bootstrap"]["std"]["ccd"]
 
+    def test_default_thresholds_under_noise_warn(self, tmp_path, capsys):
+        argv = ["pipeline", "--scenario", "probc", "--runs", "27000"]
+        assert run(argv + ["--noise", "poisson", "--out", str(tmp_path / "a.json")]) == 0
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "--resamples" in err
+        assert run(argv + ["--noise", "none", "--out", str(tmp_path / "b.json")]) == 0
+        assert "warning" not in capsys.readouterr().err
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pipeline", "--scenario", "physc", "--noise", "poisson",

@@ -53,6 +53,20 @@ class TestCountTable:
         assert table.counts[0, 0, 0, 0, 0, 0] == 42.0
         assert table.counts.sum() == 42.0
 
+    @pytest.mark.parametrize("row, message", [
+        ("x,x,x,1,1", "7 fields"),
+        ("w,x,x,1,1,1,5", "unknown axis"),
+        ("x,x,x,0,1,1,5", "not all"),
+        ("x,x,x,1,1,2,5", "not all"),
+        ("x,x,x,1,1,1,-3", "non-negative"),
+        ("x,x,x,1,1,1,nan", "finite"),
+        ("x,x,x,1,1,1,inf", "finite"),
+        ("y,z,x,-1,1,1,7", "duplicate"),
+    ])
+    def test_csv_rejects_bad_row(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            CountTable.from_csv(f"s,t,u,c,b,d,count\ny,z,x,-1,1,1,7\n{row}\n")
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             CountTable(np.zeros((3, 3, 3, 2, 2)), 100)
@@ -112,10 +126,15 @@ def _direct_model(s_mat, dim):
     return np.real(tomography._CD_MEAS_STACK @ s_mat.reshape(-1))
 
 
+# the Hermitian stacks that the fits scale by their row weights, by dimension
+_STACKS = {8: tomography._CBD_STACK, 4: tomography._CD_STACK}
+
+
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
 class TestModelMap:
     def test_shape(self, dim, lin):
         assert lin.shape == ({8: 248, 4: 36}[dim], 2 * dim * dim)
+        assert _STACKS[dim].shape == (2 * dim, dim, lin.shape[0])
 
     def test_residual_matches_model(self, dim, lin):
         rng = np.random.default_rng(dim)
@@ -128,15 +147,32 @@ class TestModelMap:
 
     def test_jacobian_matches_finite_differences(self, dim, lin):
         rng = np.random.default_rng(dim + 1)
-        weighted = lin * rng.uniform(0.5, 2.0, lin.shape[0])[:, None]
+        w = rng.uniform(0.5, 2.0, lin.shape[0])
         const = rng.standard_normal(lin.shape[0])
         for _ in range(5):
             x = rng.standard_normal(dim * dim)
-            jac = tomography._jacobian(x, weighted, dim)
+            jac = tomography._jacobian(x, _STACKS[dim] * w, dim)
             num = optimize.numeric_jacobian(
-                lambda y: tomography._residual(y, weighted, const, dim), x)
+                lambda y: tomography._residual(y, lin * w[:, None], const, dim), x)
             assert jac.shape == (lin.shape[0], dim * dim)
             assert np.max(np.abs(jac - num)) <= 1e-6 * np.max(np.abs(jac))
+
+    def test_jacobian_matches_ds_stack(self, dim, lin):
+        # column p is L applied to dS/dx_p = E_p^dag J + J^dag E_p, where
+        # E_p = dJ/dx_p is the factor built from the p-th unit vector
+        rng = np.random.default_rng(dim + 2)
+        w = rng.uniform(0.5, 2.0, lin.shape[0])
+        for _ in range(5):
+            x = rng.standard_normal(dim * dim)
+            j = matlin.cholesky_factor(x, dim)
+            cols = []
+            for unit in np.eye(dim * dim):
+                e = matlin.cholesky_factor(unit, dim)
+                ds = e.conj().T @ j + j.conj().T @ e
+                cols.append((lin * w[:, None]) @ ds.reshape(-1).view(float))
+            want = np.stack(cols, axis=1)
+            got = tomography._jacobian(x, _STACKS[dim] * w, dim)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestConditionedFit:
