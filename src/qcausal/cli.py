@@ -95,6 +95,13 @@ def _bootstrap_thresholds(table, args, config):
 
 
 def cmd_pipeline(args) -> int:
+    if args.resamples < 0 or args.resamples == 1:
+        raise ValueError(f"--resamples {args.resamples}: pass 0 (off) or at least 2, "
+                         f"since a standard deviation needs two refits")
+    if args.resamples and args.noise != "poisson":
+        raise ValueError(f"--resamples {args.resamples} needs --noise poisson: "
+                         f"the bootstrap resamples Poisson noise, and --noise "
+                         f"{args.noise} has none")
     tau = causal.build_scenario(args.scenario, eps=args.eps)
     settings = tuple(args.ccd_settings)
     truth = witness.classify(tau, ccd_settings=settings)
@@ -104,7 +111,7 @@ def cmd_pipeline(args) -> int:
 
     bootstrap = None
     thresholds = witness.Thresholds()
-    if args.resamples > 0 and args.noise == "poisson":
+    if args.resamples:
         thresholds, bootstrap = _bootstrap_thresholds(table, args, config)
     elif args.noise == "poisson":
         print(f"warning: fitted witnesses are compared with the default "
@@ -213,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     _add_experiment_flags(p)
     p.add_argument("--resamples", type=int, default=0,
-                   help="bootstrap resamples for 3-sigma thresholds (0 = off)")
+                   help="bootstrap resamples for 3-sigma thresholds: 0 (off) or at least 2; "
+                        "needs --noise poisson")
     p.add_argument("--ccd-settings", nargs=3, default=("x", "y", "z"),
                    metavar=("S", "T", "U"))
     p.add_argument("--out", default=None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import os
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -430,31 +431,61 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     return DensityOperator(rho, CD_FACTORS), best
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else all CPUs of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
                         seed: int | None = None,
                         config: FitConfig | None = None) -> dict:
     """Parametric bootstrap around an observed count table.
 
-    Each resample Poisson-fluctuates the observed counts, refits, and applies
-    ``statistic`` (a FitResult -> dict of floats).  Returns per-key mean and
-    standard deviation.  Refits use a single restart; the observed-table fit
-    provides the reference starting point implicitly through the shared
-    initialization.
+    Each resample Poisson-fluctuates the observed counts and is refitted with
+    a single restart, starting from its own linear inversion; ``statistic``
+    (a FitResult -> dict of floats) is then applied to every refit.  Returns
+    per-key mean and standard deviation over ``n_resamples`` >= 2 refits.
+
+    The resampled tables are drawn here, in order, from ``seed``; the refits
+    run in worker processes, one per usable CPU up to ``n_resamples``, or in
+    this process when only one CPU is usable or this process is a daemon,
+    which may not start children.  Every refit runs the same code on the same
+    inputs, so the result does not depend on the number of workers.
+    ``statistic`` runs in this process and need not be picklable.
     """
+    if n_resamples < 2:
+        raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
     config = replace(config or FitConfig(), restarts=1)
     rng = np.random.default_rng(seed)
-    samples: dict[str, list] = {}
+    tables, configs = [], []
     for _ in range(n_resamples):
         sub_seed = int(rng.integers(0, 2**32 - 1))
-        resampled = CountTable(
+        tables.append(CountTable(
             np.random.default_rng(sub_seed).poisson(np.clip(table.counts, 0, None)).astype(float),
-            table.n_runs)
-        fit = fit_causal_map(resampled, replace(config, seed=sub_seed))
+            table.n_runs))
+        configs.append(replace(config, seed=sub_seed))
+
+    # imported here: the pool machinery costs ~20 ms and ~2 MB at import,
+    # which callers that never bootstrap should not pay
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(n_resamples, _usable_cpus())
+    if workers < 2 or multiprocessing.current_process().daemon:
+        fits = list(map(fit_causal_map, tables, configs))
+    else:
+        with ProcessPoolExecutor(workers) as pool:
+            fits = list(pool.map(fit_causal_map, tables, configs))
+
+    samples: dict[str, list] = {}
+    for fit in fits:
         for key, val in statistic(fit).items():
             samples.setdefault(key, []).append(float(val))
     return {
         "mean": {k: float(np.mean(v)) for k, v in samples.items()},
-        "std": {k: float(np.std(v, ddof=1)) if len(v) > 1 else 0.0
-                for k, v in samples.items()},
+        "std": {k: float(np.std(v, ddof=1)) for k, v in samples.items()},
         "n_resamples": n_resamples,
     }

@@ -159,6 +159,23 @@ class TestPipeline:
         assert run(argv + ["--noise", "none", "--out", str(tmp_path / "b.json")]) == 0
         assert "warning" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("resamples", ["1", "-3"])
+    def test_too_few_resamples_is_usage_error(self, tmp_path, capsys, resamples):
+        # one refit has no standard deviation; the thresholds would fall back to 1e-6
+        assert run(["pipeline", "--scenario", "probc", "--runs", "27000",
+                    "--resamples", resamples, "--out", str(tmp_path / "r.json")]) \
+            == cli.EXIT_USAGE
+        assert "--resamples" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_resamples_without_noise_is_usage_error(self, tmp_path, capsys):
+        assert run(["pipeline", "--scenario", "coh", "--noise", "none", "--runs", "27000",
+                    "--resamples", "3", "--out", str(tmp_path / "r.json")]) \
+            == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--resamples" in err and "--noise" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pipeline", "--scenario", "physc", "--noise", "poisson",

@@ -1,3 +1,10 @@
+import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +22,7 @@ from qcausal.tomography import (
     sample_conditioned_counts,
     sample_counts,
 )
+from qcausal.witness import classify
 
 FAST = FitConfig(restarts=1, max_iter=400)
 
@@ -198,16 +206,66 @@ class TestConditionedFit:
             fit_conditioned_state(np.zeros((3, 3, 2)))
 
 
+def _ccd_statistic(fit):
+    return {"ccd": classify(fit.tau).ccd}
+
+
+# The spawn test's script repeats this table, statistic and config.
+SPAWN_SCRIPT = """
+import json, multiprocessing
+from qcausal import tomography
+from qcausal.causal import build_scenario
+from qcausal.witness import classify
+
+def ccd(fit):
+    return {"ccd": classify(fit.tau).ccd}
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    tomography._usable_cpus = lambda: 2      # a pool even on one CPU
+    table = tomography.sample_counts(build_scenario("physc"), 30_000, seed=9)
+    config = tomography.FitConfig(restarts=1, max_iter=400)
+    print(json.dumps(tomography.bootstrap_errorbars(table, ccd, n_resamples=3,
+                                                    seed=11, config=config)))
+"""
+
+
 class TestBootstrap:
-    def test_keys_and_determinism(self):
+    @staticmethod
+    def _physc_bootstrap():
         table = sample_counts(build_scenario("physc"), 30_000, seed=9)
+        return bootstrap_errorbars(table, _ccd_statistic, n_resamples=3, seed=11, config=FAST)
 
-        def statistic(fit):
-            from qcausal.witness import classify
-            return {"ccd": classify(fit.tau).ccd}
-
-        a = bootstrap_errorbars(table, statistic, n_resamples=3, seed=11, config=FAST)
-        b = bootstrap_errorbars(table, statistic, n_resamples=3, seed=11, config=FAST)
+    def test_keys_and_determinism(self):
+        a = self._physc_bootstrap()
+        b = self._physc_bootstrap()
         assert a == b
         assert set(a) == {"mean", "std", "n_resamples"}
         assert a["std"]["ccd"] > 0.0
+
+    def test_in_process_matches_pool(self, monkeypatch):
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 2)
+        pooled = self._physc_bootstrap()
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 1)
+        assert self._physc_bootstrap() == pooled
+        # a daemonic process may not start workers, so it fits in-process
+        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        assert self._physc_bootstrap() == pooled
+
+    def test_spawn_start_method(self, tmp_path):
+        # spawned workers import qcausal afresh and receive every job pickled
+        script = tmp_path / "spawn_bootstrap.py"
+        script.write_text(SPAWN_SCRIPT)
+        src = str(Path(tomography.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        assert json.loads(out.stdout) == self._physc_bootstrap()
+
+    @pytest.mark.parametrize("n_resamples", [1, 0])
+    def test_needs_two_resamples(self, n_resamples):
+        table = sample_counts(build_scenario("physc"), 30_000, seed=9)
+        with pytest.raises(ValueError, match="n_resamples"):
+            bootstrap_errorbars(table, _ccd_statistic, n_resamples=n_resamples, config=FAST)
