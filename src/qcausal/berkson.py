@@ -177,9 +177,6 @@ class MixtureTerm:
     def _freeze(table):
         return tuple(tuple(tuple(row) for row in plane) for plane in table)
 
-    def __class_getitem__(cls, item):
-        return cls
-
     def __post_init__(self):
         object.__setattr__(self, "table", self._freeze(self.table))
 
@@ -378,11 +375,3 @@ def hiring_comprehensive_success_posterior() -> JointDistribution:
         probs[d, e] = 0.25 * (0.0 if d == 0 and e == 0 else 1.0)
     probs /= probs.sum()
     return JointDistribution((("D", 2), ("E", 2)), probs)
-
-
-def covariance_2x2(joint: np.ndarray, values=(-1.0, 1.0)) -> float:
-    v = np.asarray(values)
-    p = np.asarray(joint, dtype=float)
-    mean_x = float(p.sum(axis=1) @ v)
-    mean_y = float(p.sum(axis=0) @ v)
-    return float(v @ p @ v) - mean_x * mean_y

@@ -5,6 +5,13 @@ a later system B is represented by the tripartite Choi state tau_CBD of the
 map from D to (C, B).  The four reference circuits share a single structure:
 C and E start in |Phi+>, a gate takes the (D, E) wire pair to (B, F), and F
 is discarded.
+
+Every probability comes from one measurement stack, MEAS_STACK, of shape
+(3, 3, 3, 8, 64) over the Pauli settings (s on C, t for the repreparation
+on D, u on B): entry [s, t, u, cbd] is the row whose dot product with
+vec(T_D tau) is the uniform-preparation joint P(c, b, d | s, t, u), with
+T_D the partial transpose on D.  Tomography slices the same stack.
+Conditioning on one wire is a single contraction of tau as a (2,)*6 tensor.
 """
 
 from __future__ import annotations
@@ -15,9 +22,10 @@ from itertools import product
 
 import numpy as np
 
-from . import matlin, quantum
+from . import quantum
 from .matlin import hermitize, partial_trace, partial_transpose, reorder, tensor_product
 from .quantum import (
+    PAULI_AXES,
     DensityOperator,
     KrausChannel,
     SIGMA,
@@ -192,14 +200,34 @@ def random_probabilistic_mixture(rng=None) -> CausalChoi:
     return CausalChoi(DensityOperator(hermitize(p * ce + (1 - p) * cc), CBD_FACTORS))
 
 
+def _measurement_stack() -> np.ndarray:
+    """(3, 3, 3, 8, 64) stack over (s, t, u, cbd): the transpose of
+    Pi_c x Pi_b x Pi_d, flattened, for Pauli projectors of sigma_s on C,
+    sigma_u on B and sigma_t on D.  A plain broadcast product in kron order,
+    so every entry, signed zeros included, equals its kron-built value."""
+    p = np.array([[pauli_projector(a, o) for o in (+1, -1)] for a in PAULI_AXES])
+    # axes: s, t, u, c, b, d, then the row and the column of each factor
+    pc = p.reshape(3, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1)
+    pb = p.reshape(1, 1, 3, 1, 2, 1, 1, 2, 1, 1, 2, 1)
+    pd = p.reshape(1, 3, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2)
+    op = (pc * pb * pd).reshape(3, 3, 3, 8, 8, 8)
+    return np.swapaxes(op, -1, -2).reshape(3, 3, 3, 8, 64)
+
+
+MEAS_STACK = _measurement_stack()
+
+# Tr_w[(Pi on wire w) tau] for tau as a (c, b, d, c', b', d') tensor
+_TRACE_OUT = {
+    "C": "xk,kbdxef->bdef",
+    "B": "xk,ckdexf->cdef",
+    "D": "xk,cbkefx->cbef",
+}
+
+
 def _project_and_trace(tau: CausalChoi, proj: np.ndarray, wire: str):
-    ops = {lbl: np.eye(2, dtype=complex) for lbl in ("C", "B", "D")}
-    ops[wire] = proj
-    big = np.kron(np.kron(ops["C"], ops["B"]), ops["D"])
-    weighted = big @ tau.mat
-    prob = float(np.trace(weighted).real)
-    reduced, f = partial_trace(weighted, CBD_FACTORS, wire)
-    return reduced, f, prob
+    reduced = np.einsum(_TRACE_OUT[wire], proj, tau.mat.reshape((2,) * 6)).reshape(4, 4)
+    f = tuple(fac for fac in CBD_FACTORS if fac[0] != wire)
+    return reduced, f, float(np.trace(reduced).real)
 
 
 def induced_state_given_b(tau: CausalChoi, proj_b: np.ndarray):
@@ -219,21 +247,30 @@ def induced_state_given_c(tau: CausalChoi, proj_c: np.ndarray):
 
 
 def induced_state_given_d(tau: CausalChoi, proj_d: np.ndarray) -> DensityOperator:
-    """State on (C, B) prepared by feeding Pi_d into the causal map."""
-    big = np.kron(np.eye(4, dtype=complex), proj_d.T)
-    weighted = 2.0 * (tau.mat @ big)
-    reduced, f = partial_trace(weighted, CBD_FACTORS, "D")
-    return DensityOperator(hermitize(reduced), f)
+    """State on (C, B) prepared by feeding Pi_d into the causal map:
+    2 Tr_D[tau (1 x Pi_d^T)], which equals 2 Tr_D[(1 x Pi_d^T) tau]."""
+    reduced, f, _ = _project_and_trace(tau, proj_d.T, "D")
+    return DensityOperator(hermitize(2.0 * reduced), f)
+
+
+def _setting_cells(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
+    """Uniform-preparation joint P(c, b, d | s, t, u) as a (c, b, d) array."""
+    for a in (s, t, u):
+        if a not in PAULI_AXES:
+            raise ValueError(f"axis must be one of {PAULI_AXES}, got {a!r}")
+    rows = MEAS_STACK[PAULI_AXES.index(s), PAULI_AXES.index(t), PAULI_AXES.index(u)]
+    td = partial_transpose(tau.mat, CBD_FACTORS, "D")
+    return np.real(rows @ td.reshape(-1)).reshape(2, 2, 2)
 
 
 def predict_probability(tau: CausalChoi, s: str, t: str, u: str,
                         c: int, b: int, d: int) -> float:
     """P(c, b | d; s, t, u): measure sigma_s on C, sigma_u on B, prepare the
     d eigenstate of sigma_t on D."""
-    td_tau = partial_transpose(tau.mat, CBD_FACTORS, "D")
-    op = np.kron(np.kron(pauli_projector(s, c), pauli_projector(u, b)),
-                 pauli_projector(t, d))
-    return float((2.0 * np.trace(td_tau @ op)).real)
+    if not {c, b, d} <= {+1, -1}:
+        raise ValueError("outcomes must be +1 or -1")
+    cells = _setting_cells(tau, s, t, u)
+    return float(2.0 * cells[(1 - c) // 2, (1 - b) // 2, (1 - d) // 2])
 
 
 def joint_distribution(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
@@ -241,11 +278,4 @@ def joint_distribution(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
 
     Indexed [ci, di, bi] with index 0 for outcome +1 and 1 for outcome -1.
     """
-    td_tau = partial_transpose(tau.mat, CBD_FACTORS, "D")
-    out = np.empty((2, 2, 2))
-    for ci, di, bi in product(range(2), repeat=3):
-        c, d, b = 1 - 2 * ci, 1 - 2 * di, 1 - 2 * bi
-        op = np.kron(np.kron(pauli_projector(s, c), pauli_projector(u, b)),
-                     pauli_projector(t, d))
-        out[ci, di, bi] = float(np.trace(td_tau @ op).real)
-    return out
+    return _setting_cells(tau, s, t, u).transpose(0, 2, 1)

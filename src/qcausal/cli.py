@@ -39,7 +39,13 @@ def _write_out(text: str, out_path: str | None) -> None:
 def _load_tau(args) -> causal.CausalChoi:
     if getattr(args, "infile", None):
         with open(args.infile) as fh:
-            return causal.CausalChoi.from_json(fh.read())
+            text = fh.read()
+        try:
+            return causal.CausalChoi.from_json(text)
+        except quantum.StateValidationError as exc:
+            # an invalid state read from a file is malformed input, not a
+            # numerical failure
+            raise ValueError(f"{args.infile}: {exc}") from exc
     return causal.build_scenario(args.scenario, eps=args.eps)
 
 
@@ -247,8 +253,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    # the numerical classes subclass ValueError, so they are caught first
-    except (ArithmeticError, np.linalg.LinAlgError, matlin.NotPSDError) as exc:
+    # the numerical classes subclass ValueError, so they are caught first;
+    # a StateValidationError here comes from computed data (a fitted or
+    # conditioned state), since _load_tau maps those of input files
+    except (ArithmeticError, np.linalg.LinAlgError, matlin.NotPSDError,
+            quantum.StateValidationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:

@@ -51,12 +51,18 @@ def _axis(factors: Factors, label: str) -> int:
     raise LabelError(f"label {label!r} not in {[l for l, _ in factors]}")
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= atol)
+    """Whether m, or every matrix of the stack m, is Hermitian to atol."""
+    return bool(np.max(np.abs(m - _dagger(m))) <= atol)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
+    return (m + _dagger(m)) / 2
 
 
 def tensor_product(a, fa, b, fb):

@@ -168,16 +168,6 @@ def mix_channels(channels, weights) -> KrausChannel:
     return KrausChannel(tuple(ops))
 
 
-def apply_channel(ch: KrausChannel, rho: DensityOperator, out_labels=None) -> DensityOperator:
-    """Apply a channel to a full density operator (matching total dimension)."""
-    out = ch.apply_matrix(rho.mat)
-    if out_labels is None:
-        factors = rho.factors
-    else:
-        factors = tuple((lbl, 2) for lbl in out_labels)
-    return DensityOperator(hermitize(out), factors)
-
-
 def choi_of_channel(ch: KrausChannel, out_label: str = "B", in_label: str = "A") -> DensityOperator:
     """Unit-trace Choi state (E x I)(|Phi+><Phi+|), output factor first."""
     d = ch.dim_in
@@ -187,34 +177,6 @@ def choi_of_channel(ch: KrausChannel, out_label: str = "B", in_label: str = "A")
     lifted = tuple(np.kron(k, np.eye(d)) for k in ch.kraus_ops)
     tau = sum(k @ phi @ k.conj().T for k in lifted)
     return DensityOperator(hermitize(tau), ((out_label, ch.dim_out), (in_label, d)))
-
-
-def channel_of_choi(tau: DensityOperator, input_label: str):
-    """Map evaluator E(rho) = d * Tr_in[tau (1 x T(rho))] from a Choi state.
-
-    Emits a warning-level diagnostic (returned flag on the evaluator) when the
-    input marginal deviates from 1/2, as fitted states may.
-    """
-    import warnings
-
-    d = dict(tau.factors)[input_label]
-    marg = tau.marginal(input_label).mat
-    if np.max(np.abs(marg - np.eye(d) / d)) > 1e-8:
-        warnings.warn("Choi input marginal deviates from the maximally mixed state; "
-                      "the induced map is not exactly trace-preserving")
-    out_labels = [lbl for lbl in tau.labels if lbl != input_label]
-    mat, factors = matlin.reorder(tau.mat, tau.factors, out_labels + [input_label])
-    n_out = matlin.total_dim(as_factors([f for f in factors if f[0] != input_label]))
-
-    def evaluate(rho_in: np.ndarray) -> np.ndarray:
-        if rho_in.shape != (d, d):
-            raise ShapeMismatchError("input dimension mismatch")
-        op = np.kron(np.eye(n_out), rho_in.T)
-        prod = mat @ op
-        out, _ = partial_trace(prod, factors, input_label)
-        return d * out
-
-    return evaluate
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -24,7 +24,7 @@ from itertools import product
 import numpy as np
 
 from . import matlin, optimize
-from .causal import CBD_FACTORS, CausalChoi
+from .causal import CBD_FACTORS, MEAS_STACK, CausalChoi
 from .quantum import DensityOperator, pauli_projector
 
 AXES = ("x", "y", "z")
@@ -104,20 +104,9 @@ class CountTable:
         return cls(counts, total)
 
 
-def _measurement_stack() -> np.ndarray:
-    """(216, 64) stack whose row i, dotted with vec(T_D tau), gives
-    P(c, b, d | s, t, u) for the i-th (s, t, u, c, b, d) cell."""
-    rows = []
-    for si, ti, ui, ci, bi, di in product(range(3), range(3), range(3),
-                                          range(2), range(2), range(2)):
-        op = np.kron(np.kron(pauli_projector(AXES[si], 1 - 2 * ci),
-                             pauli_projector(AXES[ui], 1 - 2 * bi)),
-                     pauli_projector(AXES[ti], 1 - 2 * di))
-        rows.append(op.T.reshape(-1))
-    return np.stack(rows)
-
-
-_MEAS_STACK = _measurement_stack()
+# Row i, dotted with vec(T_D tau), gives P(c, b, d | s, t, u) for the i-th
+# (s, t, u, c, b, d) cell.
+_MEAS_STACK = MEAS_STACK.reshape(216, 64)
 
 
 def _cell_probabilities(tau_mat: np.ndarray) -> np.ndarray:

@@ -24,13 +24,22 @@ DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 CLASS_LABELS = ("ProbC", "PhysC", "ProbQ", "PhysQ", "Coh")
 
 
+def _negativities(pts: np.ndarray) -> np.ndarray:
+    """Negativities (trace norm - 1)/2 from a (n, d, d) stack of partial
+    transposes, with one batched eigvalsh; values below NEG_FLOOR read 0."""
+    if not matlin.is_hermitian(pts, atol=1e-9):
+        raise matlin.NotHermitianError("partial transpose is not Hermitian")
+    w = np.linalg.eigvalsh(matlin.hermitize(pts))
+    n = 0.5 * (np.abs(w).sum(axis=-1) - 1.0)
+    return np.where(n < NEG_FLOOR, 0.0, n)
+
+
 def negativity(rho: DensityOperator, over: str) -> float:
     """Entanglement negativity (trace norm of the partial transpose - 1)/2."""
     if len(rho.factors) != 2:
         raise ValueError("negativity is defined here for bipartite states")
     pt = matlin.partial_transpose(rho.mat, rho.factors, over)
-    n = 0.5 * (matlin.trace_norm(pt) - 1.0)
-    return 0.0 if n < NEG_FLOOR else float(n)
+    return float(_negativities(pt[None])[0])
 
 
 def _check_normalized(p: np.ndarray) -> np.ndarray:
@@ -182,14 +191,17 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     """
     thresholds = thresholds or Thresholds()
     proj = {"H": pauli_projector("z", +1), "V": pauli_projector("z", -1)}
-    neg_c_bd, neg_d_cb, neg_b_cd = {}, {}, {}
-    for name, pj in proj.items():
-        st_c, _ = causal.induced_state_given_c(tau, pj)
-        neg_c_bd[name] = negativity(st_c, "D")
-        st_d = causal.induced_state_given_d(tau, pj)
-        neg_d_cb[name] = negativity(st_d, "B")
-        st_b, _ = causal.induced_state_given_b(tau, pj)
-        neg_b_cd[name] = negativity(st_b, "D")
+    states = []
+    for pj in proj.values():
+        states += [causal.induced_state_given_c(tau, pj)[0],
+                   causal.induced_state_given_d(tau, pj),
+                   causal.induced_state_given_b(tau, pj)[0]]
+    pts = np.stack([matlin.partial_transpose(st.mat, st.factors, over)
+                    for st, over in zip(states, ("D", "B", "D") * len(proj))])
+    # rows: outcome H, V; columns: the C|BD, D|CB and B|CD pathways
+    negs = _negativities(pts).reshape(len(proj), 3)
+    neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(proj, col)}
+                                    for col in negs.T)
     p = distribution_from_choi(tau, ccd_settings)
     ccd = witness_ccd_from_distribution(p)
     ccd0 = witness_ccd0(p)

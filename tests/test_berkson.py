@@ -14,7 +14,6 @@ from qcausal.berkson import (
     berkson_bound,
     berkson_posterior,
     conditional_mutual_information,
-    covariance_2x2,
     extremal_mixture_spec,
     induced_from_reduction,
     induced_p_cb_given_d,
@@ -113,7 +112,6 @@ class TestHiringExamples:
     def test_comprehensive_posterior_exceeds_bound(self):
         jd = berkson.hiring_comprehensive_success_posterior()
         assert mutual_information(jd.probs) > berkson_bound(2)
-        assert covariance_2x2(jd.probs) < 0      # anticorrelated skills
 
     def test_specialized_respects_bound(self):
         spec = berkson.hiring_specialized()

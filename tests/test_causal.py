@@ -1,8 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcausal import causal, quantum
+from qcausal import causal, matlin, quantum, tomography
 from qcausal.causal import (
     CausalChoi,
     build_scenario,
@@ -161,3 +163,87 @@ class TestRandomMixtures:
         tau = random_probabilistic_mixture(np.random.default_rng(seed))
         # construction passed CausalChoi validation (trace, PSD, no-retro)
         assert abs(np.trace(tau.mat).real - 1.0) < 1e-10
+
+
+# Kron-built references for the stack-based probabilities and the einsum
+# conditioning in causal.
+
+AXES = ("x", "y", "z")
+PROJECTORS = [pauli_projector(a, o) for a in AXES for o in (+1, -1)]
+
+
+def kron_op(s, t, u, c, b, d):
+    return np.kron(np.kron(pauli_projector(s, c), pauli_projector(u, b)),
+                   pauli_projector(t, d))
+
+
+def kron_cell(tau, s, t, u, c, b, d):
+    """Tr[T_D(tau) Pi_c x Pi_b x Pi_d], the uniform-preparation joint."""
+    td = matlin.partial_transpose(tau.mat, causal.CBD_FACTORS, "D")
+    return float(np.trace(td @ kron_op(s, t, u, c, b, d)).real)
+
+
+def kron_conditioned(tau, proj, wire):
+    """Tr_w[(Pi on wire w) tau] through the full 8x8 operator."""
+    ops = [proj if lbl == wire else np.eye(2) for lbl, _ in causal.CBD_FACTORS]
+    big = np.kron(np.kron(ops[0], ops[1]), ops[2])
+    reduced, _ = matlin.partial_trace(big @ tau.mat, causal.CBD_FACTORS, wire)
+    return reduced
+
+
+def reference_maps():
+    rng = np.random.default_rng(7)
+    return ([build_scenario(sid) for sid in causal.SCENARIO_IDS]
+            + [random_probabilistic_mixture(rng) for _ in range(3)])
+
+
+class TestMeasurementStack:
+    def test_bit_identical_to_kron_loop(self):
+        rows = [kron_op(AXES[si], AXES[ti], AXES[ui], 1 - 2 * ci, 1 - 2 * bi, 1 - 2 * di).T
+                .reshape(-1)
+                for si, ti, ui, ci, bi, di in product(range(3), range(3), range(3),
+                                                      range(2), range(2), range(2))]
+        ref = np.stack(rows)
+        stack = causal.MEAS_STACK
+        assert stack.shape == (3, 3, 3, 8, 64)
+        assert np.array_equal(stack.reshape(216, 64), ref)
+        # signed zeros too, so the tomography inputs keep every bit
+        assert np.array_equal(np.signbit(stack.reshape(216, 64).view(float)),
+                              np.signbit(ref.view(float)))
+
+    def test_tomography_uses_the_same_stack(self):
+        assert tomography._MEAS_STACK.shape == (216, 64)
+        assert np.shares_memory(tomography._MEAS_STACK, causal.MEAS_STACK)
+
+
+class TestAgainstKron:
+    def test_joint_and_pointwise(self):
+        for tau in reference_maps():
+            for s, t, u in product(AXES, repeat=3):
+                p = joint_distribution(tau, s, t, u)
+                for ci, di, bi in product(range(2), repeat=3):
+                    c, b, d = 1 - 2 * ci, 1 - 2 * bi, 1 - 2 * di
+                    ref = kron_cell(tau, s, t, u, c, b, d)
+                    assert abs(p[ci, di, bi] - ref) <= 1e-12
+                    assert abs(predict_probability(tau, s, t, u, c, b, d) - 2 * ref) <= 1e-12
+
+    def test_induced_states(self):
+        for tau in reference_maps():
+            for proj in PROJECTORS:
+                for wire, given in (("B", induced_state_given_b), ("C", induced_state_given_c)):
+                    reduced = kron_conditioned(tau, proj, wire)
+                    prob = float(np.trace(reduced).real)
+                    state, p = given(tau, proj)
+                    assert abs(p - prob) <= 1e-12
+                    assert np.max(np.abs(state.mat - reduced / prob)) <= 1e-12
+                # 2 Tr_D[tau (1 x Pi^T)], as the causal map fed with Pi
+                big = np.kron(np.eye(4), proj.T)
+                ref, _ = matlin.partial_trace(2 * tau.mat @ big, causal.CBD_FACTORS, "D")
+                assert np.max(np.abs(induced_state_given_d(tau, proj).mat - ref)) <= 1e-12
+
+    def test_bad_axis_and_outcome(self):
+        tau = build_scenario("coh")
+        with pytest.raises(ValueError):
+            joint_distribution(tau, "x", "w", "z")
+        with pytest.raises(ValueError):
+            predict_probability(tau, "x", "y", "z", 1, 0, 1)

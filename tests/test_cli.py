@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qcausal import cli
+from qcausal.quantum import DensityOperator
 
 
 def run(argv):
@@ -38,6 +39,27 @@ class TestExitCodes:
         path.write_text(json.dumps({"labels": ["C", "B", "D"], "dim": 8,
                                     "re": m.tolist(), "im": np.zeros((8, 8)).tolist()}))
         assert run(["witness", "--in", str(path)]) == cli.EXIT_USAGE
+
+    def test_retrocausal_input_file_is_usage_error(self, tmp_path, capsys):
+        # a valid state, but C is correlated with the later input D
+        m = np.zeros((8, 8))
+        for d in range(2):
+            m[4 * d + d, 4 * d + d] = m[4 * d + 2 + d, 4 * d + 2 + d] = 0.25
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"labels": ["C", "B", "D"], "dim": 8,
+                                    "re": m.tolist(), "im": np.zeros((8, 8)).tolist()}))
+        assert run(["witness", "--in", str(path)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and "no-retrocausation" in err
+
+    def test_invalid_computed_state_is_numerical(self, monkeypatch, capsys):
+        def invalid(tau, proj):
+            # a conditioned state with a negative eigenvalue fails validation
+            return DensityOperator(np.diag([0.6, 0.5, 0.0, -0.1]), (("B", 2), ("D", 2))), 0.5
+
+        monkeypatch.setattr(cli.causal, "induced_state_given_c", invalid)
+        assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_linalg_failure_is_numerical(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):

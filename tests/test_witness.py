@@ -1,12 +1,13 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcausal import causal, witness
+from qcausal import causal, matlin, witness
 from qcausal.causal import build_scenario, random_probabilistic_mixture
-from qcausal.quantum import DensityOperator, bell_phi_plus, ket_dm, KET_H, KET_V
+from qcausal.quantum import DensityOperator, bell_phi_plus, ket_dm, pauli_projector, KET_H, KET_V
 from qcausal.witness import (
     Thresholds,
     classify,
@@ -145,3 +146,52 @@ class TestClassification:
         r = classify(build_scenario("physc"))
         assert r.physical_mixture
         assert not (r.quantum_cause_effect or r.quantum_common_cause or r.berkson)
+
+
+def kron_joint(tau, s, t, u):
+    """P(c, d, b) as Tr[T_D(tau) Pi_c x Pi_b x Pi_d], one kron per cell."""
+    td = matlin.partial_transpose(tau.mat, causal.CBD_FACTORS, "D")
+    p = np.empty((2, 2, 2))
+    for ci, di, bi in product(range(2), repeat=3):
+        op = np.kron(np.kron(pauli_projector(s, 1 - 2 * ci), pauli_projector(u, 1 - 2 * bi)),
+                     pauli_projector(t, 1 - 2 * di))
+        p[ci, di, bi] = np.trace(td @ op).real
+    return p
+
+
+def reference_report(tau, settings):
+    """classify's values, one negativity call per conditioned state."""
+    neg = {"neg_c_bd": {}, "neg_d_cb": {}, "neg_b_cd": {}}
+    for name, outcome in (("H", +1), ("V", -1)):
+        pj = pauli_projector("z", outcome)
+        neg["neg_c_bd"][name] = negativity(causal.induced_state_given_c(tau, pj)[0], "D")
+        neg["neg_d_cb"][name] = negativity(causal.induced_state_given_d(tau, pj), "B")
+        neg["neg_b_cd"][name] = negativity(causal.induced_state_given_b(tau, pj)[0], "D")
+    p = kron_joint(tau, *settings)
+    return neg, witness_ccd_from_distribution(p), witness_ccd0(p)
+
+
+class TestClassifyAgainstReference:
+    def test_scenarios_and_random_mixtures(self):
+        rng = np.random.default_rng(2024)
+        maps = [build_scenario(sid) for sid in causal.SCENARIO_IDS]
+        maps += [random_probabilistic_mixture(rng) for _ in range(60)]
+        t = witness.DEFAULT_THRESHOLD
+        for tau in maps:
+            for settings in (("x", "y", "z"), ("z", "z", "z")):
+                report = classify(tau, ccd_settings=settings)
+                neg, ccd, ccd0 = reference_report(tau, settings)
+                for family, values in neg.items():
+                    got = getattr(report, family)
+                    assert got.keys() == values.keys()
+                    for k in values:
+                        assert abs(got[k] - values[k]) <= 1e-12
+                assert abs(report.ccd - ccd) <= 1e-12
+                assert abs(report.ccd0 - ccd0) <= 1e-12
+                quantum_both = min(neg["neg_c_bd"].values()) > t and min(neg["neg_d_cb"].values()) > t
+                berkson = min(neg["neg_b_cd"].values()) > t
+                assert report.label == witness._assign_label(quantum_both, abs(ccd) > t, berkson)
+
+    def test_negativity_rejects_non_hermitian_transpose(self):
+        with pytest.raises(matlin.NotHermitianError):
+            witness._negativities(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex))
