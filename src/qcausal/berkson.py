@@ -63,10 +63,6 @@ class JointDistribution:
         return cls(tuple(zip(names, cards)), probs)
 
 
-def _entropy_term(p: float, base: float) -> float:
-    return 0.0 if p <= 0 else -p * math.log(p) / math.log(base)
-
-
 def mutual_information(joint: np.ndarray, base: float = 2.0) -> float:
     """I(X:Y) of a two-variable joint probability table, in base-`base` units."""
     p = np.asarray(joint, dtype=float)

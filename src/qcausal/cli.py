@@ -63,6 +63,8 @@ def cmd_witness(args) -> int:
 
 
 def _simulate(tau, args) -> tomography.CountTable:
+    if args.runs < 1:
+        raise ValueError(f"--runs {args.runs}: the experiment needs at least one run")
     if args.noise == "poisson":
         return tomography.sample_counts(tau, args.runs, seed=args.seed)
     return tomography.expected_counts(tau, args.runs)
@@ -254,10 +256,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # the numerical classes subclass ValueError, so they are caught first;
-    # a StateValidationError here comes from computed data (a fitted or
-    # conditioned state), since _load_tau maps those of input files
-    except (ArithmeticError, np.linalg.LinAlgError, matlin.NotPSDError,
-            quantum.StateValidationError) as exc:
+    # StateValidationError and NotHermitianError here come from computed
+    # data, since _load_tau maps the StateValidationError of an input file
+    except (ArithmeticError, np.linalg.LinAlgError, matlin.NotHermitianError,
+            matlin.NotPSDError, quantum.StateValidationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:

@@ -130,12 +130,6 @@ def hermitian_eigs(m: np.ndarray):
     return w[::-1], v[:, ::-1]
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of |eigenvalues| for Hermitian m."""
-    w, _ = hermitian_eigs(m)
-    return float(np.sum(np.abs(w)))
-
-
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix, clipping small negative eigenvalues."""
     w, v = hermitian_eigs(m)
@@ -143,10 +137,6 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
         raise NotPSDError(f"eigenvalue {np.min(w):g} below PSD floor")
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
-
-
-def n_cholesky_params(dim: int) -> int:
-    return dim * dim
 
 
 @functools.cache

@@ -1,12 +1,12 @@
 """Small dense least-squares machinery for the tomography fits.
 
 A residual function maps a real parameter vector to a real residual vector;
-the Levenberg-Marquardt driver minimizes its squared norm.  Problems here are
-tiny (tens of parameters, hundreds of residuals), so Jacobians are either
-supplied analytically or formed by central differences, and the damped normal
-equations are solved densely.  Model functions that can evaluate many
-parameter vectors at once may be passed as ``residual_batch`` to speed the
-finite-difference Jacobian up considerably.
+the Levenberg-Marquardt driver minimizes its squared norm given the
+analytic Jacobian.  Problems here are tiny (tens of parameters, hundreds of
+residuals), so the damped normal equations are solved densely.  The
+stopping rule and the initial damping are the constants below, the values
+both tomography fits use.  ``numeric_jacobian`` forms central differences,
+the reference that analytic Jacobians are tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FD_STEP = 1e-6
+LAM0 = 1e-3        # initial damping
+FTOL = 1e-6        # a relative cost gain below this counts as a stall
+GTOL = 1e-8        # converged once every gradient entry is below this
+STALL_ITERS = 10   # consecutive stalls that end a run
 
 
 @dataclass
@@ -28,23 +32,11 @@ class OptimizeResult:
     history: list = field(default_factory=list)
 
 
-def numeric_jacobian(residual_fn, x, step: float = FD_STEP, residual_batch=None):
-    """Central-difference Jacobian d r_i / d x_j.
-
-    With ``residual_batch`` (mapping an (m, n) stack of parameter vectors to an
-    (m, k) stack of residuals) all 2n evaluations happen in one call.
-    """
+def numeric_jacobian(residual_fn, x, step: float = FD_STEP):
+    """Central-difference Jacobian d r_i / d x_j."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    if residual_batch is not None:
-        pts = np.repeat(x[None, :], 2 * n, axis=0)
-        idx = np.arange(n)
-        pts[2 * idx, idx] += step
-        pts[2 * idx + 1, idx] -= step
-        res = np.asarray(residual_batch(pts))
-        return (res[0::2] - res[1::2]).T / (2.0 * step)
     cols = []
-    for j in range(n):
+    for j in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[j] += step
         xm[j] -= step
@@ -65,26 +57,23 @@ def _gradient_descent(residual_fn, x, cost, grad, max_backtracks=30):
     return x, cost, False
 
 
-def levenberg_marquardt(residual_fn, x0, *, jacobian=None, residual_batch=None,
-                        step: float = FD_STEP, max_iter: int = 200,
-                        lam0: float = 1e-3, ftol: float = 1e-10,
-                        gtol: float = 1e-10, stall_iters: int = 3,
-                        keep_history: bool = False) -> OptimizeResult:
+def levenberg_marquardt(residual_fn, jacobian, x0, max_iter: int) -> OptimizeResult:
     """Minimize ||r(x)||^2 by damped Gauss-Newton steps.
 
-    The normal equations are damped with the running maximum of the Jacobian
-    column norms (Marquardt scaling), which keeps progress uniform across
-    badly scaled parameter directions.  ``jacobian`` may supply an analytic
-    (m, n) Jacobian; otherwise central differences are used.  Convergence is
-    declared after ``stall_iters`` consecutive relative cost gains below
-    ``ftol``; if no damping in a wide range yields descent, one backtracking
-    gradient step is attempted before giving up.
+    ``jacobian`` returns the (m, n) Jacobian of ``residual_fn``.  The normal
+    equations are damped with the running maximum of the Jacobian column
+    norms (Marquardt scaling), which keeps progress uniform across badly
+    scaled parameter directions.  Convergence is declared once the gradient
+    is below GTOL, or after STALL_ITERS consecutive relative cost gains below
+    FTOL; if no damping in a wide range yields descent, one backtracking
+    gradient step is attempted before giving up.  ``history`` holds the
+    starting cost and the cost after each accepted damped step.
     """
     x = np.array(x0, dtype=float)
     r = np.asarray(residual_fn(x))
     cost = float(r @ r)
-    lam = lam0
-    history = [cost] if keep_history else []
+    lam = LAM0
+    history = [cost]
     message = "max_iter reached"
     converged = False
     n = x.size
@@ -94,12 +83,9 @@ def levenberg_marquardt(residual_fn, x0, *, jacobian=None, residual_batch=None,
     stall = 0
     it = 0
     for it in range(1, max_iter + 1):
-        if jacobian is not None:
-            jac = np.asarray(jacobian(x))
-        else:
-            jac = numeric_jacobian(residual_fn, x, step=step, residual_batch=residual_batch)
+        jac = np.asarray(jacobian(x))
         g = jac.T @ r
-        if float(np.max(np.abs(g))) < gtol:
+        if float(np.max(np.abs(g))) < GTOL:
             converged, message = True, "gradient below gtol"
             break
         jtj = jac.T @ jac
@@ -124,8 +110,7 @@ def levenberg_marquardt(residual_fn, x0, *, jacobian=None, residual_batch=None,
                 x, r, cost = trial, r_trial, c_trial
                 lam = max(lam / 5.0, 1e-14)
                 accepted = True
-                if keep_history:
-                    history.append(cost)
+                history.append(cost)
                 break
             lam *= 10.0
         if not accepted:
@@ -136,8 +121,8 @@ def levenberg_marquardt(residual_fn, x0, *, jacobian=None, residual_batch=None,
                 converged, message = True, "no descent direction found"
                 break
             gain = prev - cost
-        stall = stall + 1 if gain < ftol * max(cost, 1.0) else 0
-        if stall >= stall_iters:
+        stall = stall + 1 if gain < FTOL * max(cost, 1.0) else 0
+        if stall >= STALL_ITERS:
             converged, message = True, "cost decrease below ftol"
             break
     return OptimizeResult(x=x, cost=cost, n_iter=it, converged=converged,

@@ -10,6 +10,10 @@ penalty alike, is real-linear in S, so each model is one real matrix L built
 once from the code that defines it; Levenberg-Marquardt then evaluates
 r(x) = L [Re S, Im S] + c.  Row k is also Tr(A_k S) + c_k for a Hermitian
 A_k, so the exact Jacobian is one real product of J with the stacked A_k.
+This fit and that of a conditioned (C, D) state, which has no penalty rows,
+share one driver, _wls_fit.  FitConfig holds only what callers set: lam, the
+restart seed (0 by default, so a default fit repeats), the number of
+restarts and the iteration budget; EPS_CELL and JITTER are constants.
 """
 
 from __future__ import annotations
@@ -24,11 +28,13 @@ from itertools import product
 import numpy as np
 
 from . import matlin, optimize
-from .causal import CBD_FACTORS, MEAS_STACK, CausalChoi
+from .causal import CBD_FACTORS, MEAS_STACK, CausalChoi, no_retro_deviation
 from .quantum import DensityOperator, pauli_projector
 
 AXES = ("x", "y", "z")
 DEFAULT_RUNS = 200_000
+EPS_CELL = 0.5   # count floor in the weight 1/sqrt(max(n, EPS_CELL)) of a cell
+JITTER = 1e-3    # restart spread, in units of sqrt(runs per setting)
 
 
 def _axis_index(a) -> int:
@@ -131,15 +137,21 @@ def sample_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS,
 
 @dataclass(frozen=True)
 class FitConfig:
+    """Penalty weight on the no-retrocausation rows, seed of the restart
+    jitter, number of LM runs and the iteration budget of each."""
+
     lam: float = 1e7
-    eps_cell: float = 0.5
-    seed: int | None = None
+    seed: int | None = 0
     restarts: int = 5
-    jitter: float = 1e-3
     max_iter: int = 2000
-    ftol: float = 1e-6
-    gtol: float = 1e-8
-    stall_iters: int = 10
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lam must be finite and non-negative, got {self.lam}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -165,23 +177,15 @@ class FitResult:
             "cost": self.cost,
             "converged": self.converged,
             "n_iter": self.n_iter,
-            "config": {"lam": cfg.lam, "eps_cell": cfg.eps_cell, "seed": cfg.seed,
-                       "restarts": cfg.restarts, "jitter": cfg.jitter,
+            "config": {"lam": cfg.lam, "eps_cell": EPS_CELL, "seed": cfg.seed,
+                       "restarts": cfg.restarts, "jitter": JITTER,
                        "max_iter": cfg.max_iter},
         })
 
 
-def _no_retro_deviation(mat: np.ndarray) -> np.ndarray:
-    """Tr_B(S) - Tr_BD(S) x 1/2 as a (c, d, c', d') array."""
-    t = mat.reshape(2, 2, 2, 2, 2, 2)
-    marg = np.trace(t, axis1=1, axis2=4)       # (c, d, c', d')
-    rho_c = np.trace(marg, axis1=1, axis2=3)   # (c, c')
-    return marg - np.einsum("ij,kl->ikjl", rho_c, np.eye(2) / 2)
-
-
 def _penalty_residuals(s_mat: np.ndarray) -> np.ndarray:
     """Deviation of Tr_B(S) from Tr_BD(S) x 1/2, as 32 real numbers."""
-    flat = _no_retro_deviation(s_mat).reshape(-1)
+    flat = no_retro_deviation(s_mat).reshape(-1)
     return np.concatenate([flat.real, flat.imag])
 
 
@@ -243,17 +247,6 @@ def _jacobian(x: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
     return grid.reshape(2 * dim * dim, -1)[rows].T
 
 
-def _run_cholesky_fit(lin: np.ndarray, stack: np.ndarray, const: np.ndarray,
-                      x0: np.ndarray, dim: int,
-                      config: "FitConfig") -> optimize.OptimizeResult:
-    """LM on the residuals of a model linear in S = J^dag J, exact Jacobian."""
-    return optimize.levenberg_marquardt(
-        lambda x: _residual(x, lin, const, dim), x0,
-        jacobian=lambda x: _jacobian(x, stack, dim), max_iter=config.max_iter,
-        ftol=config.ftol, gtol=config.gtol, stall_iters=config.stall_iters,
-        keep_history=True)
-
-
 def _cost_flattened(history, tail_frac: float = 0.1, rel: float = 0.01) -> bool:
     """Whether the cost curve gained less than `rel` over its final stretch.
 
@@ -266,30 +259,45 @@ def _cost_flattened(history, tail_frac: float = 0.1, rel: float = 0.01) -> bool:
     return (tail[0] - tail[-1]) < rel * max(tail[-1], 1e-30)
 
 
-def _psd_clip_scale(mat: np.ndarray, scale: float, floor_frac: float = 1e-6) -> np.ndarray:
-    """Clip eigenvalues to a small positive floor and rescale the trace."""
-    w, v = matlin.hermitian_eigs(matlin.hermitize(mat))
-    w = np.clip(w, floor_frac * scale / mat.shape[0], None)
-    out = (v * w) @ v.conj().T
-    return matlin.hermitize(out / np.trace(out).real * scale)
+def _wls_fit(data: np.ndarray, lin: np.ndarray, stack: np.ndarray,
+             start: np.ndarray, scale: float, config: FitConfig):
+    """Weighted least squares of the model rows (lin, stack) over S = J^dag J.
 
-
-def _linear_inversion_start(data: np.ndarray, scale: float) -> np.ndarray:
-    """Warm start from unconstrained linear inversion of the count data.
-
-    The 27 setting triples are Pauli-complete, so the least-squares solution
-    of the (216, 64) linear system recovers the Choi matrix directly; it is
-    then clipped to strictly positive eigenvalues so the Cholesky
-    parametrization is well conditioned.
+    The first len(data) rows fit the counts ``data`` with weights
+    1/sqrt(max(n, EPS_CELL)); later rows are penalty rows, target 0, weight
+    sqrt(lam).  LM starts from the linear inversion ``start`` clipped to
+    positive eigenvalues and trace ``scale``, then restarts jittered around
+    it.  Returns the best LM result, its chi^2 over the count rows and the
+    cost of every run.
     """
-    v, *_ = np.linalg.lstsq(_MEAS_STACK, data.astype(complex), rcond=None)
-    s = matlin.partial_transpose(v.reshape(8, 8), CBD_FACTORS, "D")
-    return matlin.cholesky_params(_psd_clip_scale(s, scale), 8)
+    dim = start.shape[0]
+    n_penalty = len(lin) - len(data)
+    weights = 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
+    row_weights = np.concatenate([weights, np.full(n_penalty, np.sqrt(config.lam))])
+    lin = lin * row_weights[:, None]
+    stack = stack * row_weights
+    const = np.concatenate([-data * weights, np.zeros(n_penalty)])
+
+    w, v = matlin.hermitian_eigs(matlin.hermitize(start))
+    clipped = (v * np.clip(w, 1e-6 * scale / dim, None)) @ v.conj().T
+    base = matlin.cholesky_params(matlin.hermitize(clipped / np.trace(clipped).real * scale), dim)
+    rng = np.random.default_rng(config.seed)
+    best, costs = None, []
+    for k in range(config.restarts):
+        x0 = base if k == 0 else base + JITTER * np.sqrt(scale) * rng.standard_normal(base.size)
+        res = optimize.levenberg_marquardt(lambda x: _residual(x, lin, const, dim),
+                                           lambda x: _jacobian(x, stack, dim),
+                                           x0, config.max_iter)
+        costs.append(res.cost)
+        if best is None or res.cost < best.cost:
+            best = res
+    counts = _residual(best.x, lin, const, dim)[:len(data)]
+    return best, float(counts @ counts), tuple(costs)
 
 
 def _project_no_retro(mat: np.ndarray) -> np.ndarray:
     """Remove the (traceless) component violating Tr_B tau = rho_C x 1/2."""
-    corr = np.einsum("ikjl,ab->iakjbl", _no_retro_deviation(mat), np.eye(2) / 2)
+    corr = np.einsum("ikjl,ab->iakjbl", no_retro_deviation(mat), np.eye(2) / 2)
     return matlin.hermitize(mat - corr.reshape(8, 8))
 
 
@@ -303,29 +311,15 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     """
     config = config or FitConfig()
     data = table.counts.reshape(-1)
-    weights = 1.0 / np.sqrt(np.maximum(data, config.eps_cell))
-    scale = table.n_runs / 27.0
-    # S = J^dag J carries the N/27 scale, so Tr[T_D(S) op] is a count.
-    row_weights = np.concatenate([weights, np.full(32, np.sqrt(config.lam))])
-    lin = _CBD_MAP * row_weights[:, None]
-    stack = _CBD_STACK * row_weights
-    const = np.concatenate([-data * weights, np.zeros(32)])
-
-    rng = np.random.default_rng(config.seed)
-    base = _linear_inversion_start(data, scale)
-    best = None
-    restart_costs = []
-    for k in range(max(1, config.restarts)):
-        x0 = base if k == 0 else base + config.jitter * np.sqrt(scale) * rng.standard_normal(64)
-        res = _run_cholesky_fit(lin, stack, const, x0, 8, config)
-        restart_costs.append(res.cost)
-        if best is None or res.cost < best.cost:
-            best = res
+    # The 27 setting triples are Pauli-complete, so least squares on the
+    # (216, 64) system inverts the counts; S = J^dag J carries the N/27 scale.
+    v, *_ = np.linalg.lstsq(_MEAS_STACK, data.astype(complex), rcond=None)
+    start = matlin.partial_transpose(v.reshape(8, 8), CBD_FACTORS, "D")
+    best, chi2, restart_costs = _wls_fit(data, _CBD_MAP, _CBD_STACK, start,
+                                         table.n_runs / 27.0, config)
     s_mat = matlin.cholesky_psd(best.x, 8)
     normalized = s_mat / np.trace(s_mat).real
     penalty = float(np.max(np.abs(_penalty_residuals(normalized))))
-    full = _residual(best.x, lin, const, 8)
-    chi2 = float(full[:216] @ full[:216])
     converged = (best.converged
                  or (penalty < 1e-6 and _cost_flattened(best.history)))
     tau_mat = _project_no_retro(normalized)
@@ -344,8 +338,7 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
     return FitResult(tau=tau, cost=best.cost, chi2=chi2, penalty_residual=penalty,
                      n_iter=best.n_iter, converged=converged,
-                     params=best.x, config=config,
-                     restart_costs=tuple(restart_costs))
+                     params=best.x, config=config, restart_costs=restart_costs)
 
 
 # ---------------------------------------------------------------------------
@@ -399,22 +392,8 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     if counts.shape != (3, 3, 2, 2):
         raise ValueError("expected a (3, 3, 2, 2) count array")
     data = counts.reshape(-1)
-    n_runs = data.sum()
-    scale = n_runs / 9.0
-    weights = 1.0 / np.sqrt(np.maximum(data, config.eps_cell))
-    lin = _CD_MAP * weights[:, None]
-    stack = _CD_STACK * weights
-    const = -data * weights
-
-    rng = np.random.default_rng(config.seed)
     v, *_ = np.linalg.lstsq(_CD_MEAS_STACK, data.astype(complex), rcond=None)
-    base = matlin.cholesky_params(_psd_clip_scale(v.reshape(4, 4), scale), 4)
-    best = None
-    for k in range(max(1, config.restarts)):
-        x0 = base if k == 0 else base + config.jitter * np.sqrt(scale) * rng.standard_normal(16)
-        res = _run_cholesky_fit(lin, stack, const, x0, 4, config)
-        if best is None or res.cost < best.cost:
-            best = res
+    best, _, _ = _wls_fit(data, _CD_MAP, _CD_STACK, v.reshape(4, 4), data.sum() / 9.0, config)
     s_mat = matlin.cholesky_psd(best.x, 4)
     rho = matlin.hermitize(s_mat / np.trace(s_mat).real)
     return DensityOperator(rho, CD_FACTORS), best
@@ -447,15 +426,14 @@ def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
     """
     if n_resamples < 2:
         raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
-    config = replace(config or FitConfig(), restarts=1)
+    configs = [replace(config or FitConfig(), restarts=1)] * n_resamples
     rng = np.random.default_rng(seed)
-    tables, configs = [], []
+    tables = []
     for _ in range(n_resamples):
         sub_seed = int(rng.integers(0, 2**32 - 1))
         tables.append(CountTable(
             np.random.default_rng(sub_seed).poisson(np.clip(table.counts, 0, None)).astype(float),
             table.n_runs))
-        configs.append(replace(config, seed=sub_seed))
 
     # imported here: the pool machinery costs ~20 ms and ~2 MB at import,
     # which callers that never bootstrap should not pay

@@ -5,7 +5,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qcausal import cli
+from qcausal import cli, matlin
 from qcausal.quantum import DensityOperator
 
 
@@ -68,6 +68,30 @@ class TestExitCodes:
         monkeypatch.setattr(cli.tomography, "fit_causal_map", fail)
         assert run(["fit", "--runs", "27000", "--out", str(tmp_path / "f.json")]) \
             == cli.EXIT_NUMERICAL
+
+    def test_non_hermitian_computed_matrix_is_numerical(self, monkeypatch, capsys):
+        def fail(pts):
+            raise matlin.NotHermitianError("partial transpose is not Hermitian")
+
+        monkeypatch.setattr(cli.witness, "_negativities", fail)
+        assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, name", [
+        (["pipeline", "--restarts", "0"], "restarts"),
+        (["fit", "--restarts", "-2"], "restarts"),
+        (["pipeline", "--lambda", "-1"], "lam"),
+        (["fit", "--lambda", "nan"], "lam"),
+        (["pipeline", "--runs", "0"], "--runs"),
+        (["fit", "--runs", "-5"], "--runs"),
+    ])
+    def test_bad_fit_flag_is_usage_error(self, argv, name, monkeypatch, tmp_path, capsys):
+        def fit(*args, **kwargs):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(cli.tomography, "fit_causal_map", fit)
+        assert run(argv + ["--out", str(tmp_path / "out.json")]) == cli.EXIT_USAGE
+        assert name in capsys.readouterr().err
 
 
 class TestScenario:

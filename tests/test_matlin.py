@@ -94,10 +94,6 @@ class TestEigen:
         with pytest.raises(matlin.NotHermitianError):
             matlin.hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_trace_norm(self):
-        m = np.diag([3.0, -2.0, 0.5]).astype(complex)
-        assert matlin.trace_norm(m) == pytest.approx(5.5, abs=1e-12)
-
     def test_psd_sqrt(self):
         rng = np.random.default_rng(7)
         m = random_psd(rng, 4)
@@ -136,6 +132,3 @@ class TestCholesky:
         j = matlin.cholesky_factor(params, 2)
         assert j[0, 0] == 2.0 and j[1, 1] == 3.0
         assert j[1, 0] == 0.5 - 0.25j and j[0, 1] == 0.0
-
-    def test_param_count(self):
-        assert matlin.n_cholesky_params(8) == 64

@@ -126,6 +126,30 @@ class TestFullFit:
         assert data["converged"] is True
 
 
+class TestFitConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("restarts", 0), ("max_iter", 0), ("lam", -1.0), ("lam", float("nan")),
+        ("lam", float("inf")),
+    ])
+    def test_rejects_bad_value(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FitConfig(**{field: value})
+
+    def test_default_seed_repeats_fit(self):
+        # the jittered restarts draw from the default seed, not OS entropy
+        table = sample_counts(build_scenario("coh"), 200_000, seed=0)
+        a, b = (fit_causal_map(table, FitConfig(max_iter=300)) for _ in range(2))
+        assert a.restart_costs == b.restart_costs
+        assert np.array_equal(a.tau.mat, b.tau.mat)
+
+    def test_default_seed_repeats_conditioned_fit(self):
+        st_cd, _ = induced_state_given_b(build_scenario("coh"), pauli_projector("z", -1))
+        counts = sample_conditioned_counts(st_cd, 100_000, seed=3)
+        (rho_a, a), (rho_b, b) = (fit_conditioned_state(counts) for _ in range(2))
+        assert a.cost == b.cost
+        assert np.array_equal(rho_a.mat, rho_b.mat)
+
+
 def _direct_model(s_mat, dim):
     """The model rows of S computed without the linear map."""
     if dim == 8:
