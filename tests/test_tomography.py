@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,24 @@ class TestFullFit:
         assert not fit.converged
         assert np.min(np.linalg.eigvalsh(fit.tau.mat)) >= -1e-12
 
+    @pytest.mark.parametrize("n_runs", [0, 1000])
+    def test_rejects_empty_table(self, n_runs):
+        with pytest.raises(ValueError, match="empty"):
+            fit_causal_map(CountTable(np.zeros((3, 3, 3, 2, 2, 2)), n_runs), FAST)
+
+    def test_cost_is_full_weighted_cost(self):
+        # LM runs on the square-root form; cost and chi2 keep their meaning
+        # over the full 248 weighted rows
+        table = sample_counts(build_scenario("coh"), 200_000, seed=0)
+        fit = fit_causal_map(table, FAST)
+        data = table.counts.reshape(-1)
+        w = 1.0 / np.sqrt(np.maximum(data, tomography.EPS_CELL))
+        rows = np.concatenate([w, np.full(32, np.sqrt(FAST.lam))])
+        const = np.concatenate([-data * w, np.zeros(32)])
+        r = tomography._residual(fit.params, tomography._CBD_MAP * rows[:, None], const, 8)
+        assert fit.cost == pytest.approx(r @ r, rel=1e-9)
+        assert fit.chi2 == pytest.approx(r[:216] @ r[:216], rel=1e-9)
+
     def test_to_json(self):
         import json
         fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000), FAST)
@@ -207,6 +226,45 @@ class TestModelMap:
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _weighted_rows(dim, lin, rng):
+    """Rows (lin, stack, const) weighted as in a fit: random positive count
+    weights and, for dim 8, sqrt(1e7) on the 32 penalty rows with target 0."""
+    n_counts = {8: 216, 4: 36}[dim]
+    w = np.concatenate([rng.uniform(0.01, 2.0, n_counts),
+                        np.full(len(lin) - n_counts, np.sqrt(1e7))])
+    const = np.concatenate([rng.standard_normal(n_counts) * 30.0,
+                            np.zeros(len(lin) - n_counts)])
+    return lin * w[:, None], _STACKS[dim] * w, const
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
+class TestSquareRootForm:
+    def test_shape(self, dim, lin):
+        lin_w, stack_w, const = _weighted_rows(dim, lin, np.random.default_rng(dim))
+        lin_c, stack_c, const_c = tomography._square_root_form(lin_w, stack_w, const)
+        assert lin_c.shape == (dim * dim + 1, 2 * dim * dim)
+        assert stack_c.shape == (2 * dim, dim, dim * dim + 1)
+        assert const_c.shape == (dim * dim + 1,)
+
+    def test_same_cost_and_normal_equations(self, dim, lin):
+        rng = np.random.default_rng(dim + 3)
+        for _ in range(5):
+            lin_w, stack_w, const = _weighted_rows(dim, lin, rng)
+            lin_c, stack_c, const_c = tomography._square_root_form(lin_w, stack_w, const)
+            x = rng.standard_normal(dim * dim)
+            r = tomography._residual(x, lin_w, const, dim)
+            r_c = tomography._residual(x, lin_c, const_c, dim)
+            j = tomography._jacobian(x, stack_w, dim)
+            j_c = tomography._jacobian(x, stack_c, dim)
+            assert abs(r_c @ r_c - r @ r) <= 1e-10 * (r @ r)
+            assert _rel(j_c.T @ j_c, j.T @ j) <= 1e-9
+            assert _rel(j_c.T @ r_c, j.T @ r) <= 1e-9
+
+
 class TestConditionedFit:
     def test_expected_table_normalization(self):
         st_cd, _ = induced_state_given_b(build_scenario("coh"), pauli_projector("z", +1))
@@ -228,6 +286,19 @@ class TestConditionedFit:
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
             fit_conditioned_state(np.zeros((3, 3, 2)))
+
+    def test_rejects_empty_table(self):
+        with pytest.raises(ValueError, match="empty"):
+            fit_conditioned_state(np.zeros((3, 3, 2, 2)), FAST)
+
+    def test_stack_bit_identical_to_kron_loop(self):
+        rows = [np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
+                        pauli_projector(tomography.AXES[ti], 1 - 2 * di).T).T.reshape(-1)
+                for si, ti, ci, di in product(range(3), range(3), range(2), range(2))]
+        ref = np.stack(rows)
+        stack = tomography._CD_MEAS_STACK
+        assert np.array_equal(stack, ref)
+        assert np.array_equal(np.signbit(stack.view(float)), np.signbit(ref.view(float)))
 
 
 def _ccd_statistic(fit):
