@@ -11,7 +11,9 @@ Every probability comes from one measurement stack, MEAS_STACK, of shape
 on D, u on B): entry [s, t, u, cbd] is the row whose dot product with
 vec(T_D tau) is the uniform-preparation joint P(c, b, d | s, t, u), with
 T_D the partial transpose on D.  Tomography slices the same stack.
-Conditioning on one wire is a single contraction of tau as a (2,)*6 tensor.
+Conditioning is one contraction of tau as a (2,)*6 tensor per wire, for a
+whole stack of projectors at once (conditioned_states): classification takes
+its six induced states, both z outcomes on C, D and B, from three einsums.
 """
 
 from __future__ import annotations
@@ -224,41 +226,62 @@ def _measurement_stack() -> np.ndarray:
 
 MEAS_STACK = _measurement_stack()
 
-# Tr_w[(Pi on wire w) tau] for tau as a (c, b, d, c', b', d') tensor
-_TRACE_OUT = {
-    "C": "xk,kbdxef->bdef",
-    "B": "xk,ckdexf->cdef",
-    "D": "xk,cbkefx->cbef",
+# Tr_w[(Pi_n on wire w) tau] for a stack of projectors Pi_n and tau as a
+# (c, b, d, c', b', d') tensor; D is fed Pi_n^T, whose row and column the
+# einsum swaps
+_CONDITION = {
+    "C": "nxk,kbdxef->nbdef",
+    "D": "nkx,cbkefx->ncbef",
+    "B": "nxk,ckdexf->ncdef",
 }
+# the factors left after conditioning on (or preparing) each wire
+_REMAINING = {w: tuple(f for f in CBD_FACTORS if f[0] != w) for w in _CONDITION}
 
 
-def _project_and_trace(tau: CausalChoi, proj: np.ndarray, wire: str):
-    reduced = np.einsum(_TRACE_OUT[wire], proj, tau.mat.reshape((2,) * 6)).reshape(4, 4)
-    f = tuple(fac for fac in CBD_FACTORS if fac[0] != wire)
-    return reduced, f, float(np.trace(reduced).real)
+def conditioned_states(tau: CausalChoi, proj: np.ndarray, wires: str):
+    """Induced states of tau for a (n, 2, 2) stack of projectors on each of
+    the wires named in the string wires, one einsum per wire for the whole
+    stack.
+
+    Returns (states, probs) of shapes (n, len(wires), 4, 4) and
+    (n, len(wires)).  On C and B, states[k, i] is the state of the other two
+    wires after finding Pi_k on wire i, and probs[k, i] its probability; a
+    probability below 1e-12 raises ConditioningError.  On D, states[k, i] is
+    the (C, B) state prepared by feeding Pi_k, 2 Tr_D[tau (1 x Pi_k^T)], and
+    probs[k, i] is P(Pi_k) under the uniform preparation, 1/2 for a rank-one
+    projector.
+    """
+    t = tau.mat.reshape((2,) * 6)
+    raw = np.stack([np.einsum(_CONDITION[w], proj, t).reshape(-1, 4, 4) for w in wires],
+                   axis=1)
+    probs = np.trace(raw, axis1=-2, axis2=-1).real
+    # C and B states are normalized by their probability; dividing by 1/2 is
+    # the exact doubling of the preparation on D
+    norm = np.where([w == "D" for w in wires], 0.5, probs)
+    if norm.min() < 1e-12:
+        raise ConditioningError("outcome probability vanishes")
+    return hermitize(raw / norm[..., None, None]), probs
+
+
+def _induced_state(tau: CausalChoi, proj: np.ndarray, wire: str):
+    states, probs = conditioned_states(tau, np.asarray(proj)[None], wire)
+    return DensityOperator(states[0, 0], _REMAINING[wire]), float(probs[0, 0])
 
 
 def induced_state_given_b(tau: CausalChoi, proj_b: np.ndarray):
     """Conditional state on (C, D) after finding outcome Pi_b on B."""
-    reduced, f, prob = _project_and_trace(tau, proj_b, "B")
-    if prob < 1e-12:
-        raise ConditioningError("outcome probability vanishes")
-    return DensityOperator(hermitize(reduced / prob), f), prob
+    return _induced_state(tau, proj_b, "B")
 
 
 def induced_state_given_c(tau: CausalChoi, proj_c: np.ndarray):
     """Conditional state on (B, D) after finding outcome Pi_c on C."""
-    reduced, f, prob = _project_and_trace(tau, proj_c, "C")
-    if prob < 1e-12:
-        raise ConditioningError("outcome probability vanishes")
-    return DensityOperator(hermitize(reduced / prob), f), prob
+    return _induced_state(tau, proj_c, "C")
 
 
 def induced_state_given_d(tau: CausalChoi, proj_d: np.ndarray) -> DensityOperator:
     """State on (C, B) prepared by feeding Pi_d into the causal map:
     2 Tr_D[tau (1 x Pi_d^T)], which equals 2 Tr_D[(1 x Pi_d^T) tau]."""
-    reduced, f, _ = _project_and_trace(tau, proj_d.T, "D")
-    return DensityOperator(hermitize(2.0 * reduced), f)
+    return _induced_state(tau, proj_d, "D")[0]
 
 
 def _setting_cells(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:

@@ -3,6 +3,8 @@
 Conventions: the qubit basis is (|H>, |V>), the sigma_z eigenbasis, and every
 transpose is taken in that basis.  Choi states are unit-trace, built from the
 symmetric maximally entangled state with the output factor listed first.
+State validity has one definition, check_states, which DensityOperator runs
+on its matrix and classification runs on a stack of computed states.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from . import matlin
 from .matlin import Factors, as_factors, hermitize, partial_trace, partial_transpose, tensor_product
 
 TRACE_ATOL = 1e-10
-HERM_ATOL = 1e-12
 EIG_FLOOR = -1e-10
+# tolerances of a valid density matrix; see check_states
+STATE_HERM_ATOL = 1e-9
+STATE_TRACE_ATOL = 1e-8
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -58,6 +62,25 @@ def pauli_projector(axis: str, outcome: int) -> np.ndarray:
     return hermitize((IDENTITY_2 + outcome * SIGMA[axis]) / 2)
 
 
+def check_states(mats: np.ndarray, eigvals: np.ndarray | None = None) -> None:
+    """Raise StateValidationError unless every matrix of the (..., n, n) stack
+    mats is a density matrix: Hermitian to STATE_HERM_ATOL, trace one to
+    STATE_TRACE_ATOL, no eigenvalue below 10 EIG_FLOOR.  The one definition
+    of state validity, for DensityOperator and for batches of computed
+    states.  eigvals, if given, are the eigenvalues of mats taken by the
+    caller's own batched eigvalsh; they are read only after the first two
+    checks pass."""
+    if not matlin.is_hermitian(mats, atol=STATE_HERM_ATOL):
+        raise StateValidationError("density operator is not Hermitian")
+    tr = np.trace(mats, axis1=-2, axis2=-1).real.reshape(-1)
+    off = np.abs(tr - 1.0) > STATE_TRACE_ATOL
+    if off.any():
+        raise StateValidationError(f"trace {tr[off][0]} != 1")
+    w_min = float(np.min(np.linalg.eigvalsh(mats) if eigvals is None else eigvals))
+    if w_min < EIG_FLOOR * 10:
+        raise StateValidationError(f"negative eigenvalue {w_min:g}")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """Trace-one PSD operator over labeled qubit factors."""
@@ -73,14 +96,7 @@ class DensityOperator:
         n = matlin.total_dim(factors)
         if mat.shape != (n, n):
             raise ShapeMismatchError(f"matrix shape {mat.shape} vs factors {factors}")
-        if not matlin.is_hermitian(mat, atol=1e-9):
-            raise StateValidationError("density operator is not Hermitian")
-        tr = float(np.trace(mat).real)
-        if abs(tr - 1.0) > 1e-8:
-            raise StateValidationError(f"trace {tr} != 1")
-        w = np.linalg.eigvalsh(mat)
-        if float(np.min(w)) < EIG_FLOOR * 10:
-            raise StateValidationError(f"negative eigenvalue {np.min(w):g}")
+        check_states(mat)
 
     @property
     def labels(self) -> tuple[str, ...]:

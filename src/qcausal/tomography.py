@@ -351,6 +351,9 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     """
     config = config or FitConfig()
     data = table.counts.reshape(-1)
+    if table.n_runs <= 0 and data.any():
+        # n_runs/27 is the trace the fit starts from and is scaled by
+        raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
     # The 27 setting triples are Pauli-complete, so least squares on the
     # (216, 64) system inverts the counts; S = J^dag J carries the N/27 scale.
     v, *_ = np.linalg.lstsq(_MEAS_STACK, data.astype(complex), rcond=None)

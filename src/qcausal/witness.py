@@ -4,6 +4,11 @@ Three witness families: pathway negativities (entanglement of the induced
 states), the covariance witness C_CD that vanishes on every probabilistic
 mixture of cause-effect and common-cause, and the Berkson-type test (induced
 entanglement between C and D for every outcome on B).
+
+classify works on arrays, with no per-state objects: the six induced states
+(both z outcomes on C, D and B) come from causal.conditioned_states as one
+stack, and one eigvalsh over them and their six partial transposes serves
+both their validation (quantum.check_states) and the negativities.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import causal, matlin
+from . import causal, matlin, quantum
 from .causal import CausalChoi
 from .quantum import DensityOperator, pauli_projector
 
@@ -23,13 +28,19 @@ DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 
 CLASS_LABELS = ("ProbC", "PhysC", "ProbQ", "PhysQ", "Coh")
 
+# the H/V conditioning basis of every pathway witness
+_OUTCOMES = ("H", "V")
+_Z_PROJECTORS = np.array([pauli_projector("z", +1), pauli_projector("z", -1)])
 
-def _negativities(pts: np.ndarray) -> np.ndarray:
+
+def _negativities(pts: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
     """Negativities (trace norm - 1)/2 from a (n, d, d) stack of partial
-    transposes, with one batched eigvalsh; values below NEG_FLOOR read 0."""
+    transposes, with one batched eigvalsh unless their eigenvalues w come
+    from the caller's; values below NEG_FLOOR read 0."""
     if not matlin.is_hermitian(pts, atol=1e-9):
         raise matlin.NotHermitianError("partial transpose is not Hermitian")
-    w = np.linalg.eigvalsh(matlin.hermitize(pts))
+    if w is None:
+        w = np.linalg.eigvalsh(matlin.hermitize(pts))
     n = 0.5 * (np.abs(w).sum(axis=-1) - 1.0)
     return np.where(n < NEG_FLOOR, 0.0, n)
 
@@ -190,17 +201,15 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     is the default but a single setting can miss some physical mixtures.
     """
     thresholds = thresholds or Thresholds()
-    proj = {"H": pauli_projector("z", +1), "V": pauli_projector("z", -1)}
-    states = []
-    for pj in proj.values():
-        states += [causal.induced_state_given_c(tau, pj)[0],
-                   causal.induced_state_given_d(tau, pj),
-                   causal.induced_state_given_b(tau, pj)[0]]
-    pts = np.stack([matlin.partial_transpose(st.mat, st.factors, over)
-                    for st, over in zip(states, ("D", "B", "D") * len(proj))])
-    # rows: outcome H, V; columns: the C|BD, D|CB and B|CD pathways
-    negs = _negativities(pts).reshape(len(proj), 3)
-    neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(proj, col)}
+    # (outcome H, V) x (C|BD, D|CB, B|CD); the (B, D), (C, B) and (C, D)
+    # states are each transposed on their second factor: D, B and D.  The
+    # states come out hermitized, so their transposes are exactly Hermitian.
+    states = causal.conditioned_states(tau, _Z_PROJECTORS, "CDB")[0].reshape(6, 4, 4)
+    pts = np.swapaxes(states.reshape(6, 2, 2, 2, 2), 2, 4).reshape(6, 4, 4)
+    w = np.linalg.eigvalsh(np.concatenate([states, pts]))
+    quantum.check_states(states, w[:6])
+    negs = _negativities(pts, w[6:]).reshape(len(_OUTCOMES), 3)
+    neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(_OUTCOMES, col)}
                                     for col in negs.T)
     p = distribution_from_choi(tau, ccd_settings)
     ccd = witness_ccd_from_distribution(p)

@@ -124,6 +124,29 @@ class TestInducedStates:
         _, p_v = induced_state_given_b(tau, pauli_projector("x", -1))
         assert p_h + p_v == pytest.approx(1.0, abs=1e-10)
 
+    def test_stack_matches_single_projectors(self):
+        tau = build_scenario("coh")
+        proj = np.array([pauli_projector("x", +1), pauli_projector("y", -1)])
+        states, probs = causal.conditioned_states(tau, proj, "CDB")
+        assert states.shape == (2, 3, 4, 4) and probs.shape == (2, 3)
+        for k, pj in enumerate(proj):
+            for i, (st, p) in enumerate((induced_state_given_c(tau, pj),
+                                         (induced_state_given_d(tau, pj), 0.5),
+                                         induced_state_given_b(tau, pj))):
+                assert np.array_equal(states[k, i], st.mat)
+                assert probs[k, i] == pytest.approx(p, abs=1e-12)
+
+    def test_preparation_needs_no_outcome_probability(self):
+        # pure |H> on C: D and B condition fine, only C on |V> is impossible
+        phi = quantum.bell_phi_plus(("B", "D")).mat
+        tau = CausalChoi(DensityOperator(np.kron(quantum.ket_dm(quantum.KET_H), phi),
+                                         causal.CBD_FACTORS))
+        v = pauli_projector("z", -1)[None]
+        states, _ = causal.conditioned_states(tau, v, "DB")
+        assert states.shape == (1, 2, 4, 4)
+        with pytest.raises(causal.ConditioningError):
+            causal.conditioned_states(tau, v, "CDB")
+
     def test_zero_probability_conditioning(self):
         # pure |H> on C: conditioning C on |V> is impossible
         phi = quantum.bell_phi_plus(("B", "D")).mat

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qcausal import cli, matlin
-from qcausal.quantum import DensityOperator
+from qcausal.quantum import bell_phi_plus
 
 
 def run(argv):
@@ -53,13 +53,24 @@ class TestExitCodes:
         assert str(path) in err and "no-retrocausation" in err
 
     def test_invalid_computed_state_is_numerical(self, monkeypatch, capsys):
-        def invalid(tau, proj):
-            # a conditioned state with a negative eigenvalue fails validation
-            return DensityOperator(np.diag([0.6, 0.5, 0.0, -0.1]), (("B", 2), ("D", 2))), 0.5
+        def invalid(tau, proj, wires):
+            # one conditioned state with a negative eigenvalue fails validation
+            states = np.broadcast_to(np.eye(4) / 4, (len(proj), len(wires), 4, 4)).copy()
+            states[1, 2] = np.diag([0.6, 0.5, 0.0, -0.1])
+            return states, np.full((len(proj), len(wires)), 0.5)
 
-        monkeypatch.setattr(cli.causal, "induced_state_given_c", invalid)
+        monkeypatch.setattr(cli.causal, "conditioned_states", invalid)
         assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_zero_probability_conditioning_input_is_usage_error(self, tmp_path, capsys):
+        # pure |H> on C: classify cannot condition C on |V>
+        m = np.kron(np.diag([1.0, 0.0]), bell_phi_plus(("B", "D")).mat)
+        path = tmp_path / "tau.json"
+        path.write_text(json.dumps({"labels": ["C", "B", "D"], "dim": 8,
+                                    "re": m.real.tolist(), "im": m.imag.tolist()}))
+        assert run(["witness", "--in", str(path)]) == cli.EXIT_USAGE
+        assert "probability vanishes" in capsys.readouterr().err
 
     def test_linalg_failure_is_numerical(self, monkeypatch, tmp_path):
         def fail(*args, **kwargs):
@@ -70,7 +81,7 @@ class TestExitCodes:
             == cli.EXIT_NUMERICAL
 
     def test_non_hermitian_computed_matrix_is_numerical(self, monkeypatch, capsys):
-        def fail(pts):
+        def fail(pts, *eigenvalues):
             raise matlin.NotHermitianError("partial transpose is not Hermitian")
 
         monkeypatch.setattr(cli.witness, "_negativities", fail)

@@ -71,6 +71,54 @@ class TestDensityOperator:
         assert bell_phi_plus().purity() == pytest.approx(1.0)
 
 
+def _bad_state(mode: str, size: float) -> np.ndarray:
+    """A 4x4 trace-one matrix off by size in one validation mode."""
+    m = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    if mode == "hermitian":
+        m[0, 1] = size
+    elif mode == "trace":
+        m *= 1.0 + size
+    else:
+        m = np.diag([0.4, 0.3, 0.3 + size, -size]).astype(complex)
+    return m
+
+
+class TestCheckStates:
+    """check_states on a stack decides exactly as DensityOperator does on each
+    member: the one definition of a valid state."""
+
+    FACTORS = (("A", 2), ("B", 2))
+
+    @pytest.mark.parametrize("mode, tol", [("hermitian", 1e-9), ("trace", 1e-8),
+                                           ("eigenvalue", 1e-9)])
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("position", [0, 3, 5])
+    def test_same_verdict_as_density_operator(self, mode, tol, factor, position):
+        rng = np.random.default_rng(position)
+        bad = _bad_state(mode, factor * tol)
+        stack = np.stack([random_state(rng, ("A", "B")).mat for _ in range(6)])
+        stack[position] = bad
+        try:
+            DensityOperator(bad, self.FACTORS)
+            single = None
+        except quantum.StateValidationError as exc:
+            single = str(exc)
+        assert (single is None) == (factor < 1.0)
+        for batch in (stack, stack.reshape(2, 3, 4, 4)):
+            for eigvals in (None, np.linalg.eigvalsh(batch)):
+                if single is None:
+                    quantum.check_states(batch, eigvals)
+                else:
+                    with pytest.raises(quantum.StateValidationError) as exc:
+                        quantum.check_states(batch, eigvals)
+                    assert str(exc.value) == single
+
+    def test_first_failure_is_reported(self):
+        stack = np.stack([np.eye(4) / 4, _bad_state("trace", 0.5), _bad_state("trace", 0.25)])
+        with pytest.raises(quantum.StateValidationError, match="trace 1.5 != 1"):
+            quantum.check_states(stack)
+
+
 class TestChannels:
     def test_trace_preservation_enforced(self):
         with pytest.raises(quantum.StateValidationError):

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from itertools import product
 from pathlib import Path
 
@@ -123,6 +124,21 @@ class TestFullFit:
     def test_rejects_empty_table(self, n_runs):
         with pytest.raises(ValueError, match="empty"):
             fit_causal_map(CountTable(np.zeros((3, 3, 3, 2, 2, 2)), n_runs), FAST)
+
+    @pytest.mark.parametrize("n_runs", [0, -27_000])
+    def test_rejects_counts_without_runs(self, n_runs):
+        table = sample_counts(build_scenario("coh"), 200_000, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")      # raised before any division
+            with pytest.raises(ValueError, match="n_runs"):
+                fit_causal_map(CountTable(table.counts, n_runs), FAST)
+
+    def test_rejects_csv_without_runs(self):
+        text = sample_counts(build_scenario("coh"), 200_000, seed=0).to_csv()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="n_runs"):
+                fit_causal_map(CountTable.from_csv(text, n_runs=0), FAST)
 
     def test_cost_is_full_weighted_cost(self):
         # LM runs on the square-root form; cost and chi2 keep their meaning

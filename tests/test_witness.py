@@ -140,6 +140,13 @@ class TestClassification:
         assert data["ccd_settings"] == ["x", "y", "z"]
         assert data["thresholds"]["negativity"] == witness.DEFAULT_THRESHOLD
 
+    def test_zero_probability_conditioning_raises(self):
+        # pure |H> on C: conditioning C on |V> is impossible
+        m = np.kron(ket_dm(KET_H), bell_phi_plus(("B", "D")).mat)
+        tau = causal.CausalChoi(DensityOperator(m, causal.CBD_FACTORS))
+        with pytest.raises(causal.ConditioningError):
+            classify(tau)
+
     def test_flags(self):
         r = classify(build_scenario("coh"))
         assert r.quantum_cause_effect and r.quantum_common_cause and r.berkson
