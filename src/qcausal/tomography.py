@@ -3,21 +3,29 @@ tripartite Choi state from them.
 
 The full experiment runs all 27 Pauli setting triples (s on C, t for the
 repreparation on D, u on B), N/27 runs each, recording the 8 outcome triples.
-Reconstruction is weighted least squares over a Cholesky-parametrized PSD
-matrix S = J^dag J, with a large quadratic penalty enforcing that the fitted
-map cannot signal from B back to (C, D).  Every residual row, counts and
-penalty alike, is real-linear in S, so each model is one real matrix L built
-once from the code that defines it; Levenberg-Marquardt then evaluates
-r(x) = L [Re S, Im S] + c.  Row k is also Tr(A_k S) + c_k for a Hermitian
-A_k, so the exact Jacobian is one real product of J with the stacked A_k.
-Once per fit the weighted rows are put in square-root form: one Householder
-QR of L over a basis of the Hermitian matrices shrinks them to dim^2 + 1 rows
-(65 of 248 for tau, 17 of 36 for a (C, D) state) with the same cost,
-gradient and Gauss-Newton matrix, so LM takes the same steps for less work.
-This fit and that of a conditioned (C, D) state, which has no penalty rows,
-share one driver, _wls_fit.  FitConfig holds only what callers set: lam, the
-restart seed (0 by default, so a default fit repeats), the number of
-restarts and the iteration budget; EPS_CELL and JITTER are constants.
+Both fits minimize the count residuals weighted by 1/sqrt(max(n, EPS_CELL)).
+Every residual row is real-linear in S, so each model is one real matrix L
+built once from the code that defines it, and once per fit the weighted rows
+are put in square-root form: the thin Householder QR L H = Q R over an
+orthonormal basis H of the Hermitian matrices gives the cost of S = H z as
+||R z + Q^T c||^2 plus a constant.
+
+The (C, D) state of the Berkson analysis is fitted exactly: its cost is
+minimized over positive semidefinite S by optimize.psd_least_squares, the
+closed form when that is positive definite and primal-dual interior-point
+steps otherwise, stopped by a certified duality gap.  Of FitConfig it reads
+only max_iter, which caps those steps.
+
+The tripartite fit is still penalized weighted least squares over a
+Cholesky-parametrized S = J^dag J, with a large quadratic penalty enforcing
+that the fitted map cannot signal from B back to (C, D), solved by
+Levenberg-Marquardt in the _wls_fit driver.  Row k of L is also Tr(A_k S) +
+c_k for a Hermitian A_k, so the exact Jacobian is one real product of J with
+the stacked A_k, and LM runs on 65 compressed rows (_compressed_rows) instead
+of 248 with the same cost, gradient and Gauss-Newton matrix.  FitConfig holds
+only what callers set: lam, the restart seed (0 by default, so a default fit
+repeats), the number of restarts and the iteration budget; EPS_CELL and
+JITTER are constants.
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import os
 from dataclasses import dataclass, replace
 from itertools import product
@@ -141,8 +150,14 @@ def sample_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS,
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Penalty weight on the no-retrocausation rows, seed of the restart
-    jitter, number of LM runs and the iteration budget of each."""
+    """Settings of the fits.
+
+    fit_causal_map reads all four: the penalty weight on the
+    no-retrocausation rows, the seed of the restart jitter, the number of LM
+    runs and the iteration budget of each.  fit_conditioned_state reads only
+    max_iter, which caps its interior-point steps; lam, seed and restarts
+    are unused there.
+    """
 
     lam: float = 1e7
     seed: int | None = 0
@@ -280,43 +295,59 @@ def _hermitian_basis(dim: int) -> np.ndarray:
     return np.stack(basis, axis=1)
 
 
-def _square_root_form(lin: np.ndarray, stack: np.ndarray, const: np.ndarray):
-    """The weighted model rows (lin, stack, const) compressed to dim^2 + 1 rows.
+def _square_root_form(lin: np.ndarray, const: np.ndarray):
+    """The weighted model rows (lin, const) as the square root of their cost.
 
-    With H the Hermitian basis, lin H = Q R (thin Householder QR).  Every
-    Hermitian S, and so every S = J^dag J and every dS/dx, maps into the range
-    of Q, so the rows Q^T lin, Q^T const and stack Q plus one constant row
-    |const - Q Q^T const| (zero model and stack entries) keep ||r||^2, J^T J
-    and J^T r of the full rows at every x.
+    With H the Hermitian basis, lin H = Q R (thin Householder QR), so the
+    cost of a Hermitian S = H z is ||lin S + const||^2 = ||R z + Q^T const||^2
+    + rest^2 with rest = |const - Q Q^T const|.  Returns (Q, R, Q^T const,
+    rest).
     """
-    q, _ = np.linalg.qr(lin @ _hermitian_basis(stack.shape[1]))
+    q, r = np.linalg.qr(lin @ _hermitian_basis(math.isqrt(lin.shape[1] // 2)))
     q_const = q.T @ const
+    return q, r, q_const, float(np.linalg.norm(const - q @ q_const))
+
+
+def _compressed_rows(lin: np.ndarray, stack: np.ndarray, const: np.ndarray):
+    """The weighted model rows (lin, stack, const) of LM compressed to dim^2 + 1.
+
+    Every Hermitian S, and so every S = J^dag J and every dS/dx, maps into
+    the range of the _square_root_form's Q, so the rows Q^T lin, Q^T const
+    and stack Q plus one constant row, rest (zero model and stack entries),
+    keep ||r||^2, J^T J and J^T r of the full rows at every x.
+    """
+    q, _, q_const, rest = _square_root_form(lin, const)
     return (np.vstack([q.T @ lin, np.zeros(lin.shape[1])]),
             np.concatenate([stack @ q, np.zeros(stack.shape[:2] + (1,))], axis=2),
-            np.append(q_const, np.linalg.norm(const - q @ q_const)))
+            np.append(q_const, rest))
+
+
+def _count_weights(data: np.ndarray) -> np.ndarray:
+    """Weights 1/sqrt(max(n, EPS_CELL)) of the count rows of both fits."""
+    if not data.any():
+        raise ValueError("the count table is empty: there are no counts to fit")
+    return 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
 
 
 def _wls_fit(data: np.ndarray, lin: np.ndarray, stack: np.ndarray,
              start: np.ndarray, scale: float, config: FitConfig):
     """Weighted least squares of the model rows (lin, stack) over S = J^dag J.
 
-    The first len(data) rows fit the counts ``data`` with weights
-    1/sqrt(max(n, EPS_CELL)); later rows are penalty rows, target 0, weight
-    sqrt(lam).  LM runs on the _square_root_form of the weighted rows, which
-    has the same cost and steps.  It starts from the linear inversion
-    ``start`` clipped to positive eigenvalues and trace ``scale``, then
-    restarts jittered around it.  Returns the best LM result, its chi^2 over
-    the full count rows and the cost of every run.
+    The first len(data) rows fit the counts ``data`` with _count_weights;
+    later rows are penalty rows, target 0, weight sqrt(lam).  LM runs on the
+    _compressed_rows of the weighted rows, which have the same cost and
+    steps.  It starts from the linear inversion ``start`` clipped to positive
+    eigenvalues and trace ``scale``, then restarts jittered around it.
+    Returns the best LM result, its chi^2 over the full count rows and the
+    cost of every run.
     """
-    if not data.any():
-        raise ValueError("the count table is empty: there are no counts to fit")
     dim = start.shape[0]
     n_penalty = len(lin) - len(data)
-    weights = 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
+    weights = _count_weights(data)
     row_weights = np.concatenate([weights, np.full(n_penalty, np.sqrt(config.lam))])
     lin = lin * row_weights[:, None]
     const = np.concatenate([-data * weights, np.zeros(n_penalty)])
-    lin_c, stack_c, const_c = _square_root_form(lin, stack * row_weights, const)
+    lin_c, stack_c, const_c = _compressed_rows(lin, stack * row_weights, const)
 
     w, v = matlin.hermitian_eigs(matlin.hermitize(start))
     clipped = (v * np.clip(w, 1e-6 * scale / dim, None)) @ v.conj().T
@@ -413,7 +444,8 @@ def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
 
 
 _CD_MAP = _real_linear_map(_cd_cell_probabilities, 4)
-_CD_STACK = _hermitian_stack(_CD_MAP, 4)
+# the orthonormal Hermitian basis E_i as a (16, 4, 4) stack
+_CD_BASIS = np.ascontiguousarray(_hermitian_basis(4).T).view(complex).reshape(16, 4, 4)
 
 
 def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarray:
@@ -433,17 +465,27 @@ def sample_conditioned_counts(state: DensityOperator, n_runs: int,
 
 def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     """Least-squares reconstruction of the induced (C, D) state from a
-    (3, 3, 2, 2) count table; 16 Cholesky parameters, no penalty term."""
+    (3, 3, 2, 2) count table.
+
+    Minimizes the weighted cost of the 36 count rows over positive
+    semidefinite 4x4 S, exactly (optimize.psd_least_squares on the
+    _square_root_form): S in the orthonormal Hermitian basis, no penalty
+    term, no start or restart to choose.  Of ``config`` only max_iter is
+    read; it caps the interior-point steps.  Returns the state S/Tr S and
+    the solver's result, whose cost is the weighted cost of the count rows
+    and whose gap bounds its distance to the optimum.
+    """
     config = config or FitConfig()
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (3, 3, 2, 2):
         raise ValueError("expected a (3, 3, 2, 2) count array")
     data = counts.reshape(-1)
-    v, *_ = np.linalg.lstsq(_CD_MEAS_STACK, data.astype(complex), rcond=None)
-    best, _, _ = _wls_fit(data, _CD_MAP, _CD_STACK, v.reshape(4, 4), data.sum() / 9.0, config)
-    s_mat = matlin.cholesky_psd(best.x, 4)
+    weights = _count_weights(data)
+    _, r, q_const, rest = _square_root_form(_CD_MAP * weights[:, None], -data * weights)
+    res = optimize.psd_least_squares(r, q_const, _CD_BASIS, config.max_iter)
+    s_mat = np.tensordot(res.x, _CD_BASIS, 1)
     rho = matlin.hermitize(s_mat / np.trace(s_mat).real)
-    return DensityOperator(rho, CD_FACTORS), best
+    return DensityOperator(rho, CD_FACTORS), replace(res, cost=res.cost + rest ** 2)
 
 
 def _usable_cpus() -> int:

@@ -62,24 +62,26 @@ def _check_normalized(p: np.ndarray) -> np.ndarray:
     return p
 
 
+# Rows give, from p reshaped to [(c, d), b], the moments sum x p(., ., b) of
+# x = 1, c, d and c d for both outcomes of b at once.
+_CCD_MOMENTS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                         [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
+
+
 def witness_ccd_from_distribution(p: np.ndarray) -> float:
     """Covariance form 2 sum_b b P(b)^2 cov(c, d | b).
 
-    p is indexed [ci, di, bi] with index 0 for outcome +1, 1 for -1.
+    p is indexed [ci, di, bi] with index 0 for outcome +1, 1 for -1.  From
+    the unnormalized moments m_x(b) = sum x p(., ., b), P(b)^2 cov(c, d | b)
+    = P(b) m_cd - m_c m_d, all taken in one product; an outcome of b with
+    probability 0 adds nothing.
     """
     p = _check_normalized(p)
-    sign = np.array([1.0, -1.0])
-    pb = p.sum(axis=(0, 1))
-    total = 0.0
-    for bi in range(2):
-        if pb[bi] <= 0:
-            continue
-        cond = p[:, :, bi] / pb[bi]
-        mean_c = float(sign @ cond.sum(axis=1))
-        mean_d = float(cond.sum(axis=0) @ sign)
-        cov = float(sign @ cond @ sign) - mean_c * mean_d
-        total += 2.0 * sign[bi] * pb[bi] ** 2 * cov
-    return total
+    (pb_h, pb_v), (c_h, c_v), (d_h, d_v), (cd_h, cd_v) = (
+        _CCD_MOMENTS @ p.reshape(4, 2)).tolist()
+    h = pb_h * cd_h - c_h * d_h if pb_h > 0 else 0.0
+    v = pb_v * cd_v - c_v * d_v if pb_v > 0 else 0.0
+    return 2.0 * (h - v)
 
 
 def witness_ccd_product_form(p: np.ndarray) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qcausal.optimize import levenberg_marquardt, numeric_jacobian
+from qcausal.optimize import GAP_TOL, levenberg_marquardt, numeric_jacobian, psd_least_squares
 
 
 def quad_residual(a, b):
@@ -69,3 +69,66 @@ class TestLevenbergMarquardt:
 
         res = levenberg_marquardt(fn, jac, np.array([100.0]), 2)
         assert res.n_iter <= 2
+
+
+def _hermitian_basis(d):
+    """Orthonormal basis of the Hermitian d x d matrices as a (d^2, d, d) stack."""
+    basis = []
+    for a in range(d):
+        for b in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            if a == b:
+                e[a, a] = 1.0
+            elif a < b:
+                e[a, b] = e[b, a] = 1.0 / np.sqrt(2.0)
+            else:
+                e[a, b], e[b, a] = 1j / np.sqrt(2.0), -1j / np.sqrt(2.0)
+            basis.append(e)
+    return np.stack(basis)
+
+
+def _problem(seed, d=3):
+    """A random well-conditioned r and the basis of the d x d Hermitian matrices."""
+    rng = np.random.default_rng(seed)
+    n = d * d
+    r = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
+    return rng, r, _hermitian_basis(d)
+
+
+class TestPsdLeastSquares:
+    def test_interior_optimum_is_the_closed_form(self):
+        rng, r, basis = _problem(0)
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        target = g @ g.conj().T + np.eye(3)                        # positive definite
+        z = np.real(np.einsum("iab,ba->i", basis, target))
+        res = psd_least_squares(r, -r @ z, basis, 50)
+        assert res.n_iter == 0 and res.converged and res.gap == 0.0
+        assert np.allclose(res.x, z, atol=1e-12)
+        assert res.cost <= 1e-20
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_boundary_optimum_is_certified(self, seed):
+        rng, r, basis = _problem(seed)
+        # the unconstrained optimum has a negative eigenvalue
+        target = np.diag([-1.0, 0.5, 2.0]).astype(complex)
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        z_target = np.real(np.einsum("iab,ba->i", basis, u @ target @ u.conj().T))
+        b = -r @ z_target
+        res = psd_least_squares(r, b, basis, 50)
+        assert res.converged and 0 < res.n_iter <= 20
+        s_mat = np.tensordot(res.x, basis, 1)
+        assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+        assert np.linalg.eigvalsh(res.dual)[0] > 0.0
+        # weak duality: the dual function at Z is min_y |r y + b|^2 - Tr(Z S(y))
+        c = np.real(np.einsum("iab,ba->i", basis, res.dual))
+        y = np.linalg.solve(r, np.linalg.solve(r.T, c / 2.0) - b)
+        dual_value = np.sum((r @ y + b) ** 2) - c @ y
+        assert res.cost - dual_value == pytest.approx(res.gap, abs=1e-12)
+        assert res.gap <= GAP_TOL
+
+    def test_budget_caps_the_steps(self):
+        rng, r, basis = _problem(1)
+        b = -r @ np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 1.0, 1.0])))
+        res = psd_least_squares(r, b, basis, 1)
+        assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
+        assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qcausal import matlin, optimize, quantum, tomography
 from qcausal.causal import CBD_FACTORS, build_scenario, induced_state_given_b, joint_distribution
@@ -178,6 +179,7 @@ class TestFitConfig:
         assert np.array_equal(a.tau.mat, b.tau.mat)
 
     def test_default_seed_repeats_conditioned_fit(self):
+        # the conditioned fit has no seed to draw from: two calls agree bit for bit
         st_cd, _ = induced_state_given_b(build_scenario("coh"), pauli_projector("z", -1))
         counts = sample_conditioned_counts(st_cd, 100_000, seed=3)
         (rho_a, a), (rho_b, b) = (fit_conditioned_state(counts) for _ in range(2))
@@ -193,8 +195,9 @@ def _direct_model(s_mat, dim):
     return np.real(tomography._CD_MEAS_STACK @ s_mat.reshape(-1))
 
 
-# the Hermitian stacks that the fits scale by their row weights, by dimension
-_STACKS = {8: tomography._CBD_STACK, 4: tomography._CD_STACK}
+# the Hermitian stacks of the LM rows, by dimension; only the 8x8 fit runs
+# LM, but the row algebra is the same at dimension 4
+_STACKS = {8: tomography._CBD_STACK, 4: tomography._hermitian_stack(tomography._CD_MAP, 4)}
 
 
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
@@ -261,16 +264,22 @@ def _rel(a, b):
 class TestSquareRootForm:
     def test_shape(self, dim, lin):
         lin_w, stack_w, const = _weighted_rows(dim, lin, np.random.default_rng(dim))
-        lin_c, stack_c, const_c = tomography._square_root_form(lin_w, stack_w, const)
+        q, r, q_const, _ = tomography._square_root_form(lin_w, const)
+        assert q.shape == (len(lin), dim * dim)
+        assert r.shape == (dim * dim, dim * dim)
+        assert q_const.shape == (dim * dim,)
+        lin_c, stack_c, const_c = tomography._compressed_rows(lin_w, stack_w, const)
         assert lin_c.shape == (dim * dim + 1, 2 * dim * dim)
         assert stack_c.shape == (2 * dim, dim, dim * dim + 1)
         assert const_c.shape == (dim * dim + 1,)
 
     def test_same_cost_and_normal_equations(self, dim, lin):
         rng = np.random.default_rng(dim + 3)
+        basis = tomography._hermitian_basis(dim)
         for _ in range(5):
             lin_w, stack_w, const = _weighted_rows(dim, lin, rng)
-            lin_c, stack_c, const_c = tomography._square_root_form(lin_w, stack_w, const)
+            _, r_sq, q_const, rest = tomography._square_root_form(lin_w, const)
+            lin_c, stack_c, const_c = tomography._compressed_rows(lin_w, stack_w, const)
             x = rng.standard_normal(dim * dim)
             r = tomography._residual(x, lin_w, const, dim)
             r_c = tomography._residual(x, lin_c, const_c, dim)
@@ -279,6 +288,108 @@ class TestSquareRootForm:
             assert abs(r_c @ r_c - r @ r) <= 1e-10 * (r @ r)
             assert _rel(j_c.T @ j_c, j.T @ j) <= 1e-9
             assert _rel(j_c.T @ r_c, j.T @ r) <= 1e-9
+            # the cost of any Hermitian S = H z is ||R z + Q^T c||^2 + rest^2
+            z = rng.standard_normal(dim * dim) * 10.0
+            full = lin_w @ (basis @ z) + const
+            sq = r_sq @ z + q_const
+            assert abs(sq @ sq + rest ** 2 - full @ full) <= 1e-10 * (full @ full)
+
+
+# Model of the conditioned fit built here from the Pauli projectors, apart
+# from tomography's: a count table's cells over (s, t, c, d) have model
+# counts Tr(M_k S) with M_k = Pi_c x T(Pi_d).
+_CD_OPS = np.stack([np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
+                            pauli_projector(tomography.AXES[ti], 1 - 2 * di).T)
+                    for si, ti, ci, di in product(range(3), range(3), range(2), range(2))])
+
+
+def _chi2_and_gradient(s_mat, counts):
+    """Weighted cost sum_k (Tr(M_k S) - n_k)^2 / max(n_k, EPS_CELL) of a
+    Hermitian S and its gradient matrix, the Hermitian G with df = Tr(G dS)."""
+    n = counts.reshape(-1)
+    w = 1.0 / np.maximum(n, tomography.EPS_CELL)
+    r = np.real(np.einsum("kab,ba->k", _CD_OPS, s_mat)) - n
+    return float(np.sum(w * r * r)), np.einsum("k,kab->ab", 2.0 * w * r, _CD_OPS)
+
+
+def _dual_value(z_mat, counts):
+    """The dual function min over Hermitian S of cost(S) - Tr(Z S): a lower
+    bound on the constrained optimum for every Z >= 0.  Closed form over the
+    16 real coordinates of S in the orthonormal Hermitian basis."""
+    basis = tomography._hermitian_basis(4).T.copy().view(complex).reshape(16, 4, 4)
+    a = np.real(np.einsum("kab,iba->ki", _CD_OPS, basis))
+    n = counts.reshape(-1)
+    w = 1.0 / np.maximum(n, tomography.EPS_CELL)
+    zv = np.real(np.einsum("ab,iba->i", z_mat, basis))
+    s = np.linalg.solve(2.0 * (a.T * w) @ a, 2.0 * (a.T * w) @ n + zv)
+    r = a @ s - n
+    return float(np.sum(w * r * r) - zv @ s)
+
+
+def _fista_chi2(counts, max_iter=20_000):
+    """Reference optimum by accelerated projected gradient (FISTA with
+    restart on a cost increase; Beck & Teboulle 2009, O'Donoghue & Candes
+    2015) over the PSD cone, projecting by clipping eigenvalues."""
+    flat = _CD_OPS.reshape(36, 16)
+    w = 1.0 / np.maximum(counts.reshape(-1), tomography.EPS_CELL)
+    step = 0.5 / np.linalg.eigvalsh((flat.conj().T * w) @ flat)[-1]
+    s = np.eye(4, dtype=complex) * counts.sum() / 36.0
+    y, t, cost = s, 1.0, np.inf
+    for _ in range(max_iter):
+        ev, v = np.linalg.eigh(y - step * _chi2_and_gradient(y, counts)[1])
+        s_new = (v * np.maximum(ev, 0.0)) @ v.conj().T
+        cost_new = _chi2_and_gradient(s_new, counts)[0]
+        if cost_new > cost:
+            y, t = s, 1.0
+            continue
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = s_new + (t - 1.0) / t_new * (s_new - s)
+        done = cost - cost_new <= 1e-13 * cost_new
+        s, t, cost = s_new, t_new, cost_new
+        if done:
+            break
+    return cost
+
+
+def _check_certificate(counts, rho, res):
+    """Check the fit's optimality certificate with the model above: S =
+    sum z_i E_i and the returned dual matrix Z are both PSD, Tr(Z S) and the
+    duality gap cost(S) - dual(Z) are within GAP_TOL, and the cost matches
+    the FISTA optimum to 1e-6.
+
+    Z is the gradient matrix of the cost at the minimizer of the Lagrangian
+    cost - Tr(Z .).  The gradient matrix at S itself is no certificate at
+    this tolerance: the cost's curvature along S is about twice the number
+    of counts, so at a point 1e-6 from the optimum Tr(grad(S) S) can still
+    be of order 1e-3."""
+    basis = tomography._hermitian_basis(4)
+    s_mat = (basis @ res.x).view(complex).reshape(4, 4)
+    cost, _ = _chi2_and_gradient(s_mat, counts)
+    assert cost == pytest.approx(res.cost, rel=1e-9)
+    assert np.allclose(rho.mat, s_mat / np.trace(s_mat).real, atol=1e-12)
+    assert np.linalg.eigvalsh(s_mat)[0] >= 0.0
+    z_mat = res.dual
+    assert np.linalg.eigvalsh(z_mat)[0] >= -1e-12 * max(np.abs(z_mat).max(), 1.0)
+    assert np.real(np.trace(z_mat @ s_mat)) <= optimize.GAP_TOL
+    gap = cost - _dual_value(z_mat, counts)
+    assert gap <= optimize.GAP_TOL + 1e-9 * cost
+    assert gap == pytest.approx(res.gap, abs=1e-9 * cost)
+    reference = _fista_chi2(counts)
+    assert abs(res.cost - reference) <= 1e-6 * reference
+
+
+def _berkson_tables():
+    """The berkson_witness benchmark's conditioned tables: the (C, D) state
+    given each z outcome on B of each scenario, at N P(b) with N = 2e5,
+    Poisson-sampled at seed 0."""
+    tables = []
+    for name in ("probc", "physc", "probq", "coh", "epsmix"):
+        for outcome in (+1, -1):
+            state, prob = induced_state_given_b(build_scenario(name),
+                                                pauli_projector("z", outcome))
+            counts = sample_conditioned_counts(state, int(round(200_000 * prob)), seed=0)
+            tables.append(pytest.param(name, counts, id=f"{name}-{outcome:+d}"))
+    return tables
 
 
 class TestConditionedFit:
@@ -306,6 +417,41 @@ class TestConditionedFit:
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
             fit_conditioned_state(np.zeros((3, 3, 2, 2)), FAST)
+
+    @pytest.mark.parametrize("name, counts", _berkson_tables())
+    def test_optimality_certificate(self, name, counts):
+        rho, res = fit_conditioned_state(counts)
+        assert res.converged and res.gap <= optimize.GAP_TOL
+        _check_certificate(counts, rho, res)
+        # physc and epsmix are interior: the closed form is the optimum
+        assert (res.n_iter == 0) == (name in ("physc", "epsmix"))
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4),
+           log_runs=st.floats(2.0, 6.0))
+    def test_optimality_certificate_random_tables(self, seed, rank, log_runs):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        state = quantum.DensityOperator(g @ g.conj().T / np.linalg.norm(g) ** 2,
+                                        tomography.CD_FACTORS)
+        counts = sample_conditioned_counts(state, int(10 ** log_runs), seed=seed)
+        assume(counts.any())
+        rho, res = fit_conditioned_state(counts)
+        assert res.converged
+        _check_certificate(counts, rho, res)
+
+    def test_short_budget_returns_valid_unconverged_fit(self):
+        st_cd, prob = induced_state_given_b(build_scenario("coh"), pauli_projector("z", +1))
+        counts = sample_conditioned_counts(st_cd, int(round(200_000 * prob)), seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho, res = fit_conditioned_state(counts, FitConfig(max_iter=1))
+        assert res.n_iter == 1
+        assert not res.converged and res.gap > optimize.GAP_TOL
+        assert isinstance(rho, quantum.DensityOperator)
+        assert np.linalg.eigvalsh(rho.mat)[0] > 0.0
+        rho, res = fit_conditioned_state(counts)
+        assert res.converged and res.gap <= optimize.GAP_TOL and res.n_iter > 1
 
     def test_stack_bit_identical_to_kron_loop(self):
         rows = [np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),

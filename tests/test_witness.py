@@ -62,6 +62,26 @@ class TestCcdForms:
         assert a == pytest.approx(b, abs=1e-12)
         assert a == pytest.approx(c, abs=1e-12)
 
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.sampled_from([None, 0, 1]))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_conditional_covariance_loop(self, seed, empty_b):
+        # reference: per outcome of b, normalize and take cov(c, d | b);
+        # an outcome of b with probability 0 contributes nothing
+        p = random_distribution(seed)
+        if empty_b is not None:
+            p[:, :, empty_b] = 0.0
+            p /= p.sum()
+        sign = np.array([1.0, -1.0])
+        want = 0.0
+        for bi in range(2):
+            pb = p[:, :, bi].sum()
+            if pb <= 0:
+                continue
+            cond = p[:, :, bi] / pb
+            cov = sign @ cond @ sign - (sign @ cond.sum(axis=1)) * (cond.sum(axis=0) @ sign)
+            want += 2.0 * sign[bi] * pb ** 2 * cov
+        assert witness_ccd_from_distribution(p) == pytest.approx(want, abs=1e-15)
+
     def test_counts_scale_invariant(self):
         p = random_distribution(3)
         assert witness_ccd_from_counts(10.0 * p) == pytest.approx(
