@@ -53,7 +53,10 @@ class JointDistribution:
 
     @classmethod
     def from_csv(cls, text: str) -> "JointDistribution":
+        """Read the to_csv format; ValueError without its header or rows."""
         rows = list(csv.reader(io.StringIO(text)))
+        if len(rows) < 2 or rows[0][-1:] != ["probability"]:
+            raise ValueError("expected a header ending in 'probability', then rows")
         header, body = rows[0], rows[1:]
         names = header[:-1]
         cards = [max(int(r[i]) for r in body) + 1 for i in range(len(names))]
@@ -318,15 +321,25 @@ def mixture_terms_to_csv(terms) -> str:
 
 
 def mixture_terms_from_csv(text: str):
+    """Read the mixture_terms_to_csv format, skipping empty lines.  Empty
+    text, another header, no term rows or a row without 6 fields raise
+    ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
+    if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
     cells: dict[int, dict] = {}
     weights: dict[int, object] = {}
-    for i, wt, b, d, e, p in rows[1:]:
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != 6:
+            raise ValueError(f"line {line}: expected 6 fields, got {len(row)}")
+        i, wt, b, d, e, p = row
         i = int(i)
         weights[i] = _parse_number(wt)
         cells.setdefault(i, {})[(int(b), int(d), int(e))] = _parse_number(p)
+    if not cells:
+        raise ValueError("the spec has no mixture term rows")
     terms = []
     for i in sorted(cells):
         nb = max(b for b, _, _ in cells[i]) + 1

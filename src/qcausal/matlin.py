@@ -168,23 +168,13 @@ def cholesky_psd(params: np.ndarray, dim: int) -> np.ndarray:
 
 
 def cholesky_params(m: np.ndarray, dim: int) -> np.ndarray:
-    """Parameter vector whose cholesky_psd reproduces the PSD matrix m.
+    """Parameter vector whose cholesky_psd reproduces the positive definite m.
 
-    Inverse of cholesky_psd up to the eigenvalue clipping of rank-deficient
-    inputs; used for fit initialization and surjectivity checks.
+    The inverse of cholesky_psd on positive definite matrices, whose factor
+    J with positive diagonal is unique: with P the exchange matrix, the
+    LAPACK Cholesky factor P m P = L L^dag gives J = P L^dag P.  Raises
+    numpy.linalg.LinAlgError when m is not positive definite; the fit's
+    start is, since its eigenvalues are floored above zero.
     """
-    f = psd_sqrt(hermitize(m))
-    # QL decomposition of f: J is the lower-triangular factor, so that
-    # f = Q J with Q unitary and hence m = f^dag f = J^dag J.
-    _, r = np.linalg.qr(f[::-1, ::-1])
-    j = r[::-1, ::-1]
-    # make the diagonal real nonnegative by absorbing phases
-    d = np.diag(j)
-    phase = np.where(np.abs(d) > 1e-300, d / np.abs(np.where(np.abs(d) > 1e-300, d, 1)), 1.0)
-    j = j * phase.conj()[:, None]
-    params = np.empty(dim * dim)
-    params[:dim] = np.diag(j).real
-    rows, cols = _strict_lower(dim)
-    params[dim::2] = j[rows, cols].real
-    params[dim + 1::2] = j[rows, cols].imag
-    return params
+    j = np.linalg.cholesky(hermitize(m)[::-1, ::-1]).conj().T[::-1, ::-1]
+    return np.concatenate([np.diag(j).real, j[_strict_lower(dim)].view(float)])

@@ -19,10 +19,12 @@ only max_iter, which caps those steps.
 The tripartite fit is still penalized weighted least squares over a
 Cholesky-parametrized S = J^dag J, with a large quadratic penalty enforcing
 that the fitted map cannot signal from B back to (C, D), solved by
-Levenberg-Marquardt in the _wls_fit driver.  Row k of L is also Tr(A_k S) +
-c_k for a Hermitian A_k, so the exact Jacobian is one real product of J with
-the stacked A_k, and LM runs on 65 compressed rows (_compressed_rows) instead
-of 248 with the same cost, gradient and Gauss-Newton matrix.  FitConfig holds
+Levenberg-Marquardt in the _wls_fit driver.  LM runs on the 65 rows of the
+square-root form (_lm_rows), [R; 0] H^T with constants [Q^T c; rest], which
+have the cost, gradient and Gauss-Newton matrix of the 248 full rows.  Row k
+is Tr(B_k S) plus a constant for the Hermitian B_k = sum_i R_ki E_i, so the
+exact Jacobian is one real product of J with the stacked B_k: the rows and
+the stack both come from R and the one Hermitian basis.  FitConfig holds
 only what callers set: lam, the restart seed (0 by default, so a default fit
 repeats), the number of restarts and the iteration budget; EPS_CELL and
 JITTER are constants.
@@ -215,22 +217,10 @@ def _real_linear_map(fn, dim: int) -> np.ndarray:
     return np.stack([fn(z * e) for e in units for z in (1.0, 1j)], axis=1)
 
 
-def _hermitian_stack(lin: np.ndarray, dim: int) -> np.ndarray:
-    """The K Hermitian A_k with Tr(A_k S) = row k of lin applied to a
-    Hermitian S, as a real (2 dim, dim, K) stack whose entry [p dim + a, b, k]
-    is 2 Re (A_k)_ab for p = 0 and 2 Im (A_k)_ab for p = 1."""
-    cols = lin.reshape(-1, dim, dim, 2)
-    b = cols[..., 0] - 1j * cols[..., 1]
-    a = np.swapaxes(b, 1, 2) + b.conj()          # 2 A_k = B_k^T + conj(B_k)
-    parts = np.stack([a.real, a.imag])             # (part, k, a, b)
-    return np.ascontiguousarray(parts.transpose(0, 2, 3, 1)).reshape(2 * dim, dim, -1)
-
-
 # Model rows of the 8x8 fit: the 216 cell probabilities, then the 32
 # no-retrocausation residuals.
 _CBD_MAP = _real_linear_map(
     lambda s: np.concatenate([_cell_probabilities(s), _penalty_residuals(s)]), 8)
-_CBD_STACK = _hermitian_stack(_CBD_MAP, 8)
 
 
 @functools.cache
@@ -253,7 +243,9 @@ def _residual(x: np.ndarray, lin: np.ndarray, const: np.ndarray, dim: int) -> np
 
 
 def _jacobian(x: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
-    """dr/dx for the rows r_k = Tr(A_k S) + c_k whose _hermitian_stack is stack.
+    """dr/dx for the rows r_k = Tr(A_k S) + c_k of Hermitian A_k, given as
+    the real (2 dim, dim, K) stack whose entry [p dim + a, b, k] is
+    2 Re (A_k)_ab for p = 0 and 2 Im (A_k)_ab for p = 1 (see _lm_rows).
 
     With S = J^dag J, dr_k/dRe J_ab = 2 Re(J A_k)_ab and dr_k/dIm J_ab =
     2 Im(J A_k)_ab, so every J A_k comes from one real product of the block
@@ -279,20 +271,20 @@ def _cost_flattened(history, tail_frac: float = 0.1, rel: float = 0.01) -> bool:
 
 
 @functools.cache
-def _hermitian_basis(dim: int) -> np.ndarray:
-    """Real (2 dim^2, dim^2) matrix whose columns are S.reshape(-1).view(float)
-    for the trace-orthonormal basis of the Hermitian dim x dim matrices: E_aa,
-    (E_ab + E_ba)/sqrt 2 for a < b and i (E_ab - E_ba)/sqrt 2 for a > b."""
-    basis = []
-    for a, b in product(range(dim), repeat=2):
-        e = np.zeros((dim, dim), dtype=complex)
+def _basis_stack(dim: int) -> np.ndarray:
+    """The trace-orthonormal basis E_i of the Hermitian dim x dim matrices, as
+    a complex (dim^2, dim, dim) stack: E_aa, (E_ab + E_ba)/sqrt 2 for a < b
+    and i (E_ab - E_ba)/sqrt 2 for a > b.  Its real form H, with columns
+    E_i.reshape(-1).view(float), is .reshape(dim^2, -1).view(float).T."""
+    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
+    for e, (a, b) in zip(basis, product(range(dim), repeat=2)):
         if a == b:
             e[a, a] = 1.0
         else:
             e[a, b], e[b, a] = (1.0, 1.0) if a < b else (1j, -1j)
             e /= np.sqrt(2.0)
-        basis.append(e.reshape(-1).view(float))
-    return np.stack(basis, axis=1)
+    basis.flags.writeable = False    # cached: every caller shares this array
+    return basis
 
 
 def _square_root_form(lin: np.ndarray, const: np.ndarray):
@@ -303,23 +295,29 @@ def _square_root_form(lin: np.ndarray, const: np.ndarray):
     + rest^2 with rest = |const - Q Q^T const|.  Returns (Q, R, Q^T const,
     rest).
     """
-    q, r = np.linalg.qr(lin @ _hermitian_basis(math.isqrt(lin.shape[1] // 2)))
+    dim = math.isqrt(lin.shape[1] // 2)
+    q, r = np.linalg.qr(lin @ _basis_stack(dim).reshape(dim * dim, -1).view(float).T)
     q_const = q.T @ const
     return q, r, q_const, float(np.linalg.norm(const - q @ q_const))
 
 
-def _compressed_rows(lin: np.ndarray, stack: np.ndarray, const: np.ndarray):
-    """The weighted model rows (lin, stack, const) of LM compressed to dim^2 + 1.
+def _lm_rows(lin: np.ndarray, const: np.ndarray):
+    """The weighted model rows (lin, const) as the dim^2 + 1 rows LM runs on.
 
-    Every Hermitian S, and so every S = J^dag J and every dS/dx, maps into
-    the range of the _square_root_form's Q, so the rows Q^T lin, Q^T const
-    and stack Q plus one constant row, rest (zero model and stack entries),
-    keep ||r||^2, J^T J and J^T r of the full rows at every x.
+    From the _square_root_form, row k < dim^2 is (R z + Q^T const)_k =
+    Tr(B_k S) + (Q^T const)_k for Hermitian S = H z, with the Hermitian
+    B_k = sum_i R_ki E_i; one last row holds the constant rest.  These rows
+    keep ||r||^2, J^T J and J^T r of the full rows at every S = J^dag J.
+    Returns the rows [R; 0] H^T, the stack of the B_k in _jacobian's layout
+    and the constants [Q^T const; rest].
     """
-    q, _, q_const, rest = _square_root_form(lin, const)
-    return (np.vstack([q.T @ lin, np.zeros(lin.shape[1])]),
-            np.concatenate([stack @ q, np.zeros(stack.shape[:2] + (1,))], axis=2),
-            np.append(q_const, rest))
+    dim = math.isqrt(lin.shape[1] // 2)
+    _, r, q_const, rest = _square_root_form(lin, const)
+    r = np.vstack([r, np.zeros(dim * dim)])
+    basis = _basis_stack(dim)
+    b = np.tensordot(r, basis, 1)
+    stack = 2.0 * np.stack([b.real, b.imag]).transpose(0, 2, 3, 1).reshape(2 * dim, dim, -1)
+    return r @ basis.reshape(dim * dim, -1).view(float), stack, np.append(q_const, rest)
 
 
 def _count_weights(data: np.ndarray) -> np.ndarray:
@@ -329,25 +327,24 @@ def _count_weights(data: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
 
 
-def _wls_fit(data: np.ndarray, lin: np.ndarray, stack: np.ndarray,
-             start: np.ndarray, scale: float, config: FitConfig):
-    """Weighted least squares of the model rows (lin, stack) over S = J^dag J.
+def _wls_fit(data: np.ndarray, lin: np.ndarray, start: np.ndarray,
+             scale: float, config: FitConfig):
+    """Weighted least squares of the model rows lin over S = J^dag J.
 
     The first len(data) rows fit the counts ``data`` with _count_weights;
     later rows are penalty rows, target 0, weight sqrt(lam).  LM runs on the
-    _compressed_rows of the weighted rows, which have the same cost and
-    steps.  It starts from the linear inversion ``start`` clipped to positive
-    eigenvalues and trace ``scale``, then restarts jittered around it.
+    _lm_rows of the weighted rows, which have the same cost and steps.  It
+    starts from the linear inversion ``start`` with its eigenvalues floored
+    above zero and trace ``scale``, then restarts jittered around it.
     Returns the best LM result, its chi^2 over the full count rows and the
     cost of every run.
     """
     dim = start.shape[0]
     n_penalty = len(lin) - len(data)
     weights = _count_weights(data)
-    row_weights = np.concatenate([weights, np.full(n_penalty, np.sqrt(config.lam))])
-    lin = lin * row_weights[:, None]
+    lin = lin * np.concatenate([weights, np.full(n_penalty, np.sqrt(config.lam))])[:, None]
     const = np.concatenate([-data * weights, np.zeros(n_penalty)])
-    lin_c, stack_c, const_c = _compressed_rows(lin, stack * row_weights, const)
+    lin_c, stack_c, const_c = _lm_rows(lin, const)
 
     w, v = matlin.hermitian_eigs(matlin.hermitize(start))
     clipped = (v * np.clip(w, 1e-6 * scale / dim, None)) @ v.conj().T
@@ -389,8 +386,7 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
     # (216, 64) system inverts the counts; S = J^dag J carries the N/27 scale.
     v, *_ = np.linalg.lstsq(_MEAS_STACK, data.astype(complex), rcond=None)
     start = matlin.partial_transpose(v.reshape(8, 8), CBD_FACTORS, "D")
-    best, chi2, restart_costs = _wls_fit(data, _CBD_MAP, _CBD_STACK, start,
-                                         table.n_runs / 27.0, config)
+    best, chi2, restart_costs = _wls_fit(data, _CBD_MAP, start, table.n_runs / 27.0, config)
     s_mat = matlin.cholesky_psd(best.x, 8)
     normalized = s_mat / np.trace(s_mat).real
     penalty = float(np.max(np.abs(_penalty_residuals(normalized))))
@@ -444,8 +440,6 @@ def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
 
 
 _CD_MAP = _real_linear_map(_cd_cell_probabilities, 4)
-# the orthonormal Hermitian basis E_i as a (16, 4, 4) stack
-_CD_BASIS = np.ascontiguousarray(_hermitian_basis(4).T).view(complex).reshape(16, 4, 4)
 
 
 def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarray:
@@ -482,8 +476,8 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     data = counts.reshape(-1)
     weights = _count_weights(data)
     _, r, q_const, rest = _square_root_form(_CD_MAP * weights[:, None], -data * weights)
-    res = optimize.psd_least_squares(r, q_const, _CD_BASIS, config.max_iter)
-    s_mat = np.tensordot(res.x, _CD_BASIS, 1)
+    res = optimize.psd_least_squares(r, q_const, _basis_stack(4), config.max_iter)
+    s_mat = np.tensordot(res.x, _basis_stack(4), 1)
     rho = matlin.hermitize(s_mat / np.trace(s_mat).real)
     return DensityOperator(rho, CD_FACTORS), replace(res, cost=res.cost + rest ** 2)
 

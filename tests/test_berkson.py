@@ -61,6 +61,12 @@ class TestJointDistribution:
         assert again.variables == jd.variables
         assert np.allclose(again.probs, jd.probs, atol=0)
 
+    @pytest.mark.parametrize("text", ["", "X,Y\n0,1\n", "X,probability\n"],
+                             ids=["empty", "bad_header", "header_only"])
+    def test_csv_rejects_empty_or_bad_header(self, text):
+        with pytest.raises(ValueError):
+            JointDistribution.from_csv(text)
+
 
 class TestBound:
     def test_binary_value(self):
@@ -179,3 +185,26 @@ class TestReduction:
     def test_csv_rejects_bad_header(self):
         with pytest.raises(ValueError):
             mixture_terms_from_csv("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize("text", ["", "\n", "term,weight,b,d,e,prob\n",
+                                      "term,weight,b,d,e,prob\n\n"],
+                             ids=["empty", "blank", "header_only", "header_and_blank"])
+    def test_csv_rejects_empty_spec(self, text):
+        with pytest.raises(ValueError):
+            mixture_terms_from_csv(text)
+
+    def test_csv_skips_blank_lines(self):
+        terms = [MixtureTerm(Fraction(2, 5), d_table(1)),
+                 MixtureTerm(Fraction(3, 5), e_table(0))]
+        text = mixture_terms_to_csv(terms)
+        lines = text.splitlines()
+        spaced = "\n".join(lines[:3] + [""] + lines[3:]) + "\n\n"
+        for variant in (text + "\n", spaced):
+            again = mixture_terms_from_csv(variant)
+            assert [t.table for t in again] == [t.table for t in terms]
+
+    def test_csv_short_row_names_its_line(self):
+        lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
+        lines[2] = "0,1,0"
+        with pytest.raises(ValueError, match="line 3: expected 6 fields, got 3"):
+            mixture_terms_from_csv("\n".join(lines))

@@ -1,11 +1,12 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
 import numpy as np
 import pytest
 
-from qcausal import cli, matlin
+from qcausal import berkson, cli, matlin
 from qcausal.quantum import bell_phi_plus
 
 
@@ -181,6 +182,24 @@ class TestBerkson:
         assert reduced[0] == "term,weight,b,d,e,prob"
         weights = {line.split(",")[1] for line in reduced[1:]}
         assert weights == {"3/4", "1/4"}
+
+    @pytest.mark.parametrize("text", ["", "term,weight,b,d,e,prob\n"],
+                             ids=["empty", "header_only"])
+    def test_reduce_empty_spec_is_usage_error(self, tmp_path, capsys, text):
+        spec = tmp_path / "terms.csv"
+        spec.write_text(text)
+        assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+
+    def test_reduce_spec_with_trailing_blank_line(self, tmp_path, capsys):
+        # an editor's final newline leaves one empty row after the terms
+        terms = [berkson.MixtureTerm(Fraction(1, 2), [[[1, 1], [0, 0]], [[0, 0], [1, 1]]]),
+                 berkson.MixtureTerm(Fraction(1, 2), [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])]
+        spec = tmp_path / "terms.csv"
+        spec.write_text(berkson.mixture_terms_to_csv(terms) + "\n")
+        assert run(["berkson", "reduce", "--spec", str(spec),
+                    "--out", str(tmp_path / "reduced.csv")]) == cli.EXIT_OK
+        assert "equivalence OK" in capsys.readouterr().err
 
 
 class TestPipeline:

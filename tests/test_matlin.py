@@ -125,6 +125,25 @@ class TestCholesky:
         params = matlin.cholesky_params(m, 8)
         assert np.allclose(matlin.cholesky_psd(params, 8), m, atol=1e-8 * np.trace(m).real)
 
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_params_from_psd_roundtrip(self, seed):
+        # the factor with positive diagonal is unique, so the parameters return
+        rng = np.random.default_rng(seed)
+        params = rng.standard_normal(64)
+        params[:8] = rng.uniform(0.1, 2.0, 8)
+        m = matlin.cholesky_psd(params, 8)
+        again = matlin.cholesky_params(m, 8)
+        # round-off in the factor grows with the condition number of m
+        tol = 1e-14 * np.linalg.cond(m) * np.abs(params).max()
+        assert np.max(np.abs(again - params)) <= tol
+
+    def test_params_reject_singular(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            matlin.cholesky_params(np.diag([1.0, 0.0, 2.0]).astype(complex), 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            matlin.cholesky_params(np.diag([1.0, -0.5]).astype(complex), 2)
+
     def test_factor_layout(self):
         params = np.zeros(4)
         params[:2] = [2.0, 3.0]

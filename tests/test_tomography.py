@@ -195,16 +195,44 @@ def _direct_model(s_mat, dim):
     return np.real(tomography._CD_MEAS_STACK @ s_mat.reshape(-1))
 
 
-# the Hermitian stacks of the LM rows, by dimension; only the 8x8 fit runs
-# LM, but the row algebra is the same at dimension 4
-_STACKS = {8: tomography._CBD_STACK, 4: tomography._hermitian_stack(tomography._CD_MAP, 4)}
+def _weighted_rows(dim, lin, rng):
+    """Rows (lin, const) weighted as in a fit: random positive count weights
+    and, for dim 8, sqrt(1e7) on the 32 penalty rows with target 0."""
+    n_counts = {8: 216, 4: 36}[dim]
+    w = np.concatenate([rng.uniform(0.01, 2.0, n_counts),
+                        np.full(len(lin) - n_counts, np.sqrt(1e7))])
+    const = np.concatenate([rng.standard_normal(n_counts) * 30.0,
+                            np.zeros(len(lin) - n_counts)])
+    return lin * w[:, None], const
+
+
+def _ds_jacobian(x, lin, dim):
+    """Jacobian of the full rows lin S + c at S = J^dag J: column p is lin
+    applied to dS/dx_p = E_p^dag J + J^dag E_p, where E_p = dJ/dx_p is the
+    factor built from the p-th unit vector."""
+    j = matlin.cholesky_factor(x, dim)
+    cols = []
+    for unit in np.eye(dim * dim):
+        e = matlin.cholesky_factor(unit, dim)
+        ds = e.conj().T @ j + j.conj().T @ e
+        cols.append(lin @ ds.reshape(-1).view(float))
+    return np.stack(cols, axis=1)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
 class TestModelMap:
     def test_shape(self, dim, lin):
         assert lin.shape == ({8: 248, 4: 36}[dim], 2 * dim * dim)
-        assert _STACKS[dim].shape == (2 * dim, dim, lin.shape[0])
+        # the basis of both fits: trace-orthonormal Hermitian E_i
+        basis = tomography._basis_stack(dim)
+        assert basis.shape == (dim * dim, dim, dim)
+        assert matlin.is_hermitian(basis)
+        gram = np.einsum("iab,jba->ij", basis, basis)
+        assert np.allclose(gram, np.eye(dim * dim), atol=1e-15)
 
     def test_residual_matches_model(self, dim, lin):
         rng = np.random.default_rng(dim)
@@ -217,73 +245,54 @@ class TestModelMap:
 
     def test_jacobian_matches_finite_differences(self, dim, lin):
         rng = np.random.default_rng(dim + 1)
-        w = rng.uniform(0.5, 2.0, lin.shape[0])
-        const = rng.standard_normal(lin.shape[0])
         for _ in range(5):
+            lin_c, stack_c, const_c = tomography._lm_rows(*_weighted_rows(dim, lin, rng))
             x = rng.standard_normal(dim * dim)
-            jac = tomography._jacobian(x, _STACKS[dim] * w, dim)
+            jac = tomography._jacobian(x, stack_c, dim)
             num = optimize.numeric_jacobian(
-                lambda y: tomography._residual(y, lin * w[:, None], const, dim), x)
-            assert jac.shape == (lin.shape[0], dim * dim)
+                lambda y: tomography._residual(y, lin_c, const_c, dim), x)
+            assert jac.shape == (dim * dim + 1, dim * dim)
             assert np.max(np.abs(jac - num)) <= 1e-6 * np.max(np.abs(jac))
 
     def test_jacobian_matches_ds_stack(self, dim, lin):
-        # column p is L applied to dS/dx_p = E_p^dag J + J^dag E_p, where
-        # E_p = dJ/dx_p is the factor built from the p-th unit vector
+        # the LM rows are Q^T times the full rows plus a constant row, so their
+        # Jacobian is Q^T times the full rows' Jacobian, then a zero row
         rng = np.random.default_rng(dim + 2)
-        w = rng.uniform(0.5, 2.0, lin.shape[0])
         for _ in range(5):
+            lin_w, const = _weighted_rows(dim, lin, rng)
+            q, *_ = tomography._square_root_form(lin_w, const)
+            _, stack_c, _ = tomography._lm_rows(lin_w, const)
             x = rng.standard_normal(dim * dim)
-            j = matlin.cholesky_factor(x, dim)
-            cols = []
-            for unit in np.eye(dim * dim):
-                e = matlin.cholesky_factor(unit, dim)
-                ds = e.conj().T @ j + j.conj().T @ e
-                cols.append((lin * w[:, None]) @ ds.reshape(-1).view(float))
-            want = np.stack(cols, axis=1)
-            got = tomography._jacobian(x, _STACKS[dim] * w, dim)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def _weighted_rows(dim, lin, rng):
-    """Rows (lin, stack, const) weighted as in a fit: random positive count
-    weights and, for dim 8, sqrt(1e7) on the 32 penalty rows with target 0."""
-    n_counts = {8: 216, 4: 36}[dim]
-    w = np.concatenate([rng.uniform(0.01, 2.0, n_counts),
-                        np.full(len(lin) - n_counts, np.sqrt(1e7))])
-    const = np.concatenate([rng.standard_normal(n_counts) * 30.0,
-                            np.zeros(len(lin) - n_counts)])
-    return lin * w[:, None], _STACKS[dim] * w, const
-
-
-def _rel(a, b):
-    return np.linalg.norm(a - b) / np.linalg.norm(b)
+            want = np.vstack([q.T @ _ds_jacobian(x, lin_w, dim), np.zeros(dim * dim)])
+            got = tomography._jacobian(x, stack_c, dim)
+            assert _rel(got, want) <= 1e-12
 
 
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
 class TestSquareRootForm:
     def test_shape(self, dim, lin):
-        lin_w, stack_w, const = _weighted_rows(dim, lin, np.random.default_rng(dim))
+        lin_w, const = _weighted_rows(dim, lin, np.random.default_rng(dim))
         q, r, q_const, _ = tomography._square_root_form(lin_w, const)
         assert q.shape == (len(lin), dim * dim)
         assert r.shape == (dim * dim, dim * dim)
         assert q_const.shape == (dim * dim,)
-        lin_c, stack_c, const_c = tomography._compressed_rows(lin_w, stack_w, const)
+        lin_c, stack_c, const_c = tomography._lm_rows(lin_w, const)
         assert lin_c.shape == (dim * dim + 1, 2 * dim * dim)
         assert stack_c.shape == (2 * dim, dim, dim * dim + 1)
         assert const_c.shape == (dim * dim + 1,)
 
     def test_same_cost_and_normal_equations(self, dim, lin):
         rng = np.random.default_rng(dim + 3)
-        basis = tomography._hermitian_basis(dim)
+        basis = tomography._basis_stack(dim).reshape(dim * dim, -1).view(float).T
         for _ in range(5):
-            lin_w, stack_w, const = _weighted_rows(dim, lin, rng)
+            lin_w, const = _weighted_rows(dim, lin, rng)
             _, r_sq, q_const, rest = tomography._square_root_form(lin_w, const)
-            lin_c, stack_c, const_c = tomography._compressed_rows(lin_w, stack_w, const)
+            lin_c, stack_c, const_c = tomography._lm_rows(lin_w, const)
             x = rng.standard_normal(dim * dim)
-            r = tomography._residual(x, lin_w, const, dim)
+            # the full weighted rows, evaluated and differentiated directly
+            r = lin_w @ matlin.cholesky_psd(x, dim).reshape(-1).view(float) + const
+            j = _ds_jacobian(x, lin_w, dim)
             r_c = tomography._residual(x, lin_c, const_c, dim)
-            j = tomography._jacobian(x, stack_w, dim)
             j_c = tomography._jacobian(x, stack_c, dim)
             assert abs(r_c @ r_c - r @ r) <= 1e-10 * (r @ r)
             assert _rel(j_c.T @ j_c, j.T @ j) <= 1e-9
@@ -316,7 +325,7 @@ def _dual_value(z_mat, counts):
     """The dual function min over Hermitian S of cost(S) - Tr(Z S): a lower
     bound on the constrained optimum for every Z >= 0.  Closed form over the
     16 real coordinates of S in the orthonormal Hermitian basis."""
-    basis = tomography._hermitian_basis(4).T.copy().view(complex).reshape(16, 4, 4)
+    basis = tomography._basis_stack(4)
     a = np.real(np.einsum("kab,iba->ki", _CD_OPS, basis))
     n = counts.reshape(-1)
     w = 1.0 / np.maximum(n, tomography.EPS_CELL)
@@ -362,7 +371,7 @@ def _check_certificate(counts, rho, res):
     this tolerance: the cost's curvature along S is about twice the number
     of counts, so at a point 1e-6 from the optimum Tr(grad(S) S) can still
     be of order 1e-3."""
-    basis = tomography._hermitian_basis(4)
+    basis = tomography._basis_stack(4).reshape(16, -1).view(float).T
     s_mat = (basis @ res.x).view(complex).reshape(4, 4)
     cost, _ = _chi2_and_gradient(s_mat, counts)
     assert cost == pytest.approx(res.cost, rel=1e-9)
