@@ -320,10 +320,32 @@ def mixture_terms_to_csv(terms) -> str:
     return buf.getvalue()
 
 
+def _sums_to_one(values) -> bool:
+    """Exactly for Fractions, to 1e-12 once a float appears."""
+    total = sum(values)
+    return total == 1 if isinstance(total, Fraction) else abs(total - 1) <= 1e-12
+
+
+def _check_term(i, term: MixtureTerm) -> None:
+    """ValueError naming term i unless its weight lies in [0, 1] and its
+    table is a conditional distribution P(b | d, e)."""
+    if not 0 <= term.weight <= 1:
+        raise ValueError(f"term {i}: weight {term.weight} is outside [0, 1]")
+    nb, nd, ne = len(term.table), len(term.table[0]), len(term.table[0][0])
+    for d, e in product(range(nd), range(ne)):
+        column = [term.table[b][d][e] for b in range(nb)]
+        for b, p in enumerate(column):
+            if not 0 <= p <= 1:
+                raise ValueError(f"term {i}: P(b={b} | d={d}, e={e}) = {p} is outside [0, 1]")
+        if not _sums_to_one(column):
+            raise ValueError(f"term {i}: P(b | d={d}, e={e}) sums to {sum(column)}, not 1")
+
+
 def mixture_terms_from_csv(text: str):
     """Read the mixture_terms_to_csv format, skipping empty lines.  Empty
-    text, another header, no term rows or a row without 6 fields raise
-    ValueError."""
+    text, another header, no term rows, a row without 6 fields, a missing
+    (b, d, e) cell or terms that are not a normalized mixture of
+    distributions P(b | d, e) raise ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
@@ -345,9 +367,15 @@ def mixture_terms_from_csv(text: str):
         nb = max(b for b, _, _ in cells[i]) + 1
         nd = max(d for _, d, _ in cells[i]) + 1
         ne = max(e for _, _, e in cells[i]) + 1
+        for cell in product(range(nb), range(nd), range(ne)):
+            if cell not in cells[i]:
+                raise ValueError(f"term {i}: no row for cell (b, d, e) = {cell}")
         table = [[[cells[i][(b, d, e)] for e in range(ne)] for d in range(nd)]
                  for b in range(nb)]
         terms.append(MixtureTerm(weights[i], table))
+        _check_term(i, terms[-1])
+    if not _sums_to_one(t.weight for t in terms):
+        raise ValueError(f"term weights sum to {sum(t.weight for t in terms)}, not 1")
     return terms
 
 

@@ -12,8 +12,10 @@ on D, u on B): entry [s, t, u, cbd] is the row whose dot product with
 vec(T_D tau) is the uniform-preparation joint P(c, b, d | s, t, u), with
 T_D the partial transpose on D.  Tomography slices the same stack.
 Conditioning is one contraction of tau as a (2,)*6 tensor per wire, for a
-whole stack of projectors at once (conditioned_states): classification takes
-its six induced states, both z outcomes on C, D and B, from three einsums.
+whole stack of projectors at once (conditioned_states).  Classification takes
+its six induced states, both z outcomes on C, D and B, from one product with
+the (96, 64) matrix those contractions give on the 64 unit matrices, built
+at import (z_conditioned_states).
 """
 
 from __future__ import annotations
@@ -238,6 +240,25 @@ _CONDITION = {
 _REMAINING = {w: tuple(f for f in CBD_FACTORS if f[0] != w) for w in _CONDITION}
 
 
+def _conditioned_raw(mat: np.ndarray, proj: np.ndarray, wires: str) -> np.ndarray:
+    """Unnormalized induced states of the 8x8 matrix mat, (n, len(wires), 4, 4):
+    one einsum per wire for the whole stack of projectors."""
+    t = mat.reshape((2,) * 6)
+    return np.stack([np.einsum(_CONDITION[w], proj, t).reshape(-1, 4, 4) for w in wires],
+                    axis=1)
+
+
+def _normalized(raw: np.ndarray, wires: str):
+    """(states, probs) from the unnormalized induced states raw."""
+    probs = np.trace(raw, axis1=-2, axis2=-1).real
+    # C and B states are normalized by their probability; dividing by 1/2 is
+    # the exact doubling of the preparation on D
+    norm = np.where([w == "D" for w in wires], 0.5, probs)
+    if norm.min() < 1e-12:
+        raise ConditioningError("outcome probability vanishes")
+    return hermitize(raw / norm[..., None, None]), probs
+
+
 def conditioned_states(tau: CausalChoi, proj: np.ndarray, wires: str):
     """Induced states of tau for a (n, 2, 2) stack of projectors on each of
     the wires named in the string wires, one einsum per wire for the whole
@@ -251,16 +272,22 @@ def conditioned_states(tau: CausalChoi, proj: np.ndarray, wires: str):
     probs[k, i] is P(Pi_k) under the uniform preparation, 1/2 for a rank-one
     projector.
     """
-    t = tau.mat.reshape((2,) * 6)
-    raw = np.stack([np.einsum(_CONDITION[w], proj, t).reshape(-1, 4, 4) for w in wires],
-                   axis=1)
-    probs = np.trace(raw, axis1=-2, axis2=-1).real
-    # C and B states are normalized by their probability; dividing by 1/2 is
-    # the exact doubling of the preparation on D
-    norm = np.where([w == "D" for w in wires], 0.5, probs)
-    if norm.min() < 1e-12:
-        raise ConditioningError("outcome probability vanishes")
-    return hermitize(raw / norm[..., None, None]), probs
+    return _normalized(_conditioned_raw(tau.mat, proj, wires), wires)
+
+
+Z_PROJECTORS = np.array([pauli_projector("z", +1), pauli_projector("z", -1)])
+# Complex (96, 64) matrix taking vec(tau) to the unnormalized states of
+# conditioned_states(tau, Z_PROJECTORS, "CDB"): the einsums applied to the 64
+# unit matrices.  Each row holds a single 1, so its product copies entries.
+_Z_MAP = np.stack([_conditioned_raw(e, Z_PROJECTORS, "CDB").reshape(-1)
+                   for e in np.eye(64).reshape(64, 8, 8)], axis=1)
+
+
+def z_conditioned_states(tau: CausalChoi):
+    """conditioned_states(tau, Z_PROJECTORS, "CDB"), the six induced states
+    of classification, from one product with a matrix built at import."""
+    raw = (_Z_MAP @ tau.mat.reshape(-1)).reshape(2, 3, 4, 4)
+    return _normalized(raw, "CDB")
 
 
 def _induced_state(tau: CausalChoi, proj: np.ndarray, wire: str):

@@ -97,14 +97,28 @@ def partial_trace(m, factors, over: str):
     return _join(t, len(rest)), rest
 
 
-def partial_transpose(m, factors, over: str) -> np.ndarray:
-    """Transpose the indices of the named factor only."""
+@functools.cache
+def partial_transpose_index(factors, over: str) -> np.ndarray:
+    """(n, n) flat-position array p with partial_transpose(m) = m.flat[p]:
+    the positions 0..n^2-1 with the named factor's row and column axes
+    swapped.  Cached per (factors, over) and read-only."""
     factors = as_factors(factors)
     ax = _axis(factors, over)
     n = len(factors)
-    t = _split(m, factors)
-    t = np.swapaxes(t, ax, ax + n)
-    return _join(t, n)
+    t = _split(np.arange(total_dim(factors) ** 2), factors)
+    p = _join(np.swapaxes(t, ax, ax + n), n)
+    p.flags.writeable = False
+    return p
+
+
+def partial_transpose(m, factors, over: str) -> np.ndarray:
+    """Transpose the indices of the named factor only: one gather, so every
+    entry is copied exactly."""
+    try:
+        p = partial_transpose_index(factors, over)
+    except TypeError:            # unhashable factors, such as lists
+        p = partial_transpose_index(as_factors(factors), over)
+    return m.reshape(p.size)[p]
 
 
 def reorder(m, factors, new_labels):

@@ -6,9 +6,12 @@ mixture of cause-effect and common-cause, and the Berkson-type test (induced
 entanglement between C and D for every outcome on B).
 
 classify works on arrays, with no per-state objects: the six induced states
-(both z outcomes on C, D and B) come from causal.conditioned_states as one
-stack, and one eigvalsh over them and their six partial transposes serves
-both their validation (quantum.check_states) and the negativities.
+(both z outcomes on C, D and B) come from causal.z_conditioned_states, one
+product with a matrix built at import, and one gather by a precomputed index
+lays out each state beside its partial transpose.  One eigvalsh over the 12
+matrices serves both the states' validation (quantum.check_states) and the
+negativities; C_CD and its expectation-value form come from one product of
+moments.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from . import causal, matlin, quantum
 from .causal import CausalChoi
-from .quantum import DensityOperator, pauli_projector
+from .quantum import DensityOperator
 
 NEG_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 1e-6
@@ -28,9 +31,13 @@ DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 
 CLASS_LABELS = ("ProbC", "PhysC", "ProbQ", "PhysQ", "Coh")
 
-# the H/V conditioning basis of every pathway witness
+# the H/V conditioning basis of every pathway witness, causal.Z_PROJECTORS
 _OUTCOMES = ("H", "V")
-_Z_PROJECTORS = np.array([pauli_projector("z", +1), pauli_projector("z", -1)])
+# Positions, in a flattened two-qubit state, of the state and then of its
+# partial transpose on the second factor: the transposed factor of each of
+# classify's (B, D), (C, B) and (C, D) states.
+_STATE_AND_PT = np.concatenate(
+    [np.arange(16), matlin.partial_transpose_index((("A", 2), ("B", 2)), "B").reshape(-1)])
 
 
 def _negativities(pts: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -68,6 +75,17 @@ _CCD_MOMENTS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
                          [1.0, -1.0, 1.0, -1.0], [1.0, -1.0, -1.0, 1.0]])
 
 
+def _ccd_forms(p: np.ndarray) -> tuple[float, float]:
+    """(C_CD, sum c d b P) from the moments of a normalized p: the covariance
+    form and the expectation value m_cd(H) - m_cd(V)."""
+    p = _check_normalized(p)
+    (pb_h, pb_v), (c_h, c_v), (d_h, d_v), (cd_h, cd_v) = (
+        _CCD_MOMENTS @ p.reshape(4, 2)).tolist()
+    h = pb_h * cd_h - c_h * d_h if pb_h > 0 else 0.0
+    v = pb_v * cd_v - c_v * d_v if pb_v > 0 else 0.0
+    return 2.0 * (h - v), cd_h - cd_v
+
+
 def witness_ccd_from_distribution(p: np.ndarray) -> float:
     """Covariance form 2 sum_b b P(b)^2 cov(c, d | b).
 
@@ -76,12 +94,7 @@ def witness_ccd_from_distribution(p: np.ndarray) -> float:
     = P(b) m_cd - m_c m_d, all taken in one product; an outcome of b with
     probability 0 adds nothing.
     """
-    p = _check_normalized(p)
-    (pb_h, pb_v), (c_h, c_v), (d_h, d_v), (cd_h, cd_v) = (
-        _CCD_MOMENTS @ p.reshape(4, 2)).tolist()
-    h = pb_h * cd_h - c_h * d_h if pb_h > 0 else 0.0
-    v = pb_v * cd_v - c_v * d_v if pb_v > 0 else 0.0
-    return 2.0 * (h - v)
+    return _ccd_forms(p)[0]
 
 
 def witness_ccd_product_form(p: np.ndarray) -> float:
@@ -203,19 +216,17 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     is the default but a single setting can miss some physical mixtures.
     """
     thresholds = thresholds or Thresholds()
-    # (outcome H, V) x (C|BD, D|CB, B|CD); the (B, D), (C, B) and (C, D)
-    # states are each transposed on their second factor: D, B and D.  The
-    # states come out hermitized, so their transposes are exactly Hermitian.
-    states = causal.conditioned_states(tau, _Z_PROJECTORS, "CDB")[0].reshape(6, 4, 4)
-    pts = np.swapaxes(states.reshape(6, 2, 2, 2, 2), 2, 4).reshape(6, 4, 4)
-    w = np.linalg.eigvalsh(np.concatenate([states, pts]))
-    quantum.check_states(states, w[:6])
-    negs = _negativities(pts, w[6:]).reshape(len(_OUTCOMES), 3)
+    # (outcome H, V) x (C|BD, D|CB, B|CD), each state beside its partial
+    # transpose.  The states come out hermitized, so their transposes are
+    # exactly Hermitian.
+    states = causal.z_conditioned_states(tau)[0].reshape(6, 16)
+    both = states[:, _STATE_AND_PT].reshape(6, 2, 4, 4)
+    w = np.linalg.eigvalsh(both)
+    quantum.check_states(both[:, 0], w[:, 0])
+    negs = _negativities(both[:, 1], w[:, 1]).reshape(len(_OUTCOMES), 3)
     neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(_OUTCOMES, col)}
                                     for col in negs.T)
-    p = distribution_from_choi(tau, ccd_settings)
-    ccd = witness_ccd_from_distribution(p)
-    ccd0 = witness_ccd0(p)
+    ccd, ccd0 = _ccd_forms(distribution_from_choi(tau, ccd_settings))
     quantum_both = (min(neg_c_bd.values()) > thresholds.negativity
                     and min(neg_d_cb.values()) > thresholds.negativity)
     physical = abs(ccd) > thresholds.ccd

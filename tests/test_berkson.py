@@ -203,6 +203,36 @@ class TestReduction:
             again = mixture_terms_from_csv(variant)
             assert [t.table for t in again] == [t.table for t in terms]
 
+    @pytest.mark.parametrize("weights, tables, message", [
+        (("1", "1"), (d_table(0), e_table(0)), "weights sum to 2, not 1"),
+        (("1/2", "1/3"), (d_table(0), e_table(0)), "weights sum to 5/6, not 1"),
+        (("0.5", "0.5000001"), (d_table(0), e_table(0)), "weights sum to"),
+        (("3/2", "-1/2"), (d_table(0), e_table(0)), "term 0: weight 3/2 is outside"),
+        (("1",), ([[[2, 2], [0, 0]], [[-1, -1], [1, 1]]],), r"term 0: P\(b=0 \| d=0, e=0\) = 2"),
+        (("1",), ([[[1, 1], [0, 0]], [[1, 0], [1, 1]]],), r"term 0: P\(b \| d=0, e=0\) sums to 2"),
+        (("1",), ([[[0.5, 0.5], [0, 0]], [[0.5, 0.5000001], [1, 1]]],), r"d=0, e=1\) sums to"),
+    ], ids=["weights_2", "weights_5_6", "float_weights", "weight_range", "prob_range",
+            "column_sum", "float_column"])
+    def test_csv_rejects_unnormalized_spec(self, weights, tables, message):
+        text = "term,weight,b,d,e,prob\n" + "".join(
+            f"{i},{w},{b},{d},{e},{t[b][d][e]}\n"
+            for i, (w, t) in enumerate(zip(weights, tables))
+            for b, d, e in product(range(2), repeat=3))
+        with pytest.raises(ValueError, match=message):
+            mixture_terms_from_csv(text)
+
+    def test_csv_float_sums_within_round_off(self):
+        # 0.7 + 0.2 + 0.1 is 1 - 1.1e-16 in floats
+        tables = [d_table(0), e_table(0), const_table(1)]
+        text = mixture_terms_to_csv([MixtureTerm(w, t) for w, t in zip((0.7, 0.2, 0.1), tables)])
+        assert [t.weight for t in mixture_terms_from_csv(text)] == [0.7, 0.2, 0.1]
+
+    def test_csv_missing_cell_names_term_and_cell(self):
+        lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
+        del lines[2]                                  # the (0, 0, 1) row
+        with pytest.raises(ValueError, match=r"term 0: no row for cell \(b, d, e\) = \(0, 0, 1\)"):
+            mixture_terms_from_csv("\n".join(lines))
+
     def test_csv_short_row_names_its_line(self):
         lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
         lines[2] = "0,1,0"

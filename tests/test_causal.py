@@ -156,6 +156,24 @@ class TestInducedStates:
             induced_state_given_c(tau, pauli_projector("z", -1))
 
 
+    def test_z_map_matches_einsums(self):
+        rng = np.random.default_rng(11)
+        maps = ([build_scenario(sid) for sid in causal.SCENARIO_IDS]
+                + [random_probabilistic_mixture(rng) for _ in range(20)])
+        for tau in maps:
+            states, probs = causal.z_conditioned_states(tau)
+            ref_states, ref_probs = causal.conditioned_states(tau, causal.Z_PROJECTORS, "CDB")
+            assert np.max(np.abs(states - ref_states)) <= 1e-15
+            assert np.max(np.abs(probs - ref_probs)) <= 1e-15
+
+    def test_z_map_keeps_the_zero_probability_check(self):
+        phi = quantum.bell_phi_plus(("B", "D")).mat
+        tau = CausalChoi(DensityOperator(np.kron(quantum.ket_dm(quantum.KET_H), phi),
+                                         causal.CBD_FACTORS))
+        with pytest.raises(causal.ConditioningError):
+            causal.z_conditioned_states(tau)
+
+
 class TestPredictions:
     @pytest.mark.parametrize("sid", causal.SCENARIO_IDS)
     def test_joint_normalized(self, sid):

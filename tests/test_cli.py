@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -8,6 +9,10 @@ import pytest
 
 from qcausal import berkson, cli, matlin
 from qcausal.quantum import bell_phi_plus
+
+
+# P(b | d, e) = delta_{b, d}
+DE_TABLE = [[[1, 1], [0, 0]], [[0, 0], [1, 1]]]
 
 
 def run(argv):
@@ -54,13 +59,13 @@ class TestExitCodes:
         assert str(path) in err and "no-retrocausation" in err
 
     def test_invalid_computed_state_is_numerical(self, monkeypatch, capsys):
-        def invalid(tau, proj, wires):
+        def invalid(tau):
             # one conditioned state with a negative eigenvalue fails validation
-            states = np.broadcast_to(np.eye(4) / 4, (len(proj), len(wires), 4, 4)).copy()
+            states = np.broadcast_to(np.eye(4) / 4, (2, 3, 4, 4)).copy()
             states[1, 2] = np.diag([0.6, 0.5, 0.0, -0.1])
-            return states, np.full((len(proj), len(wires)), 0.5)
+            return states, np.full((2, 3), 0.5)
 
-        monkeypatch.setattr(cli.causal, "conditioned_states", invalid)
+        monkeypatch.setattr(cli.causal, "z_conditioned_states", invalid)
         assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
@@ -190,6 +195,27 @@ class TestBerkson:
         spec.write_text(text)
         assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights, table_0, drop, message", [
+        # two terms of weight 1 each
+        ((1, 1), DE_TABLE, None, "weights sum to 2, not 1"),
+        # a term whose probabilities are 2 and -1
+        ((Fraction(1, 2),) * 2, [[[2, 2], [0, 0]], [[-1, -1], [1, 1]]], None,
+         r"term 0: P\(b=0 \| d=0, e=0\) = 2 is outside"),
+        # a term without its (0, 0, 1) cell
+        ((Fraction(1, 2),) * 2, DE_TABLE, "1,1/2,0,0,1,",
+         r"term 1: no row for cell \(b, d, e\) = \(0, 0, 1\)"),
+    ], ids=["weights", "probabilities", "missing_cell"])
+    def test_reduce_bad_spec_is_usage_error(self, weights, table_0, drop, message,
+                                            tmp_path, capsys):
+        terms = [berkson.MixtureTerm(weights[0], table_0),
+                 berkson.MixtureTerm(weights[1], [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])]
+        rows = berkson.mixture_terms_to_csv(terms).splitlines()
+        spec = tmp_path / "terms.csv"
+        spec.write_text("\n".join(r for r in rows if drop is None or not r.startswith(drop)))
+        assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(message, err)
 
     def test_reduce_spec_with_trailing_blank_line(self, tmp_path, capsys):
         # an editor's final newline leaves one empty row after the terms

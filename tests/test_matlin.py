@@ -58,6 +58,24 @@ class TestPartialOperations:
         m, f = matlin.tensor_product(a, (("A", 2),), b, (("B", 2),))
         assert np.allclose(matlin.partial_transpose(m, f, "B"), np.kron(a, b.T))
 
+    @pytest.mark.parametrize("factors", [(("C", 2), ("B", 2), ("D", 2)), (("A", 2), ("B", 2))])
+    def test_partial_transpose_is_the_swapaxes_construction(self, factors):
+        rng = np.random.default_rng(6)
+        n = matlin.total_dim(factors)
+        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        dims = [d for _, d in factors]
+        for ax, (label, _) in enumerate(factors):
+            ref = np.swapaxes(m.reshape(dims + dims), ax, ax + len(factors)).reshape(n, n)
+            assert np.array_equal(matlin.partial_transpose(m, factors, label), ref)
+            # lists of pairs still work, through the same cached index
+            listed = [list(f) for f in factors]
+            assert np.array_equal(matlin.partial_transpose(m, listed, label), ref)
+
+    def test_partial_transpose_index_is_read_only(self):
+        p = matlin.partial_transpose_index((("A", 2), ("B", 2)), "B")
+        with pytest.raises(ValueError):
+            p[0, 0] = 1
+
     def test_reorder_roundtrip(self):
         rng = np.random.default_rng(4)
         m = random_hermitian(rng, 8)
