@@ -43,28 +43,6 @@ class JointDistribution:
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()}")
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow([name for name, _ in self.variables] + ["probability"])
-        for idx in product(*(range(c) for _, c in self.variables)):
-            w.writerow(list(idx) + [repr(float(self.probs[idx]))])
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "JointDistribution":
-        """Read the to_csv format; ValueError without its header or rows."""
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) < 2 or rows[0][-1:] != ["probability"]:
-            raise ValueError("expected a header ending in 'probability', then rows")
-        header, body = rows[0], rows[1:]
-        names = header[:-1]
-        cards = [max(int(r[i]) for r in body) + 1 for i in range(len(names))]
-        probs = np.zeros(cards)
-        for r in body:
-            probs[tuple(int(x) for x in r[:-1])] = float(r[-1])
-        return cls(tuple(zip(names, cards)), probs)
-
 
 def mutual_information(joint: np.ndarray, base: float = 2.0) -> float:
     """I(X:Y) of a two-variable joint probability table, in base-`base` units."""
@@ -320,10 +298,13 @@ def mixture_terms_to_csv(terms) -> str:
     return buf.getvalue()
 
 
-def _sums_to_one(values) -> bool:
-    """Exactly for Fractions, to 1e-12 once a float appears."""
-    total = sum(values)
-    return total == 1 if isinstance(total, Fraction) else abs(total - 1) <= 1e-12
+def agree(x, y) -> bool:
+    """Whether numbers or nested lists of one shape agree entry by entry: exactly
+    for Fractions, to 1e-12 once a float appears; the one rule of spec checks."""
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(agree, x, y))
+    diff = x - y
+    return diff == 0 if isinstance(diff, Fraction) else abs(diff) <= 1e-12
 
 
 def _check_term(i, term: MixtureTerm) -> None:
@@ -337,15 +318,15 @@ def _check_term(i, term: MixtureTerm) -> None:
         for b, p in enumerate(column):
             if not 0 <= p <= 1:
                 raise ValueError(f"term {i}: P(b={b} | d={d}, e={e}) = {p} is outside [0, 1]")
-        if not _sums_to_one(column):
+        if not agree(sum(column), 1):
             raise ValueError(f"term {i}: P(b | d={d}, e={e}) sums to {sum(column)}, not 1")
 
 
 def mixture_terms_from_csv(text: str):
-    """Read the mixture_terms_to_csv format, skipping empty lines.  Empty
-    text, another header, no term rows, a row without 6 fields, a missing
-    (b, d, e) cell or terms that are not a normalized mixture of
-    distributions P(b | d, e) raise ValueError."""
+    """Read the mixture_terms_to_csv format, skipping empty lines.  Empty text,
+    another header, no term rows, a row without 6 fields, a negative index, rows
+    of one term that disagree on its weight, a repeated or missing (b, d, e) cell
+    or terms that are not a normalized mixture of P(b | d, e) raise ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
@@ -356,10 +337,17 @@ def mixture_terms_from_csv(text: str):
             continue
         if len(row) != 6:
             raise ValueError(f"line {line}: expected 6 fields, got {len(row)}")
-        i, wt, b, d, e, p = row
-        i = int(i)
-        weights[i] = _parse_number(wt)
-        cells.setdefault(i, {})[(int(b), int(d), int(e))] = _parse_number(p)
+        i, cell = int(row[0]), tuple(int(x) for x in row[2:5])
+        if min(i, *cell) < 0:
+            raise ValueError(f"line {line}: negative index in {row}")
+        weight = _parse_number(row[1])
+        if i in weights and weights[i] != weight:
+            raise ValueError(f"line {line}: term {i} has weight {row[1]}, "
+                             f"but an earlier row gives {weights[i]}")
+        if cell in cells.setdefault(i, {}):
+            raise ValueError(f"line {line}: repeated cell (b, d, e) = {cell} of term {i}")
+        weights[i] = weight
+        cells[i][cell] = _parse_number(row[5])
     if not cells:
         raise ValueError("the spec has no mixture term rows")
     terms = []
@@ -374,7 +362,7 @@ def mixture_terms_from_csv(text: str):
                  for b in range(nb)]
         terms.append(MixtureTerm(weights[i], table))
         _check_term(i, terms[-1])
-    if not _sums_to_one(t.weight for t in terms):
+    if not agree(sum(t.weight for t in terms), 1):
         raise ValueError(f"term weights sum to {sum(t.weight for t in terms)}, not 1")
     return terms
 

@@ -6,11 +6,12 @@ map from D to (C, B).  The four reference circuits share a single structure:
 C and E start in |Phi+>, a gate takes the (D, E) wire pair to (B, F), and F
 is discarded.
 
-Every probability comes from one measurement stack, MEAS_STACK, of shape
-(3, 3, 3, 8, 64) over the Pauli settings (s on C, t for the repreparation
-on D, u on B): entry [s, t, u, cbd] is the row whose dot product with
-vec(T_D tau) is the uniform-preparation joint P(c, b, d | s, t, u), with
-T_D the partial transpose on D.  Tomography slices the same stack.
+Every Pauli measurement row comes from one builder, _pauli_rows(n): a row
+dotted with vec(T_D rho), T_D the partial transpose on the prepared wire D,
+is the probability of its cell.  Its (3, 3, 3, 8, 64) stack MEAS_STACK over
+the settings (s on C, t for the repreparation on D, u on B) gives the
+uniform-preparation joint P(c, b, d | s, t, u); tomography slices it, and
+takes the two-wire stack for the (C, D) states of the Berkson analysis.
 Conditioning is one contraction of tau as a (2,)*6 tensor per wire, for a
 whole stack of projectors at once (conditioned_states).  Classification takes
 its six induced states, both z outcomes on C, D and B, from one product with
@@ -20,6 +21,7 @@ at import (z_conditioned_states).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import product
@@ -212,21 +214,21 @@ def random_probabilistic_mixture(rng=None) -> CausalChoi:
     return CausalChoi(DensityOperator(hermitize(p * ce + (1 - p) * cc), CBD_FACTORS))
 
 
-def _measurement_stack() -> np.ndarray:
-    """(3, 3, 3, 8, 64) stack over (s, t, u, cbd): the transpose of
-    Pi_c x Pi_b x Pi_d, flattened, for Pauli projectors of sigma_s on C,
-    sigma_u on B and sigma_t on D.  A plain broadcast product in kron order,
-    so every entry, signed zeros included, equals its kron-built value."""
+def _pauli_rows(n: int) -> np.ndarray:
+    """(3,)*n + (2**n, 4**n) stack over the Pauli settings and outcomes of n
+    wires in kron order: the transpose of Pi_1 x ... x Pi_n, flattened.  A
+    plain broadcast product in kron order, so every entry, signed zeros
+    included, equals its kron-built value."""
     p = np.array([[pauli_projector(a, o) for o in (+1, -1)] for a in PAULI_AXES])
-    # axes: s, t, u, c, b, d, then the row and the column of each factor
-    pc = p.reshape(3, 1, 1, 2, 1, 1, 2, 1, 1, 2, 1, 1)
-    pb = p.reshape(1, 1, 3, 1, 2, 1, 1, 2, 1, 1, 2, 1)
-    pd = p.reshape(1, 3, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2)
-    op = (pc * pb * pd).reshape(3, 3, 3, 8, 8, 8)
-    return np.swapaxes(op, -1, -2).reshape(3, 3, 3, 8, 64)
+    # factor k on the setting, outcome, row and column axes of wire k
+    factors = [p.reshape([m if j == k else 1 for m in p.shape for j in range(n)])
+               for k in range(n)]
+    op = functools.reduce(np.multiply, factors).reshape((3,) * n + (2 ** n,) * 3)
+    return np.swapaxes(op, -1, -2).reshape((3,) * n + (2 ** n, 4 ** n))
 
 
-MEAS_STACK = _measurement_stack()
+# (3, 3, 3, 8, 64) over (s, t, u, cbd): sigma_s on C, sigma_t on D, sigma_u on B
+MEAS_STACK = np.ascontiguousarray(_pauli_rows(3).transpose(0, 2, 1, 3, 4))
 
 # Tr_w[(Pi_n on wire w) tau] for a stack of projectors Pi_n and tau as a
 # (c, b, d, c', b', d') tensor; D is fed Pi_n^T, whose row and column the
@@ -311,29 +313,15 @@ def induced_state_given_d(tau: CausalChoi, proj_d: np.ndarray) -> DensityOperato
     return _induced_state(tau, proj_d, "D")[0]
 
 
-def _setting_cells(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
-    """Uniform-preparation joint P(c, b, d | s, t, u) as a (c, b, d) array."""
+def joint_distribution(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
+    """Joint P(c, d, b) under uniform preparation P(d) = 1/2 at Pauli settings
+    s on C, t on D and u on B: one slice of MEAS_STACK.
+
+    Indexed [ci, di, bi] with index 0 for outcome +1 and 1 for outcome -1.
+    """
     for a in (s, t, u):
         if a not in PAULI_AXES:
             raise ValueError(f"axis must be one of {PAULI_AXES}, got {a!r}")
     rows = MEAS_STACK[PAULI_AXES.index(s), PAULI_AXES.index(t), PAULI_AXES.index(u)]
     td = partial_transpose(tau.mat, CBD_FACTORS, "D")
-    return np.real(rows @ td.reshape(-1)).reshape(2, 2, 2)
-
-
-def predict_probability(tau: CausalChoi, s: str, t: str, u: str,
-                        c: int, b: int, d: int) -> float:
-    """P(c, b | d; s, t, u): measure sigma_s on C, sigma_u on B, prepare the
-    d eigenstate of sigma_t on D."""
-    if not {c, b, d} <= {+1, -1}:
-        raise ValueError("outcomes must be +1 or -1")
-    cells = _setting_cells(tau, s, t, u)
-    return float(2.0 * cells[(1 - c) // 2, (1 - b) // 2, (1 - d) // 2])
-
-
-def joint_distribution(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
-    """Joint P(c, d, b) under uniform preparation P(d) = 1/2.
-
-    Indexed [ci, di, bi] with index 0 for outcome +1 and 1 for outcome -1.
-    """
-    return _setting_cells(tau, s, t, u).transpose(0, 2, 1)
+    return np.real(rows @ td.reshape(-1)).reshape(2, 2, 2).transpose(0, 2, 1)

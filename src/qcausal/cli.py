@@ -170,7 +170,7 @@ def cmd_berkson(args) -> int:
     reduced = berkson_mod.reduce_to_two_terms(terms, ctx)
     direct = berkson_mod.induced_p_cb_given_d(terms, ctx)
     via = berkson_mod.induced_from_reduction(reduced, ctx)
-    ok = direct == via
+    ok = berkson_mod.agree(direct, via)
     (w_ce, p_bd), (w_cc, p_bl) = reduced
     nb = len(p_bd)
     out_terms = [

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matlin
-from .matlin import Factors, as_factors, hermitize, partial_trace, partial_transpose, tensor_product
+from .matlin import Factors, as_factors, hermitize
 
 TRACE_ATOL = 1e-10
 EIG_FLOOR = -1e-10
@@ -102,16 +102,6 @@ class DensityOperator:
     def labels(self) -> tuple[str, ...]:
         return tuple(lbl for lbl, _ in self.factors)
 
-    def marginal(self, keep: str) -> "DensityOperator":
-        m, f = self.mat, self.factors
-        for lbl in self.labels:
-            if lbl != keep:
-                m, f = partial_trace(m, f, lbl)
-        return DensityOperator(m, f)
-
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
 
 def bell_phi_plus(labels=("C", "E")) -> DensityOperator:
     """|Phi+><Phi+| with |Phi+> = (|HH> + |VV>)/sqrt(2)."""
@@ -121,14 +111,9 @@ def bell_phi_plus(labels=("C", "E")) -> DensityOperator:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive map stored as a Kraus collection.
-
-    Trace preservation (sum K^dag K = 1) is checked unless the channel is
-    flagged sub-normalized, as for conditioned (trace-non-increasing) maps.
-    """
+    """Trace-preserving completely positive map stored as a Kraus collection."""
 
     kraus_ops: tuple[np.ndarray, ...]
-    sub_normalized: bool = False
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
@@ -137,10 +122,7 @@ class KrausChannel:
         object.__setattr__(self, "kraus_ops", ops)
         s = sum(k.conj().T @ k for k in ops)
         eye = np.eye(ops[0].shape[1])
-        if self.sub_normalized:
-            if np.max(np.linalg.eigvalsh(hermitize(s - eye))) > TRACE_ATOL * 10:
-                raise StateValidationError("sub-normalized channel with sum K^dag K > 1")
-        elif np.max(np.abs(s - eye)) > TRACE_ATOL:
+        if np.max(np.abs(s - eye)) > TRACE_ATOL:
             raise StateValidationError("channel is not trace-preserving")
 
     @property
@@ -168,12 +150,12 @@ def unitary_channel(u: np.ndarray) -> KrausChannel:
 def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """outer after inner."""
     ops = tuple(a @ b for a in outer.kraus_ops for b in inner.kraus_ops)
-    return KrausChannel(ops, sub_normalized=outer.sub_normalized or inner.sub_normalized)
+    return KrausChannel(ops)
 
 
 def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     ops = tuple(np.kron(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops)
-    return KrausChannel(ops, sub_normalized=a.sub_normalized or b.sub_normalized)
+    return KrausChannel(ops)
 
 
 def mix_channels(channels, weights) -> KrausChannel:

@@ -2,13 +2,16 @@
 tripartite Choi state from them.
 
 The full experiment runs all 27 Pauli setting triples (s on C, t for the
-repreparation on D, u on B), N/27 runs each, recording the 8 outcome triples.
-Both fits minimize the count residuals weighted by 1/sqrt(max(n, EPS_CELL)).
-Every residual row is real-linear in S, so each model is one real matrix L
-built once from the code that defines it, and once per fit the weighted rows
-are put in square-root form: the thin Householder QR L H = Q R over an
-orthonormal basis H of the Hermitian matrices gives the cost of S = H z as
-||R z + Q^T c||^2 plus a constant.
+repreparation on D, u on B), N/27 runs each, recording the 8 outcome
+triples.  Both experiments take their Pauli rows from causal's one builder,
+in one convention, each row dotted with vec(T_D rho): the 216 rows of
+MEAS_STACK for tau_CBD and its two-wire stack, 36 rows, for a (C, D) state
+of the Berkson analysis.  Both fits minimize the count residuals weighted by
+1/sqrt(max(n, EPS_CELL)).  Every residual row is real-linear in S, so each
+model is one real matrix L built once from the code that defines it, and
+once per fit the weighted rows are put in square-root form: the thin
+Householder QR L H = Q R over an orthonormal basis H of the Hermitian
+matrices gives the cost of S = H z as ||R z + Q^T c||^2 plus a constant.
 
 The (C, D) state of the Berkson analysis is fitted exactly: its cost is
 minimized over positive semidefinite S by optimize.psd_least_squares, the
@@ -43,19 +46,12 @@ from itertools import product
 import numpy as np
 
 from . import matlin, optimize
-from .causal import CBD_FACTORS, MEAS_STACK, CausalChoi, no_retro_deviation
-from .quantum import DensityOperator, pauli_projector
+from .causal import CBD_FACTORS, MEAS_STACK, CausalChoi, _pauli_rows, no_retro_deviation
+from .quantum import PAULI_AXES as AXES, DensityOperator
 
-AXES = ("x", "y", "z")
 DEFAULT_RUNS = 200_000
 EPS_CELL = 0.5   # count floor in the weight 1/sqrt(max(n, EPS_CELL)) of a cell
 JITTER = 1e-3    # restart spread, in units of sqrt(runs per setting)
-
-
-def _axis_index(a) -> int:
-    if isinstance(a, str):
-        return AXES.index(a)
-    return int(a)
 
 
 @dataclass(frozen=True)
@@ -77,10 +73,6 @@ class CountTable:
         if np.any(c < 0):
             raise ValueError("negative counts")
         object.__setattr__(self, "counts", c.astype(float))
-
-    def setting(self, s, t, u) -> np.ndarray:
-        """(c, b, d) block for one setting triple (axis names or indices)."""
-        return self.counts[_axis_index(s), _axis_index(t), _axis_index(u)]
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -417,26 +409,14 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
 
 CD_FACTORS = (("C", 2), ("D", 2))
 
-
-def _cd_measurement_stack() -> np.ndarray:
-    """(36, 16) stack over (s, t, c, d): the transpose of Pi_c x T(Pi_d),
-    flattened, for Pauli projectors of sigma_s on C and sigma_t on D.  A plain
-    broadcast product in kron order, so every entry, signed zeros included,
-    equals its kron-built value."""
-    p = np.array([[pauli_projector(a, o) for o in (+1, -1)] for a in AXES])
-    # axes: s, t, c, d, then the row and the column of each factor
-    pc = p.reshape(3, 1, 2, 1, 2, 1, 2, 1)
-    pd = np.swapaxes(p, -1, -2).reshape(1, 3, 1, 2, 1, 2, 1, 2)
-    op = (pc * pd).reshape(36, 4, 4)
-    return np.swapaxes(op, -1, -2).reshape(36, 16)
-
-
-_CD_MEAS_STACK = _cd_measurement_stack()
+# rows over (s, t, c, d) on vec(T_D rho): sigma_s on C, sigma_t for the repreparation on D
+_CD_MEAS_STACK = _pauli_rows(2).reshape(36, 16)
 
 
 def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
-    """All 36 values Tr[rho Pi_c x T(Pi_d)], flattened."""
-    return np.real(_CD_MEAS_STACK @ rho.reshape(-1))
+    """All 36 values Tr[T_D(rho) Pi_c x Pi_d] = Tr[rho Pi_c x T(Pi_d)], flattened."""
+    td = matlin.partial_transpose(rho, CD_FACTORS, "D")
+    return np.real(_CD_MEAS_STACK @ td.reshape(-1))
 
 
 _CD_MAP = _real_linear_map(_cd_cell_probabilities, 4)

@@ -29,8 +29,6 @@ NEG_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 1e-6
 DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 
-CLASS_LABELS = ("ProbC", "PhysC", "ProbQ", "PhysQ", "Coh")
-
 # the H/V conditioning basis of every pathway witness, causal.Z_PROJECTORS
 _OUTCOMES = ("H", "V")
 # Positions, in a flattened two-qubit state, of the state and then of its
@@ -134,13 +132,6 @@ def witness_ccd0(p: np.ndarray) -> float:
     return float(np.einsum("cdb,c,d,b->", p, sign, sign, sign))
 
 
-def distribution_from_choi(tau: CausalChoi, settings=DEFAULT_CCD_SETTINGS) -> np.ndarray:
-    """Joint P(c, d, b) generated by a Choi state at Pauli settings (s, t, u)."""
-    s, t, u = settings
-    joint = causal.joint_distribution(tau, s, t, u)
-    return joint
-
-
 @dataclass(frozen=True)
 class Thresholds:
     negativity: float = DEFAULT_THRESHOLD
@@ -226,7 +217,7 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     negs = _negativities(both[:, 1], w[:, 1]).reshape(len(_OUTCOMES), 3)
     neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(_OUTCOMES, col)}
                                     for col in negs.T)
-    ccd, ccd0 = _ccd_forms(distribution_from_choi(tau, ccd_settings))
+    ccd, ccd0 = _ccd_forms(causal.joint_distribution(tau, *ccd_settings))
     quantum_both = (min(neg_c_bd.values()) > thresholds.negativity
                     and min(neg_d_cb.values()) > thresholds.negativity)
     physical = abs(ccd) > thresholds.ccd

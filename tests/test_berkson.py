@@ -55,18 +55,6 @@ class TestJointDistribution:
         with pytest.raises(ValueError):
             JointDistribution((("X", 2),), np.array([1.2, -0.2]))
 
-    def test_csv_roundtrip(self):
-        jd = physc_distribution()
-        again = JointDistribution.from_csv(jd.to_csv())
-        assert again.variables == jd.variables
-        assert np.allclose(again.probs, jd.probs, atol=0)
-
-    @pytest.mark.parametrize("text", ["", "X,Y\n0,1\n", "X,probability\n"],
-                             ids=["empty", "bad_header", "header_only"])
-    def test_csv_rejects_empty_or_bad_header(self, text):
-        with pytest.raises(ValueError):
-            JointDistribution.from_csv(text)
-
 
 class TestBound:
     def test_binary_value(self):
@@ -238,3 +226,18 @@ class TestReduction:
         lines[2] = "0,1,0"
         with pytest.raises(ValueError, match="line 3: expected 6 fields, got 3"):
             mixture_terms_from_csv("\n".join(lines))
+
+    def test_csv_negative_index_names_its_line(self):
+        lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
+        lines.append("0,1,-1,0,0,0")
+        with pytest.raises(ValueError, match="line 10: negative index"):
+            mixture_terms_from_csv("\n".join(lines))
+
+    def test_agree_is_the_reader_rule(self):
+        third = Fraction(1, 3)
+        assert berkson.agree([[third, 1]], [[third, Fraction(1)]])
+        assert not berkson.agree([[third]], [[third + Fraction(1, 10 ** 15)]])
+        assert berkson.agree([[0.7 + 0.2 + 0.1]], [[1]])
+        assert berkson.agree([[1 / 3]], [[third]])
+        assert not berkson.agree([[0.5]], [[0.5 + 1e-11]])
+        assert not berkson.agree([[1, 1]], [[1]])

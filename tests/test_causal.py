@@ -15,7 +15,6 @@ from qcausal.causal import (
     induced_state_given_d,
     joint_distribution,
     partial_swap,
-    predict_probability,
     random_probabilistic_mixture,
 )
 from qcausal.quantum import DensityOperator, SWAP_4, pauli_projector
@@ -183,14 +182,15 @@ class TestPredictions:
         assert np.all(p >= -1e-12)
 
     def test_joint_matches_pointwise(self):
+        # P(c, b | d) = 2 P(c, d, b) is Pi_c x Pi_b measured on the (C, B)
+        # state prepared by feeding the d eigenstate of sigma_x into D
         tau = build_scenario("coh")
         p = joint_distribution(tau, "z", "x", "y")
-        for ci in range(2):
-            for di in range(2):
-                for bi in range(2):
-                    cond = predict_probability(tau, "z", "x", "y",
-                                               1 - 2 * ci, 1 - 2 * bi, 1 - 2 * di)
-                    assert p[ci, di, bi] == pytest.approx(cond / 2, abs=1e-12)
+        for ci, di, bi in product(range(2), repeat=3):
+            prepared = induced_state_given_d(tau, pauli_projector("x", 1 - 2 * di))
+            op = np.kron(pauli_projector("z", 1 - 2 * ci), pauli_projector("y", 1 - 2 * bi))
+            cond = np.trace(prepared.mat @ op).real
+            assert 2 * p[ci, di, bi] == pytest.approx(cond, abs=1e-12)
 
     def test_uniform_d_marginal(self):
         p = joint_distribution(build_scenario("physc"), "x", "z", "y")
@@ -266,7 +266,6 @@ class TestAgainstKron:
                     c, b, d = 1 - 2 * ci, 1 - 2 * bi, 1 - 2 * di
                     ref = kron_cell(tau, s, t, u, c, b, d)
                     assert abs(p[ci, di, bi] - ref) <= 1e-12
-                    assert abs(predict_probability(tau, s, t, u, c, b, d) - 2 * ref) <= 1e-12
 
     def test_induced_states(self):
         for tau in reference_maps():
@@ -287,4 +286,4 @@ class TestAgainstKron:
         with pytest.raises(ValueError):
             joint_distribution(tau, "x", "w", "z")
         with pytest.raises(ValueError):
-            predict_probability(tau, "x", "y", "z", 1, 0, 1)
+            pauli_projector("x", 0)

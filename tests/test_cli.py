@@ -227,6 +227,33 @@ class TestBerkson:
                     "--out", str(tmp_path / "reduced.csv")]) == cli.EXIT_OK
         assert "equivalence OK" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        # seven rows give the weight 1/2, the last row 1
+        (lambda rows: [r.replace("0,1,", "0,1/2,", 1) for r in rows[:8]] + rows[8:],
+         "line 9: term 0 has weight 1, but an earlier row gives 1/2"),
+        # P(b=0 | d=0, e=1) first read as 0, then as 1 by a repeated row
+        (lambda rows: rows[:2] + ["0,1,0,0,1,0"] + rows[3:] + [rows[2]],
+         r"line 10: repeated cell \(b, d, e\) = \(0, 0, 1\) of term 0"),
+    ], ids=["weights", "cell"])
+    def test_reduce_conflicting_rows_are_usage_error(self, edit, message, tmp_path, capsys):
+        rows = berkson.mixture_terms_to_csv([berkson.MixtureTerm(1, DE_TABLE)]).splitlines()
+        spec = tmp_path / "terms.csv"
+        spec.write_text("\n".join(edit(rows)) + "\n")
+        assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and re.search(message, err)
+
+    def test_reduce_float_spec_is_equivalent(self, tmp_path, capsys):
+        # the reduction of 0.7/0.2/0.1 differs from the direct sum by round-off
+        tables = (DE_TABLE, [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],
+                  [[[1, 1], [1, 1]], [[0, 0], [0, 0]]])
+        terms = [berkson.MixtureTerm(w, t) for w, t in zip((0.7, 0.2, 0.1), tables)]
+        spec = tmp_path / "terms.csv"
+        spec.write_text(berkson.mixture_terms_to_csv(terms))
+        assert run(["berkson", "reduce", "--spec", str(spec),
+                    "--out", str(tmp_path / "reduced.csv")]) == cli.EXIT_OK
+        assert "equivalence OK" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_noiseless_report(self, tmp_path, schema):

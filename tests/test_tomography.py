@@ -40,7 +40,7 @@ class TestCountTable:
     def test_matches_joint_distribution(self):
         tau = build_scenario("physc")
         table = expected_counts(tau, 27_000)
-        block = table.setting("x", "y", "z")           # (c, b, d)
+        block = table.counts[0, 1, 2]                   # (c, b, d) at (x, y, z)
         joint = joint_distribution(tau, "x", "y", "z")  # (c, d, b), sums to 1
         assert np.allclose(block, joint.transpose(0, 2, 1) * 1000.0, atol=1e-9)
 
@@ -187,12 +187,21 @@ class TestFitConfig:
         assert np.array_equal(rho_a.mat, rho_b.mat)
 
 
+# Kron-built rows of the conditioned fit over (s, t, c, d): the transpose of
+# Pi_c x Pi_d, flattened, for sigma_s on C and sigma_t on D, to be applied to
+# vec(T_D rho).
+_CD_KRON_ROWS = np.stack([np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
+                                  pauli_projector(tomography.AXES[ti], 1 - 2 * di)).T.reshape(-1)
+                          for si, ti, ci, di in product(range(3), range(3), range(2), range(2))])
+
+
 def _direct_model(s_mat, dim):
     """The model rows of S computed without the linear map."""
     if dim == 8:
         return np.concatenate([tomography._cell_probabilities(s_mat),
                                tomography._penalty_residuals(s_mat)])
-    return np.real(tomography._CD_MEAS_STACK @ s_mat.reshape(-1))
+    td = matlin.partial_transpose(s_mat, tomography.CD_FACTORS, "D")
+    return np.real(_CD_KRON_ROWS @ td.reshape(-1))
 
 
 def _weighted_rows(dim, lin, rng):
@@ -463,13 +472,18 @@ class TestConditionedFit:
         assert res.converged and res.gap <= optimize.GAP_TOL and res.n_iter > 1
 
     def test_stack_bit_identical_to_kron_loop(self):
-        rows = [np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
-                        pauli_projector(tomography.AXES[ti], 1 - 2 * di).T).T.reshape(-1)
-                for si, ti, ci, di in product(range(3), range(3), range(2), range(2))]
-        ref = np.stack(rows)
         stack = tomography._CD_MEAS_STACK
-        assert np.array_equal(stack, ref)
-        assert np.array_equal(np.signbit(stack.view(float)), np.signbit(ref.view(float)))
+        assert np.array_equal(stack, _CD_KRON_ROWS)
+        assert np.array_equal(np.signbit(stack.view(float)), np.signbit(_CD_KRON_ROWS.view(float)))
+
+    def test_cell_probabilities_are_born_rule(self):
+        # rows on vec(T_D rho) give Tr[rho Pi_c x T(Pi_d)], the model of _CD_OPS
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            want = np.real(np.einsum("kab,ba->k", _CD_OPS, rho))
+            assert np.max(np.abs(tomography._cd_cell_probabilities(rho) - want)) <= 1e-15
 
 
 def _ccd_statistic(fit):

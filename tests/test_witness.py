@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcausal import causal, matlin, witness
-from qcausal.causal import build_scenario, random_probabilistic_mixture
+from qcausal.causal import build_scenario, joint_distribution, random_probabilistic_mixture
 from qcausal.quantum import DensityOperator, bell_phi_plus, ket_dm, pauli_projector, KET_H, KET_V
 from qcausal.witness import (
     Thresholds,
     classify,
-    distribution_from_choi,
     negativity,
     witness_ccd0,
     witness_ccd_from_counts,
@@ -96,28 +95,28 @@ class TestCcdForms:
             witness_ccd_from_counts(np.zeros((2, 2, 2)))
 
     def test_ccd0_equals_ccd_for_uniform_marginals(self):
-        p = distribution_from_choi(build_scenario("physc"))
+        p = joint_distribution(build_scenario("physc"), "x", "y", "z")
         assert witness_ccd0(p) == pytest.approx(witness_ccd_from_distribution(p), abs=1e-10)
 
 
 class TestScenarioValues:
     def test_physc_value(self):
-        p = distribution_from_choi(build_scenario("physc"), ("x", "y", "z"))
+        p = joint_distribution(build_scenario("physc"), "x", "y", "z")
         assert witness_ccd_from_distribution(p) == pytest.approx(0.5, abs=1e-10)
 
     def test_coh_value(self):
-        p = distribution_from_choi(build_scenario("coh"), ("x", "y", "z"))
+        p = joint_distribution(build_scenario("coh"), "x", "y", "z")
         assert witness_ccd_from_distribution(p) == pytest.approx(-0.5, abs=1e-10)
 
     def test_probabilistic_scenarios_vanish(self):
         for sid in ("probc", "probq"):
-            p = distribution_from_choi(build_scenario(sid), ("x", "y", "z"))
+            p = joint_distribution(build_scenario(sid), "x", "y", "z")
             assert abs(witness_ccd_from_distribution(p)) < 1e-10
 
     def test_epsmix_needs_the_right_setting(self):
         tau = build_scenario("epsmix", eps=0.1)
-        blind = witness_ccd_from_distribution(distribution_from_choi(tau, ("x", "y", "z")))
-        seeing = witness_ccd_from_distribution(distribution_from_choi(tau, ("z", "z", "z")))
+        blind = witness_ccd_from_distribution(joint_distribution(tau, "x", "y", "z"))
+        seeing = witness_ccd_from_distribution(joint_distribution(tau, "z", "z", "z"))
         assert abs(blind) < 1e-10
         assert seeing == pytest.approx(0.05, abs=1e-10)
 
