@@ -2,8 +2,11 @@
 posterior inversion for probabilistic mixtures, and the induced-correlation
 upper bound that physical mixtures can exceed.
 
-Probabilities may be floats or fractions.Fraction; the two-term reduction is
-exact algebra when fed rationals.
+Probabilities may be floats or fractions.Fraction.  The two-term reduction of
+a probabilistic mixture is exact algebra on (b, d, e) object arrays when fed
+rationals; all terms share term 0's (b, d, e) shape.  `reduce_spec` is the
+layout of `qcausal berkson reduce`: lambda uniform over the spec's e values,
+C = E = lambda, and both output terms written on the spec's own cells.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -23,6 +26,12 @@ from .causal import ConditioningError
 class NotProbabilisticMixtureError(ValueError):
     """A mechanism depends on both D and E, so the control variable acts as a
     common cause itself."""
+
+
+def _check_probabilities(probs: np.ndarray, what: str) -> None:
+    """ValueError unless every entry lies in [0, 1], to 1e-15; a NaN entry fails."""
+    if not np.all(np.abs(probs - 0.5) <= 0.5 + 1e-15):
+        raise ValueError(f"{what}: probabilities must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -38,8 +47,7 @@ class JointDistribution:
         object.__setattr__(self, "variables", tuple((str(n), int(c)) for n, c in self.variables))
         if probs.shape != tuple(c for _, c in self.variables):
             raise ValueError("probability table shape does not match cardinalities")
-        if np.any(probs < -1e-15):
-            raise ValueError("negative probability")
+        _check_probabilities(probs, "joint distribution")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {probs.sum()}")
 
@@ -88,6 +96,7 @@ class ClassicalMixtureSpec:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("weight p must lie in [0, 1]")
         for m in (md, me):
+            _check_probabilities(m, "mechanism")
             if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-12:
                 raise ValueError("mechanism columns must be normalized over B")
 
@@ -145,58 +154,59 @@ def physc_distribution():
 @dataclass(frozen=True)
 class MixtureTerm:
     """One term of a probabilistic mixture: weight and mechanism P(B|D,E),
-    given as nested lists table[b][d][e] (floats or Fractions)."""
+    given as nested lists table[b][d][e] (floats or Fractions), and held also
+    as ``array``, a read-only object array of a non-empty (b, d, e) box."""
 
     weight: object
     table: tuple
-
-    @staticmethod
-    def _freeze(table):
-        return tuple(tuple(tuple(row) for row in plane) for plane in table)
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "table", self._freeze(self.table))
+        array = np.array(self.table, dtype=object)
+        if array.ndim != 3 or not array.size:
+            raise ValueError("a mechanism table must be a non-empty (b, d, e) box")
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "table", tuple(tuple(map(tuple, plane))
+                                                for plane in array.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureContext:
     """Shared latent structure: P(lambda), P(C|lambda) and P(E|lambda),
-    as nested lists p_lambda[l], p_c[c][l], p_e[e][l]."""
+    as nested lists p_lambda[l], p_c[c][l], p_e[e][l]; kept as object arrays."""
 
-    p_lambda: tuple
-    p_c_given_lambda: tuple
-    p_e_given_lambda: tuple
+    p_lambda: np.ndarray
+    p_c_given_lambda: np.ndarray
+    p_e_given_lambda: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p_lambda", tuple(self.p_lambda))
-        object.__setattr__(self, "p_c_given_lambda",
-                           tuple(tuple(r) for r in self.p_c_given_lambda))
-        object.__setattr__(self, "p_e_given_lambda",
-                           tuple(tuple(r) for r in self.p_e_given_lambda))
-
-    @property
-    def n_lambda(self):
-        return len(self.p_lambda)
-
-    def p_c(self, c):
-        return sum(self.p_c_given_lambda[c][l] * self.p_lambda[l]
-                   for l in range(self.n_lambda))
+        for name in ("p_lambda", "p_c_given_lambda", "p_e_given_lambda"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=object))
 
 
-def _depends_on(table, axis) -> bool:
-    """Whether P(B|D,E) varies along D (axis=0) or E (axis=1)."""
-    nb, nd, ne = len(table), len(table[0]), len(table[0][0])
-    for b, d, e in product(range(nb), range(nd), range(ne)):
-        ref = table[b][0][e] if axis == 0 else table[b][d][0]
-        if table[b][d][e] != ref:
-            return True
-    return False
+def _mixture_shape(terms, ctx: MixtureContext | None = None) -> tuple:
+    """The (n_b, n_d, n_e) shape of term 0.  ValueError naming the term unless
+    every term has that shape, or, given a context, unless its P(e|lambda) is
+    (n_e, n_lambda)."""
+    if not terms:
+        raise ValueError("a mixture needs at least one term")
+    shape = terms[0].array.shape
+    for i, term in enumerate(terms):
+        if term.array.shape != shape:
+            raise ValueError(f"term {i}: table shape (b, d, e) = {term.array.shape}, "
+                             f"but term 0 has {shape}")
+    if ctx is not None and ctx.p_e_given_lambda.shape != (shape[2], len(ctx.p_lambda)):
+        raise ValueError(f"P(e|lambda) has shape {ctx.p_e_given_lambda.shape}, not "
+                         f"(n_e, n_lambda) = {(shape[2], len(ctx.p_lambda))}")
+    return shape
 
 
 def term_kind(term: MixtureTerm) -> str:
     """'cause-effect' if the mechanism uses only D, 'common-cause' if only E."""
-    dep_d = _depends_on(term.table, 0)
-    dep_e = _depends_on(term.table, 1)
+    a = term.array
+    dep_d = (a[:, 1:, :] != a[:, :1, :]).any()
+    dep_e = (a[:, :, 1:] != a[:, :, :1]).any()
     if dep_d and dep_e:
         raise NotProbabilisticMixtureError(
             "mechanism depends on both D and E; this is a physical mixture")
@@ -208,19 +218,10 @@ def induced_p_cb_given_d(terms, ctx: MixtureContext):
 
     Nested list out[c][b][d]; exact when all inputs are Fractions.
     """
-    t0 = terms[0].table
-    nb, nd, ne = len(t0), len(t0[0]), len(t0[0][0])
-    nc = len(ctx.p_c_given_lambda)
-    out = [[[0 for _ in range(nd)] for _ in range(nb)] for _ in range(nc)]
-    for term in terms:
-        for c, b, d in product(range(nc), range(nb), range(nd)):
-            acc = 0
-            for l in range(ctx.n_lambda):
-                for e in range(ne):
-                    acc += (term.table[b][d][e] * ctx.p_e_given_lambda[e][l]
-                            * ctx.p_c_given_lambda[c][l] * ctx.p_lambda[l])
-            out[c][b][d] += term.weight * acc
-    return out
+    _mixture_shape(terms, ctx)
+    mech = sum(term.weight * term.array for term in terms)
+    return np.einsum("bde,el,cl,l->cbd", mech, ctx.p_e_given_lambda,
+                     ctx.p_c_given_lambda, ctx.p_lambda).tolist()
 
 
 def reduce_to_two_terms(terms, ctx: MixtureContext):
@@ -230,50 +231,45 @@ def reduce_to_two_terms(terms, ctx: MixtureContext):
     Returns ((w_ce, p_b_given_d), (w_cc, p_b_given_lambda)); a vacuous side
     carries weight 0 and a uniform table.
     """
-    t0 = terms[0].table
-    nb, nd, ne = len(t0), len(t0[0]), len(t0[0][0])
-    nl = ctx.n_lambda
-    w_ce = 0
-    w_cc = 0
-    p_bd = [[0 for _ in range(nd)] for _ in range(nb)]
-    p_bl = [[0 for _ in range(nl)] for _ in range(nb)]
-    for term in terms:
-        kind = term_kind(term)
-        if kind == "cause-effect":
-            w_ce = w_ce + term.weight
-            for b, d in product(range(nb), range(nd)):
-                p_bd[b][d] += term.weight * term.table[b][d][0]
-        else:
-            w_cc = w_cc + term.weight
-            for b, l in product(range(nb), range(nl)):
-                p_bl[b][l] += term.weight * sum(
-                    term.table[b][0][e] * ctx.p_e_given_lambda[e][l] for e in range(ne))
+    nb, nd, _ = _mixture_shape(terms, ctx)
+    kinds = [term_kind(term) for term in terms]
+
+    def side(kind, cut):
+        picked = [t for t, k in zip(terms, kinds) if k == kind]
+        return sum(t.weight for t in picked), sum(t.weight * cut(t.array) for t in picked)
+
+    (w_ce, p_bd), (w_cc, p_be) = (side("cause-effect", lambda a: a[:, :, 0]),
+                                  side("common-cause", lambda a: a[:, 0, :]))
     one = Fraction(1) if isinstance(w_ce + w_cc, Fraction) else 1.0
-    if w_ce:
-        p_bd = [[x / w_ce for x in row] for row in p_bd]
-    else:
-        p_bd = [[one / nb for _ in range(nd)] for _ in range(nb)]
-    if w_cc:
-        p_bl = [[x / w_cc for x in row] for row in p_bl]
-    else:
-        p_bl = [[one / nb for _ in range(nl)] for _ in range(nb)]
-    return (w_ce, p_bd), (w_cc, p_bl)
+    p_bd = p_bd / w_ce if w_ce else np.full((nb, nd), one / nb)
+    p_bl = (p_be.dot(ctx.p_e_given_lambda) / w_cc if w_cc
+            else np.full((nb, len(ctx.p_lambda)), one / nb))
+    return (w_ce, p_bd.tolist()), (w_cc, p_bl.tolist())
 
 
-def induced_from_reduction(reduced, ctx: MixtureContext, nc=None):
+def induced_from_reduction(reduced, ctx: MixtureContext):
     """P(cb|d) implied by a two-term reduction; same layout as
     induced_p_cb_given_d."""
     (w_ce, p_bd), (w_cc, p_bl) = reduced
-    nb, nd = len(p_bd), len(p_bd[0])
-    nl = ctx.n_lambda
-    nc = nc if nc is not None else len(ctx.p_c_given_lambda)
-    out = [[[0 for _ in range(nd)] for _ in range(nb)] for _ in range(nc)]
-    for c, b, d in product(range(nc), range(nb), range(nd)):
-        val = w_ce * p_bd[b][d] * ctx.p_c(c)
-        val += w_cc * sum(p_bl[b][l] * ctx.p_c_given_lambda[c][l] * ctx.p_lambda[l]
-                          for l in range(nl))
-        out[c][b][d] += val
-    return out
+    c_l = ctx.p_c_given_lambda * ctx.p_lambda
+    ce = np.einsum("bd,cl->cbd", np.array(p_bd, dtype=object), c_l)
+    cc = np.einsum("bl,cl->cb", np.array(p_bl, dtype=object), c_l)
+    return (w_ce * ce + w_cc * cc[:, :, None]).tolist()
+
+
+def reduce_spec(terms):
+    """Reduce a spec's terms against lambda uniform over the spec's own e
+    values, with C = E = lambda.  Returns the cause-effect and common-cause
+    output terms, both written on the spec's (b, d, e) cells, and whether the
+    induced P(cb|d) agrees before and after the reduction."""
+    shape = _mixture_shape(terms)
+    ctx = uniform_context(shape[2])
+    reduced = reduce_to_two_terms(terms, ctx)
+    ok = agree(induced_p_cb_given_d(terms, ctx), induced_from_reduction(reduced, ctx))
+    (w_ce, p_bd), (w_cc, p_be) = reduced
+    out = [MixtureTerm(w_ce, np.broadcast_to(np.array(p_bd, dtype=object)[:, :, None], shape)),
+           MixtureTerm(w_cc, np.broadcast_to(np.array(p_be, dtype=object)[:, None, :], shape))]
+    return out, ok
 
 
 def _parse_number(text: str):
@@ -292,9 +288,8 @@ def mixture_terms_to_csv(terms) -> str:
     w = csv.writer(buf)
     w.writerow(["term", "weight", "b", "d", "e", "prob"])
     for i, term in enumerate(terms):
-        nb, nd, ne = len(term.table), len(term.table[0]), len(term.table[0][0])
-        for b, d, e in product(range(nb), range(nd), range(ne)):
-            w.writerow([i, str(term.weight), b, d, e, str(term.table[b][d][e])])
+        for (b, d, e), p in np.ndenumerate(term.array):
+            w.writerow([i, str(term.weight), b, d, e, str(p)])
     return buf.getvalue()
 
 
@@ -312,21 +307,20 @@ def _check_term(i, term: MixtureTerm) -> None:
     table is a conditional distribution P(b | d, e)."""
     if not 0 <= term.weight <= 1:
         raise ValueError(f"term {i}: weight {term.weight} is outside [0, 1]")
-    nb, nd, ne = len(term.table), len(term.table[0]), len(term.table[0][0])
-    for d, e in product(range(nd), range(ne)):
-        column = [term.table[b][d][e] for b in range(nb)]
-        for b, p in enumerate(column):
-            if not 0 <= p <= 1:
-                raise ValueError(f"term {i}: P(b={b} | d={d}, e={e}) = {p} is outside [0, 1]")
-        if not agree(sum(column), 1):
-            raise ValueError(f"term {i}: P(b | d={d}, e={e}) sums to {sum(column)}, not 1")
+    for (b, d, e), p in np.ndenumerate(term.array):
+        if not 0 <= p <= 1:
+            raise ValueError(f"term {i}: P(b={b} | d={d}, e={e}) = {p} is outside [0, 1]")
+    for (d, e), total in np.ndenumerate(term.array.sum(axis=0)):
+        if not agree(total, 1):
+            raise ValueError(f"term {i}: P(b | d={d}, e={e}) sums to {total}, not 1")
 
 
 def mixture_terms_from_csv(text: str):
     """Read the mixture_terms_to_csv format, skipping empty lines.  Empty text,
     another header, no term rows, a row without 6 fields, a negative index, rows
-    of one term that disagree on its weight, a repeated or missing (b, d, e) cell
-    or terms that are not a normalized mixture of P(b | d, e) raise ValueError."""
+    of one term that disagree on its weight, a repeated or missing (b, d, e) cell,
+    terms of different (b, d, e) shapes or terms that are not a normalized
+    mixture of P(b | d, e) raise ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
@@ -352,16 +346,15 @@ def mixture_terms_from_csv(text: str):
         raise ValueError("the spec has no mixture term rows")
     terms = []
     for i in sorted(cells):
-        nb = max(b for b, _, _ in cells[i]) + 1
-        nd = max(d for _, d, _ in cells[i]) + 1
-        ne = max(e for _, _, e in cells[i]) + 1
-        for cell in product(range(nb), range(nd), range(ne)):
+        nb, nd, ne = (int(n) + 1 for n in np.max(list(cells[i]), axis=0))
+        # lazily, so that a stray huge index costs one step, not the whole box
+        for cell in ((b, d, e) for b in range(nb) for d in range(nd) for e in range(ne)):
             if cell not in cells[i]:
                 raise ValueError(f"term {i}: no row for cell (b, d, e) = {cell}")
-        table = [[[cells[i][(b, d, e)] for e in range(ne)] for d in range(nd)]
-                 for b in range(nb)]
-        terms.append(MixtureTerm(weights[i], table))
+        table = np.array([p for _, p in sorted(cells[i].items())], dtype=object)
+        terms.append(MixtureTerm(weights[i], table.reshape(nb, nd, ne)))
         _check_term(i, terms[-1])
+    _mixture_shape(terms)
     if not agree(sum(t.weight for t in terms), 1):
         raise ValueError(f"term weights sum to {sum(t.weight for t in terms)}, not 1")
     return terms

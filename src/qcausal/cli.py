@@ -166,19 +166,7 @@ def cmd_berkson(args) -> int:
     # reduce
     with open(args.spec) as fh:
         terms = berkson_mod.mixture_terms_from_csv(fh.read())
-    ctx = berkson_mod.uniform_context(2)
-    reduced = berkson_mod.reduce_to_two_terms(terms, ctx)
-    direct = berkson_mod.induced_p_cb_given_d(terms, ctx)
-    via = berkson_mod.induced_from_reduction(reduced, ctx)
-    ok = berkson_mod.agree(direct, via)
-    (w_ce, p_bd), (w_cc, p_bl) = reduced
-    nb = len(p_bd)
-    out_terms = [
-        berkson_mod.MixtureTerm(w_ce, [[[p_bd[b][d] for _ in range(2)]
-                                        for d in range(len(p_bd[0]))] for b in range(nb)]),
-        berkson_mod.MixtureTerm(w_cc, [[[p_bl[b][e] for e in range(len(p_bl[0]))]
-                                        for _ in range(2)] for b in range(nb)]),
-    ]
+    out_terms, ok = berkson_mod.reduce_spec(terms)
     _write_out(berkson_mod.mixture_terms_to_csv(out_terms), args.out)
     print(f"equivalence {'OK' if ok else 'FAILED'}", file=sys.stderr)
     return EXIT_OK if ok else EXIT_NUMERICAL

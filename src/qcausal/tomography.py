@@ -54,6 +54,12 @@ EPS_CELL = 0.5   # count floor in the weight 1/sqrt(max(n, EPS_CELL)) of a cell
 JITTER = 1e-3    # restart spread, in units of sqrt(runs per setting)
 
 
+def _check_counts(counts: np.ndarray) -> None:
+    """ValueError unless every count is finite and non-negative."""
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError("counts must be finite and non-negative")
+
+
 @dataclass(frozen=True)
 class CountTable:
     """Counts of one full experiment, indexed [s, t, u, c, b, d].
@@ -67,12 +73,11 @@ class CountTable:
     n_runs: int
 
     def __post_init__(self):
-        c = np.asarray(self.counts)
+        c = np.array(self.counts, dtype=float)
         if c.shape != (3, 3, 3, 2, 2, 2):
             raise ValueError("expected a (3, 3, 3, 2, 2, 2) count array")
-        if np.any(c < 0):
-            raise ValueError("negative counts")
-        object.__setattr__(self, "counts", c.astype(float))
+        _check_counts(c)
+        object.__setattr__(self, "counts", c)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -453,6 +458,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     counts = np.asarray(counts, dtype=float)
     if counts.shape != (3, 3, 2, 2):
         raise ValueError("expected a (3, 3, 2, 2) count array")
+    _check_counts(counts)
     data = counts.reshape(-1)
     weights = _count_weights(data)
     _, r, q_const, rest = _square_root_form(_CD_MAP * weights[:, None], -data * weights)

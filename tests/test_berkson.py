@@ -10,6 +10,7 @@ from qcausal import berkson
 from qcausal.berkson import (
     ClassicalMixtureSpec,
     JointDistribution,
+    MixtureContext,
     MixtureTerm,
     berkson_bound,
     berkson_posterior,
@@ -21,6 +22,7 @@ from qcausal.berkson import (
     mixture_terms_to_csv,
     mutual_information,
     physc_distribution,
+    reduce_spec,
     reduce_to_two_terms,
     term_kind,
     uniform_context,
@@ -54,6 +56,23 @@ class TestJointDistribution:
             JointDistribution((("X", 2),), np.array([0.7, 0.2]))
         with pytest.raises(ValueError):
             JointDistribution((("X", 2),), np.array([1.2, -0.2]))
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+            JointDistribution((("X", 2),), np.array([np.nan, 1.0]))
+
+
+class TestClassicalMixtureSpec:
+    @pytest.mark.parametrize("column", [[1.5, -0.5], [np.nan, 1.0], [np.nan, np.nan]],
+                             ids=["outside", "nan", "all_nan"])
+    @pytest.mark.parametrize("side", ["d", "e"])
+    def test_rejects_bad_mechanism(self, column, side):
+        good = np.array([[1.0, 0.0], [0.0, 1.0]])
+        bad = good.copy()
+        bad[:, 1] = column
+        md, me = (bad, good) if side == "d" else (good, bad)
+        with pytest.raises(ValueError, match="mechanism"):
+            ClassicalMixtureSpec(0.5, md, me)
 
 
 class TestBound:
@@ -133,6 +152,47 @@ def e_table(flip):
             for b in range(2)]
 
 
+def wide_table():
+    """P(b | d, e) = delta_{b, d mod 2} over d in {0, 1, 2}."""
+    return [[[Fraction(int(b == d % 2)) for _ in range(2)] for d in range(3)]
+            for b in range(2)]
+
+
+def _distribution(draw, n):
+    """n rationals with small numerators summing to 1, zeros allowed."""
+    raw = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+@st.composite
+def rational_mixtures(draw):
+    """Terms of cause-effect and common-cause kind over n_b, n_d, n_e, n_c and
+    n_lambda in {1, 2, 3}, with the context as lists p_lambda, p_c, p_e."""
+    nb, nd, ne, nc, nl = (draw(st.integers(1, 3)) for _ in range(5))
+    p_l = _distribution(draw, nl)
+    p_c = [list(row) for row in zip(*(_distribution(draw, nc) for _ in range(nl)))]
+    p_e = [list(row) for row in zip(*(_distribution(draw, ne) for _ in range(nl)))]
+    weights = _distribution(draw, draw(st.integers(1, 4)))
+    terms = []
+    for w in weights:
+        if draw(st.booleans()):                   # cause-effect: column per d
+            cols = [_distribution(draw, nb) for _ in range(nd)]
+            table = [[[cols[d][b]] * ne for d in range(nd)] for b in range(nb)]
+        else:                                     # common-cause: column per e
+            cols = [_distribution(draw, nb) for _ in range(ne)]
+            table = [[[cols[e][b] for e in range(ne)] for _ in range(nd)] for b in range(nb)]
+        terms.append(MixtureTerm(w, table))
+    return terms, (p_l, p_c, p_e)
+
+
+def loop_p_cb_given_d(terms, p_l, p_c, p_e):
+    """induced_p_cb_given_d entry by entry, from the lists of the context."""
+    nb, nd, ne = len(terms[0].table), len(terms[0].table[0]), len(terms[0].table[0][0])
+    return [[[sum(t.weight * t.table[b][d][e] * p_e[e][l] * p_c[c][l] * p_l[l]
+                  for t in terms for l in range(len(p_l)) for e in range(ne))
+              for d in range(nd)] for b in range(nb)] for c in range(len(p_c))]
+
+
 class TestReduction:
     def test_term_kinds(self):
         assert term_kind(MixtureTerm(Fraction(1), d_table(0))) == "cause-effect"
@@ -160,6 +220,68 @@ class TestReduction:
         (w_ce, _), (w_cc, p_bl) = reduce_to_two_terms(terms, ctx)
         assert w_ce == 0 and w_cc == 1
         assert p_bl == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+
+    @given(rational_mixtures())
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_is_exact(self, mixture):
+        terms, lists = mixture
+        ctx = MixtureContext(*lists)
+        direct = induced_p_cb_given_d(terms, ctx)
+        assert direct == loop_p_cb_given_d(terms, *lists)
+        assert induced_from_reduction(reduce_to_two_terms(terms, ctx), ctx) == direct
+
+    @pytest.mark.parametrize("table", [[], [[[]]], [[0, 1], [1, 0]], [[[1], [1, 0]]],
+                                       [[[[1]]]]],
+                             ids=["empty", "empty_e", "two_axes", "ragged", "four_axes"])
+    def test_term_rejects_non_box(self, table):
+        with pytest.raises(ValueError, match=r"non-empty \(b, d, e\) box"):
+            MixtureTerm(Fraction(1), table)
+
+    def test_term_array_is_read_only(self):
+        term = MixtureTerm(Fraction(1), d_table(0))
+        assert term.array.shape == (2, 2, 2) and term.array.tolist() == d_table(0)
+        with pytest.raises(ValueError):
+            term.array[0, 0, 0] = 0
+
+    @pytest.mark.parametrize("wide_first", [False, True])
+    def test_mismatched_shapes_name_the_term(self, wide_first):
+        terms = [MixtureTerm(Fraction(1, 2), d_table(0)),
+                 MixtureTerm(Fraction(1, 2), wide_table())][::-1 if wide_first else 1]
+        ctx = uniform_context(2)
+        for call in (lambda: reduce_to_two_terms(terms, ctx),
+                     lambda: induced_p_cb_given_d(terms, ctx),
+                     lambda: reduce_spec(terms),
+                     lambda: mixture_terms_from_csv(mixture_terms_to_csv(terms))):
+            with pytest.raises(ValueError, match=r"term 1: table shape \(b, d, e\)"):
+                call()
+
+    def test_context_must_match_e_values(self):
+        terms = [MixtureTerm(Fraction(1), e_table(0))]
+        for call in (reduce_to_two_terms, induced_p_cb_given_d):
+            with pytest.raises(ValueError, match=r"P\(e\|lambda\) has shape \(3, 3\)"):
+                call(terms, uniform_context(3))
+
+    def test_reduce_spec_keeps_the_cells(self):
+        d_is_2 = [[[Fraction(int(b == (d == 2))) for _ in range(2)] for d in range(3)]
+                  for b in range(2)]
+        terms = [MixtureTerm(Fraction(1, 3), wide_table()),
+                 MixtureTerm(Fraction(1, 3), d_is_2),
+                 MixtureTerm(Fraction(1, 3), [[[Fraction(int(b == e)) for e in range(2)]
+                                                for _ in range(3)] for b in range(2)])]
+        (ce, cc), ok = reduce_spec(terms)
+        assert ok
+        assert (ce.weight, cc.weight) == (Fraction(2, 3), Fraction(1, 3))
+        assert ce.array.shape == cc.array.shape == (2, 3, 2)
+        assert ce.table[0][2] == (Fraction(1, 2),) * 2      # P(b=0 | d=2) = (1 + 0)/2
+        assert [term_kind(ce), term_kind(cc)] == ["cause-effect", "common-cause"]
+
+    def test_reduce_spec_three_e_values(self):
+        table = [[[Fraction(int(b == (e == 2))) for e in range(3)] for _ in range(2)]
+                 for b in range(2)]
+        (ce, cc), ok = reduce_spec([MixtureTerm(Fraction(1), table)])
+        assert ok and ce.weight == 0 and cc.weight == 1
+        assert cc.table == MixtureTerm(1, table).table
+        assert ce.array.shape == (2, 2, 3)
 
     def test_csv_roundtrip(self):
         terms = [MixtureTerm(Fraction(2, 5), d_table(1)),
@@ -219,6 +341,12 @@ class TestReduction:
         lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
         del lines[2]                                  # the (0, 0, 1) row
         with pytest.raises(ValueError, match=r"term 0: no row for cell \(b, d, e\) = \(0, 0, 1\)"):
+            mixture_terms_from_csv("\n".join(lines))
+
+    def test_csv_huge_index_names_the_first_missing_cell(self):
+        lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
+        lines.append(f"0,1,{10 ** 30},0,0,0")
+        with pytest.raises(ValueError, match=r"term 0: no row for cell \(b, d, e\) = \(2, 0, 0\)"):
             mixture_terms_from_csv("\n".join(lines))
 
     def test_csv_short_row_names_its_line(self):

@@ -243,6 +243,52 @@ class TestBerkson:
         err = capsys.readouterr().err
         assert err.startswith("error:") and re.search(message, err)
 
+    @staticmethod
+    def _spec(tmp_path, fns, nd=2, ne=2):
+        """A spec of equal-weight terms P(b | d, e) = fn(b, d, e) over b in {0, 1}."""
+        w = f"1/{len(fns)}"
+        rows = ["term,weight,b,d,e,prob"] + [
+            f"{i},{w},{b},{d},{e},{fn(b, d, e)}" for i, fn in enumerate(fns)
+            for b in range(2) for d in range(nd) for e in range(ne)]
+        spec = tmp_path / "terms.csv"
+        spec.write_text("\n".join(rows) + "\n")
+        return spec
+
+    @pytest.mark.parametrize("wide_first", [False, True])
+    def test_reduce_mismatched_shapes_is_usage_error(self, wide_first, tmp_path, capsys):
+        narrow = [[[1, 1], [0, 0]], [[0, 0], [1, 1]]]
+        wide = [[[1, 1], [0, 0], [1, 1]], [[0, 0], [1, 1], [0, 0]]]   # b = d mod 2
+        tables = [wide, narrow] if wide_first else [narrow, wide]
+        spec = tmp_path / "terms.csv"
+        spec.write_text(berkson.mixture_terms_to_csv(
+            [berkson.MixtureTerm(Fraction(1, 2), t) for t in tables]))
+        assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: term 1: table shape (b, d, e)")
+
+    def test_reduce_three_e_values(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, [lambda b, d, e: int(b == d),
+                                     lambda b, d, e: int(b == (e == 2))], ne=3)
+        out = tmp_path / "reduced.csv"
+        assert run(["berkson", "reduce", "--spec", str(spec), "--out", str(out)]) == 0
+        assert "equivalence OK" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == 1 + 2 * 2 * 2 * 3
+
+    def test_reduce_writes_the_input_cells(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, [lambda b, d, e: int(b == d % 2),
+                                     lambda b, d, e: int(b == e)], nd=3)
+        out = tmp_path / "reduced.csv"
+        assert run(["berkson", "reduce", "--spec", str(spec), "--out", str(out)]) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        for term in ("0", "1"):
+            cells = {tuple(int(x) for x in r[2:5]) for r in rows if r[0] == term}
+            assert cells == {(b, d, e) for b in range(2) for d in range(3) for e in range(2)}
+        assert len(rows) == 2 * 2 * 3 * 2
+        again = tmp_path / "again.csv"
+        assert run(["berkson", "reduce", "--spec", str(out), "--out", str(again)]) == 0
+        assert capsys.readouterr().err.count("equivalence OK") == 2
+        assert again.read_text() == out.read_text()
+
     def test_reduce_float_spec_is_equivalent(self, tmp_path, capsys):
         # the reduction of 0.7/0.2/0.1 differs from the direct sum by round-off
         tables = (DE_TABLE, [[[1, 0], [1, 0]], [[0, 1], [0, 1]]],

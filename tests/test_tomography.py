@@ -84,6 +84,13 @@ class TestCountTable:
         with pytest.raises(ValueError):
             CountTable(-np.ones((3, 3, 3, 2, 2, 2)), 100)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -5.0])
+    def test_rejects_bad_count(self, bad):
+        counts = expected_counts(build_scenario("coh"), 27_000).counts.copy()
+        counts[1, 2, 0, 1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            CountTable(counts, 27_000)
+
 
 class TestFullFit:
     def test_noiseless_recovery(self):
@@ -435,6 +442,18 @@ class TestConditionedFit:
     def test_rejects_empty_table(self):
         with pytest.raises(ValueError, match="empty"):
             fit_conditioned_state(np.zeros((3, 3, 2, 2)), FAST)
+
+    @pytest.mark.parametrize("fill", [-5.0, np.nan, np.inf], ids=["negative", "nan", "inf"])
+    def test_rejects_bad_counts(self, fill):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            fit_conditioned_state(np.full((3, 3, 2, 2), fill), FAST)
+
+    def test_rejects_one_nan_cell(self):
+        st_cd, _ = induced_state_given_b(build_scenario("coh"), pauli_projector("z", +1))
+        counts = expected_conditioned_counts(st_cd, 90_000).copy()
+        counts[2, 0, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            fit_conditioned_state(counts, FAST)
 
     @pytest.mark.parametrize("name, counts", _berkson_tables())
     def test_optimality_certificate(self, name, counts):
