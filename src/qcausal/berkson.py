@@ -174,7 +174,11 @@ class MixtureTerm:
 @dataclass(frozen=True, eq=False)
 class MixtureContext:
     """Shared latent structure: P(lambda), P(C|lambda) and P(E|lambda),
-    as nested lists p_lambda[l], p_c[c][l], p_e[e][l]; kept as object arrays."""
+    as nested lists p_lambda[l], p_c[c][l], p_e[e][l]; kept as object arrays.
+
+    ValueError unless P(lambda) is a non-empty vector, the two conditional
+    tables have one column per lambda, every entry lies in [0, 1] and
+    P(lambda) and each column sum to 1, by the agree rule."""
 
     p_lambda: np.ndarray
     p_c_given_lambda: np.ndarray
@@ -183,6 +187,20 @@ class MixtureContext:
     def __post_init__(self):
         for name in ("p_lambda", "p_c_given_lambda", "p_e_given_lambda"):
             object.__setattr__(self, name, np.array(getattr(self, name), dtype=object))
+        if self.p_lambda.ndim != 1 or not self.p_lambda.size:
+            raise ValueError(f"P(lambda) must be a non-empty vector, got shape {self.p_lambda.shape}")
+        n_lambda = len(self.p_lambda)
+        _check_probabilities(self.p_lambda, "P(lambda)")
+        if not agree(self.p_lambda.sum(), 1):
+            raise ValueError(f"P(lambda) sums to {self.p_lambda.sum()}, not 1")
+        for var, table in (("c", self.p_c_given_lambda), ("e", self.p_e_given_lambda)):
+            if table.ndim != 2 or table.shape[1] != n_lambda:
+                raise ValueError(f"P({var}|lambda) has shape {table.shape}, not "
+                                 f"(n_{var}, n_lambda) with n_lambda = {n_lambda}")
+            _check_probabilities(table, f"P({var}|lambda)")
+            for l, total in enumerate(table.sum(axis=0)):
+                if not agree(total, 1):
+                    raise ValueError(f"P({var}|lambda={l}) sums to {total}, not 1")
 
 
 def _mixture_shape(terms, ctx: MixtureContext | None = None) -> tuple:

@@ -184,6 +184,7 @@ def _add_experiment_flags(p):
     p.add_argument("--runs", type=int, default=tomography.DEFAULT_RUNS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", choices=("none", "poisson"), default="poisson")
+    # recorded in the report, whose schema requires them; no fit reads them
     p.add_argument("--lambda", dest="penalty", type=float, default=1e7)
     p.add_argument("--restarts", type=int, default=1)
 

@@ -6,31 +6,28 @@ repreparation on D, u on B), N/27 runs each, recording the 8 outcome
 triples.  Both experiments take their Pauli rows from causal's one builder,
 in one convention, each row dotted with vec(T_D rho): the 216 rows of
 MEAS_STACK for tau_CBD and its two-wire stack, 36 rows, for a (C, D) state
-of the Berkson analysis.  Both fits minimize the count residuals weighted by
-1/sqrt(max(n, EPS_CELL)).  Every residual row is real-linear in S, so each
-model is one real matrix L built once from the code that defines it, and
-once per fit the weighted rows are put in square-root form: the thin
-Householder QR L H = Q R over an orthonormal basis H of the Hermitian
-matrices gives the cost of S = H z as ||R z + Q^T c||^2 plus a constant.
+of the Berkson analysis.  Every cell mean is real-linear in the fitted
+Hermitian S, so each model is one real matrix built once at import from the
+code that defines it.  Both fits are exact convex programs over positive
+semidefinite S, solved by optimize.psd_minimize and stopped by a certified
+duality gap; of FitConfig they read only max_iter, which caps the
+interior-point steps.
 
-The (C, D) state of the Berkson analysis is fitted exactly: its cost is
-minimized over positive semidefinite S by optimize.psd_least_squares, the
-closed form when that is positive definite and primal-dual interior-point
-steps otherwise, stopped by a certified duality gap.  Of FitConfig it reads
-only max_iter, which caps those steps.
+tau_CBD is the Poisson maximum-likelihood estimate (Hradil, PRA 55, R1561
+(1997)) over the S that cannot signal from B back to (C, D).  Those S form a
+52-dimensional subspace of the Hermitian 8x8 matrices, the null space of
+no_retro_deviation; _NO_RETRO_BASIS is a trace-orthonormal basis of it, and
+_CBD_ROWS the (216, 52) count model over its coordinates.  The identity lies
+in the subspace, and every cell mean is Tr(S P) with P >= 0, so S > 0 keeps
+every mean positive.  The fit starts from the Neyman-weighted least-squares
+solution lifted along the identity until positive definite.
 
-The tripartite fit is still penalized weighted least squares over a
-Cholesky-parametrized S = J^dag J, with a large quadratic penalty enforcing
-that the fitted map cannot signal from B back to (C, D), solved by
-Levenberg-Marquardt in the _wls_fit driver.  LM runs on the 65 rows of the
-square-root form (_lm_rows), [R; 0] H^T with constants [Q^T c; rest], which
-have the cost, gradient and Gauss-Newton matrix of the 248 full rows.  Row k
-is Tr(B_k S) plus a constant for the Hermitian B_k = sum_i R_ki E_i, so the
-exact Jacobian is one real product of J with the stacked B_k: the rows and
-the stack both come from R and the one Hermitian basis.  FitConfig holds
-only what callers set: lam, the restart seed (0 by default, so a default fit
-repeats), the number of restarts and the iteration budget; EPS_CELL and
-JITTER are constants.
+The (C, D) state is fitted by Neyman-weighted least squares, weights
+1/sqrt(max(n, EPS_CELL)), over all Hermitian 4x4 S >= 0: the weighted rows
+are put in square-root form, the thin Householder QR L H = Q R over an
+orthonormal basis H of the Hermitian matrices, which gives the cost of
+S = H z as ||R z + Q^T c||^2 plus a constant, and optimize.psd_least_squares
+takes the closed form when that is positive definite.
 """
 
 from __future__ import annotations
@@ -51,7 +48,7 @@ from .quantum import PAULI_AXES as AXES, DensityOperator
 
 DEFAULT_RUNS = 200_000
 EPS_CELL = 0.5   # count floor in the weight 1/sqrt(max(n, EPS_CELL)) of a cell
-JITTER = 1e-3    # restart spread, in units of sqrt(runs per setting)
+START_LIFT = 0.01   # smallest start eigenvalue of the tau_CBD fit, over the mean one
 
 
 def _check_counts(counts: np.ndarray) -> None:
@@ -151,11 +148,11 @@ def sample_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS,
 class FitConfig:
     """Settings of the fits.
 
-    fit_causal_map reads all four: the penalty weight on the
-    no-retrocausation rows, the seed of the restart jitter, the number of LM
-    runs and the iteration budget of each.  fit_conditioned_state reads only
-    max_iter, which caps its interior-point steps; lam, seed and restarts
-    are unused there.
+    Both fits read only max_iter, which caps their interior-point steps.
+    lam, seed and restarts are kept, validated, for the penalty weight, the
+    restart seed and the restart count of an earlier penalized fit; the
+    certified fits have no penalty, no random start and no restart, so they
+    ignore them.
     """
 
     lam: float = 1e7
@@ -174,15 +171,20 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """A tau_CBD fit.  cost is the Poisson deviance over two at the fitted S,
+    gap the certified bound on its distance to the optimum, chi2 the Neyman
+    chi^2 sum_k (m_k - n_k)^2 / max(n_k, EPS_CELL) of the fitted means, and
+    penalty_residual the largest no-retrocausation deviation of tau."""
+
     tau: CausalChoi
     cost: float
     chi2: float
     penalty_residual: float
     n_iter: int
     converged: bool
+    gap: float
     params: np.ndarray
     config: FitConfig
-    restart_costs: tuple = ()
 
     def to_json(self) -> str:
         import json
@@ -193,18 +195,12 @@ class FitResult:
             "chi2": self.chi2,
             "penalty_residual": self.penalty_residual,
             "cost": self.cost,
+            "gap": self.gap if math.isfinite(self.gap) else None,   # None: no certificate
             "converged": self.converged,
             "n_iter": self.n_iter,
             "config": {"lam": cfg.lam, "eps_cell": EPS_CELL, "seed": cfg.seed,
-                       "restarts": cfg.restarts, "jitter": JITTER,
-                       "max_iter": cfg.max_iter},
+                       "restarts": cfg.restarts, "max_iter": cfg.max_iter},
         })
-
-
-def _penalty_residuals(s_mat: np.ndarray) -> np.ndarray:
-    """Deviation of Tr_B(S) from Tr_BD(S) x 1/2, as 32 real numbers."""
-    flat = no_retro_deviation(s_mat).reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
 
 
 def _real_linear_map(fn, dim: int) -> np.ndarray:
@@ -214,57 +210,8 @@ def _real_linear_map(fn, dim: int) -> np.ndarray:
     return np.stack([fn(z * e) for e in units for z in (1.0, 1j)], axis=1)
 
 
-# Model rows of the 8x8 fit: the 216 cell probabilities, then the 32
-# no-retrocausation residuals.
-_CBD_MAP = _real_linear_map(
-    lambda s: np.concatenate([_cell_probabilities(s), _penalty_residuals(s)]), 8)
-
-
-@functools.cache
-def _factor_layout(dim: int):
-    """Where each parameter x_p enters J: the entries of the real block form
-    [[Re J, -Im J], [Im J, Re J]] it fills, with their signs, and the row
-    (Re or Im, a, b) of the grid of J A_k entries that holds dr/dx_p."""
-    n = dim * dim
-    e = np.stack([matlin.cholesky_factor(u, dim) for u in np.eye(n)])   # dJ/dx_p
-    blocks = np.concatenate([np.concatenate([e.real, -e.imag], axis=2),
-                             np.concatenate([e.imag, e.real], axis=2)], axis=1)
-    p, pos = np.nonzero(blocks.reshape(n, -1))
-    _, rows = np.nonzero(np.stack([e.real, e.imag], axis=1).reshape(n, -1))
-    return pos, p, blocks.reshape(n, -1)[p, pos], rows
-
-
-def _residual(x: np.ndarray, lin: np.ndarray, const: np.ndarray, dim: int) -> np.ndarray:
-    """r(x) = L [Re S, Im S] + c with S = J^dag J built from x."""
-    return lin @ matlin.cholesky_psd(x, dim).reshape(-1).view(float) + const
-
-
-def _jacobian(x: np.ndarray, stack: np.ndarray, dim: int) -> np.ndarray:
-    """dr/dx for the rows r_k = Tr(A_k S) + c_k of Hermitian A_k, given as
-    the real (2 dim, dim, K) stack whose entry [p dim + a, b, k] is
-    2 Re (A_k)_ab for p = 0 and 2 Im (A_k)_ab for p = 1 (see _lm_rows).
-
-    With S = J^dag J, dr_k/dRe J_ab = 2 Re(J A_k)_ab and dr_k/dIm J_ab =
-    2 Im(J A_k)_ab, so every J A_k comes from one real product of the block
-    form of J with the stack, and the Jacobian is a gather of its rows.
-    """
-    pos, src, sign, rows = _factor_layout(dim)
-    block = np.zeros(4 * dim * dim)
-    block[pos] = sign * x[src]
-    grid = block.reshape(2 * dim, 2 * dim) @ stack.reshape(2 * dim, -1)
-    return grid.reshape(2 * dim * dim, -1)[rows].T
-
-
-def _cost_flattened(history, tail_frac: float = 0.1, rel: float = 0.01) -> bool:
-    """Whether the cost curve gained less than `rel` over its final stretch.
-
-    A fit that hits max_iter while only polishing the last fraction of a
-    percent is effectively converged; only genuinely stuck runs fail this.
-    """
-    if len(history) < 20:
-        return False
-    tail = history[int((1.0 - tail_frac) * len(history)):]
-    return (tail[0] - tail[-1]) < rel * max(tail[-1], 1e-30)
+# The 216 cell probabilities of an 8x8 S, as a real-linear map.
+_CBD_MAP = _real_linear_map(_cell_probabilities, 8)
 
 
 @functools.cache
@@ -284,6 +231,35 @@ def _basis_stack(dim: int) -> np.ndarray:
     return basis
 
 
+def _real_form(basis: np.ndarray) -> np.ndarray:
+    """The real (2 dim^2, n) matrix whose column i is E_i.reshape(-1).view(float)."""
+    return basis.reshape(len(basis), -1).view(float).T
+
+
+def _no_retro_basis() -> np.ndarray:
+    """A trace-orthonormal basis of the Hermitian 8x8 S with no_retro_deviation
+    S = 0, as a (52, 8, 8) stack: the null space of the 32 real deviation
+    rows in the coordinates of _basis_stack(8), whose rank is 12."""
+    def rows(s):
+        flat = no_retro_deviation(s).reshape(-1)
+        return np.concatenate([flat.real, flat.imag])
+
+    deviation = _real_linear_map(rows, 8)
+    _, sing, vh = np.linalg.svd(deviation @ _real_form(_basis_stack(8)))
+    rank = int(np.sum(sing > 1e-12 * sing[0]))
+    basis = np.tensordot(vh[rank:], _basis_stack(8), 1)
+    basis.flags.writeable = False
+    return basis
+
+
+# The tau_CBD fit's parameter space and count model: S = sum_i z_i F_i over
+# the no-retrocausation basis F, whose 216 cell means are _CBD_ROWS @ z.
+_NO_RETRO_BASIS = _no_retro_basis()
+_CBD_ROWS = _CBD_MAP @ _real_form(_NO_RETRO_BASIS)
+# coordinates of the identity, which lies in the span: Tr(F_i)
+_CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
+
+
 def _square_root_form(lin: np.ndarray, const: np.ndarray):
     """The weighted model rows (lin, const) as the square root of their cost.
 
@@ -293,119 +269,57 @@ def _square_root_form(lin: np.ndarray, const: np.ndarray):
     rest).
     """
     dim = math.isqrt(lin.shape[1] // 2)
-    q, r = np.linalg.qr(lin @ _basis_stack(dim).reshape(dim * dim, -1).view(float).T)
+    q, r = np.linalg.qr(lin @ _real_form(_basis_stack(dim)))
     q_const = q.T @ const
     return q, r, q_const, float(np.linalg.norm(const - q @ q_const))
 
 
-def _lm_rows(lin: np.ndarray, const: np.ndarray):
-    """The weighted model rows (lin, const) as the dim^2 + 1 rows LM runs on.
-
-    From the _square_root_form, row k < dim^2 is (R z + Q^T const)_k =
-    Tr(B_k S) + (Q^T const)_k for Hermitian S = H z, with the Hermitian
-    B_k = sum_i R_ki E_i; one last row holds the constant rest.  These rows
-    keep ||r||^2, J^T J and J^T r of the full rows at every S = J^dag J.
-    Returns the rows [R; 0] H^T, the stack of the B_k in _jacobian's layout
-    and the constants [Q^T const; rest].
-    """
-    dim = math.isqrt(lin.shape[1] // 2)
-    _, r, q_const, rest = _square_root_form(lin, const)
-    r = np.vstack([r, np.zeros(dim * dim)])
-    basis = _basis_stack(dim)
-    b = np.tensordot(r, basis, 1)
-    stack = 2.0 * np.stack([b.real, b.imag]).transpose(0, 2, 3, 1).reshape(2 * dim, dim, -1)
-    return r @ basis.reshape(dim * dim, -1).view(float), stack, np.append(q_const, rest)
-
-
 def _count_weights(data: np.ndarray) -> np.ndarray:
-    """Weights 1/sqrt(max(n, EPS_CELL)) of the count rows of both fits."""
+    """Weights 1/sqrt(max(n, EPS_CELL)) of the Neyman chi^2 of both fits."""
     if not data.any():
         raise ValueError("the count table is empty: there are no counts to fit")
     return 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
 
 
-def _wls_fit(data: np.ndarray, lin: np.ndarray, start: np.ndarray,
-             scale: float, config: FitConfig):
-    """Weighted least squares of the model rows lin over S = J^dag J.
-
-    The first len(data) rows fit the counts ``data`` with _count_weights;
-    later rows are penalty rows, target 0, weight sqrt(lam).  LM runs on the
-    _lm_rows of the weighted rows, which have the same cost and steps.  It
-    starts from the linear inversion ``start`` with its eigenvalues floored
-    above zero and trace ``scale``, then restarts jittered around it.
-    Returns the best LM result, its chi^2 over the full count rows and the
-    cost of every run.
-    """
-    dim = start.shape[0]
-    n_penalty = len(lin) - len(data)
-    weights = _count_weights(data)
-    lin = lin * np.concatenate([weights, np.full(n_penalty, np.sqrt(config.lam))])[:, None]
-    const = np.concatenate([-data * weights, np.zeros(n_penalty)])
-    lin_c, stack_c, const_c = _lm_rows(lin, const)
-
-    w, v = matlin.hermitian_eigs(matlin.hermitize(start))
-    clipped = (v * np.clip(w, 1e-6 * scale / dim, None)) @ v.conj().T
-    base = matlin.cholesky_params(matlin.hermitize(clipped / np.trace(clipped).real * scale), dim)
-    rng = np.random.default_rng(config.seed)
-    best, costs = None, []
-    for k in range(config.restarts):
-        x0 = base if k == 0 else base + JITTER * np.sqrt(scale) * rng.standard_normal(base.size)
-        res = optimize.levenberg_marquardt(lambda x: _residual(x, lin_c, const_c, dim),
-                                           lambda x: _jacobian(x, stack_c, dim),
-                                           x0, config.max_iter)
-        costs.append(res.cost)
-        if best is None or res.cost < best.cost:
-            best = res
-    counts = _residual(best.x, lin, const, dim)[:len(data)]
-    return best, float(counts @ counts), tuple(costs)
-
-
-def _project_no_retro(mat: np.ndarray) -> np.ndarray:
-    """Remove the (traceless) component violating Tr_B tau = rho_C x 1/2."""
-    corr = np.einsum("ikjl,ab->iakjbl", no_retro_deviation(mat), np.eye(2) / 2)
-    return matlin.hermitize(mat - corr.reshape(8, 8))
+def _poisson_start(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Coordinates of a positive definite start for the tau_CBD fit: the
+    least-squares solution over the span with the _count_weights, lifted
+    along the identity until its smallest eigenvalue is START_LIFT of the
+    mean one."""
+    rows = _CBD_ROWS * weights[:, None]
+    z = np.linalg.solve(rows.T @ rows, rows.T @ (data * weights))
+    w_min = np.linalg.eigvalsh(np.tensordot(z, _NO_RETRO_BASIS, 1))[0]
+    floor = START_LIFT * data.sum() / 216.0
+    return z + max(floor - w_min, 0.0) * _CBD_IDENTITY
 
 
 def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitResult:
     """Reconstruct the Choi state from a count table.
 
-    Parametrizes (N/27) tau = J^dag J with 64 real numbers, minimizes the
-    variance-weighted count residuals plus the no-signalling penalty, then
-    renormalizes the optimum to unit trace.  The first restart begins at the
-    linear-inversion estimate; further restarts jitter around it.
+    The Poisson maximum-likelihood estimate over the positive semidefinite S
+    that cannot signal from B back to (C, D): the 216 cell means m =
+    _CBD_ROWS z of S = sum_i z_i F_i minimize the negative log-likelihood
+    sum_k m_k - n_k log m_k (optimize.PoissonLikelihood) by
+    optimize.psd_minimize from _poisson_start.  At the optimum Tr S is the
+    total count over 27; tau is S over its trace.  ``converged`` means the
+    certified gap fell to optimize.GAP_TOL within config.max_iter steps;
+    otherwise tau is the last iterate, still a valid causal Choi state.
     """
     config = config or FitConfig()
     data = table.counts.reshape(-1)
     if table.n_runs <= 0 and data.any():
-        # n_runs/27 is the trace the fit starts from and is scaled by
         raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
-    # The 27 setting triples are Pauli-complete, so least squares on the
-    # (216, 64) system inverts the counts; S = J^dag J carries the N/27 scale.
-    v, *_ = np.linalg.lstsq(_MEAS_STACK, data.astype(complex), rcond=None)
-    start = matlin.partial_transpose(v.reshape(8, 8), CBD_FACTORS, "D")
-    best, chi2, restart_costs = _wls_fit(data, _CBD_MAP, start, table.n_runs / 27.0, config)
-    s_mat = matlin.cholesky_psd(best.x, 8)
-    normalized = s_mat / np.trace(s_mat).real
-    penalty = float(np.max(np.abs(_penalty_residuals(normalized))))
-    converged = (best.converged
-                 or (penalty < 1e-6 and _cost_flattened(best.history)))
-    tau_mat = _project_no_retro(normalized)
-    w_min = float(matlin.hermitian_eigs(tau_mat)[0].min())
-    if w_min < 0.0:
-        # lift roundoff negatives by blending in 1/8, which obeys the
-        # no-retrocausation constraint exactly and maps each eigenvalue w
-        # to (1 - eta) w + eta / 8
-        eta = min(1e-6, 16.0 * -w_min + 1e-14)
-        if (1.0 - eta) * w_min + eta / 8.0 < 0.0:
-            # more than roundoff (a fit stopped far from the constraint):
-            # the smallest blend that makes tau PSD
-            eta = -8.0 * w_min / (1.0 - 8.0 * w_min)
-            converged = False
-        tau_mat = matlin.hermitize((1.0 - eta) * tau_mat + eta * np.eye(8) / 8.0)
+    weights = _count_weights(data)
+    res = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_ROWS, data), _NO_RETRO_BASIS,
+                                _poisson_start(data, weights), config.max_iter)
+    s_mat = np.tensordot(res.x, _NO_RETRO_BASIS, 1)
+    tau_mat = matlin.hermitize(s_mat / np.trace(s_mat).real)
+    resid = (_CBD_ROWS @ res.x - data) * weights
+    penalty = float(np.max(np.abs(no_retro_deviation(tau_mat))))
     tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
-    return FitResult(tau=tau, cost=best.cost, chi2=chi2, penalty_residual=penalty,
-                     n_iter=best.n_iter, converged=converged,
-                     params=best.x, config=config, restart_costs=restart_costs)
+    return FitResult(tau=tau, cost=res.cost, chi2=float(resid @ resid), penalty_residual=penalty,
+                     n_iter=res.n_iter, converged=res.converged, gap=res.gap,
+                     params=res.x, config=config)
 
 
 # ---------------------------------------------------------------------------
@@ -481,8 +395,8 @@ def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
                         config: FitConfig | None = None) -> dict:
     """Parametric bootstrap around an observed count table.
 
-    Each resample Poisson-fluctuates the observed counts and is refitted with
-    a single restart, starting from its own linear inversion; ``statistic``
+    Each resample Poisson-fluctuates the observed counts and is refitted
+    with ``config`` by fit_causal_map; ``statistic``
     (a FitResult -> dict of floats) is then applied to every refit.  Returns
     per-key mean and standard deviation over ``n_resamples`` >= 2 refits.
 
@@ -495,7 +409,7 @@ def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
     """
     if n_resamples < 2:
         raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
-    configs = [replace(config or FitConfig(), restarts=1)] * n_resamples
+    configs = [config or FitConfig()] * n_resamples
     rng = np.random.default_rng(seed)
     tables = []
     for _ in range(n_resamples):

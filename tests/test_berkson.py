@@ -255,6 +255,38 @@ class TestReduction:
             with pytest.raises(ValueError, match=r"term 1: table shape \(b, d, e\)"):
                 call()
 
+    def test_context_rejects_negative_probabilities(self):
+        # P(lambda) = (2, -1) and P(c|lambda) columns (3, -2), (-2, 3) sum to 1
+        # but are no distributions; before validation they reduced to
+        # "probabilities" 7 and -11/2
+        eye = [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+        with pytest.raises(ValueError, match=r"P\(lambda\): probabilities must lie in \[0, 1\]"):
+            MixtureContext([Fraction(2), Fraction(-1)], [[3, -2], [-2, 3]], eye)
+        half = [Fraction(1, 2)] * 2
+        with pytest.raises(ValueError, match=r"P\(c\|lambda\): probabilities must lie"):
+            MixtureContext(half, [[3, -2], [-2, 3]], eye)
+
+    @pytest.mark.parametrize("p_lambda, p_c, message", [
+        ([Fraction(1, 2), Fraction(1, 3)], None, r"P\(lambda\) sums to 5/6, not 1"),
+        ([0.5, 0.5 + 1e-9], None, r"P\(lambda\) sums to"),
+        (None, [[Fraction(1, 2), 1], [Fraction(1, 3), 0]], r"P\(c\|lambda=0\) sums to 5/6"),
+        (None, [[1, 0, 0], [0, 1, 1]], r"P\(c\|lambda\) has shape \(2, 3\)"),
+        ([], None, r"P\(lambda\) must be a non-empty vector"),
+        ([[Fraction(1)]], None, r"P\(lambda\) must be a non-empty vector"),
+    ], ids=["lambda-sum", "lambda-float-sum", "c-column-sum", "c-shape", "empty", "matrix"])
+    def test_context_rejects_non_distributions(self, p_lambda, p_c, message):
+        ctx = uniform_context(2)
+        p_lambda = ctx.p_lambda.tolist() if p_lambda is None else p_lambda
+        p_c = ctx.p_c_given_lambda.tolist() if p_c is None else p_c
+        with pytest.raises(ValueError, match=message):
+            MixtureContext(p_lambda, p_c, ctx.p_e_given_lambda.tolist())
+
+    def test_context_accepts_float_rounding(self):
+        third = 1.0 / 3.0
+        ctx = MixtureContext([third, third, third], [[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]],
+                             [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert ctx.p_lambda.shape == (3,)
+
     def test_context_must_match_e_values(self):
         terms = [MixtureTerm(Fraction(1), e_table(0))]
         for call in (reduce_to_two_terms, induced_p_cb_given_d):

@@ -1,74 +1,13 @@
 import numpy as np
 import pytest
 
-from qcausal.optimize import GAP_TOL, levenberg_marquardt, numeric_jacobian, psd_least_squares
-
-
-def quad_residual(a, b):
-    def fn(x):
-        return a @ x - b
-    return fn
-
-
-class TestNumericJacobian:
-    def test_matches_analytic_linear(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((6, 4))
-        jac = numeric_jacobian(quad_residual(a, np.zeros(6)), rng.standard_normal(4))
-        assert np.allclose(jac, a, atol=1e-7)
-
-
-class TestLevenbergMarquardt:
-    def test_linear_least_squares(self):
-        rng = np.random.default_rng(2)
-        a = rng.standard_normal((10, 4))
-        b = rng.standard_normal(10)
-        res = levenberg_marquardt(quad_residual(a, b), lambda x: a, np.zeros(4), 200)
-        expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-        assert res.converged
-        assert np.allclose(res.x, expected, atol=1e-6)
-
-    def test_rosenbrock_valley(self):
-        def fn(x):
-            return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
-
-        def jac(x):
-            return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
-
-        res = levenberg_marquardt(fn, jac, np.array([-1.2, 1.0]), 500)
-        assert res.converged
-        assert np.allclose(res.x, [1.0, 1.0], atol=1e-5)
-
-    def test_analytic_jacobian_path(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
-        res = levenberg_marquardt(quad_residual(a, b), lambda x: a, np.zeros(3), 200)
-        expected, *_ = np.linalg.lstsq(a, b, rcond=None)
-        assert np.allclose(res.x, expected, atol=1e-6)
-
-    def test_already_optimal(self):
-        res = levenberg_marquardt(lambda x: x, lambda x: np.eye(3), np.zeros(3), 200)
-        assert res.converged and res.n_iter <= 1
-
-    def test_history_recorded(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((6, 2))
-        b = rng.standard_normal(6)
-        res = levenberg_marquardt(quad_residual(a, b), lambda x: a, np.zeros(2), 200)
-        assert len(res.history) >= 2
-        assert res.history[0] >= res.history[-1]
-        assert res.history[-1] == pytest.approx(res.cost)
-
-    def test_max_iter_respected(self):
-        def fn(x):
-            return np.array([np.exp(0.1 * x[0]) - 5.0])
-
-        def jac(x):
-            return np.array([[0.1 * np.exp(0.1 * x[0])]])
-
-        res = levenberg_marquardt(fn, jac, np.array([100.0]), 2)
-        assert res.n_iter <= 2
+from qcausal.optimize import (
+    GAP_TOL,
+    LeastSquares,
+    PoissonLikelihood,
+    psd_least_squares,
+    psd_minimize,
+)
 
 
 def _hermitian_basis(d):
@@ -132,3 +71,98 @@ class TestPsdLeastSquares:
         res = psd_least_squares(r, b, basis, 1)
         assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
+
+
+def _poisson_problem(seed, d=3, n_rows=30, mean=200.0):
+    """Counts over rows Tr(S P_k) of random rank-one P_k >= 0, Poisson-drawn
+    around a rank-one state plus 0.05 1; returns the rows a (n_rows, d^2),
+    the counts, the basis and a positive definite start."""
+    rng = np.random.default_rng(seed)
+    basis = _hermitian_basis(d)
+    kets = rng.standard_normal((n_rows, d)) + 1j * rng.standard_normal((n_rows, d))
+    proj = np.einsum("ka,kb->kab", kets, kets.conj())
+    a = np.real(np.einsum("kab,iba->ki", proj, basis))
+    g = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
+    truth = g @ g.conj().T + 0.05 * np.eye(d)             # near the boundary
+    truth *= mean / np.real(np.einsum("kab,ba->k", proj, truth)).mean()
+    counts = rng.poisson(np.real(np.einsum("kab,ba->k", proj, truth))).astype(float)
+    start = np.real(np.einsum("iaa->i", basis)) * counts.mean()
+    return a, counts, basis, start
+
+
+def _numeric_gradient(fn, z, step=1e-5):
+    return np.array([(fn(z + step * e) - fn(z - step * e)) / (2.0 * step)
+                     for e in np.eye(z.size)])
+
+
+class TestPoissonLikelihood:
+    def test_value_is_half_the_deviance(self):
+        a, counts, _, start = _poisson_problem(0)
+        counts[:3] = 0.0
+        m = a @ start
+        value, _, _ = PoissonLikelihood(a, counts)(start)
+        pos = counts > 0
+        deviance = 2.0 * (np.sum(counts[pos] * np.log(counts[pos] / m[pos])) - np.sum(counts - m))
+        assert value == pytest.approx(deviance / 2.0, rel=1e-12)
+        assert PoissonLikelihood(a, a @ start)(start)[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_derivatives_match_finite_differences(self):
+        a, counts, _, start = _poisson_problem(1)
+        counts[:3] = 0.0
+        objective = PoissonLikelihood(a, counts)
+        z = start + np.random.default_rng(2).uniform(-0.1, 0.1, start.size) * start.max()
+        _, grad, hess = objective(z)
+        num_grad = _numeric_gradient(lambda y: objective(y)[0], z)
+        num_hess = np.stack([_numeric_gradient(lambda y: objective(y)[1][i], z)
+                             for i in range(z.size)])
+        assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
+        assert np.allclose(hess, hess.T, rtol=0, atol=1e-15 * np.max(np.abs(hess)))
+
+
+class TestPsdMinimize:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_poisson_gap_is_a_dual_certificate(self, seed):
+        # rebuild the dual point the gap rests on and check it directly: a^T nu
+        # = A*(Z), nu < 1 on the nonzero counts, and f - g(nu) = gap, with
+        # g(nu) = sum_{n > 0} n log(1 - nu) the dual function of the shifted NLL
+        a, counts, basis, start = _poisson_problem(seed)
+        counts[seed] = 0.0
+        objective = PoissonLikelihood(a, counts)
+        res = psd_minimize(objective, basis, start, 100)
+        assert res.converged and 0 < res.n_iter <= 40 and res.gap <= GAP_TOL
+        s_mat = np.tensordot(res.x, basis, 1)
+        assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+        assert np.linalg.eigvalsh(res.dual)[0] > 0.0
+        m = a @ res.x
+        _, grad, hess = objective(res.x)
+        w = np.real(np.einsum("iab,ba->i", basis, res.dual))
+        nu = 1.0 - counts / m + (counts / m ** 2) * (a @ np.linalg.solve(hess, w - grad))
+        assert np.allclose(a.T @ nu, w, rtol=0, atol=1e-12 * np.abs(a).sum())
+        pos = counts > 0
+        assert np.all(nu[pos] < 1.0) and np.all(nu[~pos] <= 1.0)
+        dual_value = counts[pos] @ np.log(1.0 - nu[pos])
+        assert res.cost - dual_value == pytest.approx(res.gap, abs=1e-9)
+
+    def test_budget_caps_the_steps(self):
+        a, counts, basis, start = _poisson_problem(0)
+        res = psd_minimize(PoissonLikelihood(a, counts), basis, start, 1)
+        assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
+        assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
+
+    def test_least_squares_is_the_same_solver(self):
+        # psd_least_squares runs psd_minimize on LeastSquares: restarted at its
+        # own optimum and dual matrix, the solver finds the same certificate
+        rng, r, basis = _problem(3)
+        b = -r @ np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
+        res = psd_least_squares(r, b, basis, 50)
+        assert res.converged and res.n_iter > 0
+        again = psd_minimize(LeastSquares(r, b), basis, res.x, 50, res.dual)
+        assert again.converged and again.n_iter == 0
+        assert again.cost == res.cost and again.gap == res.gap
+
+    def test_rejects_a_start_off_the_cone(self):
+        a, counts, basis, start = _poisson_problem(0)
+        bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))
+        with pytest.raises(ValueError, match="not positive definite"):
+            psd_minimize(PoissonLikelihood(a, counts), basis, bad, 10)

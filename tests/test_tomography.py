@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -12,7 +13,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from qcausal import matlin, optimize, quantum, tomography
-from qcausal.causal import CBD_FACTORS, build_scenario, induced_state_given_b, joint_distribution
+from qcausal.causal import (
+    CBD_FACTORS,
+    CausalChoi,
+    build_scenario,
+    induced_state_given_b,
+    joint_distribution,
+    no_retro_deviation,
+)
 from qcausal.quantum import fidelity, pauli_projector
 from qcausal.tomography import (
     CountTable,
@@ -92,6 +100,94 @@ class TestCountTable:
             CountTable(counts, 27_000)
 
 
+# An independent reference for the tau_CBD fit, apart from tomography's model,
+# basis, solver and certificate: the 216 cell operators M_k = Pi_c x Pi_b x
+# T(Pi_d) built by kron, the no-retrocausation span from an explicit partial
+# trace, and the Poisson MLE by iteratively reweighted least squares, each
+# weighted problem solved by a primal log-barrier Newton method.
+_CBD_OPS = np.stack([np.kron(np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
+                                     pauli_projector(tomography.AXES[ui], 1 - 2 * bi)),
+                             pauli_projector(tomography.AXES[ti], 1 - 2 * di).T)
+                     for si, ti, ui, ci, bi, di in product(range(3), range(3), range(3),
+                                                           range(2), range(2), range(2))])
+
+
+def _kron_means(s_mat):
+    """Tr(M_k S) for the 216 cells (s, t, u, c, b, d) of a Hermitian S."""
+    return np.real(np.einsum("kab,ba->k", _CBD_OPS, s_mat))
+
+
+def _half_deviance(m, n):
+    """sum_k m_k - n_k - n_k log(m_k / n_k): the Poisson NLL less its saturated value."""
+    pos = n > 0
+    return float(np.sum(m - n) - n[pos] @ np.log(m[pos] / n[pos]))
+
+
+def _no_retro_span():
+    """Orthonormal Hermitian basis (52, 8, 8) of the S with Tr_B S = Tr_BD S x 1/2."""
+    full = np.zeros((64, 8, 8), dtype=complex)
+    for e, (a, b) in zip(full, product(range(8), repeat=2)):
+        e[a, b] += 1.0 if a <= b else 1j
+        e[b, a] += 1.0 if a <= b else -1j
+    full /= np.sqrt(np.einsum("iab,iba->i", full, full).real)[:, None, None]
+    t = full.reshape(64, 2, 2, 2, 2, 2, 2)
+    marg = np.einsum("ncbdebf->ncdef", t)                 # Tr_B, (c, d, c', d')
+    rho_c = np.einsum("ncded->nce", marg)                 # Tr_BD
+    dev = (marg - np.einsum("nce,df->ncdef", rho_c, np.eye(2) / 2)).reshape(64, -1)
+    _, sing, vh = np.linalg.svd(np.concatenate([dev.real, dev.imag], axis=1).T)
+    return np.tensordot(vh[int(np.sum(sing > 1e-10)):], full, 1)
+
+
+def _barrier_wls(a, n, w, basis, z, t):
+    """Newton's method with backtracking on t sum_k w_k (a z - n)_k^2 - log det S(z)."""
+    gram, lin = 2.0 * (a.T * w) @ a, 2.0 * (a.T * w) @ n
+
+    def log_det(y):
+        try:
+            chol = np.linalg.cholesky(np.tensordot(y, basis, 1))
+        except np.linalg.LinAlgError:
+            return -np.inf
+        return 2.0 * np.sum(np.log(np.real(np.diag(chol))))
+
+    for _ in range(100):
+        x = np.linalg.inv(np.tensordot(z, basis, 1)) @ basis          # S^-1 F_i
+        grad_q = t * (gram @ z - lin)
+        grad = grad_q - np.real(np.einsum("iaa->i", x))
+        hess = t * gram + np.real(x.reshape(len(x), -1) @ x.transpose(0, 2, 1).reshape(len(x), -1).T)
+        dz = -np.linalg.solve(hess, grad)
+        decrement = -grad @ dz
+        if decrement <= 1e-12:
+            break
+        # Armijo on the change of the barrier function, written as a
+        # difference so that its size does not cancel away
+        step, base = 1.0, log_det(z)
+        while step > 1e-9 and (step * (grad_q @ dz) + 0.5 * t * step ** 2 * (dz @ gram @ dz)
+                               - log_det(z + step * dz) + base > -0.25 * step * decrement):
+            step *= 0.5
+        if step <= 1e-9:
+            break
+        z = z + step * dz
+    return z
+
+
+def _reference_mle(counts):
+    """Means of the Poisson MLE over the span by reweighted least squares:
+    weights 1/m from the model of the last solution, each weighted problem
+    solved along the barrier path t = 1, 10, ..., 1e10, reweighting at each t
+    until the half deviance settles to 1e-2 / t."""
+    basis = _no_retro_span()
+    a = np.real(np.einsum("kab,iba->ki", _CBD_OPS, basis))
+    z = np.real(np.einsum("iaa->i", basis)) * counts.sum() / 216.0
+    cost = _half_deviance(a @ z, counts)
+    for t in 10.0 ** np.arange(11):
+        while True:
+            z = _barrier_wls(a, counts, 1.0 / (a @ z), basis, z, t)
+            prev, cost = cost, _half_deviance(a @ z, counts)
+            if abs(prev - cost) <= 1e-2 / t:
+                break
+    return a @ z
+
+
 class TestFullFit:
     def test_noiseless_recovery(self):
         tau = build_scenario("coh")
@@ -112,21 +208,33 @@ class TestFullFit:
         # CausalChoi construction enforces trace, PSD and no-retrocausation
         assert fit.tau.tau.factors == CBD_FACTORS
 
-    def test_restart_costs_recorded(self):
-        fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000),
-                             FitConfig(restarts=3, max_iter=200, seed=0))
-        assert len(fit.restart_costs) == 3
-        assert fit.cost == pytest.approx(min(fit.restart_costs))
-
     def test_short_budget_returns_valid_unconverged_fit(self):
-        # two iterations leave tau far from the constraint: projecting it
-        # back gives an eigenvalue of about -1.4e-3, more than the roundoff
-        # blend can lift
+        # one interior-point step leaves the gap far above GAP_TOL, but every
+        # iterate lies in the no-retrocausation span and is positive definite
         table = sample_counts(build_scenario("coh"), 200_000, seed=0)
-        fit = fit_causal_map(table, FitConfig(restarts=1, max_iter=2))
-        assert fit.n_iter == 2
-        assert not fit.converged
-        assert np.min(np.linalg.eigvalsh(fit.tau.mat)) >= -1e-12
+        fit = fit_causal_map(table, FitConfig(max_iter=1))
+        assert fit.n_iter == 1
+        assert not fit.converged and fit.gap > optimize.GAP_TOL
+        assert np.min(np.linalg.eigvalsh(fit.tau.mat)) > 0.0
+        # the CausalChoi validation (trace, PSD, no-retrocausation) accepts it again
+        CausalChoi(quantum.DensityOperator(fit.tau.mat, CBD_FACTORS))
+        assert fit_causal_map(table, FitConfig(max_iter=2)).n_iter == 2
+
+    @pytest.mark.parametrize("name", ["probc", "physc", "probq", "coh"])
+    def test_roundtrip_fits_reach_the_gap(self, name):
+        # every fit of the acceptance round trip (criterion 07), with its
+        # budgets: the noiseless fit, the bootstrap refits at 800 steps and
+        # the 20 seeded fits at 1000 steps
+        tau = build_scenario(name)
+        assert fit_causal_map(expected_counts(tau, 200_000), FitConfig(restarts=1)).converged
+        bs = bootstrap_errorbars(sample_counts(tau, 200_000, seed=100),
+                                 lambda f: {"certified": f.converged and f.gap <= optimize.GAP_TOL},
+                                 n_resamples=10, seed=101, config=FitConfig(max_iter=800))
+        assert bs["mean"]["certified"] == 1.0
+        for seed in range(20):
+            fit = fit_causal_map(sample_counts(tau, 200_000, seed=seed),
+                                 FitConfig(restarts=1, max_iter=1000))
+            assert fit.converged and fit.gap <= optimize.GAP_TOL, (name, seed)
 
     @pytest.mark.parametrize("n_runs", [0, 1000])
     def test_rejects_empty_table(self, n_runs):
@@ -148,25 +256,50 @@ class TestFullFit:
             with pytest.raises(ValueError, match="n_runs"):
                 fit_causal_map(CountTable.from_csv(text, n_runs=0), FAST)
 
-    def test_cost_is_full_weighted_cost(self):
-        # LM runs on the square-root form; cost and chi2 keep their meaning
-        # over the full 248 weighted rows
+    def test_cost_is_half_deviance_and_chi2_is_neyman(self):
+        # cost is the Poisson deviance over two and chi2 the Neyman chi^2, both
+        # of the fitted unnormalized S over the 216 cells of the kron model
         table = sample_counts(build_scenario("coh"), 200_000, seed=0)
         fit = fit_causal_map(table, FAST)
-        data = table.counts.reshape(-1)
-        w = 1.0 / np.sqrt(np.maximum(data, tomography.EPS_CELL))
-        rows = np.concatenate([w, np.full(32, np.sqrt(FAST.lam))])
-        const = np.concatenate([-data * w, np.zeros(32)])
-        r = tomography._residual(fit.params, tomography._CBD_MAP * rows[:, None], const, 8)
-        assert fit.cost == pytest.approx(r @ r, rel=1e-9)
-        assert fit.chi2 == pytest.approx(r[:216] @ r[:216], rel=1e-9)
+        s_mat = np.tensordot(fit.params, tomography._NO_RETRO_BASIS, 1)
+        assert np.allclose(fit.tau.mat, s_mat / np.trace(s_mat).real, rtol=0, atol=1e-15)
+        n = table.counts.reshape(-1)
+        m = _kron_means(s_mat)
+        assert fit.cost == pytest.approx(_half_deviance(m, n), rel=1e-12)
+        assert fit.chi2 == pytest.approx(np.sum((m - n) ** 2 / np.maximum(n, 0.5)), rel=1e-12)
+        # at the optimum the means add up to the counts
+        assert abs(m.sum() - n.sum()) <= 1e-6 * n.sum()
+
+    @pytest.mark.parametrize("name", ["probc", "physc", "probq", "coh", "epsmix"])
+    def test_mle_matches_reweighted_least_squares(self, name):
+        # _reference_mle reaches the Poisson MLE by another route, with its
+        # own model, basis and solver
+        table = sample_counts(build_scenario(name), 200_000, seed=0)
+        fit = fit_causal_map(table)
+        assert fit.converged and fit.gap <= optimize.GAP_TOL
+        n = table.counts.reshape(-1)
+        reference = _half_deviance(_reference_mle(n), n)
+        # tau at the optimal scale, the total count over 27, is no worse than
+        # the fitted S, which is within its gap of the optimum
+        at_tau = _half_deviance(_kron_means(fit.tau.mat) * n.sum() / 27.0, n)
+        assert abs(at_tau - reference) <= 1e-6
+        assert -1e-8 <= fit.cost - reference <= fit.gap + 1e-8
 
     def test_to_json(self):
-        import json
         fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000), FAST)
         data = json.loads(fit.to_json())
         assert np.array(data["tau"]["re"]).shape == (8, 8)
         assert data["converged"] is True
+        assert data["gap"] == fit.gap <= optimize.GAP_TOL
+        assert data["config"]["eps_cell"] == tomography.EPS_CELL
+        assert "jitter" not in data["config"]
+
+    def test_to_json_without_a_certificate(self):
+        # a fit with no finite gap (see optimize.PoissonLikelihood) writes
+        # null, not the non-standard JSON Infinity
+        fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000), FAST)
+        text = replace(fit, converged=False, gap=np.inf).to_json()
+        assert "Infinity" not in text and json.loads(text)["gap"] is None
 
 
 class TestFitConfig:
@@ -179,11 +312,11 @@ class TestFitConfig:
             FitConfig(**{field: value})
 
     def test_default_seed_repeats_fit(self):
-        # the jittered restarts draw from the default seed, not OS entropy
+        # the fit has no random start and ignores seed: two calls agree bit for bit
         table = sample_counts(build_scenario("coh"), 200_000, seed=0)
-        a, b = (fit_causal_map(table, FitConfig(max_iter=300)) for _ in range(2))
-        assert a.restart_costs == b.restart_costs
-        assert np.array_equal(a.tau.mat, b.tau.mat)
+        a, b, c = (fit_causal_map(table, FitConfig(max_iter=300, seed=s)) for s in (0, 0, 5))
+        assert a.cost == b.cost == c.cost
+        assert np.array_equal(a.tau.mat, b.tau.mat) and np.array_equal(a.tau.mat, c.tau.mat)
 
     def test_default_seed_repeats_conditioned_fit(self):
         # the conditioned fit has no seed to draw from: two calls agree bit for bit
@@ -203,46 +336,30 @@ _CD_KRON_ROWS = np.stack([np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * c
 
 
 def _direct_model(s_mat, dim):
-    """The model rows of S computed without the linear map."""
+    """The cell means of S computed from kron-built operators, without the
+    linear map."""
     if dim == 8:
-        return np.concatenate([tomography._cell_probabilities(s_mat),
-                               tomography._penalty_residuals(s_mat)])
+        return _kron_means(s_mat)
     td = matlin.partial_transpose(s_mat, tomography.CD_FACTORS, "D")
     return np.real(_CD_KRON_ROWS @ td.reshape(-1))
 
 
 def _weighted_rows(dim, lin, rng):
     """Rows (lin, const) weighted as in a fit: random positive count weights
-    and, for dim 8, sqrt(1e7) on the 32 penalty rows with target 0."""
-    n_counts = {8: 216, 4: 36}[dim]
-    w = np.concatenate([rng.uniform(0.01, 2.0, n_counts),
-                        np.full(len(lin) - n_counts, np.sqrt(1e7))])
-    const = np.concatenate([rng.standard_normal(n_counts) * 30.0,
-                            np.zeros(len(lin) - n_counts)])
-    return lin * w[:, None], const
+    and random targets."""
+    w = rng.uniform(0.01, 2.0, len(lin))
+    return lin * w[:, None], rng.standard_normal(len(lin)) * 30.0
 
 
-def _ds_jacobian(x, lin, dim):
-    """Jacobian of the full rows lin S + c at S = J^dag J: column p is lin
-    applied to dS/dx_p = E_p^dag J + J^dag E_p, where E_p = dJ/dx_p is the
-    factor built from the p-th unit vector."""
-    j = matlin.cholesky_factor(x, dim)
-    cols = []
-    for unit in np.eye(dim * dim):
-        e = matlin.cholesky_factor(unit, dim)
-        ds = e.conj().T @ j + j.conj().T @ e
-        cols.append(lin @ ds.reshape(-1).view(float))
-    return np.stack(cols, axis=1)
-
-
-def _rel(a, b):
-    return np.linalg.norm(a - b) / np.linalg.norm(b)
+def _random_hermitian(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g + g.conj().T
 
 
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
 class TestModelMap:
     def test_shape(self, dim, lin):
-        assert lin.shape == ({8: 248, 4: 36}[dim], 2 * dim * dim)
+        assert lin.shape == ({8: 216, 4: 36}[dim], 2 * dim * dim)
         # the basis of both fits: trace-orthonormal Hermitian E_i
         basis = tomography._basis_stack(dim)
         assert basis.shape == (dim * dim, dim, dim)
@@ -253,35 +370,41 @@ class TestModelMap:
     def test_residual_matches_model(self, dim, lin):
         rng = np.random.default_rng(dim)
         for _ in range(5):
-            x = rng.standard_normal(dim * dim)
-            const = rng.standard_normal(lin.shape[0])
-            want = _direct_model(matlin.cholesky_psd(x, dim), dim) + const
-            got = tomography._residual(x, lin, const, dim)
+            s_mat = _random_hermitian(rng, dim)
+            want = _direct_model(s_mat, dim)
+            got = lin @ s_mat.reshape(-1).view(float)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_jacobian_matches_finite_differences(self, dim, lin):
-        rng = np.random.default_rng(dim + 1)
-        for _ in range(5):
-            lin_c, stack_c, const_c = tomography._lm_rows(*_weighted_rows(dim, lin, rng))
-            x = rng.standard_normal(dim * dim)
-            jac = tomography._jacobian(x, stack_c, dim)
-            num = optimize.numeric_jacobian(
-                lambda y: tomography._residual(y, lin_c, const_c, dim), x)
-            assert jac.shape == (dim * dim + 1, dim * dim)
-            assert np.max(np.abs(jac - num)) <= 1e-6 * np.max(np.abs(jac))
 
-    def test_jacobian_matches_ds_stack(self, dim, lin):
-        # the LM rows are Q^T times the full rows plus a constant row, so their
-        # Jacobian is Q^T times the full rows' Jacobian, then a zero row
-        rng = np.random.default_rng(dim + 2)
+class TestNoRetroBasis:
+    def test_orthonormal_basis_of_the_constraint(self):
+        basis = tomography._NO_RETRO_BASIS
+        assert basis.shape == (52, 8, 8)
+        assert matlin.is_hermitian(basis)
+        gram = np.einsum("iab,jba->ij", basis, basis)
+        assert np.allclose(gram, np.eye(52), rtol=0, atol=1e-14)
+        assert max(np.max(np.abs(no_retro_deviation(f))) for f in basis) <= 1e-15
+        # the test's own null space, from an explicit partial trace, is the same span
+        own = _no_retro_span().reshape(52, -1)
+        overlap = np.real(own.conj() @ basis.reshape(52, -1).T)
+        assert np.allclose(overlap @ overlap.T, np.eye(52), rtol=0, atol=1e-12)
+
+    def test_identity_and_scenarios_lie_in_the_span(self):
+        basis = tomography._NO_RETRO_BASIS
+        identity = np.tensordot(tomography._CBD_IDENTITY, basis, 1)
+        assert np.max(np.abs(identity - np.eye(8))) <= 1e-14
+        for name in ("probc", "physc", "probq", "coh", "epsmix"):
+            tau = build_scenario(name).mat
+            z = np.real(np.einsum("iab,ba->i", basis, tau))
+            assert np.max(np.abs(np.tensordot(z, basis, 1) - tau)) <= 1e-14
+
+    def test_count_rows_are_the_kron_model(self):
+        rng = np.random.default_rng(3)
         for _ in range(5):
-            lin_w, const = _weighted_rows(dim, lin, rng)
-            q, *_ = tomography._square_root_form(lin_w, const)
-            _, stack_c, _ = tomography._lm_rows(lin_w, const)
-            x = rng.standard_normal(dim * dim)
-            want = np.vstack([q.T @ _ds_jacobian(x, lin_w, dim), np.zeros(dim * dim)])
-            got = tomography._jacobian(x, stack_c, dim)
-            assert _rel(got, want) <= 1e-12
+            z = rng.standard_normal(52)
+            s_mat = np.tensordot(z, tomography._NO_RETRO_BASIS, 1)
+            want = _kron_means(s_mat)
+            assert np.max(np.abs(tomography._CBD_ROWS @ z - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
@@ -292,10 +415,6 @@ class TestSquareRootForm:
         assert q.shape == (len(lin), dim * dim)
         assert r.shape == (dim * dim, dim * dim)
         assert q_const.shape == (dim * dim,)
-        lin_c, stack_c, const_c = tomography._lm_rows(lin_w, const)
-        assert lin_c.shape == (dim * dim + 1, 2 * dim * dim)
-        assert stack_c.shape == (2 * dim, dim, dim * dim + 1)
-        assert const_c.shape == (dim * dim + 1,)
 
     def test_same_cost_and_normal_equations(self, dim, lin):
         rng = np.random.default_rng(dim + 3)
@@ -303,16 +422,12 @@ class TestSquareRootForm:
         for _ in range(5):
             lin_w, const = _weighted_rows(dim, lin, rng)
             _, r_sq, q_const, rest = tomography._square_root_form(lin_w, const)
-            lin_c, stack_c, const_c = tomography._lm_rows(lin_w, const)
-            x = rng.standard_normal(dim * dim)
-            # the full weighted rows, evaluated and differentiated directly
-            r = lin_w @ matlin.cholesky_psd(x, dim).reshape(-1).view(float) + const
-            j = _ds_jacobian(x, lin_w, dim)
-            r_c = tomography._residual(x, lin_c, const_c, dim)
-            j_c = tomography._jacobian(x, stack_c, dim)
-            assert abs(r_c @ r_c - r @ r) <= 1e-10 * (r @ r)
-            assert _rel(j_c.T @ j_c, j.T @ j) <= 1e-9
-            assert _rel(j_c.T @ r_c, j.T @ r) <= 1e-9
+            # R^T R and R^T Q^T c are the normal equations of the full rows
+            rows = lin_w @ basis
+            assert np.allclose(r_sq.T @ r_sq, rows.T @ rows, rtol=0,
+                               atol=1e-12 * np.abs(rows.T @ rows).max())
+            assert np.allclose(r_sq.T @ q_const, rows.T @ const, rtol=0,
+                               atol=1e-12 * np.abs(rows.T @ const).max())
             # the cost of any Hermitian S = H z is ||R z + Q^T c||^2 + rest^2
             z = rng.standard_normal(dim * dim) * 10.0
             full = lin_w @ (basis @ z) + const
