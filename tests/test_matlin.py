@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcausal import matlin
 
@@ -120,3 +121,51 @@ class TestEigen:
     def test_psd_sqrt_rejects_negative(self):
         with pytest.raises(matlin.NotPSDError):
             matlin.psd_sqrt(np.diag([1.0, -0.5]).astype(complex))
+
+
+class TestCholesky:
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_psd_from_params(self, seed):
+        rng = np.random.default_rng(seed)
+        params = rng.standard_normal(16)
+        m = matlin.cholesky_psd(params, 4)
+        w, _ = matlin.hermitian_eigs(m)
+        assert np.min(w) >= -1e-12
+        assert matlin.is_hermitian(m, atol=1e-12)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_params_roundtrip(self, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        m = g @ g.conj().T
+        params = matlin.cholesky_params(m, 8)
+        assert np.allclose(matlin.cholesky_psd(params, 8), m, atol=1e-8 * np.trace(m).real)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_params_from_psd_roundtrip(self, seed):
+        # the factor with positive diagonal is unique, so the parameters return
+        rng = np.random.default_rng(seed)
+        params = rng.standard_normal(64)
+        params[:8] = rng.uniform(0.1, 2.0, 8)
+        m = matlin.cholesky_psd(params, 8)
+        again = matlin.cholesky_params(m, 8)
+        # round-off in the factor grows with the condition number of m
+        tol = 1e-14 * np.linalg.cond(m) * np.abs(params).max()
+        assert np.max(np.abs(again - params)) <= tol
+
+    def test_params_reject_singular(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            matlin.cholesky_params(np.diag([1.0, 0.0, 2.0]).astype(complex), 3)
+        with pytest.raises(np.linalg.LinAlgError):
+            matlin.cholesky_params(np.diag([1.0, -0.5]).astype(complex), 2)
+
+    def test_factor_layout(self):
+        params = np.zeros(4)
+        params[:2] = [2.0, 3.0]
+        params[2:] = [0.5, -0.25]
+        j = matlin.cholesky_factor(params, 2)
+        assert j[0, 0] == 2.0 and j[1, 1] == 3.0
+        assert j[1, 0] == 0.5 - 0.25j and j[0, 1] == 0.0

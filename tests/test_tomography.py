@@ -256,19 +256,29 @@ class TestFullFit:
             with pytest.raises(ValueError, match="n_runs"):
                 fit_causal_map(CountTable.from_csv(text, n_runs=0), FAST)
 
-    def test_cost_is_half_deviance_and_chi2_is_neyman(self):
-        # cost is the Poisson deviance over two and chi2 the Neyman chi^2, both
-        # of the fitted unnormalized S over the 216 cells of the kron model
+    @staticmethod
+    def _fit_and_means():
+        """A fit of sampled counts, the counts and the kron-model means of
+        its unnormalized S, which tau must be S over its trace."""
         table = sample_counts(build_scenario("coh"), 200_000, seed=0)
         fit = fit_causal_map(table, FAST)
         s_mat = np.tensordot(fit.params, tomography._NO_RETRO_BASIS, 1)
         assert np.allclose(fit.tau.mat, s_mat / np.trace(s_mat).real, rtol=0, atol=1e-15)
-        n = table.counts.reshape(-1)
-        m = _kron_means(s_mat)
+        return fit, table.counts.reshape(-1), _kron_means(s_mat)
+
+    def test_cost_is_half_deviance(self):
+        # cost is the Poisson deviance over two of the fitted unnormalized S
+        # over the 216 cells of the kron model
+        fit, n, m = self._fit_and_means()
         assert fit.cost == pytest.approx(_half_deviance(m, n), rel=1e-12)
-        assert fit.chi2 == pytest.approx(np.sum((m - n) ** 2 / np.maximum(n, 0.5)), rel=1e-12)
         # at the optimum the means add up to the counts
         assert abs(m.sum() - n.sum()) <= 1e-6 * n.sum()
+
+    def test_cost_is_full_weighted_cost(self):
+        # chi2 is the Neyman-weighted cost of the same S over all 216 cells,
+        # weights 1/max(n, 0.5), though the fit minimizes the deviance
+        fit, n, m = self._fit_and_means()
+        assert fit.chi2 == pytest.approx(np.sum((m - n) ** 2 / np.maximum(n, 0.5)), rel=1e-12)
 
     @pytest.mark.parametrize("name", ["probc", "physc", "probq", "coh", "epsmix"])
     def test_mle_matches_reweighted_least_squares(self, name):
@@ -356,6 +366,37 @@ def _random_hermitian(rng, dim):
     return g + g.conj().T
 
 
+def _fit_objective(dim, lin, rng):
+    """Each fit's objective over its coordinates, on random data, and a
+    point z: for dim 8 the Poisson likelihood of counts drawn about the model
+    over the no-retrocausation basis, at a z with S(z) positive definite so
+    that every mean is positive; for dim 4 least squares of random weighted
+    rows in square-root form, at any z."""
+    if dim == 8:
+        a = lin @ tomography._real_form(tomography._NO_RETRO_BASIS)
+        z = 2000.0 * tomography._CBD_IDENTITY + 100.0 * rng.standard_normal(52)
+        return optimize.PoissonLikelihood(a, rng.poisson(a @ z).astype(float)), z
+    _, r, q_const, _ = tomography._square_root_form(*_weighted_rows(dim, lin, rng))
+    return optimize.LeastSquares(r, q_const), rng.standard_normal(dim * dim) * 10.0
+
+
+def _numeric_jacobian(fn, z, step):
+    """Central differences of fn at z, one column per coordinate."""
+    cols = [(np.asarray(fn(z + step * e)) - np.asarray(fn(z - step * e))) / (2.0 * step)
+            for e in np.eye(z.size)]
+    return np.stack(cols, axis=-1)
+
+
+def _ds_jacobian(lin, basis):
+    """Jacobian of the rows lin S + c in the coordinates of S = sum_p z_p E_p:
+    column p is lin applied to dS/dz_p = E_p."""
+    return np.stack([lin @ e.reshape(-1).view(float) for e in basis], axis=1)
+
+
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
 class TestModelMap:
     def test_shape(self, dim, lin):
@@ -374,6 +415,36 @@ class TestModelMap:
             want = _direct_model(s_mat, dim)
             got = lin @ s_mat.reshape(-1).view(float)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_jacobian_matches_finite_differences(self, dim, lin):
+        # the gradient each fit hands the solver is the Jacobian of its
+        # cost, and its Hessian the Jacobian of the gradient
+        rng = np.random.default_rng(dim + 1)
+        for _ in range(3):
+            objective, z = _fit_objective(dim, lin, rng)
+            _, grad, hess = objective(z)
+            num_grad = _numeric_jacobian(lambda y: objective(y)[0], z, 1e-3)
+            num_hess = _numeric_jacobian(lambda y: objective(y)[1], z, 1e-3)
+            assert grad.shape == (len(z),) and hess.shape == (len(z), len(z))
+            assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
+            assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
+
+    def test_jacobian_matches_ds_stack(self, dim, lin):
+        # the rows the solver reads are the Jacobian of the model rows in the
+        # fit's coordinates: for dim 8 the count rows over the no-retrocausation
+        # basis as they are, for dim 4 the weighted rows over the Hermitian
+        # basis in square-root form, R = Q^T times their Jacobian
+        if dim == 8:
+            jac = _ds_jacobian(lin, tomography._NO_RETRO_BASIS)
+            assert _rel(tomography._CBD_ROWS, jac) <= 1e-12
+            return
+        rng = np.random.default_rng(dim + 2)
+        for _ in range(5):
+            lin_w, const = _weighted_rows(dim, lin, rng)
+            q, r, _, _ = tomography._square_root_form(lin_w, const)
+            jac = _ds_jacobian(lin_w, tomography._basis_stack(dim))
+            assert _rel(r, q.T @ jac) <= 1e-12
+            assert _rel(q @ r, jac) <= 1e-12
 
 
 class TestNoRetroBasis:
