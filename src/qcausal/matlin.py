@@ -151,43 +151,3 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
         raise NotPSDError(f"eigenvalue {np.min(w):g} below PSD floor")
     w = np.clip(w, 0.0, None)
     return hermitize((v * np.sqrt(w)) @ v.conj().T)
-
-
-@functools.cache
-def _strict_lower(dim: int):
-    """Row and column indices of the strictly-lower triangle, row-major."""
-    return np.tril_indices(dim, k=-1)
-
-
-def cholesky_factor(params: np.ndarray, dim: int) -> np.ndarray:
-    """Lower-triangular J with real diagonal from dim**2 real parameters.
-
-    Layout: the first dim entries are the diagonal, followed by
-    (re, im) pairs for the strictly-lower entries in row-major order.
-    """
-    params = np.ascontiguousarray(params, dtype=float)
-    if params.shape != (dim * dim,):
-        raise ValueError(f"expected {dim * dim} parameters, got {params.shape}")
-    j = np.zeros((dim, dim), dtype=complex)
-    j.flat[::dim + 1] = params[:dim]
-    rows, cols = _strict_lower(dim)
-    j[rows, cols] = params[dim:].view(complex)    # (re, im) pairs
-    return j
-
-
-def cholesky_psd(params: np.ndarray, dim: int) -> np.ndarray:
-    """PSD matrix J^dag J from the parametrized lower-triangular factor."""
-    j = cholesky_factor(params, dim)
-    return j.conj().T @ j
-
-
-def cholesky_params(m: np.ndarray, dim: int) -> np.ndarray:
-    """Parameter vector whose cholesky_psd reproduces the positive definite m.
-
-    The inverse of cholesky_psd on positive definite matrices, whose factor
-    J with positive diagonal is unique: with P the exchange matrix, the
-    LAPACK Cholesky factor P m P = L L^dag gives J = P L^dag P.  Raises
-    numpy.linalg.LinAlgError when m is not positive definite.
-    """
-    j = np.linalg.cholesky(hermitize(m)[::-1, ::-1]).conj().T[::-1, ::-1]
-    return np.concatenate([np.diag(j).real, j[_strict_lower(dim)].view(float)])

@@ -1,16 +1,18 @@
 """Convex minimization over positive semidefinite matrices, certified by a
 duality gap.
 
-``psd_minimize`` minimizes a smooth convex f(z) of the real coordinates of
-S(z) = sum_i z_i E_i subject to S >= 0, by primal-dual interior-point steps.
-An objective is a callable giving f, its gradient and its Hessian at z, with
-a ``residual_cost`` method that completes the duality gap (see
-psd_minimize).  Two objectives are defined here: ``LeastSquares``,
-||r z + b||^2, which ``psd_least_squares`` solves in closed form whenever
-that is positive definite, and ``PoissonLikelihood``, the negative
-log-likelihood of Poisson counts whose means are linear in z.  Problems here
-are tiny (tens of parameters, hundreds of counts), so every linear system is
-solved densely.  The stopping rule is GAP_TOL.
+``psd_minimize`` minimizes smooth convex functions f(z) of the real
+coordinates of S(z) = sum_i z_i E_i subject to S >= 0, by primal-dual
+interior-point steps, for a stack of K such problems over one basis at once.
+An objective holds the data of its K problems: called on the (K, n) stack of
+coordinates it gives each f, gradient and Hessian; ``residual_cost``
+completes the duality gaps (see psd_minimize); ``take(idx)`` is the
+objective of the problems idx.  Two objectives are defined here:
+``LeastSquares``, ||r z + b||^2, which ``psd_least_squares`` solves in closed
+form whenever that is positive definite, and ``PoissonLikelihood``, the
+negative log-likelihood of Poisson counts whose means are linear in z.
+Problems here are tiny (tens of parameters, hundreds of counts), so every
+linear system is solved densely.  The stopping rule is GAP_TOL.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 GAP_TOL = 1e-6     # duality gap at which psd_minimize stops, in units of f
 STEP_FRAC = 0.99   # share of the step to the boundary of the PSD cone taken
 START_FLOOR = 1e-9   # smallest start eigenvalue, relative to the largest
+RANGE_TOL = 1e-10    # Hessian eigenvalue, relative to the largest, counted as 0
 
 
 @dataclass
@@ -35,173 +38,312 @@ class OptimizeResult:
     dual: np.ndarray | None = None   # the dual matrix Z that certifies gap
 
 
+# Products over a stack are taken one problem at a time (a stacked matmul
+# makes one BLAS call per problem), so that no problem's round-off depends on
+# the problems stacked with it.
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_k @ v_k for stacks m (K, p, q) and v (K, q)."""
+    return (m @ v[:, :, None])[:, :, 0]
+
+
+def _solve(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m_k^-1 v_k for stacks m (K, p, p) and v (K, p)."""
+    return np.linalg.solve(m, v[:, :, None])[:, :, 0]
+
+
+def _rows(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """v_k @ m for each row v_k of v (K, p) and one (p, q) matrix m."""
+    return (v[:, None, :] @ m)[:, 0, :]
+
+
+def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Re sum conj(p_k) q_k over all but the first axis of two real or
+    complex stacks of one shape."""
+    if np.iscomplexobj(p):
+        p, q = p.view(float), q.view(float)
+    return (p.reshape(len(p), 1, -1) @ q.reshape(len(q), -1, 1))[:, 0, 0]
+
+
 class LeastSquares:
-    """f(z) = ||r z + b||^2 for an invertible (n, n) r and an n-vector b."""
+    """f_k(z) = ||r_k z + b_k||^2 for invertible (n, n) r_k and n-vectors b_k,
+    stacked as r (K, n, n) and b (K, n)."""
 
     def __init__(self, r: np.ndarray, b: np.ndarray):
         self.r, self.b = r, b
-        self.hess = 2.0 * (r.T @ r)
-        self.r_inv_t = np.linalg.inv(r).T
+        self.hess = 2.0 * (r.swapaxes(1, 2) @ r)
+        self.r_inv_t = np.linalg.inv(r).swapaxes(1, 2)
+
+    def take(self, idx) -> "LeastSquares":
+        return LeastSquares(self.r[idx], self.b[idx])
 
     def __call__(self, z: np.ndarray):
-        resid = self.r @ z + self.b
-        return float(resid @ resid), self.r.T @ (2.0 * resid), self.hess
+        resid = _matvec(self.r, z) + self.b
+        return _rows_dot(resid, resid), 2.0 * _matvec(self.r.swapaxes(1, 2), resid), self.hess
 
-    def residual_cost(self, z, grad, hess, w) -> float:
+    def residual_cost(self, z, grad, hess, w):
         """Exactly f(z) + f*(w) - <w, z>, with f* the convex conjugate:
-        |r^-T (grad - w)|^2 / 4."""
-        dual_res = self.r_inv_t @ (grad - w)
-        return 0.25 * float(dual_res @ dual_res)
+        |r^-T (grad - w)|^2 / 4; never a part of w to move (see
+        PoissonLikelihood.residual_cost)."""
+        dual_res = _matvec(self.r_inv_t, grad - w)
+        return 0.25 * _rows_dot(dual_res, dual_res), np.zeros_like(w)
 
 
 class PoissonLikelihood:
-    """f(z) = sum_k m_k - n_k - n_k log(m_k / n_k) with means m = a z.
+    """f_k(z) = sum_j m_j - n_kj - n_kj log(m_j / n_kj) with means m = a z.
 
-    The Poisson negative log-likelihood of the counts n less that of the
-    saturated model m = n: half the deviance, 0 only when every mean equals
-    its count.  Terms with n_k = 0 are m_k alone.  Every m_k must be
-    positive, which S(z) > 0 ensures when each mean is m_k = Tr(S P_k) for a
-    nonzero P_k >= 0, that is a_ki = Tr(E_i P_k).
+    One problem per row of counts (K, m) over the one (m, n) model a: the
+    Poisson negative log-likelihood of the counts n_k less that of the
+    saturated model m = n_k, half the deviance, 0 only when every mean
+    equals its count.  Terms with n_kj = 0 are m_j alone.  Every m_j must be
+    positive, which S(z) > 0 ensures when each mean is m_j = Tr(S P_j) for a
+    nonzero P_j >= 0, that is a_ji = Tr(E_i P_j).
     """
 
     def __init__(self, a: np.ndarray, counts: np.ndarray):
         self.a, self.n = a, counts
         self.pos = counts > 0
 
+    def take(self, idx) -> "PoissonLikelihood":
+        return PoissonLikelihood(self.a, self.n[idx])
+
     def __call__(self, z: np.ndarray):
-        a, n, pos = self.a, self.n, self.pos
-        m = a @ z
+        a, n = self.a, self.n
+        m = _rows(z, a.T)
         ratio = n / m
-        value = float(np.sum(m - n) + n[pos] @ np.log(ratio[pos]))
-        return value, a.T @ (1.0 - ratio), (a.T * (ratio / m)) @ a
+        logs = np.log(ratio, out=np.zeros_like(ratio), where=self.pos)
+        value = np.sum(m - n, axis=1) + _rows_dot(n, logs)
+        # a^T diag(n/m^2) a, one problem at a time: the (m, n) weighted rows
+        # of all K at once would be the largest array of a step
+        hess = np.empty((len(z), a.shape[1], a.shape[1]))
+        for h, nk, mk in zip(hess, n, m):
+            rows = a * (np.sqrt(nk) / mk)[:, None]
+            np.matmul(rows.T, rows, out=h)
+        return value, _rows(1.0 - ratio, a), hess
 
-    def residual_cost(self, z, grad, hess, w) -> float:
-        """An upper bound on f(z) + f*(w) - <w, z>; inf if none is found.
+    def residual_cost(self, z, grad, hess, w):
+        """Upper bounds on f(z) + f*(w') - <w', z>, inf where none is found,
+        and the parts rho = w - w' of w moved out of the way.
 
-        For any nu with a^T nu = w and nu_k < 1 (nu_k <= 1 where n_k = 0),
-        min over m > 0 of sum_k f_k(m_k) - nu_k m_k is g(nu) = sum_{n_k > 0}
-        n_k log(1 - nu_k), so f*(w) <= -g(nu).  Here nu = 1 - n/m + delta:
-        the gradient's multipliers, corrected by the least change delta =
-        W a H^-1 (w - grad) in the metric of the Hessian H = a^T W a, W =
-        diag(n/m^2), that makes a^T nu = w.  With x_k = (a H^-1 (w -
-        grad))_k / m_k the bound is sum_k n_k (-x_k - log(1 - x_k)), about
-        (w - grad)^T H^-1 (w - grad) / 2; it needs every x_k < 1.
+        For any nu with a^T nu = w' and nu_j < 1 (nu_j <= 1 where n_j = 0),
+        min over m > 0 of sum_j f_j(m_j) - nu_j m_j is g(nu) = sum_{n_j > 0}
+        n_j log(1 - nu_j), so f*(w') <= -g(nu).  Here nu = 1 - n/m + W a y:
+        the gradient's multipliers, corrected by the least change in the
+        metric of the Hessian H = a^T W a, W = diag(n/m^2), that makes a^T nu
+        = w', that is H y = w' - grad.  With x_j = (a y)_j / m_j the bound is
+        sum_j n_j (-x_j - log(1 - x_j)), about (w' - grad)^T y / 2; it needs
+        every x_j < 1.
+
+        w' is w when H y = w - grad has a solution, to RANGE_TOL of w - grad.
+        When H is singular (the cells with counts do not span the
+        parameters), y is the solution on the range of H, eigenvalues below
+        RANGE_TOL of the largest counted as 0, and w' = grad + H y: the rest
+        rho of w - grad is left to psd_minimize, which moves it into the
+        dual matrix.
         """
-        pos = self.pos
-        try:
-            x = (self.a @ np.linalg.solve(hess, w - grad))[pos] / (self.a[pos] @ z)
-        except np.linalg.LinAlgError:
-            return np.inf
-        if not np.all(x < 1.0):
-            return np.inf
-        return float(self.n[pos] @ (-x - np.log1p(-x)))
+        bound = np.full(len(z), np.inf)
+        rho = np.zeros_like(w)
+        for k, (zk, rk, hk) in enumerate(zip(z, w - grad, hess)):
+            pos = self.pos[k]
+            try:
+                y = np.linalg.solve(hk, rk)
+                solved = np.abs(hk @ y - rk).max() <= RANGE_TOL * np.abs(rk).max()
+            except np.linalg.LinAlgError:
+                solved = False
+            if not solved:
+                ev, vecs = np.linalg.eigh(hk)
+                span = ev > RANGE_TOL * ev[-1]
+                y = vecs[:, span] @ ((rk @ vecs[:, span]) / ev[span])
+                rho[k] = rk - hk @ y
+            x = (self.a[pos] @ y) / (self.a[pos] @ zk)
+            if np.all(x < 1.0):
+                bound[k] = self.n[k, pos] @ (-x - np.log1p(-x))
+        return bound, rho
 
 
 def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
 
 
-def _step_to_boundary(scale: np.ndarray, steps: np.ndarray) -> float:
-    """Largest a with X + a dX and Z + a dZ both PSD, given scale = (X^-1/2,
-    Z^-1/2) and steps = (dX, dZ)."""
-    w_min = np.linalg.eigvalsh(scale @ steps @ scale).min()
-    return np.inf if w_min >= 0.0 else -1.0 / w_min
+def _step_length(scale: np.ndarray, steps: np.ndarray, frac: float) -> np.ndarray:
+    """min(1, frac a_k) for the largest a_k with X_k + a dX_k and Z_k + a dZ_k
+    both PSD, given scale = (X^-1/2, Z^-1/2) and steps = (dX, dZ), both
+    stacked as (K, 2, d, d)."""
+    w_min = np.linalg.eigvalsh(scale @ steps @ scale).min(axis=(1, 2))
+    return frac / np.maximum(frac, -w_min)
+
+
+def _gaps(objective, primal, check, z, zd, w, tr_xz, grad, hess):
+    """The certified gap of each problem at (z, Z), w = A*(Z) and tr_xz =
+    Tr(S Z), where check is set, inf elsewhere, and the stack of dual
+    matrices that certify them: Z, or Z - sum_i rho_i E_i where
+    objective.residual_cost moves rho out of w, if that matrix is PSD."""
+    gap, dual = np.full(len(z), np.inf), zd
+    every = check.all()
+    rows = slice(None) if every else np.flatnonzero(check)
+    sub = objective if every else objective.take(rows)
+    bound, rho = sub.residual_cost(z[rows], grad[rows], hess[rows], w[rows])
+    gap[rows] = tr_xz[rows] + bound
+    if rho.any():
+        moved = rho.any(axis=1)
+        at = np.flatnonzero(check)[moved]
+        gap[at] -= _rows_dot(z[at], rho[moved])
+        dual = zd.copy()
+        dual[at] -= primal(rho[moved])
+        gap[at[np.linalg.eigvalsh(dual[at])[:, 0] < 0.0]] = np.inf
+    return gap, dual
 
 
 def psd_minimize(objective, basis: np.ndarray, z: np.ndarray, max_iter: int,
-                 dual: np.ndarray | None = None) -> OptimizeResult:
-    """Minimize a smooth convex f(z) subject to S(z) = sum_i z_i E_i >= 0.
+                 dual: np.ndarray | None = None) -> list[OptimizeResult]:
+    """Minimize smooth convex f_k(z) subject to S(z) = sum_i z_i E_i >= 0,
+    for k = 1..K at once; returns the K results in order.
 
-    ``objective(z)`` returns f, its gradient and its Hessian; ``basis`` is
-    the (n, d, d) stack of the E_i, Hermitian and orthonormal under
-    Tr(E_i E_j); ``z`` is a start with S(z) positive definite.  The dual
-    start is ``dual``, or else (f/d) S^-1, which suits an f >= 0 that is 0
-    at a perfect fit.
+    ``objective`` holds the K problems (see the module docstring); ``basis``
+    is the (n, d, d) stack of the E_i, Hermitian and orthonormal under
+    Tr(E_i E_j); ``z`` is a (K, n) stack of starts, each S(z_k) positive
+    definite.  The dual starts are the (K, d, d) ``dual``, or else (f_k/d)
+    S(z_k)^-1, which suits an f >= 0 that is 0 at a perfect fit.
 
     Primal-dual interior-point steps follow the central path S Z = mu 1 of
     the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0.
     Each step is the HKM Newton direction (Helmberg et al., SIAM J. Optim. 6,
     342 (1996)) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 575
     (1992)); its reduced system is (hess f + M) dz = rhs with M_ij =
-    Re Tr(E_i S^-1 E_j Z), the Gram matrix of the batched products
-    S^-1/2 E_i Z^1/2, both square roots from one eigh.  A step goes
-    STEP_FRAC of the way to the boundary of either cone at most, so S and Z
-    stay positive definite.
+    Re Tr(E_i S^-1 E_j Z), the Gram matrix of S^-1/2 E_i Z^1/2, both square
+    roots from one eigh and the products two GEMMs through a (d, n d) layout
+    of the basis.  A step goes STEP_FRAC of the way to the boundary of either
+    cone at most, so S and Z stay positive definite.  The K problems share
+    the numpy calls of a step and nothing else: each has its own step
+    lengths, gap and stop, and every product is taken one problem at a time,
+    so its result is the one it gets alone.
 
-    Every iterate is certified: for any Z >= 0 the dual function g(Z) =
-    min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained minimum, and
-    f(z) - g(Z) = Tr(S Z) + [f(z) + f*(w) - <w, z>] with w = A*(Z), w_i =
-    Tr(E_i Z), and f* the convex conjugate.  The bracket, 0 when grad f(z) =
-    w, is ``objective.residual_cost(z, grad, hess, w)`` or a bound on it.
-    The steps stop once the gap is at most GAP_TOL; ``converged`` means that
-    happened within ``max_iter`` steps, and ``n_iter`` counts the steps
-    taken.  An iterate that round-off puts outside the cone, which happens
-    only next to an optimum where S or Z is singular to working precision,
-    is dropped when the next step finds it: the last interior iterate is
-    returned, with its gap.  The result carries the gap and its dual
-    matrix Z.
+    An iterate is certified by its gap: for any Z >= 0 the dual function
+    g(Z) = min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained
+    minimum, and f(z) - g(Z) = Tr(S Z) + [f(z) + f*(w) - <w, z>] with w =
+    A*(Z), w_i = Tr(E_i Z), and f* the convex conjugate.  The bracket, 0 when
+    grad f(z) = w, is ``objective.residual_cost(z, grad, hess, w)`` or a bound
+    on it.  It is >= 0, so it is computed only once Tr(S Z) <= GAP_TOL, and
+    at the iterate a problem stops at.  residual_cost may instead bound it
+    at w - rho and return rho, when grad f(z) + rho = w has no solution in the
+    range of a singular Hessian; then Z - sum_i rho_i E_i, if PSD, is the
+    certifying dual matrix.
+
+    A problem stops, and leaves the stack, once its gap is at most GAP_TOL;
+    ``converged`` means that happened within ``max_iter`` steps, and
+    ``n_iter`` counts its steps.  An iterate that round-off puts outside the
+    cone, which happens only next to an optimum where S or Z is singular to
+    working precision, is dropped when the next step finds it: that
+    problem's last interior iterate is returned, with its gap.  Each result
+    carries its gap and its dual matrix.
     """
     n, d = basis.shape[:2]
+    basis = np.ascontiguousarray(basis)
     flat = basis.reshape(n, d * d)
-    adjoint = flat.conj()                 # A*(M) = Re(adjoint @ M.reshape(-1))
-    x = (z @ flat).reshape(d, d)
+    real_t = flat.view(float).T
+    left = np.ascontiguousarray(basis.transpose(1, 0, 2)).reshape(d, n * d)
+
+    def primal(y):          # S(y_k) for each row y_k
+        return _rows(y, flat).reshape(len(y), d, d)
+
+    def adjoint(m):         # A*(M_k) = (Tr(E_i M_k))_i for contiguous Hermitian M_k
+        return _rows(m.reshape(len(m), -1).view(float), real_t)
+
+    z = np.asarray(z, dtype=float)
+    x = primal(z)
     if dual is None:
         w, v = np.linalg.eigh(x)
-        if w[0] <= 0.0:
+        if w[:, 0].min() <= 0.0:
             raise ValueError("the start of psd_minimize is not positive definite")
     cost, grad, hess = objective(z)
-    zd = (v * (cost / d / w)) @ v.conj().T if dual is None else dual
-    pair = np.empty((2, d, d), dtype=complex)       # (X, Z), then (dX, dZ)
-    message = "max_iter reached"
-    last = None                # the last iterate found positive definite
+    zd = (v * (cost[:, None] / d / w)[:, None, :]) @ v.conj().swapaxes(1, 2) if dual is None \
+        else np.ascontiguousarray(dual, dtype=complex)
+    results: list[OptimizeResult | None] = [None] * len(z)
+    active = np.arange(len(z))          # the problems still in the stack
+    newton = np.empty((len(z), n, n))
+    pair = np.empty((len(z), 2, d, d), dtype=complex)    # (X, Z), then (dX, dZ)
+    last = None                 # the last iterates found positive definite
     it = 0
+
+    def finish(ids, rows, message, n_iter, z, cost, gap, dual):
+        # problem ids[j] ends at row rows[j] of the stacks z ... dual
+        for p, j in zip(ids, rows):
+            results[p] = OptimizeResult(
+                x=z[j], cost=float(cost[j]), n_iter=n_iter, converged=bool(gap[j] <= GAP_TOL),
+                message="duality gap below GAP_TOL" if gap[j] <= GAP_TOL else message,
+                gap=float(gap[j]), dual=dual[j])
+
     while True:
-        w_dual = np.real(adjoint @ zd.reshape(-1))
-        tr_xz = float(np.real(np.vdot(x, zd)))
-        gap = tr_xz + objective.residual_cost(z, grad, hess, w_dual)
-        if gap <= GAP_TOL:
-            message = "duality gap below GAP_TOL"
-            break
-        if it == max_iter:
-            break
-        pair[0], pair[1] = x, zd
-        w, v = np.linalg.eigh(pair)
-        if w[:, 0].min() <= 0.0:
+        k = len(z)
+        w_dual = adjoint(zd)
+        tr_xz = _rows_dot(z, w_dual)
+        check = tr_xz <= GAP_TOL if it < max_iter else np.ones(k, dtype=bool)
+        stop = np.zeros(k, dtype=bool)
+        if check.any():
+            gap, cert = _gaps(objective, primal, check, z, zd, w_dual, tr_xz, grad, hess)
+            stop = gap <= GAP_TOL if it < max_iter else check
+            rows = np.flatnonzero(stop)
+            finish(active[rows], rows, "max_iter reached", it, z, cost, gap, cert)
+            if stop.all():
+                break
+        pair[:k, 0], pair[:k, 1] = x, zd
+        w, v = np.linalg.eigh(pair[:k])
+        outside = ~stop & (w[:, :, 0].min(axis=1) <= 0.0)
+        if outside.any():
             if last is None:
                 raise ValueError("the start of psd_minimize is not positive definite")
             # the step to the boundary is exact only to round-off; next to an
             # optimum whose S or Z is singular, keep the last interior iterate
-            z, zd, cost, gap = last
-            it -= 1
-            message = "a step left the cone at round-off"
-            break
-        last = z, zd, cost, gap
+            rows = np.flatnonzero(outside)
+            back = objective.take(rows)
+            z_back, zd_back = last[0][rows], last[1][rows]
+            c_back, g_back, h_back = back(z_back)
+            w_back = adjoint(zd_back)
+            gap_back, cert_back = _gaps(back, primal, np.ones(len(rows), dtype=bool), z_back,
+                                        zd_back, w_back, _rows_dot(z_back, w_back), g_back, h_back)
+            finish(active[rows], range(len(rows)), "a step left the cone at round-off", it - 1,
+                   z_back, c_back, gap_back, cert_back)
+            stop |= outside
+        if stop.any():            # take the stopped problems out of the stack
+            rows = np.flatnonzero(~stop)
+            if len(rows) == 0:
+                break
+            active, z, x, zd, cost, grad, hess, tr_xz, w, v = (
+                part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, w, v))
+            last = None if last is None else (last[0][rows], last[1][rows])
+            objective = objective.take(rows)
+            k = len(z)
+        last = z, zd
         it += 1
-        vh = v.conj().transpose(0, 2, 1)
-        scale = (v * w[:, None, :] ** -0.5) @ vh            # X^-1/2, Z^-1/2
-        x_inv = (v[0] / w[0]) @ vh[0]
-        g = (scale[0] @ basis @ (v[1] * np.sqrt(w[1])) @ vh[1]).reshape(n, -1).view(float)
-        h_inv = np.linalg.inv(hess + g @ g.T)
+        vh = v.conj().swapaxes(2, 3)
+        scale = (v * w[:, :, None, :] ** -0.5) @ vh            # X^-1/2, Z^-1/2
+        x_inv = (v[:, 0] / w[:, 0, None, :]) @ vh[:, 0]
+        root_z = (v[:, 1] * np.sqrt(w[:, 1, None, :])) @ vh[:, 1]
+        for j in range(k):
+            # S^-1/2 E_i Z^1/2 for every i as (d, n, d), then as real rows by i
+            g = ((scale[j, 0] @ left).reshape(d * n, d) @ root_z[j]).reshape(d, n, d)
+            g = g.transpose(1, 0, 2).copy().view(float).reshape(n, -1)
+            np.matmul(g, g.T, out=newton[j])
+        system = np.add(newton[:k], hess, out=newton[:k])
         # predictor: the affine direction, aiming at mu = 0
-        dz = h_inv @ -grad
-        pair[0] = dx = (dz @ flat).reshape(d, d)
-        pair[1] = dzd = -zd - _herm(x_inv @ dx @ zd)
-        a = min(1.0, _step_to_boundary(scale, pair))
-        mu = tr_xz / d
-        mu_aff = float(np.real(np.vdot(x + a * dx, zd + a * dzd))) / d
-        target = mu * min(1.0, (mu_aff / mu) ** 3)
+        dz = _solve(system, -grad)
+        pair[:k, 0] = dx = primal(dz)
+        pair[:k, 1] = dzd = -zd - _herm(x_inv @ dx @ zd)
+        a = _step_length(scale, pair[:k], 1.0)[:, None, None]
+        # mu = Tr(S Z) / d now, and after the affine step
+        mu_aff = _rows_dot(x + a * dx, zd + a * dzd)
+        target = tr_xz / d * np.minimum(1.0, (mu_aff / tr_xz) ** 3)
         # corrector: aim at the target mu, with the second-order term of S Z
-        shift = target * x_inv - _herm(x_inv @ dx @ dzd)
-        dz = h_inv @ (np.real(adjoint @ shift.reshape(-1)) - grad)
-        pair[0] = dx = (dz @ flat).reshape(d, d)
-        pair[1] = dzd = shift - zd - _herm(x_inv @ dx @ zd)
-        a = min(1.0, STEP_FRAC * _step_to_boundary(scale, pair))
-        z = z + a * dz
-        zd = _herm(zd + a * dzd)
-        x = (z @ flat).reshape(d, d)
+        shift = target[:, None, None] * x_inv - _herm(x_inv @ dx @ dzd)
+        dz = _solve(system, adjoint(shift) - grad)
+        pair[:k, 0] = dx = primal(dz)
+        pair[:k, 1] = dzd = shift - zd - _herm(x_inv @ dx @ zd)
+        a = _step_length(scale, pair[:k], STEP_FRAC)
+        z = z + a[:, None] * dz
+        zd = _herm(zd + a[:, None, None] * dzd)
+        x = primal(z)
         cost, grad, hess = objective(z)
-    return OptimizeResult(x=z, cost=cost, n_iter=it, converged=gap <= GAP_TOL,
-                          message=message, gap=gap, dual=zd)
+    return results
 
 
 def psd_least_squares(r: np.ndarray, b: np.ndarray, basis: np.ndarray,
@@ -214,11 +356,12 @@ def psd_least_squares(r: np.ndarray, b: np.ndarray, basis: np.ndarray,
 
     The unconstrained minimizer z = -r^-1 b comes first; when S(z) is
     positive definite it is the optimum, with n_iter 0 and gap 0.  Otherwise
-    psd_minimize takes over from S with the eigenvalues of the unconstrained
-    solution clipped from below at the size of the most negative one, and at
-    START_FLOOR of the largest, and Z = (f/d) S^-1.  For least squares the
-    gap's residual term is exact: f(z) - g(Z) = Tr(S Z) + |r^-T (grad f(z)
-    - A*(Z))|^2 / 4, and on the central path the gap is d mu.
+    psd_minimize takes over, as a stack of one problem, from S with the
+    eigenvalues of the unconstrained solution clipped from below at the size
+    of the most negative one, and at START_FLOOR of the largest, and Z =
+    (f/d) S^-1.  For least squares the gap's residual term is exact: f(z) -
+    g(Z) = Tr(S Z) + |r^-T (grad f(z) - A*(Z))|^2 / 4, and on the central
+    path the gap is d mu.
     """
     n, d = basis.shape[:2]
     flat = basis.reshape(n, d * d)
@@ -233,4 +376,4 @@ def psd_least_squares(r: np.ndarray, b: np.ndarray, basis: np.ndarray,
     z = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
     resid = r @ z + b
     dual = (v * (resid @ resid / d / w)) @ v.conj().T
-    return psd_minimize(LeastSquares(r, b), basis, z, max_iter, dual)
+    return psd_minimize(LeastSquares(r[None], b[None]), basis, z[None], max_iter, dual[None])[0]

@@ -11,7 +11,8 @@ Hermitian S, so each model is one real matrix built once at import from the
 code that defines it.  Both fits are exact convex programs over positive
 semidefinite S, solved by optimize.psd_minimize and stopped by a certified
 duality gap; of FitConfig they read only max_iter, which caps the
-interior-point steps.
+interior-point steps.  fit_causal_maps solves several tables, such as the
+bootstrap's resamples, as one stack of problems.
 
 tau_CBD is the Poisson maximum-likelihood estimate (Hradil, PRA 55, R1561
 (1997)) over the S that cannot signal from B back to (C, D).  Those S form a
@@ -36,7 +37,7 @@ import csv
 import functools
 import io
 import math
-import os
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -275,8 +276,9 @@ def _square_root_form(lin: np.ndarray, const: np.ndarray):
 
 
 def _count_weights(data: np.ndarray) -> np.ndarray:
-    """Weights 1/sqrt(max(n, EPS_CELL)) of the Neyman chi^2 of both fits."""
-    if not data.any():
+    """Weights 1/sqrt(max(n, EPS_CELL)) of the Neyman chi^2 of both fits, for
+    one table of counts or a stack of them along the first axis."""
+    if not np.all(data.any(axis=-1)):
         raise ValueError("the count table is empty: there are no counts to fit")
     return 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
 
@@ -293,33 +295,48 @@ def _poisson_start(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return z + max(floor - w_min, 0.0) * _CBD_IDENTITY
 
 
-def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitResult:
-    """Reconstruct the Choi state from a count table.
+def fit_causal_maps(tables: Sequence[CountTable],
+                    config: FitConfig | None = None) -> list[FitResult]:
+    """Reconstruct the Choi state from each of a sequence of count tables.
 
     The Poisson maximum-likelihood estimate over the positive semidefinite S
     that cannot signal from B back to (C, D): the 216 cell means m =
     _CBD_ROWS z of S = sum_i z_i F_i minimize the negative log-likelihood
     sum_k m_k - n_k log m_k (optimize.PoissonLikelihood) by
-    optimize.psd_minimize from _poisson_start.  At the optimum Tr S is the
+    optimize.psd_minimize from _poisson_start, all tables as one stack of
+    problems that each stop at their own gap.  At the optimum Tr S is the
     total count over 27; tau is S over its trace.  ``converged`` means the
     certified gap fell to optimize.GAP_TOL within config.max_iter steps;
     otherwise tau is the last iterate, still a valid causal Choi state.
+    Returns one FitResult per table, in order.
     """
     config = config or FitConfig()
-    data = table.counts.reshape(-1)
-    if table.n_runs <= 0 and data.any():
-        raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
+    data = np.stack([table.counts.reshape(-1) for table in tables])
+    for table, counts in zip(tables, data):
+        if table.n_runs <= 0 and counts.any():
+            raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
     weights = _count_weights(data)
-    res = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_ROWS, data), _NO_RETRO_BASIS,
-                                _poisson_start(data, weights), config.max_iter)
-    s_mat = np.tensordot(res.x, _NO_RETRO_BASIS, 1)
-    tau_mat = matlin.hermitize(s_mat / np.trace(s_mat).real)
-    resid = (_CBD_ROWS @ res.x - data) * weights
-    penalty = float(np.max(np.abs(no_retro_deviation(tau_mat))))
-    tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
-    return FitResult(tau=tau, cost=res.cost, chi2=float(resid @ resid), penalty_residual=penalty,
-                     n_iter=res.n_iter, converged=res.converged, gap=res.gap,
-                     params=res.x, config=config)
+    starts = np.stack([_poisson_start(*row) for row in zip(data, weights)])
+    solved = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_ROWS, data), _NO_RETRO_BASIS,
+                                   starts, config.max_iter)
+    fits = []
+    for res, counts, w in zip(solved, data, weights):
+        s_mat = np.tensordot(res.x, _NO_RETRO_BASIS, 1)
+        tau_mat = matlin.hermitize(s_mat / np.trace(s_mat).real)
+        resid = (_CBD_ROWS @ res.x - counts) * w
+        penalty = float(np.max(np.abs(no_retro_deviation(tau_mat))))
+        tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
+        fits.append(FitResult(tau=tau, cost=res.cost, chi2=float(resid @ resid),
+                              penalty_residual=penalty, n_iter=res.n_iter,
+                              converged=res.converged, gap=res.gap, params=res.x,
+                              config=config))
+    return fits
+
+
+def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitResult:
+    """Reconstruct the Choi state from one count table: fit_causal_maps of
+    that table alone."""
+    return fit_causal_maps([table], config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +399,20 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     return DensityOperator(rho, CD_FACTORS), replace(res, cost=res.cost + rest ** 2)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform
-    has one, else all CPUs of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
                         seed: int | None = None,
                         config: FitConfig | None = None) -> dict:
     """Parametric bootstrap around an observed count table.
 
-    Each resample Poisson-fluctuates the observed counts and is refitted
-    with ``config`` by fit_causal_map; ``statistic``
-    (a FitResult -> dict of floats) is then applied to every refit.  Returns
-    per-key mean and standard deviation over ``n_resamples`` >= 2 refits.
-
-    The resampled tables are drawn here, in order, from ``seed``; the refits
-    run in worker processes, one per usable CPU up to ``n_resamples``, or in
-    this process when only one CPU is usable or this process is a daemon,
-    which may not start children.  Every refit runs the same code on the same
-    inputs, so the result does not depend on the number of workers.
-    ``statistic`` runs in this process and need not be picklable.
+    Each resample Poisson-fluctuates the observed counts; the resampled
+    tables are drawn in order from ``seed`` and refitted with ``config`` by
+    one call of fit_causal_maps, a stack of ``n_resamples`` problems that
+    each keep their own certified gap.  ``statistic`` (a FitResult -> dict
+    of floats) is then applied to every refit.  Returns per-key mean and
+    standard deviation over ``n_resamples`` >= 2 refits.
     """
     if n_resamples < 2:
         raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
-    configs = [config or FitConfig()] * n_resamples
     rng = np.random.default_rng(seed)
     tables = []
     for _ in range(n_resamples):
@@ -418,20 +421,8 @@ def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
             np.random.default_rng(sub_seed).poisson(np.clip(table.counts, 0, None)).astype(float),
             table.n_runs))
 
-    # imported here: the pool machinery costs ~20 ms and ~2 MB at import,
-    # which callers that never bootstrap should not pay
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    workers = min(n_resamples, _usable_cpus())
-    if workers < 2 or multiprocessing.current_process().daemon:
-        fits = list(map(fit_causal_map, tables, configs))
-    else:
-        with ProcessPoolExecutor(workers) as pool:
-            fits = list(pool.map(fit_causal_map, tables, configs))
-
     samples: dict[str, list] = {}
-    for fit in fits:
+    for fit in fit_causal_maps(tables, config):
         for key, val in statistic(fit).items():
             samples.setdefault(key, []).append(float(val))
     return {

@@ -100,16 +100,21 @@ class TestPoissonLikelihood:
         a, counts, _, start = _poisson_problem(0)
         counts[:3] = 0.0
         m = a @ start
-        value, _, _ = PoissonLikelihood(a, counts)(start)
+        [value], _, _ = PoissonLikelihood(a, counts[None])(start[None])
         pos = counts > 0
         deviance = 2.0 * (np.sum(counts[pos] * np.log(counts[pos] / m[pos])) - np.sum(counts - m))
         assert value == pytest.approx(deviance / 2.0, rel=1e-12)
-        assert PoissonLikelihood(a, a @ start)(start)[0] == pytest.approx(0.0, abs=1e-9)
+        [saturated], _, _ = PoissonLikelihood(a, (a @ start)[None])(start[None])
+        assert saturated == pytest.approx(0.0, abs=1e-9)
 
     def test_derivatives_match_finite_differences(self):
         a, counts, _, start = _poisson_problem(1)
         counts[:3] = 0.0
-        objective = PoissonLikelihood(a, counts)
+        stacked = PoissonLikelihood(a, counts[None])
+
+        def objective(y):
+            return tuple(part[0] for part in stacked(y[None]))
+
         z = start + np.random.default_rng(2).uniform(-0.1, 0.1, start.size) * start.max()
         _, grad, hess = objective(z)
         num_grad = _numeric_gradient(lambda y: objective(y)[0], z)
@@ -128,14 +133,14 @@ class TestPsdMinimize:
         # g(nu) = sum_{n > 0} n log(1 - nu) the dual function of the shifted NLL
         a, counts, basis, start = _poisson_problem(seed)
         counts[seed] = 0.0
-        objective = PoissonLikelihood(a, counts)
-        res = psd_minimize(objective, basis, start, 100)
+        objective = PoissonLikelihood(a, counts[None])
+        [res] = psd_minimize(objective, basis, start[None], 100)
         assert res.converged and 0 < res.n_iter <= 40 and res.gap <= GAP_TOL
         s_mat = np.tensordot(res.x, basis, 1)
         assert np.linalg.eigvalsh(s_mat)[0] > 0.0
         assert np.linalg.eigvalsh(res.dual)[0] > 0.0
         m = a @ res.x
-        _, grad, hess = objective(res.x)
+        _, [grad], [hess] = objective(res.x[None])
         w = np.real(np.einsum("iab,ba->i", basis, res.dual))
         nu = 1.0 - counts / m + (counts / m ** 2) * (a @ np.linalg.solve(hess, w - grad))
         assert np.allclose(a.T @ nu, w, rtol=0, atol=1e-12 * np.abs(a).sum())
@@ -146,7 +151,7 @@ class TestPsdMinimize:
 
     def test_budget_caps_the_steps(self):
         a, counts, basis, start = _poisson_problem(0)
-        res = psd_minimize(PoissonLikelihood(a, counts), basis, start, 1)
+        [res] = psd_minimize(PoissonLikelihood(a, counts[None]), basis, start[None], 1)
         assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
@@ -157,7 +162,8 @@ class TestPsdMinimize:
         b = -r @ np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
         res = psd_least_squares(r, b, basis, 50)
         assert res.converged and res.n_iter > 0
-        again = psd_minimize(LeastSquares(r, b), basis, res.x, 50, res.dual)
+        [again] = psd_minimize(LeastSquares(r[None], b[None]), basis, res.x[None], 50,
+                               res.dual[None])
         assert again.converged and again.n_iter == 0
         assert again.cost == res.cost and again.gap == res.gap
 
@@ -165,4 +171,4 @@ class TestPsdMinimize:
         a, counts, basis, start = _poisson_problem(0)
         bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))
         with pytest.raises(ValueError, match="not positive definite"):
-            psd_minimize(PoissonLikelihood(a, counts), basis, bad, 10)
+            psd_minimize(PoissonLikelihood(a, counts[None]), basis, bad[None], 10)

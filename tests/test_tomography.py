@@ -1,12 +1,7 @@
 import json
-import multiprocessing
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -312,6 +307,89 @@ class TestFullFit:
         assert "Infinity" not in text and json.loads(text)["gap"] is None
 
 
+def _stack_solve(tables, max_iter):
+    """The solver call of fit_causal_maps, for its certificates: the tables
+    as one stack of Poisson problems from their fit starts."""
+    data = np.stack([t.counts.reshape(-1) for t in tables])
+    starts = np.stack([tomography._poisson_start(n, tomography._count_weights(n)) for n in data])
+    return data, optimize.psd_minimize(optimize.PoissonLikelihood(tomography._CBD_ROWS, data),
+                                       tomography._NO_RETRO_BASIS, starts, max_iter)
+
+
+def _check_poisson_certificate(counts, res):
+    """Rebuild the dual point behind res.gap and check it directly, as
+    test_poisson_gap_is_a_dual_certificate does, with the Hessian solved on
+    its range: a^T nu = A*(Z), nu < 1 on the nonzero counts, nu <= 1 on the
+    zeros, Z >= 0 and f - g(nu) = gap."""
+    a, basis = tomography._CBD_ROWS, tomography._NO_RETRO_BASIS
+    [value], [grad], [hess] = optimize.PoissonLikelihood(a, counts[None])(res.x[None])
+    assert value == pytest.approx(res.cost, rel=1e-12)
+    m = a @ res.x
+    w = np.real(np.einsum("iab,ba->i", basis, res.dual))
+    y = np.linalg.lstsq(hess, w - grad, rcond=None)[0]
+    nu = 1.0 - counts / m + (counts / m ** 2) * (a @ y)
+    assert np.allclose(a.T @ nu, w, rtol=0, atol=1e-12 * np.abs(a).sum())
+    pos = counts > 0
+    assert np.all(nu[pos] < 1.0) and np.all(nu[~pos] <= 1.0)
+    assert np.linalg.eigvalsh(res.dual)[0] >= 0.0
+    assert res.cost - counts[pos] @ np.log(1.0 - nu[pos]) == pytest.approx(res.gap, abs=1e-9)
+
+
+class TestStackedFit:
+    # four tables at N = 2e5 and one sparse table, which stops at round-off
+    # without a certificate
+    TABLES = (("coh", 200_000, 0), ("probc", 200_000, 0), ("physc", 200_000, 0),
+              ("epsmix", 200_000, 0), ("probq", 5, 38))
+
+    @pytest.mark.parametrize("max_iter", [5, 10, 2000])
+    def test_each_problem_is_its_own_solve(self, max_iter):
+        tables = [sample_counts(build_scenario(name), n, seed=seed)
+                  for name, n, seed in self.TABLES]
+        data, stacked = _stack_solve(tables, max_iter)
+        for table, res in zip(tables, stacked):
+            [alone] = _stack_solve([table], max_iter)[1]
+            assert res.n_iter == alone.n_iter <= max_iter
+            assert res.converged == alone.converged and res.message == alone.message
+            assert abs(res.cost - alone.cost) <= max(res.gap, alone.gap)
+        messages = [res.message for res in stacked]
+        if max_iter == 2000:
+            assert messages == ["duality gap below GAP_TOL"] * 4 + [
+                "a step left the cone at round-off"]
+        else:
+            assert "max_iter reached" in messages and "duality gap below GAP_TOL" in messages
+        for counts, res in zip(data, stacked):
+            if res.converged:
+                _check_poisson_certificate(counts, res)
+
+    def test_certified_problem_stays_frozen(self):
+        # a problem certified early leaves the stack: the steps the others
+        # take after it change none of its result
+        tables = [sample_counts(build_scenario(name), n, seed=seed)
+                  for name, n, seed in self.TABLES]
+        _, full = _stack_solve(tables, 2000)
+        early = min(range(len(full)), key=lambda j: full[j].n_iter)
+        assert full[early].converged and full[early].n_iter < max(r.n_iter for r in full)
+        _, cut = _stack_solve(tables, full[early].n_iter)
+        assert cut[early].converged
+        assert np.array_equal(cut[early].x, full[early].x)
+        assert np.array_equal(cut[early].dual, full[early].dual)
+        assert cut[early].gap == full[early].gap and cut[early].n_iter == full[early].n_iter
+
+    def test_sparse_tables_are_certified(self):
+        # at N = 27 the cells with counts do not span the 52 parameters, so the
+        # Poisson Hessian is singular; the part of A*(Z) - grad f outside its
+        # range moves into Z.  Every fit is certified, and every certificate
+        # checked directly.  A plain solve of the singular Hessian "certified"
+        # 19 of them, none of which passes this check
+        tables = [sample_counts(build_scenario(name), 27, seed=seed)
+                  for name in ("probc", "physc", "probq", "coh", "epsmix") for seed in range(10)]
+        data, stacked = _stack_solve(tables, 2000)
+        for counts, res in zip(data, stacked):
+            assert res.converged and res.gap <= optimize.GAP_TOL
+            _check_poisson_certificate(counts, res)
+        assert all(fit.converged for fit in tomography.fit_causal_maps(tables))
+
+
 class TestFitConfig:
     @pytest.mark.parametrize("field, value", [
         ("restarts", 0), ("max_iter", 0), ("lam", -1.0), ("lam", float("nan")),
@@ -375,9 +453,16 @@ def _fit_objective(dim, lin, rng):
     if dim == 8:
         a = lin @ tomography._real_form(tomography._NO_RETRO_BASIS)
         z = 2000.0 * tomography._CBD_IDENTITY + 100.0 * rng.standard_normal(52)
-        return optimize.PoissonLikelihood(a, rng.poisson(a @ z).astype(float)), z
+        counts = rng.poisson(a @ z).astype(float)
+        return _one_problem(optimize.PoissonLikelihood(a, counts[None])), z
     _, r, q_const, _ = tomography._square_root_form(*_weighted_rows(dim, lin, rng))
-    return optimize.LeastSquares(r, q_const), rng.standard_normal(dim * dim) * 10.0
+    return (_one_problem(optimize.LeastSquares(r[None], q_const[None])),
+            rng.standard_normal(dim * dim) * 10.0)
+
+
+def _one_problem(objective):
+    """An objective over a stack of one problem as a function of its z."""
+    return lambda z: tuple(part[0] for part in objective(z[None]))
 
 
 def _numeric_jacobian(fn, z, step):
@@ -695,26 +780,6 @@ def _ccd_statistic(fit):
     return {"ccd": classify(fit.tau).ccd}
 
 
-# The spawn test's script repeats this table, statistic and config.
-SPAWN_SCRIPT = """
-import json, multiprocessing
-from qcausal import tomography
-from qcausal.causal import build_scenario
-from qcausal.witness import classify
-
-def ccd(fit):
-    return {"ccd": classify(fit.tau).ccd}
-
-if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
-    tomography._usable_cpus = lambda: 2      # a pool even on one CPU
-    table = tomography.sample_counts(build_scenario("physc"), 30_000, seed=9)
-    config = tomography.FitConfig(restarts=1, max_iter=400)
-    print(json.dumps(tomography.bootstrap_errorbars(table, ccd, n_resamples=3,
-                                                    seed=11, config=config)))
-"""
-
-
 class TestBootstrap:
     @staticmethod
     def _physc_bootstrap():
@@ -728,26 +793,19 @@ class TestBootstrap:
         assert set(a) == {"mean", "std", "n_resamples"}
         assert a["std"]["ccd"] > 0.0
 
-    def test_in_process_matches_pool(self, monkeypatch):
-        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 2)
-        pooled = self._physc_bootstrap()
-        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 1)
-        assert self._physc_bootstrap() == pooled
-        # a daemonic process may not start workers, so it fits in-process
-        monkeypatch.setattr(tomography, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-        assert self._physc_bootstrap() == pooled
-
-    def test_spawn_start_method(self, tmp_path):
-        # spawned workers import qcausal afresh and receive every job pickled
-        script = tmp_path / "spawn_bootstrap.py"
-        script.write_text(SPAWN_SCRIPT)
-        src = str(Path(tomography.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
-                             text=True, timeout=300, check=True)
-        assert json.loads(out.stdout) == self._physc_bootstrap()
+    def test_matches_fits_one_at_a_time(self):
+        # the refits are one stacked solve of the resampled tables, drawn in
+        # order from sub-seeds of the seed; each refit is its table's own fit
+        table = sample_counts(build_scenario("physc"), 30_000, seed=9)
+        rng = np.random.default_rng(11)
+        ccd = []
+        for _ in range(3):
+            draw = np.random.default_rng(int(rng.integers(0, 2**32 - 1)))
+            resampled = CountTable(draw.poisson(table.counts).astype(float), table.n_runs)
+            ccd.append(_ccd_statistic(fit_causal_map(resampled, FAST))["ccd"])
+        bs = self._physc_bootstrap()
+        assert bs["mean"]["ccd"] == pytest.approx(np.mean(ccd), rel=0, abs=1e-9)
+        assert bs["std"]["ccd"] == pytest.approx(np.std(ccd, ddof=1), rel=0, abs=1e-9)
 
     @pytest.mark.parametrize("n_resamples", [1, 0])
     def test_needs_two_resamples(self, n_resamples):
