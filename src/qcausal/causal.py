@@ -12,6 +12,8 @@ is the probability of its cell.  Its (3, 3, 3, 8, 64) stack MEAS_STACK over
 the settings (s on C, t for the repreparation on D, u on B) gives the
 uniform-preparation joint P(c, b, d | s, t, u); tomography slices it, and
 takes the two-wire stack for the (C, D) states of the Berkson analysis.
+The same broadcast product gives the normalized Pauli strings
+(_pauli_strings), the coordinates of both tomographic fits.
 Conditioning is one contraction of tau as a (2,)*6 tensor per wire, for a
 whole stack of projectors at once (conditioned_states).  Classification takes
 its six induced states, both z outcomes on C, D and B, from one product with
@@ -31,6 +33,7 @@ import numpy as np
 from . import quantum
 from .matlin import hermitize, partial_trace, partial_transpose, reorder, tensor_product
 from .quantum import (
+    IDENTITY_2,
     PAULI_AXES,
     DensityOperator,
     KrausChannel,
@@ -214,17 +217,34 @@ def random_probabilistic_mixture(rng=None) -> CausalChoi:
     return CausalChoi(DensityOperator(hermitize(p * ce + (1 - p) * cc), CBD_FACTORS))
 
 
-def _pauli_rows(n: int) -> np.ndarray:
-    """(3,)*n + (2**n, 4**n) stack over the Pauli settings and outcomes of n
-    wires in kron order: the transpose of Pi_1 x ... x Pi_n, flattened.  A
-    plain broadcast product in kron order, so every entry, signed zeros
-    included, equals its kron-built value."""
-    p = np.array([[pauli_projector(a, o) for o in (+1, -1)] for a in PAULI_AXES])
-    # factor k on the setting, outcome, row and column axes of wire k
+def _wire_product(p: np.ndarray, n: int) -> np.ndarray:
+    """Every product over n wires of the 2x2 operators in the stack p, one
+    per wire, in kron order: a plain broadcast product, so every entry,
+    signed zeros included, equals its kron-built value.  Each leading axis
+    of p comes back as n axes, wire 1 first, followed by the 2**n rows and
+    the 2**n columns."""
+    # factor k on the axes of wire k
     factors = [p.reshape([m if j == k else 1 for m in p.shape for j in range(n)])
                for k in range(n)]
-    op = functools.reduce(np.multiply, factors).reshape((3,) * n + (2 ** n,) * 3)
+    op = functools.reduce(np.multiply, factors)
+    return op.reshape(op.shape[:-2 * n] + (2 ** n, 2 ** n))
+
+
+def _pauli_rows(n: int) -> np.ndarray:
+    """(3,)*n + (2**n, 4**n) stack over the Pauli settings and outcomes of n
+    wires in kron order: the transpose of Pi_1 x ... x Pi_n, flattened."""
+    p = np.array([[pauli_projector(a, o) for o in (+1, -1)] for a in PAULI_AXES])
+    op = _wire_product(p, n).reshape((3,) * n + (2 ** n,) * 3)
     return np.swapaxes(op, -1, -2).reshape((3,) * n + (2 ** n, 4 ** n))
+
+
+def _pauli_strings(n: int) -> np.ndarray:
+    """The 4**n Pauli strings of n wires in kron order over sqrt(2**n), as a
+    (4**n, 2**n, 2**n) stack: a trace-orthonormal basis of the Hermitian
+    matrices.  String i holds sigma_(i_k) on wire k, the base-4 digits i_k of
+    i with wire 1 first, and sigma_0 = 1 then x, y, z."""
+    p = np.array([IDENTITY_2] + [SIGMA[a] for a in PAULI_AXES])
+    return _wire_product(p, n).reshape(4 ** n, 2 ** n, 2 ** n) / np.sqrt(2 ** n)
 
 
 # (3, 3, 3, 8, 64) over (s, t, u, cbd): sigma_s on C, sigma_t on D, sigma_u on B

@@ -194,16 +194,16 @@ def _gaps(objective, primal, check, z, zd, w, tr_xz, grad, hess):
     return gap, dual
 
 
-def psd_minimize(objective, basis: np.ndarray, z: np.ndarray, max_iter: int,
-                 dual: np.ndarray | None = None) -> list[OptimizeResult]:
+def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
+                 max_iter: int) -> list[OptimizeResult]:
     """Minimize smooth convex f_k(z) subject to S(z) = sum_i z_i E_i >= 0,
     for k = 1..K at once; returns the K results in order.
 
     ``objective`` holds the K problems (see the module docstring); ``basis``
     is the (n, d, d) stack of the E_i, Hermitian and orthonormal under
     Tr(E_i E_j); ``z`` is a (K, n) stack of starts, each S(z_k) positive
-    definite.  The dual starts are the (K, d, d) ``dual``, or else (f_k/d)
-    S(z_k)^-1, which suits an f >= 0 that is 0 at a perfect fit.
+    definite.  The dual starts are (f_k/d) S(z_k)^-1, which suits an f >= 0
+    that is 0 at a perfect fit.
 
     Primal-dual interior-point steps follow the central path S Z = mu 1 of
     the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0.
@@ -251,13 +251,11 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray, max_iter: int,
 
     z = np.asarray(z, dtype=float)
     x = primal(z)
-    if dual is None:
-        w, v = np.linalg.eigh(x)
-        if w[:, 0].min() <= 0.0:
-            raise ValueError("the start of psd_minimize is not positive definite")
+    w, v = np.linalg.eigh(x)
+    if w[:, 0].min() <= 0.0:
+        raise ValueError("the start of psd_minimize is not positive definite")
     cost, grad, hess = objective(z)
-    zd = (v * (cost[:, None] / d / w)[:, None, :]) @ v.conj().swapaxes(1, 2) if dual is None \
-        else np.ascontiguousarray(dual, dtype=complex)
+    zd = (v * (cost[:, None] / d / w)[:, None, :]) @ v.conj().swapaxes(1, 2)
     results: list[OptimizeResult | None] = [None] * len(z)
     active = np.arange(len(z))          # the problems still in the stack
     newton = np.empty((len(z), n, n))
@@ -358,22 +356,20 @@ def psd_least_squares(r: np.ndarray, b: np.ndarray, basis: np.ndarray,
     positive definite it is the optimum, with n_iter 0 and gap 0.  Otherwise
     psd_minimize takes over, as a stack of one problem, from S with the
     eigenvalues of the unconstrained solution clipped from below at the size
-    of the most negative one, and at START_FLOOR of the largest, and Z =
-    (f/d) S^-1.  For least squares the gap's residual term is exact: f(z) -
-    g(Z) = Tr(S Z) + |r^-T (grad f(z) - A*(Z))|^2 / 4, and on the central
-    path the gap is d mu.
+    of the most negative one, and at START_FLOOR of the largest.  For least
+    squares the gap's residual term is exact: f(z) - g(Z) = Tr(S Z) +
+    |r^-T (grad f(z) - A*(Z))|^2 / 4, and on the central path the gap is
+    d mu.
     """
     n, d = basis.shape[:2]
     flat = basis.reshape(n, d * d)
     z = np.linalg.solve(r, -b)
     w, v = np.linalg.eigh((z @ flat).reshape(d, d))
-    resid = r @ z + b
     if w[0] > 0.0:
+        resid = r @ z + b
         return OptimizeResult(x=z, cost=float(resid @ resid), n_iter=0, converged=True,
                               message="unconstrained optimum is positive definite",
                               gap=0.0, dual=np.zeros((d, d), dtype=complex))
     w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
     z = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
-    resid = r @ z + b
-    dual = (v * (resid @ resid / d / w)) @ v.conj().T
-    return psd_minimize(LeastSquares(r[None], b[None]), basis, z[None], max_iter, dual[None])[0]
+    return psd_minimize(LeastSquares(r[None], b[None]), basis, z[None], max_iter)[0]

@@ -6,35 +6,38 @@ repreparation on D, u on B), N/27 runs each, recording the 8 outcome
 triples.  Both experiments take their Pauli rows from causal's one builder,
 in one convention, each row dotted with vec(T_D rho): the 216 rows of
 MEAS_STACK for tau_CBD and its two-wire stack, 36 rows, for a (C, D) state
-of the Berkson analysis.  Every cell mean is real-linear in the fitted
-Hermitian S, so each model is one real matrix built once at import from the
-code that defines it.  Both fits are exact convex programs over positive
-semidefinite S, solved by optimize.psd_minimize and stopped by a certified
-duality gap; of FitConfig they read only max_iter, which caps the
-interior-point steps.  fit_causal_maps solves several tables, such as the
-bootstrap's resamples, as one stack of problems.
+of the Berkson analysis.  Both fits work in the coordinates of normalized
+Pauli strings, a trace-orthonormal basis (causal._pauli_strings), and each
+count model is its cell map applied to that basis, one real matrix built at
+import.  Both fits are exact convex programs over positive semidefinite S,
+solved by optimize.psd_minimize and stopped by a certified duality gap; of
+FitConfig they read only max_iter, which caps the interior-point steps.
+fit_causal_maps solves several tables, such as the bootstrap's resamples, as
+one stack of problems.
 
 tau_CBD is the Poisson maximum-likelihood estimate (Hradil, PRA 55, R1561
-(1997)) over the S that cannot signal from B back to (C, D).  Those S form a
-52-dimensional subspace of the Hermitian 8x8 matrices, the null space of
-no_retro_deviation; _NO_RETRO_BASIS is a trace-orthonormal basis of it, and
-_CBD_ROWS the (216, 52) count model over its coordinates.  The identity lies
-in the subspace, and every cell mean is Tr(S P) with P >= 0, so S > 0 keeps
-every mean positive.  The fit starts from the Neyman-weighted least-squares
-solution lifted along the identity until positive definite.
+(1997)) over the S that cannot signal from B back to (C, D), Tr_B S =
+Tr_BD S x 1/2.  A Pauli string sigma_C x sigma_B x sigma_D breaks that
+exactly when sigma_B = 1 and sigma_D != 1, so those S are the span of the
+other 52 strings: _NO_RETRO_BASIS holds the strings that no_retro_deviation
+maps to zero, and _CBD_ROWS is the (216, 52) count model over their
+coordinates.  The identity lies in the span, and every cell mean is Tr(S P)
+with P >= 0, so S > 0 keeps every mean positive.  The fit starts from the
+Neyman-weighted least-squares solution lifted along the identity until
+positive definite.
 
 The (C, D) state is fitted by Neyman-weighted least squares, weights
-1/sqrt(max(n, EPS_CELL)), over all Hermitian 4x4 S >= 0: the weighted rows
-are put in square-root form, the thin Householder QR L H = Q R over an
-orthonormal basis H of the Hermitian matrices, which gives the cost of
-S = H z as ||R z + Q^T c||^2 plus a constant, and optimize.psd_least_squares
-takes the closed form when that is positive definite.
+1/sqrt(max(n, EPS_CELL)), over all Hermitian 4x4 S >= 0 in the coordinates
+of the 16 two-wire strings: the weighted rows of _CD_ROWS are put in
+square-root form, the thin Householder QR L = Q R, which gives the cost of
+S = sum_i z_i E_i as ||R z + Q^T c||^2 plus a constant, and
+optimize.psd_least_squares takes the closed form when that is positive
+definite.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from collections.abc import Sequence
@@ -44,7 +47,14 @@ from itertools import product
 import numpy as np
 
 from . import matlin, optimize
-from .causal import CBD_FACTORS, MEAS_STACK, CausalChoi, _pauli_rows, no_retro_deviation
+from .causal import (
+    CBD_FACTORS,
+    MEAS_STACK,
+    CausalChoi,
+    _pauli_rows,
+    _pauli_strings,
+    no_retro_deviation,
+)
 from .quantum import PAULI_AXES as AXES, DensityOperator
 
 DEFAULT_RUNS = 200_000
@@ -87,37 +97,6 @@ class CountTable:
                         1 - 2 * ci, 1 - 2 * bi, 1 - 2 * di,
                         repr(float(self.counts[si, ti, ui, ci, bi, di]))])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, n_runs: int | None = None) -> "CountTable":
-        """Read the to_csv format.  Cells without a row count zero; rows
-        without 7 fields, unknown axes, outcomes other than +-1, repeated
-        cells and counts that are negative or not finite raise ValueError."""
-        rows = list(csv.reader(io.StringIO(text)))
-        if not rows or rows[0] != ["s", "t", "u", "c", "b", "d", "count"]:
-            raise ValueError("unexpected CSV header")
-        counts = np.zeros((3, 3, 3, 2, 2, 2))
-        seen = set()
-        for line, row in enumerate(rows[1:], start=2):
-            if len(row) != 7:
-                raise ValueError(f"line {line}: expected 7 fields, got {len(row)}")
-            s, t, u, c, b, d, n = row
-            if not {s, t, u} <= set(AXES):
-                raise ValueError(f"line {line}: unknown axis in {(s, t, u)}")
-            outcomes = tuple(int(o) for o in (c, b, d))
-            if not set(outcomes) <= {1, -1}:
-                raise ValueError(f"line {line}: outcomes {outcomes} are not all +-1")
-            idx = (AXES.index(s), AXES.index(t), AXES.index(u),
-                   *((1 - o) // 2 for o in outcomes))
-            if idx in seen:
-                raise ValueError(f"line {line}: duplicate cell {(s, t, u) + outcomes}")
-            seen.add(idx)
-            value = float(n)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"line {line}: count {n!r} is not finite and non-negative")
-            counts[idx] = value
-        total = int(round(counts.sum())) if n_runs is None else n_runs
-        return cls(counts, total)
 
 
 # Row i, dotted with vec(T_D tau), gives P(c, b, d | s, t, u) for the i-th
@@ -204,73 +183,24 @@ class FitResult:
         })
 
 
-def _real_linear_map(fn, dim: int) -> np.ndarray:
-    """Real matrix L with fn(S) = L @ S.reshape(-1).view(float) for a
-    real-linear fn: its columns take Re S_ab and Im S_ab in turn."""
-    units = np.eye(dim * dim).reshape(-1, dim, dim)
-    return np.stack([fn(z * e) for e in units for z in (1.0, 1j)], axis=1)
-
-
-# The 216 cell probabilities of an 8x8 S, as a real-linear map.
-_CBD_MAP = _real_linear_map(_cell_probabilities, 8)
-
-
-@functools.cache
-def _basis_stack(dim: int) -> np.ndarray:
-    """The trace-orthonormal basis E_i of the Hermitian dim x dim matrices, as
-    a complex (dim^2, dim, dim) stack: E_aa, (E_ab + E_ba)/sqrt 2 for a < b
-    and i (E_ab - E_ba)/sqrt 2 for a > b.  Its real form H, with columns
-    E_i.reshape(-1).view(float), is .reshape(dim^2, -1).view(float).T."""
-    basis = np.zeros((dim * dim, dim, dim), dtype=complex)
-    for e, (a, b) in zip(basis, product(range(dim), repeat=2)):
-        if a == b:
-            e[a, a] = 1.0
-        else:
-            e[a, b], e[b, a] = (1.0, 1.0) if a < b else (1j, -1j)
-            e /= np.sqrt(2.0)
-    basis.flags.writeable = False    # cached: every caller shares this array
-    return basis
-
-
-def _real_form(basis: np.ndarray) -> np.ndarray:
-    """The real (2 dim^2, n) matrix whose column i is E_i.reshape(-1).view(float)."""
-    return basis.reshape(len(basis), -1).view(float).T
-
-
-def _no_retro_basis() -> np.ndarray:
-    """A trace-orthonormal basis of the Hermitian 8x8 S with no_retro_deviation
-    S = 0, as a (52, 8, 8) stack: the null space of the 32 real deviation
-    rows in the coordinates of _basis_stack(8), whose rank is 12."""
-    def rows(s):
-        flat = no_retro_deviation(s).reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
-    deviation = _real_linear_map(rows, 8)
-    _, sing, vh = np.linalg.svd(deviation @ _real_form(_basis_stack(8)))
-    rank = int(np.sum(sing > 1e-12 * sing[0]))
-    basis = np.tensordot(vh[rank:], _basis_stack(8), 1)
-    basis.flags.writeable = False
-    return basis
-
-
 # The tau_CBD fit's parameter space and count model: S = sum_i z_i F_i over
-# the no-retrocausation basis F, whose 216 cell means are _CBD_ROWS @ z.
-_NO_RETRO_BASIS = _no_retro_basis()
-_CBD_ROWS = _CBD_MAP @ _real_form(_NO_RETRO_BASIS)
+# the normalized Pauli strings F that no_retro_deviation maps to zero, all
+# but the 12 sigma_C x 1_B x sigma_D with sigma_D != 1, whose 216 cell means
+# are _CBD_ROWS @ z.
+_NO_RETRO_BASIS = np.stack([f for f in _pauli_strings(3) if not no_retro_deviation(f).any()])
+_CBD_ROWS = np.stack([_cell_probabilities(f) for f in _NO_RETRO_BASIS], axis=1)
 # coordinates of the identity, which lies in the span: Tr(F_i)
 _CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
 
 
-def _square_root_form(lin: np.ndarray, const: np.ndarray):
-    """The weighted model rows (lin, const) as the square root of their cost.
+def _square_root_form(rows: np.ndarray, const: np.ndarray):
+    """The weighted model rows (rows, const) as the square root of their cost.
 
-    With H the Hermitian basis, lin H = Q R (thin Householder QR), so the
-    cost of a Hermitian S = H z is ||lin S + const||^2 = ||R z + Q^T const||^2
-    + rest^2 with rest = |const - Q Q^T const|.  Returns (Q, R, Q^T const,
-    rest).
+    With rows = Q R (thin Householder QR), the cost of coordinates z is
+    ||rows z + const||^2 = ||R z + Q^T const||^2 + rest^2 with rest =
+    |const - Q Q^T const|.  Returns (Q, R, Q^T const, rest).
     """
-    dim = math.isqrt(lin.shape[1] // 2)
-    q, r = np.linalg.qr(lin @ _real_form(_basis_stack(dim)))
+    q, r = np.linalg.qr(rows)
     q_const = q.T @ const
     return q, r, q_const, float(np.linalg.norm(const - q @ q_const))
 
@@ -355,7 +285,10 @@ def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
     return np.real(_CD_MEAS_STACK @ td.reshape(-1))
 
 
-_CD_MAP = _real_linear_map(_cd_cell_probabilities, 4)
+# The (C, D) fit's coordinates, the 16 normalized Pauli strings of two
+# wires, and its count model, whose 36 cell means are _CD_ROWS @ z.
+_CD_BASIS = _pauli_strings(2)
+_CD_ROWS = np.stack([_cd_cell_probabilities(e) for e in _CD_BASIS], axis=1)
 
 
 def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarray:
@@ -379,7 +312,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
 
     Minimizes the weighted cost of the 36 count rows over positive
     semidefinite 4x4 S, exactly (optimize.psd_least_squares on the
-    _square_root_form): S in the orthonormal Hermitian basis, no penalty
+    _square_root_form): S in the two-wire Pauli basis, no penalty
     term, no start or restart to choose.  Of ``config`` only max_iter is
     read; it caps the interior-point steps.  Returns the state S/Tr S and
     the solver's result, whose cost is the weighted cost of the count rows
@@ -392,9 +325,9 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     _check_counts(counts)
     data = counts.reshape(-1)
     weights = _count_weights(data)
-    _, r, q_const, rest = _square_root_form(_CD_MAP * weights[:, None], -data * weights)
-    res = optimize.psd_least_squares(r, q_const, _basis_stack(4), config.max_iter)
-    s_mat = np.tensordot(res.x, _basis_stack(4), 1)
+    _, r, q_const, rest = _square_root_form(_CD_ROWS * weights[:, None], -data * weights)
+    res = optimize.psd_least_squares(r, q_const, _CD_BASIS, config.max_iter)
+    s_mat = np.tensordot(res.x, _CD_BASIS, 1)
     rho = matlin.hermitize(s_mat / np.trace(s_mat).real)
     return DensityOperator(rho, CD_FACTORS), replace(res, cost=res.cost + rest ** 2)
 

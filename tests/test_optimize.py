@@ -3,6 +3,7 @@ import pytest
 
 from qcausal.optimize import (
     GAP_TOL,
+    START_FLOOR,
     LeastSquares,
     PoissonLikelihood,
     psd_least_squares,
@@ -156,16 +157,21 @@ class TestPsdMinimize:
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
     def test_least_squares_is_the_same_solver(self):
-        # psd_least_squares runs psd_minimize on LeastSquares: restarted at its
-        # own optimum and dual matrix, the solver finds the same certificate
+        # psd_least_squares runs psd_minimize on LeastSquares from the
+        # unconstrained solution with its eigenvalues clipped: the same call
+        # here gives the same result, bit for bit
         rng, r, basis = _problem(3)
         b = -r @ np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
         res = psd_least_squares(r, b, basis, 50)
         assert res.converged and res.n_iter > 0
-        [again] = psd_minimize(LeastSquares(r[None], b[None]), basis, res.x[None], 50,
-                               res.dual[None])
-        assert again.converged and again.n_iter == 0
+        flat = basis.reshape(9, 9)
+        w, v = np.linalg.eigh((np.linalg.solve(r, -b) @ flat).reshape(3, 3))
+        w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
+        start = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
+        [again] = psd_minimize(LeastSquares(r[None], b[None]), basis, start[None], 50)
+        assert again.n_iter == res.n_iter and again.converged
         assert again.cost == res.cost and again.gap == res.gap
+        assert np.array_equal(again.x, res.x) and np.array_equal(again.dual, res.dual)
 
     def test_rejects_a_start_off_the_cone(self):
         a, counts, basis, start = _poisson_problem(0)

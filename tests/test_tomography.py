@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import warnings
 from dataclasses import replace
@@ -56,30 +58,16 @@ class TestCountTable:
         assert not np.array_equal(a.counts, c.counts)
 
     def test_csv_roundtrip(self):
+        # to_csv writes one row per cell, with the axes and +-1 outcomes of
+        # its index, and a count that reads back exactly
         table = sample_counts(build_scenario("coh"), 5_000, seed=1)
-        again = CountTable.from_csv(table.to_csv(), n_runs=table.n_runs)
-        assert np.array_equal(again.counts, table.counts)
-        assert again.n_runs == table.n_runs
-
-    def test_csv_missing_rows_are_zero(self):
-        text = "s,t,u,c,b,d,count\nx,x,x,1,1,1,42.0\n"
-        table = CountTable.from_csv(text)
-        assert table.counts[0, 0, 0, 0, 0, 0] == 42.0
-        assert table.counts.sum() == 42.0
-
-    @pytest.mark.parametrize("row, message", [
-        ("x,x,x,1,1", "7 fields"),
-        ("w,x,x,1,1,1,5", "unknown axis"),
-        ("x,x,x,0,1,1,5", "not all"),
-        ("x,x,x,1,1,2,5", "not all"),
-        ("x,x,x,1,1,1,-3", "non-negative"),
-        ("x,x,x,1,1,1,nan", "finite"),
-        ("x,x,x,1,1,1,inf", "finite"),
-        ("y,z,x,-1,1,1,7", "duplicate"),
-    ])
-    def test_csv_rejects_bad_row(self, row, message):
-        with pytest.raises(ValueError, match=message):
-            CountTable.from_csv(f"s,t,u,c,b,d,count\ny,z,x,-1,1,1,7\n{row}\n")
+        rows = list(csv.reader(io.StringIO(table.to_csv())))
+        assert rows[0] == ["s", "t", "u", "c", "b", "d", "count"] and len(rows) == 217
+        again = np.zeros_like(table.counts)
+        for s, t, u, c, b, d, n in rows[1:]:
+            idx = tuple(tomography.AXES.index(a) for a in (s, t, u))
+            again[idx + tuple((1 - int(o)) // 2 for o in (c, b, d))] = float(n)
+        assert np.array_equal(again, table.counts)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
@@ -244,12 +232,13 @@ class TestFullFit:
             with pytest.raises(ValueError, match="n_runs"):
                 fit_causal_map(CountTable(table.counts, n_runs), FAST)
 
-    def test_rejects_csv_without_runs(self):
-        text = sample_counts(build_scenario("coh"), 200_000, seed=0).to_csv()
+    def test_rejects_a_stacked_table_without_runs(self):
+        # each table of a stack is checked, not only the first
+        table = sample_counts(build_scenario("coh"), 200_000, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="n_runs"):
-                fit_causal_map(CountTable.from_csv(text, n_runs=0), FAST)
+                tomography.fit_causal_maps([table, CountTable(table.counts, 0)], FAST)
 
     @staticmethod
     def _fit_and_means():
@@ -425,11 +414,15 @@ _CD_KRON_ROWS = np.stack([np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * c
 
 def _direct_model(s_mat, dim):
     """The cell means of S computed from kron-built operators, without the
-    linear map."""
+    fits' row models."""
     if dim == 8:
         return _kron_means(s_mat)
     td = matlin.partial_transpose(s_mat, tomography.CD_FACTORS, "D")
     return np.real(_CD_KRON_ROWS @ td.reshape(-1))
+
+
+# The basis of each fit, by the dimension of S: the coordinates of its rows.
+_BASIS = {8: tomography._NO_RETRO_BASIS, 4: tomography._CD_BASIS}
 
 
 def _weighted_rows(dim, lin, rng):
@@ -439,25 +432,19 @@ def _weighted_rows(dim, lin, rng):
     return lin * w[:, None], rng.standard_normal(len(lin)) * 30.0
 
 
-def _random_hermitian(rng, dim):
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return g + g.conj().T
-
-
 def _fit_objective(dim, lin, rng):
     """Each fit's objective over its coordinates, on random data, and a
-    point z: for dim 8 the Poisson likelihood of counts drawn about the model
-    over the no-retrocausation basis, at a z with S(z) positive definite so
-    that every mean is positive; for dim 4 least squares of random weighted
-    rows in square-root form, at any z."""
+    point z: for dim 8 the Poisson likelihood of counts drawn about the count
+    rows, at a z with S(z) positive definite so that every mean is positive;
+    for dim 4 least squares of random weighted rows in square-root form, at
+    any z."""
     if dim == 8:
-        a = lin @ tomography._real_form(tomography._NO_RETRO_BASIS)
         z = 2000.0 * tomography._CBD_IDENTITY + 100.0 * rng.standard_normal(52)
-        counts = rng.poisson(a @ z).astype(float)
-        return _one_problem(optimize.PoissonLikelihood(a, counts[None])), z
+        counts = rng.poisson(lin @ z).astype(float)
+        return _one_problem(optimize.PoissonLikelihood(lin, counts[None])), z
     _, r, q_const, _ = tomography._square_root_form(*_weighted_rows(dim, lin, rng))
     return (_one_problem(optimize.LeastSquares(r[None], q_const[None])),
-            rng.standard_normal(dim * dim) * 10.0)
+            rng.standard_normal(len(r)) * 10.0)
 
 
 def _one_problem(objective):
@@ -472,34 +459,34 @@ def _numeric_jacobian(fn, z, step):
     return np.stack(cols, axis=-1)
 
 
-def _ds_jacobian(lin, basis):
-    """Jacobian of the rows lin S + c in the coordinates of S = sum_p z_p E_p:
-    column p is lin applied to dS/dz_p = E_p."""
-    return np.stack([lin @ e.reshape(-1).view(float) for e in basis], axis=1)
+def _model_jacobian(dim):
+    """Jacobian of the kron-built cell means in the coordinates of S = sum_p
+    z_p E_p of the fit's basis: column p is the model applied to E_p."""
+    return np.stack([_direct_model(e, dim) for e in _BASIS[dim]], axis=1)
 
 
 def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
+@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_ROWS), (4, tomography._CD_ROWS)])
 class TestModelMap:
     def test_shape(self, dim, lin):
-        assert lin.shape == ({8: 216, 4: 36}[dim], 2 * dim * dim)
-        # the basis of both fits: trace-orthonormal Hermitian E_i
-        basis = tomography._basis_stack(dim)
-        assert basis.shape == (dim * dim, dim, dim)
+        n = {8: 52, 4: 16}[dim]
+        assert lin.shape == ({8: 216, 4: 36}[dim], n)
+        # the basis of each fit: trace-orthonormal Hermitian E_i
+        basis = _BASIS[dim]
+        assert basis.shape == (n, dim, dim)
         assert matlin.is_hermitian(basis)
         gram = np.einsum("iab,jba->ij", basis, basis)
-        assert np.allclose(gram, np.eye(dim * dim), atol=1e-15)
+        assert np.allclose(gram, np.eye(n), atol=1e-15)
 
     def test_residual_matches_model(self, dim, lin):
         rng = np.random.default_rng(dim)
         for _ in range(5):
-            s_mat = _random_hermitian(rng, dim)
-            want = _direct_model(s_mat, dim)
-            got = lin @ s_mat.reshape(-1).view(float)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+            z = rng.standard_normal(lin.shape[1])
+            want = _direct_model(np.tensordot(z, _BASIS[dim], 1), dim)
+            assert np.max(np.abs(lin @ z - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_jacobian_matches_finite_differences(self, dim, lin):
         # the gradient each fit hands the solver is the Jacobian of its
@@ -515,21 +502,19 @@ class TestModelMap:
             assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
 
     def test_jacobian_matches_ds_stack(self, dim, lin):
-        # the rows the solver reads are the Jacobian of the model rows in the
-        # fit's coordinates: for dim 8 the count rows over the no-retrocausation
-        # basis as they are, for dim 4 the weighted rows over the Hermitian
-        # basis in square-root form, R = Q^T times their Jacobian
+        # the rows the solver reads are the Jacobian of the model in the
+        # fit's coordinates: for dim 8 the count rows as they are, for dim 4
+        # the weighted rows in square-root form, R = Q^T times their Jacobian
+        jac = _model_jacobian(dim)
         if dim == 8:
-            jac = _ds_jacobian(lin, tomography._NO_RETRO_BASIS)
-            assert _rel(tomography._CBD_ROWS, jac) <= 1e-12
+            assert _rel(lin, jac) <= 1e-12
             return
         rng = np.random.default_rng(dim + 2)
         for _ in range(5):
-            lin_w, const = _weighted_rows(dim, lin, rng)
-            q, r, _, _ = tomography._square_root_form(lin_w, const)
-            jac = _ds_jacobian(lin_w, tomography._basis_stack(dim))
-            assert _rel(r, q.T @ jac) <= 1e-12
-            assert _rel(q @ r, jac) <= 1e-12
+            w = rng.uniform(0.01, 2.0, len(lin))[:, None]
+            q, r, _, _ = tomography._square_root_form(lin * w, rng.standard_normal(len(lin)))
+            assert _rel(r, q.T @ (jac * w)) <= 1e-12
+            assert _rel(q @ r, jac * w) <= 1e-12
 
 
 class TestNoRetroBasis:
@@ -544,6 +529,23 @@ class TestNoRetroBasis:
         own = _no_retro_span().reshape(52, -1)
         overlap = np.real(own.conj() @ basis.reshape(52, -1).T)
         assert np.allclose(overlap @ overlap.T, np.eye(52), rtol=0, atol=1e-12)
+
+    def test_basis_is_the_pauli_strings_that_cannot_signal(self):
+        # the basis is 52 of the 64 normalized Pauli strings over (C, B, D),
+        # built here by kron; the 12 left out are sigma_C x 1_B x sigma_D
+        # with sigma_D != 1
+        paulis = [np.eye(2)] + [quantum.SIGMA[a] for a in tomography.AXES]
+        strings = {idx: np.kron(np.kron(paulis[idx[0]], paulis[idx[1]]), paulis[idx[2]])
+                   / np.sqrt(8.0) for idx in product(range(4), repeat=3)}
+        kept = [idx for idx, p in strings.items()
+                if any(np.array_equal(f, p) for f in tomography._NO_RETRO_BASIS)]
+        assert len(kept) == len(tomography._NO_RETRO_BASIS) == 52
+        assert set(strings) - set(kept) == {(c, 0, d) for c in range(4) for d in (1, 2, 3)}
+        # a cell's row meets the strings of 1 or its setting's sigma on each
+        # wire, eight, of which all but sigma_C x 1_B x sigma_t are kept
+        rows = tomography._CBD_ROWS
+        assert np.all(np.count_nonzero(rows, axis=1) == 6)
+        assert np.allclose(np.abs(rows[rows != 0]), 1.0 / np.sqrt(8.0), rtol=1e-15, atol=0)
 
     def test_identity_and_scenarios_lie_in_the_span(self):
         basis = tomography._NO_RETRO_BASIS
@@ -563,30 +565,29 @@ class TestNoRetroBasis:
             assert np.max(np.abs(tomography._CBD_ROWS @ z - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_MAP), (4, tomography._CD_MAP)])
+@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_ROWS), (4, tomography._CD_ROWS)])
 class TestSquareRootForm:
     def test_shape(self, dim, lin):
         lin_w, const = _weighted_rows(dim, lin, np.random.default_rng(dim))
         q, r, q_const, _ = tomography._square_root_form(lin_w, const)
-        assert q.shape == (len(lin), dim * dim)
-        assert r.shape == (dim * dim, dim * dim)
-        assert q_const.shape == (dim * dim,)
+        n = lin.shape[1]
+        assert q.shape == (len(lin), n)
+        assert r.shape == (n, n)
+        assert q_const.shape == (n,)
 
     def test_same_cost_and_normal_equations(self, dim, lin):
         rng = np.random.default_rng(dim + 3)
-        basis = tomography._basis_stack(dim).reshape(dim * dim, -1).view(float).T
         for _ in range(5):
             lin_w, const = _weighted_rows(dim, lin, rng)
             _, r_sq, q_const, rest = tomography._square_root_form(lin_w, const)
             # R^T R and R^T Q^T c are the normal equations of the full rows
-            rows = lin_w @ basis
-            assert np.allclose(r_sq.T @ r_sq, rows.T @ rows, rtol=0,
-                               atol=1e-12 * np.abs(rows.T @ rows).max())
-            assert np.allclose(r_sq.T @ q_const, rows.T @ const, rtol=0,
-                               atol=1e-12 * np.abs(rows.T @ const).max())
-            # the cost of any Hermitian S = H z is ||R z + Q^T c||^2 + rest^2
-            z = rng.standard_normal(dim * dim) * 10.0
-            full = lin_w @ (basis @ z) + const
+            assert np.allclose(r_sq.T @ r_sq, lin_w.T @ lin_w, rtol=0,
+                               atol=1e-12 * np.abs(lin_w.T @ lin_w).max())
+            assert np.allclose(r_sq.T @ q_const, lin_w.T @ const, rtol=0,
+                               atol=1e-12 * np.abs(lin_w.T @ const).max())
+            # the cost of any coordinates z is ||R z + Q^T c||^2 + rest^2
+            z = rng.standard_normal(lin.shape[1]) * 10.0
+            full = lin_w @ z + const
             sq = r_sq @ z + q_const
             assert abs(sq @ sq + rest ** 2 - full @ full) <= 1e-10 * (full @ full)
 
@@ -612,7 +613,7 @@ def _dual_value(z_mat, counts):
     """The dual function min over Hermitian S of cost(S) - Tr(Z S): a lower
     bound on the constrained optimum for every Z >= 0.  Closed form over the
     16 real coordinates of S in the orthonormal Hermitian basis."""
-    basis = tomography._basis_stack(4)
+    basis = tomography._CD_BASIS
     a = np.real(np.einsum("kab,iba->ki", _CD_OPS, basis))
     n = counts.reshape(-1)
     w = 1.0 / np.maximum(n, tomography.EPS_CELL)
@@ -658,8 +659,7 @@ def _check_certificate(counts, rho, res):
     this tolerance: the cost's curvature along S is about twice the number
     of counts, so at a point 1e-6 from the optimum Tr(grad(S) S) can still
     be of order 1e-3."""
-    basis = tomography._basis_stack(4).reshape(16, -1).view(float).T
-    s_mat = (basis @ res.x).view(complex).reshape(4, 4)
+    s_mat = np.tensordot(res.x, tomography._CD_BASIS, 1)
     cost, _ = _chi2_and_gradient(s_mat, counts)
     assert cost == pytest.approx(res.cost, rel=1e-9)
     assert np.allclose(rho.mat, s_mat / np.trace(s_mat).real, atol=1e-12)
