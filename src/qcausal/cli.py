@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -70,20 +69,15 @@ def _simulate(tau, args) -> tomography.CountTable:
     return tomography.expected_counts(tau, args.runs)
 
 
-def _fit_config(args) -> tomography.FitConfig:
-    return tomography.FitConfig(lam=args.penalty, seed=args.seed,
-                                restarts=args.restarts)
-
-
 def cmd_fit(args) -> int:
     tau = causal.build_scenario(args.scenario, eps=args.eps)
     table = _simulate(tau, args)
-    fit = tomography.fit_causal_map(table, _fit_config(args))
+    fit = tomography.fit_causal_map(table)
     _write_out(fit.to_json(), args.out)
     return EXIT_OK if fit.converged else EXIT_NUMERICAL
 
 
-def _bootstrap_thresholds(table, args, config):
+def _bootstrap_thresholds(table, args):
     def statistic(f):
         r = witness.classify(f.tau, ccd_settings=tuple(args.ccd_settings))
         out = {"ccd": r.ccd}
@@ -94,7 +88,7 @@ def _bootstrap_thresholds(table, args, config):
         return out
 
     bs = tomography.bootstrap_errorbars(table, statistic, n_resamples=args.resamples,
-                                        seed=args.seed, config=config)
+                                        seed=args.seed)
     neg_std = max(v for k, v in bs["std"].items() if k.startswith("neg"))
     thresholds = witness.Thresholds(
         negativity=max(3.0 * neg_std, witness.DEFAULT_THRESHOLD),
@@ -114,13 +108,12 @@ def cmd_pipeline(args) -> int:
     settings = tuple(args.ccd_settings)
     truth = witness.classify(tau, ccd_settings=settings)
     table = _simulate(tau, args)
-    config = _fit_config(args)
-    fit = tomography.fit_causal_map(table, config)
+    fit = tomography.fit_causal_map(table)
 
     bootstrap = None
     thresholds = witness.Thresholds()
     if args.resamples:
-        thresholds, bootstrap = _bootstrap_thresholds(table, args, config)
+        thresholds, bootstrap = _bootstrap_thresholds(table, args)
     elif args.noise == "poisson":
         print(f"warning: fitted witnesses are compared with the default "
               f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; "
@@ -132,8 +125,7 @@ def cmd_pipeline(args) -> int:
     report = {
         "config": {
             "scenario": args.scenario, "eps": args.eps, "runs": args.runs,
-            "seed": args.seed, "noise": args.noise, "lambda": args.penalty,
-            "resamples": args.resamples, "restarts": args.restarts,
+            "seed": args.seed, "noise": args.noise, "resamples": args.resamples,
             "ccd_settings": list(settings),
         },
         "truth": json.loads(truth.to_json()),
@@ -184,9 +176,6 @@ def _add_experiment_flags(p):
     p.add_argument("--runs", type=int, default=tomography.DEFAULT_RUNS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise", choices=("none", "poisson"), default="poisson")
-    # recorded in the report, whose schema requires them; no fit reads them
-    p.add_argument("--lambda", dest="penalty", type=float, default=1e7)
-    p.add_argument("--restarts", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,7 +237,8 @@ def main(argv=None) -> int:
     # StateValidationError and NotHermitianError here come from computed
     # data, since _load_tau maps the StateValidationError of an input file
     except (ArithmeticError, np.linalg.LinAlgError, matlin.NotHermitianError,
-            matlin.NotPSDError, quantum.StateValidationError) as exc:
+            matlin.NotPSDError, quantum.StateValidationError,
+            tomography.EmptyResampleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, KeyError) as exc:

@@ -8,9 +8,10 @@ An objective holds the data of its K problems: called on the (K, n) stack of
 coordinates it gives each f, gradient and Hessian; ``residual_cost``
 completes the duality gaps (see psd_minimize); ``take(idx)`` is the
 objective of the problems idx.  Two objectives are defined here:
-``LeastSquares``, ||r z + b||^2, which ``psd_least_squares`` solves in closed
-form whenever that is positive definite, and ``PoissonLikelihood``, the
-negative log-likelihood of Poisson counts whose means are linear in z.
+``LeastSquares``, the quadratic (z - c)^T g (z - c) about its unconstrained
+minimizer c, which ``psd_least_squares`` returns as it is whenever S(c) is
+positive definite, and ``PoissonLikelihood``, the negative log-likelihood of
+Poisson counts whose means are linear in z.
 Problems here are tiny (tens of parameters, hundreds of counts), so every
 linear system is solved densely.  The stopping rule is GAP_TOL.
 """
@@ -66,27 +67,29 @@ def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 class LeastSquares:
-    """f_k(z) = ||r_k z + b_k||^2 for invertible (n, n) r_k and n-vectors b_k,
-    stacked as r (K, n, n) and b (K, n)."""
+    """f_k(z) = (z - c_k)^T g_k (z - c_k) for positive definite (n, n) g_k
+    and n-vectors c_k, stacked as g (K, n, n) and c (K, n): weighted least
+    squares ||L z - y||^2 with g = L^T L, about its unconstrained minimizer
+    c, less its minimum."""
 
-    def __init__(self, r: np.ndarray, b: np.ndarray):
-        self.r, self.b = r, b
-        self.hess = 2.0 * (r.swapaxes(1, 2) @ r)
-        self.r_inv_t = np.linalg.inv(r).swapaxes(1, 2)
+    def __init__(self, g: np.ndarray, c: np.ndarray):
+        self.g, self.c = g, c
+        self.hess = 2.0 * g
 
     def take(self, idx) -> "LeastSquares":
-        return LeastSquares(self.r[idx], self.b[idx])
+        return LeastSquares(self.g[idx], self.c[idx])
 
     def __call__(self, z: np.ndarray):
-        resid = _matvec(self.r, z) + self.b
-        return _rows_dot(resid, resid), 2.0 * _matvec(self.r.swapaxes(1, 2), resid), self.hess
+        diff = z - self.c
+        g_diff = _matvec(self.g, diff)
+        return _rows_dot(diff, g_diff), 2.0 * g_diff, self.hess
 
     def residual_cost(self, z, grad, hess, w):
         """Exactly f(z) + f*(w) - <w, z>, with f* the convex conjugate:
-        |r^-T (grad - w)|^2 / 4; never a part of w to move (see
+        (grad - w)^T g^-1 (grad - w) / 4; never a part of w to move (see
         PoissonLikelihood.residual_cost)."""
-        dual_res = _matvec(self.r_inv_t, grad - w)
-        return 0.25 * _rows_dot(dual_res, dual_res), np.zeros_like(w)
+        dual_res = grad - w
+        return 0.25 * _rows_dot(dual_res, _solve(self.g, dual_res)), np.zeros_like(w)
 
 
 class PoissonLikelihood:
@@ -344,32 +347,28 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     return results
 
 
-def psd_least_squares(r: np.ndarray, b: np.ndarray, basis: np.ndarray,
+def psd_least_squares(g: np.ndarray, c: np.ndarray, basis: np.ndarray,
                       max_iter: int) -> OptimizeResult:
-    """Minimize f(z) = ||r z + b||^2 subject to S(z) = sum_i z_i E_i >= 0.
+    """Minimize f(z) = (z - c)^T g (z - c) subject to S(z) = sum_i z_i E_i >= 0.
 
-    ``r`` is an invertible (n, n) matrix, ``b`` an n-vector and ``basis`` the
-    (n, d, d) stack of the E_i: Hermitian, orthonormal under Tr(E_i E_j) and
-    spanning the Hermitian d x d matrices.
+    ``g`` is a positive definite (n, n) matrix, ``c`` an n-vector and
+    ``basis`` the (n, d, d) stack of the E_i: Hermitian, orthonormal under
+    Tr(E_i E_j) and spanning the Hermitian d x d matrices.
 
-    The unconstrained minimizer z = -r^-1 b comes first; when S(z) is
-    positive definite it is the optimum, with n_iter 0 and gap 0.  Otherwise
-    psd_minimize takes over, as a stack of one problem, from S with the
-    eigenvalues of the unconstrained solution clipped from below at the size
-    of the most negative one, and at START_FLOOR of the largest.  For least
-    squares the gap's residual term is exact: f(z) - g(Z) = Tr(S Z) +
-    |r^-T (grad f(z) - A*(Z))|^2 / 4, and on the central path the gap is
-    d mu.
+    When S(c) is positive definite, c is the optimum, with cost 0, n_iter 0
+    and gap 0.  Otherwise psd_minimize takes over, as a stack of one
+    problem, from S with the eigenvalues of S(c) clipped from below at the
+    size of the most negative one, and at START_FLOOR of the largest.  For
+    least squares the gap's residual term is exact, u^T g^-1 u / 4 with u =
+    grad f(z) - A*(Z), and on the central path the gap is d mu.
     """
     n, d = basis.shape[:2]
     flat = basis.reshape(n, d * d)
-    z = np.linalg.solve(r, -b)
-    w, v = np.linalg.eigh((z @ flat).reshape(d, d))
+    w, v = np.linalg.eigh((c @ flat).reshape(d, d))
     if w[0] > 0.0:
-        resid = r @ z + b
-        return OptimizeResult(x=z, cost=float(resid @ resid), n_iter=0, converged=True,
+        return OptimizeResult(x=c, cost=0.0, n_iter=0, converged=True,
                               message="unconstrained optimum is positive definite",
                               gap=0.0, dual=np.zeros((d, d), dtype=complex))
     w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
     z = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
-    return psd_minimize(LeastSquares(r[None], b[None]), basis, z[None], max_iter)[0]
+    return psd_minimize(LeastSquares(g[None], c[None]), basis, z[None], max_iter)[0]

@@ -28,11 +28,11 @@ positive definite.
 
 The (C, D) state is fitted by Neyman-weighted least squares, weights
 1/sqrt(max(n, EPS_CELL)), over all Hermitian 4x4 S >= 0 in the coordinates
-of the 16 two-wire strings: the weighted rows of _CD_ROWS are put in
-square-root form, the thin Householder QR L = Q R, which gives the cost of
-S = sum_i z_i E_i as ||R z + Q^T c||^2 plus a constant, and
-optimize.psd_least_squares takes the closed form when that is positive
-definite.
+of the 16 two-wire strings.  _neyman_quadratic, which also gives the
+tau_CBD fit its start, writes the cost of S = sum_i z_i E_i as
+(z - c)^T G (z - c) plus its minimum, with G = L^T L for the weighted rows L
+of _CD_ROWS and c the unconstrained solution; optimize.psd_least_squares
+returns c when S(c) is positive definite.
 """
 
 from __future__ import annotations
@@ -129,10 +129,9 @@ class FitConfig:
     """Settings of the fits.
 
     Both fits read only max_iter, which caps their interior-point steps.
-    lam, seed and restarts are kept, validated, for the penalty weight, the
-    restart seed and the restart count of an earlier penalized fit; the
-    certified fits have no penalty, no random start and no restart, so they
-    ignore them.
+    lam, seed and restarts remain as fields, validated, so that callers of
+    an earlier penalized, restarted fit keep working; the certified fits
+    have no penalty, no random start and no restart, and ignore them.
     """
 
     lam: float = 1e7
@@ -169,7 +168,6 @@ class FitResult:
     def to_json(self) -> str:
         import json
         m = self.tau.mat
-        cfg = self.config
         return json.dumps({
             "tau": {"re": m.real.tolist(), "im": m.imag.tolist()},
             "chi2": self.chi2,
@@ -178,8 +176,7 @@ class FitResult:
             "gap": self.gap if math.isfinite(self.gap) else None,   # None: no certificate
             "converged": self.converged,
             "n_iter": self.n_iter,
-            "config": {"lam": cfg.lam, "eps_cell": EPS_CELL, "seed": cfg.seed,
-                       "restarts": cfg.restarts, "max_iter": cfg.max_iter},
+            "config": {"eps_cell": EPS_CELL, "max_iter": self.config.max_iter},
         })
 
 
@@ -193,18 +190,6 @@ _CBD_ROWS = np.stack([_cell_probabilities(f) for f in _NO_RETRO_BASIS], axis=1)
 _CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
 
 
-def _square_root_form(rows: np.ndarray, const: np.ndarray):
-    """The weighted model rows (rows, const) as the square root of their cost.
-
-    With rows = Q R (thin Householder QR), the cost of coordinates z is
-    ||rows z + const||^2 = ||R z + Q^T const||^2 + rest^2 with rest =
-    |const - Q Q^T const|.  Returns (Q, R, Q^T const, rest).
-    """
-    q, r = np.linalg.qr(rows)
-    q_const = q.T @ const
-    return q, r, q_const, float(np.linalg.norm(const - q @ q_const))
-
-
 def _count_weights(data: np.ndarray) -> np.ndarray:
     """Weights 1/sqrt(max(n, EPS_CELL)) of the Neyman chi^2 of both fits, for
     one table of counts or a stack of them along the first axis."""
@@ -213,13 +198,22 @@ def _count_weights(data: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(np.maximum(data, EPS_CELL))
 
 
+def _neyman_quadratic(rows: np.ndarray, data: np.ndarray, weights: np.ndarray):
+    """The Neyman-weighted cost ||L z - n w||^2 of a fit's coordinates z,
+    with L the model rows weighted by the _count_weights w, as the quadratic
+    (z - c)^T G (z - c) plus its minimum: returns G = L^T L and the
+    least-squares solution c."""
+    lw = rows * weights[:, None]
+    gram = lw.T @ lw
+    return gram, np.linalg.solve(gram, lw.T @ (data * weights))
+
+
 def _poisson_start(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Coordinates of a positive definite start for the tau_CBD fit: the
     least-squares solution over the span with the _count_weights, lifted
     along the identity until its smallest eigenvalue is START_LIFT of the
     mean one."""
-    rows = _CBD_ROWS * weights[:, None]
-    z = np.linalg.solve(rows.T @ rows, rows.T @ (data * weights))
+    _, z = _neyman_quadratic(_CBD_ROWS, data, weights)
     w_min = np.linalg.eigvalsh(np.tensordot(z, _NO_RETRO_BASIS, 1))[0]
     floor = START_LIFT * data.sum() / 216.0
     return z + max(floor - w_min, 0.0) * _CBD_IDENTITY
@@ -312,11 +306,11 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
 
     Minimizes the weighted cost of the 36 count rows over positive
     semidefinite 4x4 S, exactly (optimize.psd_least_squares on the
-    _square_root_form): S in the two-wire Pauli basis, no penalty
-    term, no start or restart to choose.  Of ``config`` only max_iter is
-    read; it caps the interior-point steps.  Returns the state S/Tr S and
-    the solver's result, whose cost is the weighted cost of the count rows
-    and whose gap bounds its distance to the optimum.
+    _neyman_quadratic): S in the two-wire Pauli basis, no penalty term, no
+    start or restart to choose.  Of ``config`` only max_iter is read; it
+    caps the interior-point steps.  Returns the state S/Tr S and the
+    solver's result, whose cost is the weighted cost of the count rows and
+    whose gap bounds its distance to the optimum.
     """
     config = config or FitConfig()
     counts = np.asarray(counts, dtype=float)
@@ -325,11 +319,16 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     _check_counts(counts)
     data = counts.reshape(-1)
     weights = _count_weights(data)
-    _, r, q_const, rest = _square_root_form(_CD_ROWS * weights[:, None], -data * weights)
-    res = optimize.psd_least_squares(r, q_const, _CD_BASIS, config.max_iter)
+    res = optimize.psd_least_squares(*_neyman_quadratic(_CD_ROWS, data, weights), _CD_BASIS,
+                                     config.max_iter)
     s_mat = np.tensordot(res.x, _CD_BASIS, 1)
     rho = matlin.hermitize(s_mat / np.trace(s_mat).real)
-    return DensityOperator(rho, CD_FACTORS), replace(res, cost=res.cost + rest ** 2)
+    resid = (_CD_ROWS @ res.x - data) * weights
+    return DensityOperator(rho, CD_FACTORS), replace(res, cost=float(resid @ resid))
+
+
+class EmptyResampleError(ValueError):
+    """A bootstrap resample of a sparse table drew no counts to refit."""
 
 
 def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
@@ -342,17 +341,22 @@ def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
     one call of fit_causal_maps, a stack of ``n_resamples`` problems that
     each keep their own certified gap.  ``statistic`` (a FitResult -> dict
     of floats) is then applied to every refit.  Returns per-key mean and
-    standard deviation over ``n_resamples`` >= 2 refits.
+    standard deviation over ``n_resamples`` >= 2 refits.  A resample that
+    draws no counts raises EmptyResampleError: it is neither skipped nor
+    redrawn, either of which would bias the error bars.
     """
     if n_resamples < 2:
         raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
     tables = []
-    for _ in range(n_resamples):
+    for k in range(n_resamples):
         sub_seed = int(rng.integers(0, 2**32 - 1))
-        tables.append(CountTable(
-            np.random.default_rng(sub_seed).poisson(np.clip(table.counts, 0, None)).astype(float),
-            table.n_runs))
+        counts = np.random.default_rng(sub_seed).poisson(np.clip(table.counts, 0, None))
+        if not counts.any():
+            raise EmptyResampleError(f"bootstrap resample {k + 1} of {n_resamples} drew no counts, "
+                                     f"so it has nothing to fit; the observed table holds only "
+                                     f"{table.counts.sum():g} counts")
+        tables.append(CountTable(counts.astype(float), table.n_runs))
 
     samples: dict[str, list] = {}
     for fit in fit_causal_maps(tables, config):

@@ -95,6 +95,8 @@ class TestExitCodes:
         assert "numerical failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, name", [
+        # the options of an earlier penalized, restarted fit are gone, and a
+        # script that still passes them fails as usage
         (["pipeline", "--restarts", "0"], "restarts"),
         (["fit", "--restarts", "-2"], "restarts"),
         (["pipeline", "--lambda", "-1"], "lam"),
@@ -107,7 +109,11 @@ class TestExitCodes:
             raise AssertionError("the fit ran")
 
         monkeypatch.setattr(cli.tomography, "fit_causal_map", fit)
-        assert run(argv + ["--out", str(tmp_path / "out.json")]) == cli.EXIT_USAGE
+        try:
+            code = run(argv + ["--out", str(tmp_path / "out.json")])
+        except SystemExit as exc:       # argparse refuses an unknown option
+            code = exc.code
+        assert code == cli.EXIT_USAGE
         assert name in capsys.readouterr().err
 
 
@@ -309,6 +315,7 @@ class TestPipeline:
         assert code == 0
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema)
+        assert set(report["config"]) == set(schema["properties"]["config"]["required"])
         assert report["truth"]["label"] == "Coh"
         assert report["fitted"]["label"] == "Coh"
         assert report["fidelity"] >= 0.999
@@ -349,6 +356,14 @@ class TestPipeline:
             == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert "--resamples" in err and "--noise" in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_empty_resample_is_numerical(self, tmp_path, capsys):
+        # the simulated table holds 2 counts and the second resample draws
+        # none: a numerical failure of the bootstrap, not a usage error
+        assert run(["pipeline", "--runs", "3", "--resamples", "2", "--seed", "5",
+                    "--out", str(tmp_path / "r.json")]) == cli.EXIT_NUMERICAL
+        assert "resample 2 of 2 drew no counts" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_deterministic_given_seed(self, tmp_path):

@@ -28,48 +28,48 @@ def _hermitian_basis(d):
 
 
 def _problem(seed, d=3):
-    """A random well-conditioned r and the basis of the d x d Hermitian matrices."""
+    """A random well-conditioned g = r^T r and the basis of the d x d
+    Hermitian matrices."""
     rng = np.random.default_rng(seed)
     n = d * d
     r = np.triu(rng.standard_normal((n, n))) + 3.0 * np.eye(n)
-    return rng, r, _hermitian_basis(d)
+    return rng, r.T @ r, _hermitian_basis(d)
 
 
 class TestPsdLeastSquares:
     def test_interior_optimum_is_the_closed_form(self):
-        rng, r, basis = _problem(0)
-        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        target = g @ g.conj().T + np.eye(3)                        # positive definite
+        rng, g, basis = _problem(0)
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        target = h @ h.conj().T + np.eye(3)                        # positive definite
         z = np.real(np.einsum("iab,ba->i", basis, target))
-        res = psd_least_squares(r, -r @ z, basis, 50)
+        res = psd_least_squares(g, z, basis, 50)
         assert res.n_iter == 0 and res.converged and res.gap == 0.0
         assert np.allclose(res.x, z, atol=1e-12)
         assert res.cost <= 1e-20
 
     @pytest.mark.parametrize("seed", range(5))
     def test_boundary_optimum_is_certified(self, seed):
-        rng, r, basis = _problem(seed)
+        rng, g, basis = _problem(seed)
         # the unconstrained optimum has a negative eigenvalue
         target = np.diag([-1.0, 0.5, 2.0]).astype(complex)
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-        z_target = np.real(np.einsum("iab,ba->i", basis, u @ target @ u.conj().T))
-        b = -r @ z_target
-        res = psd_least_squares(r, b, basis, 50)
+        c = np.real(np.einsum("iab,ba->i", basis, u @ target @ u.conj().T))
+        res = psd_least_squares(g, c, basis, 50)
         assert res.converged and 0 < res.n_iter <= 20
         s_mat = np.tensordot(res.x, basis, 1)
         assert np.linalg.eigvalsh(s_mat)[0] > 0.0
         assert np.linalg.eigvalsh(res.dual)[0] > 0.0
-        # weak duality: the dual function at Z is min_y |r y + b|^2 - Tr(Z S(y))
-        c = np.real(np.einsum("iab,ba->i", basis, res.dual))
-        y = np.linalg.solve(r, np.linalg.solve(r.T, c / 2.0) - b)
-        dual_value = np.sum((r @ y + b) ** 2) - c @ y
+        # weak duality: the dual function at Z is min_y (y - c)^T g (y - c) - Tr(Z S(y))
+        w = np.real(np.einsum("iab,ba->i", basis, res.dual))
+        y = c + np.linalg.solve(g, w / 2.0)
+        dual_value = (y - c) @ g @ (y - c) - w @ y
         assert res.cost - dual_value == pytest.approx(res.gap, abs=1e-12)
         assert res.gap <= GAP_TOL
 
     def test_budget_caps_the_steps(self):
-        rng, r, basis = _problem(1)
-        b = -r @ np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 1.0, 1.0])))
-        res = psd_least_squares(r, b, basis, 1)
+        rng, g, basis = _problem(1)
+        c = np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 1.0, 1.0])))
+        res = psd_least_squares(g, c, basis, 1)
         assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
@@ -160,15 +160,15 @@ class TestPsdMinimize:
         # psd_least_squares runs psd_minimize on LeastSquares from the
         # unconstrained solution with its eigenvalues clipped: the same call
         # here gives the same result, bit for bit
-        rng, r, basis = _problem(3)
-        b = -r @ np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
-        res = psd_least_squares(r, b, basis, 50)
+        rng, g, basis = _problem(3)
+        c = np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
+        res = psd_least_squares(g, c, basis, 50)
         assert res.converged and res.n_iter > 0
         flat = basis.reshape(9, 9)
-        w, v = np.linalg.eigh((np.linalg.solve(r, -b) @ flat).reshape(3, 3))
+        w, v = np.linalg.eigh((c @ flat).reshape(3, 3))
         w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
         start = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
-        [again] = psd_minimize(LeastSquares(r[None], b[None]), basis, start[None], 50)
+        [again] = psd_minimize(LeastSquares(g[None], c[None]), basis, start[None], 50)
         assert again.n_iter == res.n_iter and again.converged
         assert again.cost == res.cost and again.gap == res.gap
         assert np.array_equal(again.x, res.x) and np.array_equal(again.dual, res.dual)

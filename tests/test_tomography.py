@@ -17,6 +17,7 @@ from qcausal.causal import (
     induced_state_given_b,
     joint_distribution,
     no_retro_deviation,
+    random_probabilistic_mixture,
 )
 from qcausal.quantum import fidelity, pauli_projector
 from qcausal.tomography import (
@@ -285,8 +286,7 @@ class TestFullFit:
         assert np.array(data["tau"]["re"]).shape == (8, 8)
         assert data["converged"] is True
         assert data["gap"] == fit.gap <= optimize.GAP_TOL
-        assert data["config"]["eps_cell"] == tomography.EPS_CELL
-        assert "jitter" not in data["config"]
+        assert data["config"] == {"eps_cell": tomography.EPS_CELL, "max_iter": FAST.max_iter}
 
     def test_to_json_without_a_certificate(self):
         # a fit with no finite gap (see optimize.PoissonLikelihood) writes
@@ -378,6 +378,23 @@ class TestStackedFit:
             _check_poisson_certificate(counts, res)
         assert all(fit.converged for fit in tomography.fit_causal_maps(tables))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_mixtures_are_certified(self, seed):
+        # random probabilistic mixtures at N log-uniform in [27, 2e5], sparse
+        # tables included: every fit is certified, tau is a causal Choi state
+        # and the certificate rebuilds as nu
+        rng = np.random.default_rng(seed)
+        n_runs = int(round(np.exp(rng.uniform(np.log(27.0), np.log(2e5)))))
+        table = sample_counts(random_probabilistic_mixture(rng), n_runs, seed=seed)
+        assume(table.counts.any())
+        fit = fit_causal_map(table)
+        assert isinstance(fit.tau, CausalChoi)
+        assert fit.converged and fit.gap <= optimize.GAP_TOL
+        data, [res] = _stack_solve([table], FitConfig().max_iter)
+        assert np.array_equal(res.x, fit.params) and res.gap == fit.gap
+        _check_poisson_certificate(data[0], res)
+
 
 class TestFitConfig:
     @pytest.mark.parametrize("field, value", [
@@ -425,26 +442,20 @@ def _direct_model(s_mat, dim):
 _BASIS = {8: tomography._NO_RETRO_BASIS, 4: tomography._CD_BASIS}
 
 
-def _weighted_rows(dim, lin, rng):
-    """Rows (lin, const) weighted as in a fit: random positive count weights
-    and random targets."""
-    w = rng.uniform(0.01, 2.0, len(lin))
-    return lin * w[:, None], rng.standard_normal(len(lin)) * 30.0
-
-
 def _fit_objective(dim, lin, rng):
     """Each fit's objective over its coordinates, on random data, and a
     point z: for dim 8 the Poisson likelihood of counts drawn about the count
     rows, at a z with S(z) positive definite so that every mean is positive;
-    for dim 4 least squares of random weighted rows in square-root form, at
-    any z."""
+    for dim 4 least squares of random targets under random positive count
+    weights, as the fit's quadratic, at any z."""
     if dim == 8:
         z = 2000.0 * tomography._CBD_IDENTITY + 100.0 * rng.standard_normal(52)
         counts = rng.poisson(lin @ z).astype(float)
         return _one_problem(optimize.PoissonLikelihood(lin, counts[None])), z
-    _, r, q_const, _ = tomography._square_root_form(*_weighted_rows(dim, lin, rng))
-    return (_one_problem(optimize.LeastSquares(r[None], q_const[None])),
-            rng.standard_normal(len(r)) * 10.0)
+    weights = rng.uniform(0.01, 2.0, len(lin))
+    g, c = tomography._neyman_quadratic(lin, rng.standard_normal(len(lin)) * 30.0, weights)
+    return (_one_problem(optimize.LeastSquares(g[None], c[None])),
+            rng.standard_normal(len(c)) * 10.0)
 
 
 def _one_problem(objective):
@@ -504,17 +515,20 @@ class TestModelMap:
     def test_jacobian_matches_ds_stack(self, dim, lin):
         # the rows the solver reads are the Jacobian of the model in the
         # fit's coordinates: for dim 8 the count rows as they are, for dim 4
-        # the weighted rows in square-root form, R = Q^T times their Jacobian
+        # the quadratic of the weighted rows L = w J, G = L^T L and the c
+        # that solves the normal equations G c = L^T (w n)
         jac = _model_jacobian(dim)
         if dim == 8:
             assert _rel(lin, jac) <= 1e-12
             return
         rng = np.random.default_rng(dim + 2)
         for _ in range(5):
-            w = rng.uniform(0.01, 2.0, len(lin))[:, None]
-            q, r, _, _ = tomography._square_root_form(lin * w, rng.standard_normal(len(lin)))
-            assert _rel(r, q.T @ (jac * w)) <= 1e-12
-            assert _rel(q @ r, jac * w) <= 1e-12
+            w = rng.uniform(0.01, 2.0, len(lin))
+            data = rng.standard_normal(len(lin))
+            g, c = tomography._neyman_quadratic(lin, data, w)
+            jac_w = jac * w[:, None]
+            assert _rel(g, jac_w.T @ jac_w) <= 1e-12
+            assert _rel(g @ c, jac_w.T @ (data * w)) <= 1e-12
 
 
 class TestNoRetroBasis:
@@ -563,33 +577,6 @@ class TestNoRetroBasis:
             s_mat = np.tensordot(z, tomography._NO_RETRO_BASIS, 1)
             want = _kron_means(s_mat)
             assert np.max(np.abs(tomography._CBD_ROWS @ z - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-@pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_ROWS), (4, tomography._CD_ROWS)])
-class TestSquareRootForm:
-    def test_shape(self, dim, lin):
-        lin_w, const = _weighted_rows(dim, lin, np.random.default_rng(dim))
-        q, r, q_const, _ = tomography._square_root_form(lin_w, const)
-        n = lin.shape[1]
-        assert q.shape == (len(lin), n)
-        assert r.shape == (n, n)
-        assert q_const.shape == (n,)
-
-    def test_same_cost_and_normal_equations(self, dim, lin):
-        rng = np.random.default_rng(dim + 3)
-        for _ in range(5):
-            lin_w, const = _weighted_rows(dim, lin, rng)
-            _, r_sq, q_const, rest = tomography._square_root_form(lin_w, const)
-            # R^T R and R^T Q^T c are the normal equations of the full rows
-            assert np.allclose(r_sq.T @ r_sq, lin_w.T @ lin_w, rtol=0,
-                               atol=1e-12 * np.abs(lin_w.T @ lin_w).max())
-            assert np.allclose(r_sq.T @ q_const, lin_w.T @ const, rtol=0,
-                               atol=1e-12 * np.abs(lin_w.T @ const).max())
-            # the cost of any coordinates z is ||R z + Q^T c||^2 + rest^2
-            z = rng.standard_normal(lin.shape[1]) * 10.0
-            full = lin_w @ z + const
-            sq = r_sq @ z + q_const
-            assert abs(sq @ sq + rest ** 2 - full @ full) <= 1e-10 * (full @ full)
 
 
 # Model of the conditioned fit built here from the Pauli projectors, apart
@@ -748,6 +735,17 @@ class TestConditionedFit:
         assert res.converged
         _check_certificate(counts, rho, res)
 
+    @pytest.mark.parametrize("config", [None, FitConfig(max_iter=1)], ids=["optimum", "budget"])
+    def test_cost_is_the_weighted_cost_of_every_cell(self, config):
+        # cost is sum_k (Tr(M_k S) - n_k)^2 / max(n_k, EPS_CELL) over all 36
+        # cells of the kron-built model, for the closed form (physc, epsmix),
+        # for certified boundary optima and for a budget-stopped iterate
+        for param in _berkson_tables():
+            counts = param.values[1]
+            _, res = fit_conditioned_state(counts, config)
+            cost, _ = _chi2_and_gradient(np.tensordot(res.x, tomography._CD_BASIS, 1), counts)
+            assert res.cost == pytest.approx(cost, rel=1e-10)
+
     def test_short_budget_returns_valid_unconverged_fit(self):
         st_cd, prob = induced_state_given_b(build_scenario("coh"), pauli_projector("z", +1))
         counts = sample_conditioned_counts(st_cd, int(round(200_000 * prob)), seed=0)
@@ -806,6 +804,13 @@ class TestBootstrap:
         bs = self._physc_bootstrap()
         assert bs["mean"]["ccd"] == pytest.approx(np.mean(ccd), rel=0, abs=1e-9)
         assert bs["std"]["ccd"] == pytest.approx(np.std(ccd, ddof=1), rel=0, abs=1e-9)
+
+    def test_empty_resample_is_named(self):
+        # two counts, and the second resample draws none: it is neither
+        # skipped nor redrawn
+        table = sample_counts(build_scenario("coh"), 3, seed=5)
+        with pytest.raises(tomography.EmptyResampleError, match="resample 2 of 2 drew no counts"):
+            bootstrap_errorbars(table, _ccd_statistic, n_resamples=2, seed=5, config=FAST)
 
     @pytest.mark.parametrize("n_resamples", [1, 0])
     def test_needs_two_resamples(self, n_resamples):
