@@ -234,11 +234,13 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
 
     A problem stops, and leaves the stack, once its gap is at most GAP_TOL;
     ``converged`` means that happened within ``max_iter`` steps, and
-    ``n_iter`` counts its steps.  An iterate that round-off puts outside the
-    cone, which happens only next to an optimum where S or Z is singular to
-    working precision, is dropped when the next step finds it: that
-    problem's last interior iterate is returned, with its gap.  Each result
-    carries its gap and its dual matrix.
+    ``n_iter`` counts its steps.  Each step is tested against both cones
+    before it is taken, by the eigh of the new (S, Z) that the next step
+    needs anyway.  A step that round-off puts outside either cone, which
+    happens only next to an optimum where S or Z is singular to working
+    precision, is not taken: its problem stops at its current iterate, with
+    its gap, so the result does not depend on ``max_iter`` once that stop is
+    reached.  Each result carries its gap and its dual matrix.
     """
     n, d = basis.shape[:2]
     basis = np.ascontiguousarray(basis)
@@ -263,58 +265,33 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     active = np.arange(len(z))          # the problems still in the stack
     newton = np.empty((len(z), n, n))
     pair = np.empty((len(z), 2, d, d), dtype=complex)    # (X, Z), then (dX, dZ)
-    last = None                 # the last iterates found positive definite
+    pair[:, 0], pair[:, 1] = x, zd
+    w, v = np.linalg.eigh(pair)
+    back = np.zeros(len(z), dtype=bool)     # the problems whose last step was not taken
     it = 0
-
-    def finish(ids, rows, message, n_iter, z, cost, gap, dual):
-        # problem ids[j] ends at row rows[j] of the stacks z ... dual
-        for p, j in zip(ids, rows):
-            results[p] = OptimizeResult(
-                x=z[j], cost=float(cost[j]), n_iter=n_iter, converged=bool(gap[j] <= GAP_TOL),
-                message="duality gap below GAP_TOL" if gap[j] <= GAP_TOL else message,
-                gap=float(gap[j]), dual=dual[j])
-
     while True:
         k = len(z)
         w_dual = adjoint(zd)
         tr_xz = _rows_dot(z, w_dual)
-        check = tr_xz <= GAP_TOL if it < max_iter else np.ones(k, dtype=bool)
-        stop = np.zeros(k, dtype=bool)
+        check = (tr_xz <= GAP_TOL) | back if it < max_iter else np.ones(k, dtype=bool)
         if check.any():
             gap, cert = _gaps(objective, primal, check, z, zd, w_dual, tr_xz, grad, hess)
-            stop = gap <= GAP_TOL if it < max_iter else check
-            rows = np.flatnonzero(stop)
-            finish(active[rows], rows, "max_iter reached", it, z, cost, gap, cert)
+            stop = (gap <= GAP_TOL) | back if it < max_iter else check
+            for j in np.flatnonzero(stop):
+                done = bool(gap[j] <= GAP_TOL)
+                results[active[j]] = OptimizeResult(
+                    x=z[j], cost=float(cost[j]), n_iter=it - int(back[j]), converged=done,
+                    message="duality gap below GAP_TOL" if done else
+                    "a step left the cone at round-off" if back[j] else "max_iter reached",
+                    gap=float(gap[j]), dual=cert[j])
             if stop.all():
                 break
-        pair[:k, 0], pair[:k, 1] = x, zd
-        w, v = np.linalg.eigh(pair[:k])
-        outside = ~stop & (w[:, :, 0].min(axis=1) <= 0.0)
-        if outside.any():
-            if last is None:
-                raise ValueError("the start of psd_minimize is not positive definite")
-            # the step to the boundary is exact only to round-off; next to an
-            # optimum whose S or Z is singular, keep the last interior iterate
-            rows = np.flatnonzero(outside)
-            back = objective.take(rows)
-            z_back, zd_back = last[0][rows], last[1][rows]
-            c_back, g_back, h_back = back(z_back)
-            w_back = adjoint(zd_back)
-            gap_back, cert_back = _gaps(back, primal, np.ones(len(rows), dtype=bool), z_back,
-                                        zd_back, w_back, _rows_dot(z_back, w_back), g_back, h_back)
-            finish(active[rows], range(len(rows)), "a step left the cone at round-off", it - 1,
-                   z_back, c_back, gap_back, cert_back)
-            stop |= outside
-        if stop.any():            # take the stopped problems out of the stack
-            rows = np.flatnonzero(~stop)
-            if len(rows) == 0:
-                break
-            active, z, x, zd, cost, grad, hess, tr_xz, w, v = (
-                part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, w, v))
-            last = None if last is None else (last[0][rows], last[1][rows])
-            objective = objective.take(rows)
-            k = len(z)
-        last = z, zd
+            if stop.any():            # take the stopped problems out of the stack
+                rows = np.flatnonzero(~stop)
+                active, z, x, zd, cost, grad, hess, tr_xz, w, v = (
+                    part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, w, v))
+                objective = objective.take(rows)
+                k = len(z)
         it += 1
         vh = v.conj().swapaxes(2, 3)
         scale = (v * w[:, :, None, :] ** -0.5) @ vh            # X^-1/2, Z^-1/2
@@ -340,10 +317,20 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         pair[:k, 0] = dx = primal(dz)
         pair[:k, 1] = dzd = shift - zd - _herm(x_inv @ dx @ zd)
         a = _step_length(scale, pair[:k], STEP_FRAC)
-        z = z + a[:, None] * dz
-        zd = _herm(zd + a[:, None, None] * dzd)
-        x = primal(z)
-        cost, grad, hess = objective(z)
+        z_new, zd_new = z + a[:, None] * dz, _herm(zd + a[:, None, None] * dzd)
+        x = primal(z_new)
+        pair[:k, 0], pair[:k, 1] = x, zd_new
+        # the step to the boundary is exact only to round-off: next to an
+        # optimum whose S or Z is singular, a step can leave a cone.  Such a
+        # step is not taken, and its problem stops at the top of the loop,
+        # which uses none of its x, w and v
+        w, v = np.linalg.eigh(pair[:k])
+        back = w[:, :, 0].min(axis=1) <= 0.0
+        step = (z_new, zd_new, *objective(z_new))
+        if back.any():
+            step = [np.where(back.reshape((k,) + (1,) * (new.ndim - 1)), now, new)
+                    for now, new in zip((z, zd, cost, grad, hess), step)]
+        z, zd, cost, grad, hess = step
     return results
 
 

@@ -9,7 +9,7 @@ on its matrix and classification runs on a stack of computed states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

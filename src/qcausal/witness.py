@@ -151,7 +151,6 @@ class WitnessReport:
     neg_b_cd: dict
     ccd: float
     ccd0: float
-    label: str
     thresholds: Thresholds
     ccd_settings: tuple = DEFAULT_CCD_SETTINGS
     stddevs: dict = field(default_factory=dict)
@@ -171,6 +170,11 @@ class WitnessReport:
     @property
     def berkson(self) -> bool:
         return min(self.neg_b_cd.values()) > self.thresholds.negativity
+
+    @property
+    def label(self) -> str:
+        return _assign_label(self.quantum_cause_effect and self.quantum_common_cause,
+                             self.physical_mixture, self.berkson)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -218,14 +222,8 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(_OUTCOMES, col)}
                                     for col in negs.T)
     ccd, ccd0 = _ccd_forms(causal.joint_distribution(tau, *ccd_settings))
-    quantum_both = (min(neg_c_bd.values()) > thresholds.negativity
-                    and min(neg_d_cb.values()) > thresholds.negativity)
-    physical = abs(ccd) > thresholds.ccd
-    berkson = min(neg_b_cd.values()) > thresholds.negativity
     return WitnessReport(
         neg_c_bd=neg_c_bd, neg_d_cb=neg_d_cb, neg_b_cd=neg_b_cd,
-        ccd=ccd, ccd0=ccd0,
-        label=_assign_label(quantum_both, physical, berkson),
-        thresholds=thresholds, ccd_settings=tuple(ccd_settings),
+        ccd=ccd, ccd0=ccd0, thresholds=thresholds, ccd_settings=tuple(ccd_settings),
         stddevs=stddevs or {},
     )

@@ -94,6 +94,15 @@ class TestExitCodes:
         assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_uncertified_fit_is_numerical(self, tmp_path):
+        # a table of 5 runs stops at round-off without a certificate: the fit
+        # is written, with no gap, and the exit code says it is not certified
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--scenario", "probq", "--runs", "5", "--seed", "38",
+                    "--out", str(out)]) == cli.EXIT_NUMERICAL
+        fit = json.loads(out.read_text())
+        assert fit["converged"] is False and fit["gap"] is None and fit["n_iter"] == 21
+
     @pytest.mark.parametrize("argv, name", [
         # the options of an earlier penalized, restarted fit are gone, and a
         # script that still passes them fails as usage

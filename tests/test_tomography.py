@@ -330,7 +330,7 @@ class TestStackedFit:
     TABLES = (("coh", 200_000, 0), ("probc", 200_000, 0), ("physc", 200_000, 0),
               ("epsmix", 200_000, 0), ("probq", 5, 38))
 
-    @pytest.mark.parametrize("max_iter", [5, 10, 2000])
+    @pytest.mark.parametrize("max_iter", [5, 10, 22, 2000])
     def test_each_problem_is_its_own_solve(self, max_iter):
         tables = [sample_counts(build_scenario(name), n, seed=seed)
                   for name, n, seed in self.TABLES]
@@ -341,11 +341,21 @@ class TestStackedFit:
             assert res.converged == alone.converged and res.message == alone.message
             assert abs(res.cost - alone.cost) <= max(res.gap, alone.gap)
         messages = [res.message for res in stacked]
-        if max_iter == 2000:
+        if max_iter >= 22:
             assert messages == ["duality gap below GAP_TOL"] * 4 + [
                 "a step left the cone at round-off"]
         else:
             assert "max_iter reached" in messages and "duality gap below GAP_TOL" in messages
+        if max_iter == 22:
+            # the sparse table's step 22 would leave the cone and is not
+            # taken: every result is the one of max_iter = 2000, bit for bit
+            assert stacked[-1].n_iter == 21
+            for res, full in zip(stacked, _stack_solve(tables, 2000)[1]):
+                assert np.array_equal(res.x, full.x) and res.n_iter == full.n_iter
+                assert res.gap == full.gap and res.message == full.message
+        for res in stacked:
+            s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
+            assert np.linalg.eigvalsh(s_mat)[0] > 0.0
         for counts, res in zip(data, stacked):
             if res.converged:
                 _check_poisson_certificate(counts, res)
