@@ -130,14 +130,6 @@ def berkson_bound(n: int, base: float = 2.0) -> float:
     return bits * math.log(2) / math.log(base)
 
 
-def extremal_mixture_spec(n: int) -> ClassicalMixtureSpec:
-    """Equal-weight deterministic mechanisms that saturate berkson_bound(n)."""
-    md = np.zeros((2, n))
-    md[0, 0] = 1.0
-    md[1, 1:] = 1.0
-    return ClassicalMixtureSpec(0.5, md, md.copy())
-
-
 def physc_distribution():
     """Joint P(c, b, d) of the classical physical-mixture example:
     P(cb|d) = 1/2 u(c) u(b) + 1/2 u(c) delta_{b, c xor d}, with uniform d."""
@@ -383,31 +375,3 @@ def uniform_context(n: int = 2) -> MixtureContext:
     h = Fraction(1, n)
     eye = [[Fraction(int(i == l)) for l in range(n)] for i in range(n)]
     return MixtureContext([h] * n, eye, eye)
-
-
-# ---------------------------------------------------------------------------
-# Faculty-hiring illustration: two skills, success as their common effect.
-
-def hiring_comprehensive() -> MixtureTerm:
-    """Single institution that eliminates candidates bad at both skills:
-    success (b=1) unless D=0 and E=0."""
-    table = [[[Fraction(1) if (d or e) == 0 else Fraction(0) for e in range(2)]
-              for d in range(2)] for _ in range(1)]
-    fail = table[0]
-    succ = [[Fraction(1) - fail[d][e] for e in range(2)] for d in range(2)]
-    return MixtureTerm(Fraction(1), [fail, succ])
-
-
-def hiring_specialized() -> ClassicalMixtureSpec:
-    """Equal mixture of teaching-only and research-only selection."""
-    mech = np.array([[1.0, 0.0], [0.0, 1.0]])   # success iff the one skill is good
-    return ClassicalMixtureSpec(0.5, mech, mech.copy())
-
-
-def hiring_comprehensive_success_posterior() -> JointDistribution:
-    """P(D, E | success) for the comprehensive institution, uniform skills."""
-    probs = np.zeros((2, 2))
-    for d, e in product(range(2), repeat=2):
-        probs[d, e] = 0.25 * (0.0 if d == 0 and e == 0 else 1.0)
-    probs /= probs.sum()
-    return JointDistribution((("D", 2), ("E", 2)), probs)

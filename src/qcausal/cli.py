@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import berkson as berkson_mod
-from . import causal, matlin, quantum, tomography, witness
+from . import causal, quantum, tomography, witness
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -234,10 +234,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     # the numerical classes subclass ValueError, so they are caught first;
-    # StateValidationError and NotHermitianError here come from computed
-    # data, since _load_tau maps the StateValidationError of an input file
-    except (ArithmeticError, np.linalg.LinAlgError, matlin.NotHermitianError,
-            matlin.NotPSDError, quantum.StateValidationError,
+    # a StateValidationError here comes from computed data, since _load_tau
+    # maps the StateValidationError of an input file
+    except (ArithmeticError, np.linalg.LinAlgError, quantum.StateValidationError,
             tomography.EmptyResampleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -12,21 +12,12 @@ import functools
 import numpy as np
 
 HERMITIAN_ATOL = 1e-12
-PSD_EIG_FLOOR = -1e-10
 
 Factors = tuple[tuple[str, int], ...]
 
 
 class LabelError(ValueError):
     """Unknown or colliding factor label."""
-
-
-class NotHermitianError(ValueError):
-    pass
-
-
-class NotPSDError(ValueError):
-    pass
 
 
 def as_factors(factors) -> Factors:
@@ -131,23 +122,3 @@ def reorder(m, factors, new_labels):
     t = _split(m, factors)
     t = np.transpose(t, perm + [p + n for p in perm])
     return _join(t, n), tuple(factors[p] for p in perm)
-
-
-def hermitian_eigs(m: np.ndarray):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues descending, eigenvectors as columns).
-    """
-    if not is_hermitian(m, atol=1e-9):
-        raise NotHermitianError("matrix is not Hermitian")
-    w, v = np.linalg.eigh(hermitize(m).astype(complex))
-    return w[::-1], v[:, ::-1]
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix, clipping small negative eigenvalues."""
-    w, v = hermitian_eigs(m)
-    if np.min(w) < PSD_EIG_FLOOR * max(1.0, float(np.max(np.abs(w)))):
-        raise NotPSDError(f"eigenvalue {np.min(w):g} below PSD floor")
-    w = np.clip(w, 0.0, None)
-    return hermitize((v * np.sqrt(w)) @ v.conj().T)

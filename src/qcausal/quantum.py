@@ -4,7 +4,9 @@ Conventions: the qubit basis is (|H>, |V>), the sigma_z eigenbasis, and every
 transpose is taken in that basis.  Choi states are unit-trace, built from the
 symmetric maximally entangled state with the output factor listed first.
 State validity has one definition, check_states, which DensityOperator runs
-on its matrix and classification runs on a stack of computed states.
+on its matrix and classification runs on a stack of computed states.  The
+functionals of states take it as given: fidelity is defined on every state
+check_states accepts, with no tolerance of its own.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from . import matlin
 from .matlin import Factors, as_factors, hermitize
 
 TRACE_ATOL = 1e-10
-EIG_FLOOR = -1e-10
 # tolerances of a valid density matrix; see check_states
 STATE_HERM_ATOL = 1e-9
 STATE_TRACE_ATOL = 1e-8
+STATE_EIG_FLOOR = -1e-9
 
 KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
@@ -65,7 +67,7 @@ def pauli_projector(axis: str, outcome: int) -> np.ndarray:
 def check_states(mats: np.ndarray, eigvals: np.ndarray | None = None) -> None:
     """Raise StateValidationError unless every matrix of the (..., n, n) stack
     mats is a density matrix: Hermitian to STATE_HERM_ATOL, trace one to
-    STATE_TRACE_ATOL, no eigenvalue below 10 EIG_FLOOR.  The one definition
+    STATE_TRACE_ATOL, no eigenvalue below STATE_EIG_FLOOR.  The one definition
     of state validity, for DensityOperator and for batches of computed
     states.  eigvals, if given, are the eigenvalues of mats taken by the
     caller's own batched eigvalsh; they are read only after the first two
@@ -77,7 +79,7 @@ def check_states(mats: np.ndarray, eigvals: np.ndarray | None = None) -> None:
     if off.any():
         raise StateValidationError(f"trace {tr[off][0]} != 1")
     w_min = float(np.min(np.linalg.eigvalsh(mats) if eigvals is None else eigvals))
-    if w_min < EIG_FLOOR * 10:
+    if w_min < STATE_EIG_FLOOR:
         raise StateValidationError(f"negative eigenvalue {w_min:g}")
 
 
@@ -178,11 +180,12 @@ def choi_of_channel(ch: KrausChannel, out_label: str = "B", in_label: str = "A")
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2."""
+    """Uhlmann fidelity [Tr sqrt(sqrt(rho) sigma sqrt(rho))]^2.  Both states
+    passed check_states, so the eigenvalues of rho and of the inner product
+    that lie below 0, by at most round-off, are clipped to 0."""
     if rho.factors != sigma.factors:
         raise ShapeMismatchError(f"factor mismatch {rho.factors} vs {sigma.factors}")
-    r = matlin.psd_sqrt(rho.mat)
-    inner = hermitize(r @ sigma.mat @ r)
-    w, _ = matlin.hermitian_eigs(inner)
-    f = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
-    return min(max(f, 0.0), 1.0)
+    w, v = np.linalg.eigh(rho.mat)
+    r = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    w = np.linalg.eigvalsh(hermitize(r @ sigma.mat @ r))
+    return min(float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2), 1.0)

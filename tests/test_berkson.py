@@ -15,7 +15,6 @@ from qcausal.berkson import (
     berkson_bound,
     berkson_posterior,
     conditional_mutual_information,
-    extremal_mixture_spec,
     induced_from_reduction,
     induced_p_cb_given_d,
     mixture_terms_from_csv,
@@ -29,6 +28,14 @@ from qcausal.berkson import (
 )
 
 BOUND_2 = 2.5 - 1.5 * math.log2(3.0)
+
+
+def extremal_mixture_spec(n: int) -> ClassicalMixtureSpec:
+    """Equal-weight deterministic mechanisms that saturate berkson_bound(n)."""
+    md = np.zeros((2, n))
+    md[0, 0] = 1.0
+    md[1, 1:] = 1.0
+    return ClassicalMixtureSpec(0.5, md, md.copy())
 
 
 class TestMutualInformation:
@@ -119,21 +126,6 @@ class TestPhyscExample:
         for v in cmi.values():
             assert v == pytest.approx(0.19, abs=0.005)
             assert v > berkson_bound(2)          # exceeds the probabilistic bound
-
-
-class TestHiringExamples:
-    def test_comprehensive_posterior_exceeds_bound(self):
-        jd = berkson.hiring_comprehensive_success_posterior()
-        assert mutual_information(jd.probs) > berkson_bound(2)
-
-    def test_specialized_respects_bound(self):
-        spec = berkson.hiring_specialized()
-        joint, _ = berkson_posterior(spec, 1)
-        assert mutual_information(joint.probs) <= berkson_bound(2) + 1e-12
-
-    def test_comprehensive_term_is_physical(self):
-        with pytest.raises(berkson.NotProbabilisticMixtureError):
-            term_kind(berkson.hiring_comprehensive())
 
 
 def const_table(b_star):

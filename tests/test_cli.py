@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qcausal import berkson, cli, matlin
+from qcausal import berkson, cli, quantum
 from qcausal.quantum import bell_phi_plus
 
 
@@ -88,7 +88,7 @@ class TestExitCodes:
 
     def test_non_hermitian_computed_matrix_is_numerical(self, monkeypatch, capsys):
         def fail(pts, *eigenvalues):
-            raise matlin.NotHermitianError("partial transpose is not Hermitian")
+            raise quantum.StateValidationError("density operator is not Hermitian")
 
         monkeypatch.setattr(cli.witness, "_negativities", fail)
         assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL

@@ -9,11 +9,6 @@ def random_hermitian(rng, n):
     return matlin.hermitize(g)
 
 
-def random_psd(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return g @ g.conj().T
-
-
 class TestFactors:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(matlin.LabelError):
@@ -90,33 +85,3 @@ class TestPartialOperations:
         m, f = matlin.tensor_product(a, (("A", 2),), b, (("B", 2),))
         swapped, _ = matlin.reorder(m, f, ("B", "A"))
         assert np.allclose(swapped, np.kron(b, a))
-
-
-class TestEigen:
-    def test_eigendecomposition_reconstructs(self):
-        rng = np.random.default_rng(6)
-        for n in (2, 3, 4, 8):
-            m = random_hermitian(rng, n)
-            w, v = matlin.hermitian_eigs(m)
-            assert np.allclose(v @ np.diag(w) @ v.conj().T, m, atol=1e-10)
-            assert np.allclose(v.conj().T @ v, np.eye(n), atol=1e-10)
-            assert np.all(np.diff(w) <= 1e-12)  # descending
-
-    def test_known_eigenvalues(self):
-        # sigma_x has eigenvalues +-1
-        w, _ = matlin.hermitian_eigs(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [1.0, -1.0])
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(matlin.NotHermitianError):
-            matlin.hermitian_eigs(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_psd_sqrt(self):
-        rng = np.random.default_rng(7)
-        m = random_psd(rng, 4)
-        r = matlin.psd_sqrt(m)
-        assert np.allclose(r @ r, m, atol=1e-9)
-
-    def test_psd_sqrt_rejects_negative(self):
-        with pytest.raises(matlin.NotPSDError):
-            matlin.psd_sqrt(np.diag([1.0, -0.5]).astype(complex))

@@ -203,3 +203,31 @@ class TestFidelity:
         f = fidelity(a, b)
         assert 0.0 <= f <= 1.0
         assert f == pytest.approx(fidelity(b, a), abs=1e-9)
+
+    def test_defined_on_round_off_negative_eigenvalue(self):
+        # check_states accepts an eigenvalue of -5e-10; fidelity takes the
+        # state as it is, with no tolerance of its own
+        rho = DensityOperator(np.diag([1 + 5e-10, -5e-10]).astype(complex), (("A", 2),))
+        assert fidelity(rho, rho) == pytest.approx(1.0, abs=1e-9)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_pure_states_overlap(self, seed):
+        # the square roots of rho's round-off eigenvalues add about 3e-8
+        rng = np.random.default_rng(seed)
+        factors = (("A", 2), ("B", 2))
+        psi, phi = (v / np.linalg.norm(v) for v in
+                    rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
+        f = fidelity(DensityOperator(ket_dm(psi), factors),
+                     DensityOperator(ket_dm(phi), factors))
+        assert f == pytest.approx(abs(np.vdot(psi, phi)) ** 2, abs=1e-7)
+
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_commuting_states(self, seed):
+        rng = np.random.default_rng(seed)
+        p, q = rng.dirichlet(np.ones(4), size=2)
+        factors = (("A", 2), ("B", 2))
+        f = fidelity(DensityOperator(np.diag(p).astype(complex), factors),
+                     DensityOperator(np.diag(q).astype(complex), factors))
+        assert f == pytest.approx(np.sum(np.sqrt(p * q)) ** 2, abs=1e-12)

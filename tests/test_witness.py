@@ -217,7 +217,3 @@ class TestClassifyAgainstReference:
                 quantum_both = min(neg["neg_c_bd"].values()) > t and min(neg["neg_d_cb"].values()) > t
                 berkson = min(neg["neg_b_cd"].values()) > t
                 assert report.label == witness._assign_label(quantum_both, abs(ccd) > t, berkson)
-
-    def test_negativity_rejects_non_hermitian_transpose(self):
-        with pytest.raises(matlin.NotHermitianError):
-            witness._negativities(np.array([[[0.5, 0.1], [0.0, 0.5]]], dtype=complex))
