@@ -4,7 +4,9 @@ A causal relation between a pre-intervention system C, a repreparation D and
 a later system B is represented by the tripartite Choi state tau_CBD of the
 map from D to (C, B).  The four reference circuits share a single structure:
 C and E start in |Phi+>, a gate takes the (D, E) wire pair to (B, F), and F
-is discarded.
+is discarded; tau_CBD is one contraction of the gate's stacked Kraus
+operators with rho_CE (causal_map_from_circuit).  The fifth, epsmix, blends
+the circuit's probq with a z-basis physically mixed term.
 
 Every Pauli measurement row comes from one builder, _pauli_rows(n): a row
 dotted with vec(T_D rho), T_D the partial transpose on the prepared wire D,
@@ -31,7 +33,7 @@ from itertools import product
 import numpy as np
 
 from . import quantum
-from .matlin import hermitize, partial_trace, partial_transpose, reorder, tensor_product
+from .matlin import hermitize, partial_trace, partial_transpose
 from .quantum import (
     IDENTITY_2,
     PAULI_AXES,
@@ -40,7 +42,6 @@ from .quantum import (
     SIGMA,
     SWAP_4,
     bell_phi_plus,
-    ket_dm,
     mix_channels,
     pauli_projector,
     unitary_channel,
@@ -95,8 +96,17 @@ class CausalChoi:
 
     @classmethod
     def from_json(cls, text: str) -> "CausalChoi":
+        """Raises ValueError for a document that is not an object with numeric
+        re and im arrays, and the validation errors of CausalChoi."""
         data = json.loads(text)
-        m = np.array(data["re"]) + 1j * np.array(data["im"])
+        if not isinstance(data, dict) or not {"re", "im"} <= data.keys():
+            raise ValueError("Choi JSON must be an object with 're' and 'im' arrays")
+        try:
+            m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
+        except TypeError as exc:          # an object or a list of them
+            raise ValueError(f"'re' and 'im' must be numeric arrays: {exc}") from exc
+        if not np.isfinite(m).all():      # null converts to nan
+            raise ValueError("'re' and 'im' must hold finite numbers")
         return cls(DensityOperator(m, CBD_FACTORS))
 
 
@@ -129,55 +139,26 @@ def _dephase_gate(u: np.ndarray, pre_d, pre_e, post_b) -> KrausChannel:
 
 
 def causal_map_from_circuit(rho_ce: DensityOperator, gate: KrausChannel) -> CausalChoi:
-    """Choi state of Tr_F o E_BF|DE( . x rho_CE ), fed with half of |Phi+> on D."""
+    """Choi state of Tr_F o E_BF|DE( . x rho_CE ), fed with half of |Phi+> on D:
+    tau[c b d, c' b' d'] = 1/2 sum_k K_k[b f, d e] rho_CE[c e, c' e'] conj(K_k[b' f, d' e']),
+    one contraction over the stacked Kraus operators."""
     if gate.dim_in != 4 or gate.dim_out != 4:
         raise quantum.ShapeMismatchError("gate must act on the two-qubit (D,E) pair")
     if rho_ce.labels != ("C", "E"):
         raise quantum.ShapeMismatchError("initial state must carry labels (C, E)")
-    lifted = [np.kron(np.eye(2), k) for k in gate.kraus_ops]
-    blocks = {}
-    for j, k in product(range(2), repeat=2):
-        sigma = np.zeros((2, 2), dtype=complex)
-        sigma[j, k] = 1.0
-        inp, f = tensor_product(sigma, (("Dp", 2),), rho_ce.mat, rho_ce.factors)
-        inp, f = reorder(inp, f, ("C", "Dp", "E"))
-        out = sum(w @ inp @ w.conj().T for w in lifted)
-        out, fo = partial_trace(out, (("C", 2), ("B", 2), ("F", 2)), "F")
-        blocks[(j, k)] = out
-    tau = np.zeros((8, 8), dtype=complex)
-    for (j, k), block in blocks.items():
-        ejk = np.zeros((2, 2), dtype=complex)
-        ejk[j, k] = 1.0
-        tau += 0.5 * np.kron(block, ejk)
+    k = np.array(gate.kraus_ops).reshape(-1, 2, 2, 2, 2)     # (n, b, f, d, e)
+    rho = rho_ce.mat.reshape(2, 2, 2, 2)                       # (c, e, c', e')
+    tau = 0.5 * np.einsum("nbfde,cexy,nzfwy->cbdxzw", k, rho, k.conj()).reshape(8, 8)
     return CausalChoi(DensityOperator(hermitize(tau), CBD_FACTORS))
 
 
-def _tau_probq() -> np.ndarray:
-    phi = bell_phi_plus(("a", "b")).mat
-    ce = np.kron(np.eye(2) / 2, phi)          # C x Phi+_BD
-    cc_m, f = tensor_product(phi, (("C", 2), ("B", 2)), np.eye(2) / 2, (("D", 2),))
-    return 0.5 * ce + 0.5 * cc_m
-
-
-def _tau_epsmix(eps: float) -> np.ndarray:
-    """Probabilistic blend of the ProbQ map with a z-basis physically mixed term."""
+def build_scenario(scenario: str, eps: float = 0.1) -> CausalChoi:
+    """Reference causal relations; all share rho_CE = |Phi+> and differ by gate.
+    epsmix blends probq with weight 1 - eps into a z-basis physically mixed
+    term; eps must lie in [0, 1] for every scenario."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
-    kets = (quantum.KET_H, quantum.KET_V)
-    xor = np.zeros((8, 8), dtype=complex)
-    for c, b, d in product(range(2), repeat=3):
-        if b != c ^ d:
-            continue
-        cell = np.kron(np.kron(ket_dm(kets[c]), ket_dm(kets[b])), ket_dm(kets[d]))
-        xor += 0.25 * cell                     # u(c) u(d) delta_{b, c xor d}
-    mixed = np.kron(np.eye(4) / 4, np.eye(2) / 2)
-    return (1 - eps) * _tau_probq() + eps * (0.5 * mixed + 0.5 * xor)
-
-
-def build_scenario(scenario: str, eps: float = 0.1) -> CausalChoi:
-    """Reference causal relations; all share rho_CE = |Phi+> and differ by gate."""
     scenario = scenario.lower()
-    rho_ce = bell_phi_plus(("C", "E"))
     u = partial_swap(-np.pi / 2)
     if scenario == "coh":
         gate = unitary_channel(u)
@@ -190,10 +171,14 @@ def build_scenario(scenario: str, eps: float = 0.1) -> CausalChoi:
         # map; with theta = -pi/2 the correlations come out sign-exchanged.
         gate = _dephase_gate(partial_swap(np.pi / 2), (0, 1, 0), (1, 0, 0), (0, 0, 1))
     elif scenario == "epsmix":
-        return CausalChoi(DensityOperator(_tau_epsmix(eps), CBD_FACTORS))
+        # u(c) u(d) delta_{b, c xor d} over (c, b, d)
+        xor = np.diag([0.25 * (b == c ^ d) for c, b, d in product(range(2), repeat=3)])
+        mixed = np.eye(8) / 8
+        tau = (1 - eps) * build_scenario("probq").mat + eps * (0.5 * mixed + 0.5 * xor)
+        return CausalChoi(DensityOperator(tau, CBD_FACTORS))
     else:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}")
-    return causal_map_from_circuit(rho_ce, gate)
+    return causal_map_from_circuit(bell_phi_plus(("C", "E")), gate)
 
 
 def random_probabilistic_mixture(rng=None) -> CausalChoi:
@@ -213,7 +198,7 @@ def random_probabilistic_mixture(rng=None) -> CausalChoi:
     tau_bd = quantum.choi_of_channel(quantum.KrausChannel(kraus), "B", "D").mat
     p = float(rng.uniform())
     ce = np.kron(rho_c, tau_bd)                               # (C, B, D)
-    cc, _ = tensor_product(tau_cb, (("C", 2), ("B", 2)), np.eye(2) / 2, (("D", 2),))
+    cc = np.kron(tau_cb, np.eye(2) / 2)
     return CausalChoi(DensityOperator(hermitize(p * ce + (1 - p) * cc), CBD_FACTORS))
 
 

@@ -56,17 +56,6 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + _dagger(m)) / 2
 
 
-def tensor_product(a, fa, b, fb):
-    """Kronecker product with factor bookkeeping.
-
-    Returns (a kron b, fa + fb).  Labels must be disjoint.
-    """
-    fa, fb = as_factors(fa), as_factors(fb)
-    if {l for l, _ in fa} & {l for l, _ in fb}:
-        raise LabelError("label collision between factors")
-    return np.kron(a, b), fa + fb
-
-
 def _split(m: np.ndarray, factors: Factors) -> np.ndarray:
     dims = [d for _, d in factors]
     return m.reshape(dims + dims)
@@ -110,15 +99,3 @@ def partial_transpose(m, factors, over: str) -> np.ndarray:
     except TypeError:            # unhashable factors, such as lists
         p = partial_transpose_index(as_factors(factors), over)
     return m.reshape(p.size)[p]
-
-
-def reorder(m, factors, new_labels):
-    """Permute the factor list to the given label order."""
-    factors = as_factors(factors)
-    n = len(factors)
-    perm = [_axis(factors, lbl) for lbl in new_labels]
-    if len(perm) != n:
-        raise LabelError("new order must mention every label exactly once")
-    t = _split(m, factors)
-    t = np.transpose(t, perm + [p + n for p in perm])
-    return _join(t, n), tuple(factors[p] for p in perm)

@@ -169,13 +169,14 @@ def mix_channels(channels, weights) -> KrausChannel:
 
 
 def choi_of_channel(ch: KrausChannel, out_label: str = "B", in_label: str = "A") -> DensityOperator:
-    """Unit-trace Choi state (E x I)(|Phi+><Phi+|), output factor first."""
+    """Unit-trace Choi state (E x I)(|Phi+><Phi+|), output factor first:
+    tau[b d, b' d'] = 1/2 sum_k K_k[b, d] conj(K_k[b', d'])."""
     d = ch.dim_in
     if d != 2:
         raise ValueError("only qubit-input channels are needed here")
-    phi = bell_phi_plus(("in1", "in2")).mat
-    lifted = tuple(np.kron(k, np.eye(d)) for k in ch.kraus_ops)
-    tau = sum(k @ phi @ k.conj().T for k in lifted)
+    k = np.array(ch.kraus_ops)
+    n = ch.dim_out * d
+    tau = 0.5 * np.einsum("nbd,nxy->bdxy", k, k.conj()).reshape(n, n)
     return DensityOperator(hermitize(tau), ((out_label, ch.dim_out), (in_label, d)))
 
 

@@ -67,12 +67,14 @@ class TestScenarios:
             build_scenario("nope")
 
     def test_epsmix_eps_range(self):
-        with pytest.raises(ValueError):
-            build_scenario("epsmix", eps=1.5)
+        # eps is checked for every scenario, not only the one that reads it
+        for sid, eps in (("epsmix", 1.5), ("coh", float("nan")), ("probc", -0.1)):
+            with pytest.raises(ValueError):
+                build_scenario(sid, eps=eps)
 
     def test_epsmix_zero_is_probq(self):
-        assert np.allclose(build_scenario("epsmix", eps=0.0).mat,
-                           build_scenario("probq").mat, atol=1e-12)
+        assert np.array_equal(build_scenario("epsmix", eps=0.0).mat,
+                              build_scenario("probq").mat)
 
     def test_probc_is_diagonal(self):
         m = build_scenario("probc").mat
@@ -82,6 +84,19 @@ class TestScenarios:
         tau = build_scenario("coh")
         again = CausalChoi.from_json(tau.to_json())
         assert np.allclose(again.mat, tau.mat, atol=1e-15)
+
+    @pytest.mark.parametrize("text", [
+        '[1, 2]',
+        '{"re": "x", "im": "y"}',
+        '{"re": [[null]], "im": [[0]]}',
+        '{"re": [["a"]], "im": [[0]]}',
+        '{"re": [[{}]], "im": [[0]]}',
+        '{"re": [[1], [1, 2]], "im": [[0]]}',
+        '{"im": [[0]]}',
+    ])
+    def test_malformed_json_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            CausalChoi.from_json(text)
 
     def test_no_retro_rejects_signalling(self):
         # correlating C directly with the later input D would be retrocausal
@@ -98,6 +113,35 @@ class TestScenarios:
         with pytest.raises(quantum.ShapeMismatchError):
             causal_map_from_circuit(quantum.bell_phi_plus(("C", "E")),
                                     quantum.identity_channel(2))
+
+
+def random_state(rng, n):
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestCircuit:
+    @given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(2, 4))
+    @settings(max_examples=50, deadline=None)
+    def test_choi_state_reproduces_the_circuit(self, seed, n_kraus):
+        # feeding rho_D into the causal map, 2 Tr_D[tau (1 x rho_D^T)], gives
+        # Tr_F of the gate applied to rho_D x rho_CE with C as a spectator
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((4 * n_kraus, 4)) + 1j * rng.standard_normal((4 * n_kraus, 4))
+        v, _ = np.linalg.qr(g)                       # isometry from (D, E)
+        gate = quantum.KrausChannel(tuple(v[4 * k:4 * k + 4] for k in range(n_kraus)))
+        rho_ce = random_state(rng, 4)
+        rho_d = random_state(rng, 2)
+        tau = causal_map_from_circuit(DensityOperator(rho_ce, (("C", 2), ("E", 2))), gate)
+        fed, _ = matlin.partial_trace(2 * tau.mat @ np.kron(np.eye(4), rho_d.T),
+                                      causal.CBD_FACTORS, "D")
+        # input on (C, D, E), output on (C, B, F)
+        inp = np.einsum("cexy,dw->cdexwy", rho_ce.reshape(2, 2, 2, 2), rho_d).reshape(8, 8)
+        lifted = quantum.tensor_channels(quantum.identity_channel(2), gate)
+        out, _ = matlin.partial_trace(lifted.apply_matrix(inp),
+                                      (("C", 2), ("B", 2), ("F", 2)), "F")
+        assert np.max(np.abs(fed - out)) <= 1e-12
 
 
 class TestInducedStates:

@@ -32,8 +32,23 @@ class TestExitCodes:
         assert exc.value.code == 2          # argparse rejects the choice
 
     def test_bad_eps(self, tmp_path):
-        assert run(["scenario", "--scenario", "epsmix", "--eps", "2.0",
-                    "--out", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
+        # eps is checked for every scenario: a NaN would reach the pipeline
+        # report as a token that no strict JSON parser reads
+        for argv in (["scenario", "--scenario", "epsmix", "--eps", "2.0"],
+                     ["pipeline", "--scenario", "coh", "--eps", "nan", "--runs", "2000"]):
+            assert run(argv + ["--out", str(tmp_path / "x.json")]) == cli.EXIT_USAGE
+            assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"re": "x", "im": "y"}',
+        '[1, 2]',
+        '{"re": [[null]], "im": [[0]]}',
+        '{"re": [["a"]], "im": [[0]]}',
+    ])
+    def test_malformed_input_file(self, text, tmp_path):
+        path = tmp_path / "tau.json"
+        path.write_text(text)
+        assert run(["witness", "--in", str(path)]) == cli.EXIT_USAGE
 
     def test_missing_input_file(self):
         assert run(["witness", "--in", "/nonexistent/tau.json"]) == cli.EXIT_USAGE

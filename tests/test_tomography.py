@@ -180,6 +180,16 @@ class TestFullFit:
         assert fidelity(fit.tau.tau, tau.tau) > 0.999
         assert fit.penalty_residual < 1e-6
 
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_noiseless_roundtrip_recovers_the_truth(self, seed):
+        # the expected counts of a random probabilistic mixture fit back to
+        # the mixture itself, with a certified gap
+        tau = random_probabilistic_mixture(seed)
+        fit = fit_causal_map(expected_counts(tau, 200_000))
+        assert fit.converged
+        assert 1.0 - fidelity(fit.tau.tau, tau.tau) <= 1e-9
+
     def test_poisson_recovery(self):
         tau = build_scenario("probq")
         fit = fit_causal_map(sample_counts(tau, 200_000, seed=5),
