@@ -9,18 +9,19 @@ operators with rho_CE (causal_map_from_circuit).  The fifth, epsmix, blends
 the circuit's probq with a z-basis physically mixed term.
 
 Every Pauli measurement row comes from one builder, _pauli_rows(n): a row
-dotted with vec(T_D rho), T_D the partial transpose on the prepared wire D,
-is the probability of its cell.  Its (3, 3, 3, 8, 64) stack MEAS_STACK over
-the settings (s on C, t for the repreparation on D, u on B) gives the
-uniform-preparation joint P(c, b, d | s, t, u); tomography slices it, and
-takes the two-wire stack for the (C, D) states of the Berkson analysis.
-The same broadcast product gives the normalized Pauli strings
-(_pauli_strings), the coordinates of both tomographic fits.
-Conditioning is one contraction of tau as a (2,)*6 tensor per wire, for a
-whole stack of projectors at once (conditioned_states).  Classification takes
-its six induced states, both z outcomes on C, D and B, from one product with
-the (96, 64) matrix those contractions give on the 64 unit matrices, built
-at import (z_conditioned_states).
+dotted with vec(rho) is the probability of its cell, Tr[rho Pi_1 x ... x
+Pi_n^T], transposed on the prepared wire D there and nowhere else.  Its
+(3, 3, 3, 8, 64) stack MEAS_STACK over the settings (s on C, t for the
+repreparation on D, u on B) gives the uniform-preparation joint
+P(c, b, d | s, t, u); tomography uses it, and the two-wire stack for the
+(C, D) states of the Berkson analysis.  The same broadcast product gives
+the normalized Pauli strings (_pauli_strings), the coordinates of both
+tomographic fits.  Conditioning is one contraction of tau as a (2,)*6
+tensor per wire, for a whole stack of projectors at once
+(conditioned_states).  Classification takes its six induced states, both z
+outcomes on C, D and B, from one product with the (96, 64) matrix those
+contractions give on the 64 unit matrices, built at import
+(z_conditioned_states).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from . import quantum
-from .matlin import hermitize, partial_trace, partial_transpose
+from .matlin import hermitize, partial_trace
 from .quantum import (
     IDENTITY_2,
     PAULI_AXES,
@@ -60,8 +61,8 @@ class ConditioningError(ValueError):
 def no_retro_deviation(mat: np.ndarray) -> np.ndarray:
     """Tr_B(S) - Tr_BD(S) x 1/2 for an 8x8 S over (C, B, D), as a (c, d, c', d')
     array: the no-retrocausation constraint that CausalChoi validates and
-    tomography penalizes.  Zero exactly when S cannot signal from B back to
-    (C, D); real-linear in S."""
+    whose null space is the basis of tomography's tau_CBD fit.  Zero exactly
+    when S cannot signal from B back to (C, D); real-linear in S."""
     t = mat.reshape(2, 2, 2, 2, 2, 2)
     marg = np.trace(t, axis1=1, axis2=4)       # (c, d, c', d')
     rho_c = np.trace(marg, axis1=1, axis2=3)   # (c, c')
@@ -96,18 +97,24 @@ class CausalChoi:
 
     @classmethod
     def from_json(cls, text: str) -> "CausalChoi":
-        """Raises ValueError for a document that is not an object with numeric
-        re and im arrays, and the validation errors of CausalChoi."""
+        """Raises ValueError unless the document is an object with numeric re
+        and im arrays of one shape and, if given, to_json's labels and dim;
+        and the validation errors of CausalChoi."""
         data = json.loads(text)
         if not isinstance(data, dict) or not {"re", "im"} <= data.keys():
             raise ValueError("Choi JSON must be an object with 're' and 'im' arrays")
+        if (data.get("labels", ["C", "B", "D"]), data.get("dim", 8)) != (["C", "B", "D"], 8):
+            raise ValueError(f"Choi JSON must have labels ['C', 'B', 'D'] and dim 8, got "
+                             f"{data.get('labels')!r} and {data.get('dim')!r}")
         try:
-            m = np.array(data["re"], dtype=float) + 1j * np.array(data["im"], dtype=float)
+            re, im = np.array(data["re"], dtype=float), np.array(data["im"], dtype=float)
         except TypeError as exc:          # an object or a list of them
             raise ValueError(f"'re' and 'im' must be numeric arrays: {exc}") from exc
-        if not np.isfinite(m).all():      # null converts to nan
+        if re.shape != im.shape:
+            raise ValueError(f"'re' and 'im' must have one shape, got {re.shape} and {im.shape}")
+        if not (np.isfinite(re).all() and np.isfinite(im).all()):    # null converts to nan
             raise ValueError("'re' and 'im' must hold finite numbers")
-        return cls(DensityOperator(m, CBD_FACTORS))
+        return cls(DensityOperator(re + 1j * im, CBD_FACTORS))
 
 
 def partial_swap(theta: float) -> np.ndarray:
@@ -202,25 +209,31 @@ def random_probabilistic_mixture(rng=None) -> CausalChoi:
     return CausalChoi(DensityOperator(hermitize(p * ce + (1 - p) * cc), CBD_FACTORS))
 
 
-def _wire_product(p: np.ndarray, n: int) -> np.ndarray:
-    """Every product over n wires of the 2x2 operators in the stack p, one
-    per wire, in kron order: a plain broadcast product, so every entry,
-    signed zeros included, equals its kron-built value.  Each leading axis
-    of p comes back as n axes, wire 1 first, followed by the 2**n rows and
-    the 2**n columns."""
-    # factor k on the axes of wire k
+def _wire_product(stacks) -> np.ndarray:
+    """Every product over n wires of 2x2 operators, one from the k-th stack
+    of the sequence stacks on wire k, in kron order: a plain broadcast
+    product, so every entry, signed zeros included, equals its kron-built
+    value.  Each leading axis of the (equal-shaped) stacks comes back as n
+    axes, wire 1 first, followed by the 2**n rows and the 2**n columns."""
+    n = len(stacks)
+    # stack k on the axes of wire k
     factors = [p.reshape([m if j == k else 1 for m in p.shape for j in range(n)])
-               for k in range(n)]
+               for k, p in enumerate(stacks)]
     op = functools.reduce(np.multiply, factors)
     return op.reshape(op.shape[:-2 * n] + (2 ** n, 2 ** n))
 
 
+@functools.cache
 def _pauli_rows(n: int) -> np.ndarray:
     """(3,)*n + (2**n, 4**n) stack over the Pauli settings and outcomes of n
-    wires in kron order: the transpose of Pi_1 x ... x Pi_n, flattened."""
+    wires in kron order, the last wire prepared: the transpose of
+    Pi_1 x ... x Pi_(n-1) x Pi_n^T, flattened, so that a row dotted with
+    vec(rho) is Tr[rho Pi_1 x ... x Pi_n^T].  Cached per n and read-only."""
     p = np.array([[pauli_projector(a, o) for o in (+1, -1)] for a in PAULI_AXES])
-    op = _wire_product(p, n).reshape((3,) * n + (2 ** n,) * 3)
-    return np.swapaxes(op, -1, -2).reshape((3,) * n + (2 ** n, 4 ** n))
+    op = _wire_product([p] * (n - 1) + [p.swapaxes(-1, -2)]).reshape((3,) * n + (2 ** n,) * 3)
+    rows = np.swapaxes(op, -1, -2).reshape((3,) * n + (2 ** n, 4 ** n))
+    rows.flags.writeable = False
+    return rows
 
 
 def _pauli_strings(n: int) -> np.ndarray:
@@ -229,7 +242,7 @@ def _pauli_strings(n: int) -> np.ndarray:
     matrices.  String i holds sigma_(i_k) on wire k, the base-4 digits i_k of
     i with wire 1 first, and sigma_0 = 1 then x, y, z."""
     p = np.array([IDENTITY_2] + [SIGMA[a] for a in PAULI_AXES])
-    return _wire_product(p, n).reshape(4 ** n, 2 ** n, 2 ** n) / np.sqrt(2 ** n)
+    return _wire_product([p] * n).reshape(4 ** n, 2 ** n, 2 ** n) / np.sqrt(2 ** n)
 
 
 # (3, 3, 3, 8, 64) over (s, t, u, cbd): sigma_s on C, sigma_t on D, sigma_u on B
@@ -328,5 +341,4 @@ def joint_distribution(tau: CausalChoi, s: str, t: str, u: str) -> np.ndarray:
         if a not in PAULI_AXES:
             raise ValueError(f"axis must be one of {PAULI_AXES}, got {a!r}")
     rows = MEAS_STACK[PAULI_AXES.index(s), PAULI_AXES.index(t), PAULI_AXES.index(u)]
-    td = partial_transpose(tau.mat, CBD_FACTORS, "D")
-    return np.real(rows @ td.reshape(-1)).reshape(2, 2, 2).transpose(0, 2, 1)
+    return np.real(rows @ tau.mat.reshape(-1)).reshape(2, 2, 2).transpose(0, 2, 1)

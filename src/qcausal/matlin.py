@@ -44,7 +44,7 @@ def _axis(factors: Factors, label: str) -> int:
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix in a stack."""
-    return np.swapaxes(m, -1, -2).conj()
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
@@ -53,7 +53,7 @@ def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + _dagger(m)) / 2
+    return 0.5 * (m + _dagger(m))
 
 
 def _split(m: np.ndarray, factors: Factors) -> np.ndarray:
@@ -94,8 +94,5 @@ def partial_transpose_index(factors, over: str) -> np.ndarray:
 def partial_transpose(m, factors, over: str) -> np.ndarray:
     """Transpose the indices of the named factor only: one gather, so every
     entry is copied exactly."""
-    try:
-        p = partial_transpose_index(factors, over)
-    except TypeError:            # unhashable factors, such as lists
-        p = partial_transpose_index(as_factors(factors), over)
+    p = partial_transpose_index(as_factors(factors), over)
     return m.reshape(p.size)[p]

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matlin import hermitize
+
 GAP_TOL = 1e-6     # duality gap at which psd_minimize stops, in units of f
 STEP_FRAC = 0.99   # share of the step to the boundary of the PSD cone taken
 START_FLOOR = 1e-9   # smallest start eigenvalue, relative to the largest
@@ -164,10 +166,6 @@ class PoissonLikelihood:
         return bound, rho
 
 
-def _herm(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))
-
-
 def _step_length(scale: np.ndarray, steps: np.ndarray, frac: float) -> np.ndarray:
     """min(1, frac a_k) for the largest a_k with X_k + a dX_k and Z_k + a dZ_k
     both PSD, given scale = (X^-1/2, Z^-1/2) and steps = (dX, dZ), both
@@ -306,18 +304,18 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         # predictor: the affine direction, aiming at mu = 0
         dz = _solve(system, -grad)
         pair[:k, 0] = dx = primal(dz)
-        pair[:k, 1] = dzd = -zd - _herm(x_inv @ dx @ zd)
+        pair[:k, 1] = dzd = -zd - hermitize(x_inv @ dx @ zd)
         a = _step_length(scale, pair[:k], 1.0)[:, None, None]
         # mu = Tr(S Z) / d now, and after the affine step
         mu_aff = _rows_dot(x + a * dx, zd + a * dzd)
         target = tr_xz / d * np.minimum(1.0, (mu_aff / tr_xz) ** 3)
         # corrector: aim at the target mu, with the second-order term of S Z
-        shift = target[:, None, None] * x_inv - _herm(x_inv @ dx @ dzd)
+        shift = target[:, None, None] * x_inv - hermitize(x_inv @ dx @ dzd)
         dz = _solve(system, adjoint(shift) - grad)
         pair[:k, 0] = dx = primal(dz)
-        pair[:k, 1] = dzd = shift - zd - _herm(x_inv @ dx @ zd)
+        pair[:k, 1] = dzd = shift - zd - hermitize(x_inv @ dx @ zd)
         a = _step_length(scale, pair[:k], STEP_FRAC)
-        z_new, zd_new = z + a[:, None] * dz, _herm(zd + a[:, None, None] * dzd)
+        z_new, zd_new = z + a[:, None] * dz, hermitize(zd + a[:, None, None] * dzd)
         x = primal(z_new)
         pair[:k, 0], pair[:k, 1] = x, zd_new
         # the step to the boundary is exact only to round-off: next to an

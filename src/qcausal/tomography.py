@@ -4,14 +4,16 @@ tripartite Choi state from them.
 The full experiment runs all 27 Pauli setting triples (s on C, t for the
 repreparation on D, u on B), N/27 runs each, recording the 8 outcome
 triples.  Both experiments take their Pauli rows from causal's one builder,
-in one convention, each row dotted with vec(T_D rho): the 216 rows of
-MEAS_STACK for tau_CBD and its two-wire stack, 36 rows, for a (C, D) state
-of the Berkson analysis.  Both fits work in the coordinates of normalized
-Pauli strings, a trace-orthonormal basis (causal._pauli_strings), and each
-count model is its cell map applied to that basis, one real matrix built at
-import.  Both fits are exact convex programs over positive semidefinite S,
-solved by optimize.psd_minimize and stopped by a certified duality gap; of
-FitConfig they read only max_iter, which caps the interior-point steps.
+causal._pauli_rows, whose rows act on vec(rho) itself, the prepared wire D
+transposed there: the 216 rows of MEAS_STACK for tau_CBD and the two-wire
+stack, 36 rows, for a (C, D) state of the Berkson analysis; one
+_cell_probabilities serves both.  Both fits work in the coordinates of
+normalized Pauli strings, a trace-orthonormal basis
+(causal._pauli_strings), and each count model is one product of its rows
+with that basis, a real matrix built at import.  Both fits are exact convex
+programs over positive semidefinite S, solved by optimize.psd_minimize and
+stopped by a certified duality gap; of FitConfig they read only max_iter,
+which caps the interior-point steps.
 fit_causal_maps solves several tables, such as the bootstrap's resamples, as
 one stack of problems.
 
@@ -99,20 +101,20 @@ class CountTable:
         return buf.getvalue()
 
 
-# Row i, dotted with vec(T_D tau), gives P(c, b, d | s, t, u) for the i-th
-# (s, t, u, c, b, d) cell.
-_MEAS_STACK = MEAS_STACK.reshape(216, 64)
-
-
-def _cell_probabilities(tau_mat: np.ndarray) -> np.ndarray:
-    """All 216 values Tr[T_D(tau) Pi_c x Pi_b x T(Pi_d)], flattened."""
-    td = matlin.partial_transpose(tau_mat, CBD_FACTORS, "D")
-    return np.real(_MEAS_STACK @ td.reshape(-1))
+def _cell_probabilities(cells: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Tr[mat Pi_c x Pi_b x T(Pi_d)] (tau_CBD) or Tr[mat Pi_c x T(Pi_d)] (C, D)
+    for every cell of a stack of Pauli rows and the matrix mats, or each of a
+    stack of them: one product of the rows with the flattened matrices, kept
+    C-contiguous, as a strided real view takes the solver down another BLAS
+    path."""
+    size = mats.shape[-1] ** 2
+    probs = np.real(cells.reshape(-1, size) @ mats.reshape(-1, size).T)
+    return np.ascontiguousarray(probs).reshape((-1,) + mats.shape[:-2])
 
 
 def expected_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS) -> CountTable:
     """Noiseless count table: n_runs/27 per setting times the cell probability."""
-    cells = _cell_probabilities(tau.mat) * (n_runs / 27.0)
+    cells = _cell_probabilities(MEAS_STACK, tau.mat) * (n_runs / 27.0)
     return CountTable(cells.reshape(3, 3, 3, 2, 2, 2), n_runs)
 
 
@@ -185,7 +187,7 @@ class FitResult:
 # but the 12 sigma_C x 1_B x sigma_D with sigma_D != 1, whose 216 cell means
 # are _CBD_ROWS @ z.
 _NO_RETRO_BASIS = np.stack([f for f in _pauli_strings(3) if not no_retro_deviation(f).any()])
-_CBD_ROWS = np.stack([_cell_probabilities(f) for f in _NO_RETRO_BASIS], axis=1)
+_CBD_ROWS = _cell_probabilities(MEAS_STACK, _NO_RETRO_BASIS)
 # coordinates of the identity, which lies in the span: Tr(F_i)
 _CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
 
@@ -269,20 +271,10 @@ def fit_causal_map(table: CountTable, config: FitConfig | None = None) -> FitRes
 
 CD_FACTORS = (("C", 2), ("D", 2))
 
-# rows over (s, t, c, d) on vec(T_D rho): sigma_s on C, sigma_t for the repreparation on D
-_CD_MEAS_STACK = _pauli_rows(2).reshape(36, 16)
-
-
-def _cd_cell_probabilities(rho: np.ndarray) -> np.ndarray:
-    """All 36 values Tr[T_D(rho) Pi_c x Pi_d] = Tr[rho Pi_c x T(Pi_d)], flattened."""
-    td = matlin.partial_transpose(rho, CD_FACTORS, "D")
-    return np.real(_CD_MEAS_STACK @ td.reshape(-1))
-
-
 # The (C, D) fit's coordinates, the 16 normalized Pauli strings of two
 # wires, and its count model, whose 36 cell means are _CD_ROWS @ z.
 _CD_BASIS = _pauli_strings(2)
-_CD_ROWS = np.stack([_cd_cell_probabilities(e) for e in _CD_BASIS], axis=1)
+_CD_ROWS = _cell_probabilities(_pauli_rows(2), _CD_BASIS)
 
 
 def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarray:
@@ -290,7 +282,7 @@ def expected_conditioned_counts(state: DensityOperator, n_runs: int) -> np.ndarr
     D wire is a transposed input: model count (N/9) Tr[rho Pi_c x T(Pi_d)]."""
     if state.factors != CD_FACTORS:
         raise ValueError("expected a state over factors (C, D)")
-    cells = _cd_cell_probabilities(state.mat) * (n_runs / 9.0)
+    cells = _cell_probabilities(_pauli_rows(2), state.mat) * (n_runs / 9.0)
     return cells.reshape(3, 3, 2, 2)
 
 

@@ -1,3 +1,4 @@
+import json
 from itertools import product
 
 import numpy as np
@@ -18,6 +19,10 @@ from qcausal.causal import (
     random_probabilistic_mixture,
 )
 from qcausal.quantum import DensityOperator, SWAP_4, pauli_projector
+
+# the maximally mixed tau_CBD, a valid causal Choi state, as JSON arrays
+MIXED_8 = (np.eye(8) / 8).tolist()
+ZEROS_8 = np.zeros((8, 8)).tolist()
 
 
 class TestPartialSwap:
@@ -93,10 +98,22 @@ class TestScenarios:
         '{"re": [[{}]], "im": [[0]]}',
         '{"re": [[1], [1, 2]], "im": [[0]]}',
         '{"im": [[0]]}',
+        # a valid state written in another factor order, or with an im that
+        # would broadcast against re
+        json.dumps({"labels": ["D", "B", "C"], "dim": 4, "re": MIXED_8, "im": ZEROS_8}),
+        json.dumps({"re": MIXED_8, "im": [0] * 8}),
+        json.dumps({"re": MIXED_8, "im": 0}),
     ])
     def test_malformed_json_is_value_error(self, text):
         with pytest.raises(ValueError):
             CausalChoi.from_json(text)
+
+    def test_json_labels_and_dim_are_optional(self):
+        # the state of the malformed documents is valid: with the labels and
+        # dim that to_json writes, or without them, it is read
+        for extra in ({}, {"labels": ["C", "B", "D"], "dim": 8}):
+            tau = CausalChoi.from_json(json.dumps({"re": MIXED_8, "im": ZEROS_8, **extra}))
+            assert np.array_equal(tau.mat, np.eye(8) / 8)
 
     def test_no_retro_rejects_signalling(self):
         # correlating C directly with the later input D would be retrocausal
@@ -284,8 +301,10 @@ def reference_maps():
 
 class TestMeasurementStack:
     def test_bit_identical_to_kron_loop(self):
-        rows = [kron_op(AXES[si], AXES[ti], AXES[ui], 1 - 2 * ci, 1 - 2 * bi, 1 - 2 * di).T
-                .reshape(-1)
+        # the rows act on vec(tau): the transpose of Pi_c x Pi_b x Pi_d^T
+        rows = [np.kron(np.kron(pauli_projector(AXES[si], 1 - 2 * ci),
+                                pauli_projector(AXES[ui], 1 - 2 * bi)),
+                        pauli_projector(AXES[ti], 1 - 2 * di).T).T.reshape(-1)
                 for si, ti, ui, ci, bi, di in product(range(3), range(3), range(3),
                                                       range(2), range(2), range(2))]
         ref = np.stack(rows)
@@ -297,8 +316,13 @@ class TestMeasurementStack:
                               np.signbit(ref.view(float)))
 
     def test_tomography_uses_the_same_stack(self):
-        assert tomography._MEAS_STACK.shape == (216, 64)
-        assert np.shares_memory(tomography._MEAS_STACK, causal.MEAS_STACK)
+        # expected_counts and joint_distribution apply the same rows of
+        # MEAS_STACK to tau itself, so they agree bit for bit
+        for tau in reference_maps():
+            table = tomography.expected_counts(tau, 27).counts
+            for (si, s), (ti, t), (ui, u) in product(enumerate(AXES), repeat=3):
+                assert np.array_equal(table[si, ti, ui],
+                                      joint_distribution(tau, s, t, u).transpose(0, 2, 1))
 
 
 class TestAgainstKron:

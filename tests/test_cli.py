@@ -11,6 +11,10 @@ from qcausal import berkson, cli, quantum
 from qcausal.quantum import bell_phi_plus
 
 
+# the maximally mixed tau_CBD, a valid causal Choi state, as JSON arrays
+MIXED_8 = (np.eye(8) / 8).tolist()
+ZEROS_8 = np.zeros((8, 8)).tolist()
+
 # P(b | d, e) = delta_{b, d}
 DE_TABLE = [[[1, 1], [0, 0]], [[0, 0], [1, 1]]]
 
@@ -44,6 +48,11 @@ class TestExitCodes:
         '[1, 2]',
         '{"re": [[null]], "im": [[0]]}',
         '{"re": [["a"]], "im": [[0]]}',
+        # a valid state written in another factor order, or with an im that
+        # would broadcast against re
+        json.dumps({"labels": ["D", "B", "C"], "dim": 4, "re": MIXED_8, "im": ZEROS_8}),
+        json.dumps({"re": MIXED_8, "im": [0] * 8}),
+        json.dumps({"re": MIXED_8, "im": 0}),
     ])
     def test_malformed_input_file(self, text, tmp_path):
         path = tmp_path / "tau.json"

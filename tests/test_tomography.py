@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qcausal import matlin, optimize, quantum, tomography
+from qcausal import causal, matlin, optimize, quantum, tomography
 from qcausal.causal import (
     CBD_FACTORS,
     CausalChoi,
@@ -780,18 +780,48 @@ class TestConditionedFit:
         assert res.converged and res.gap <= optimize.GAP_TOL and res.n_iter > 1
 
     def test_stack_bit_identical_to_kron_loop(self):
-        stack = tomography._CD_MEAS_STACK
-        assert np.array_equal(stack, _CD_KRON_ROWS)
-        assert np.array_equal(np.signbit(stack.view(float)), np.signbit(_CD_KRON_ROWS.view(float)))
+        # the rows act on vec(rho): the transpose of Pi_c x Pi_d^T, flattened
+        stack = causal._pauli_rows(2).reshape(36, 16)
+        ref = _CD_OPS.transpose(0, 2, 1).reshape(36, 16)
+        assert np.array_equal(stack, ref)
+        assert np.array_equal(np.signbit(stack.view(float)), np.signbit(ref.view(float)))
 
     def test_cell_probabilities_are_born_rule(self):
-        # rows on vec(T_D rho) give Tr[rho Pi_c x T(Pi_d)], the model of _CD_OPS
+        # rows on vec(rho) give Tr[rho Pi_c x T(Pi_d)], the model of _CD_OPS
         rng = np.random.default_rng(12)
         for _ in range(20):
-            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            rho = g @ g.conj().T / np.trace(g @ g.conj().T).real
+            rho = _random_state(rng, 4)
             want = np.real(np.einsum("kab,ba->k", _CD_OPS, rho))
-            assert np.max(np.abs(tomography._cd_cell_probabilities(rho) - want)) <= 1e-15
+            got = tomography._cell_probabilities(causal._pauli_rows(2), rho)
+            assert np.max(np.abs(got - want)) <= 1e-15
+
+
+# Kron-built rows of the full experiment over (s, t, u, c, b, d): the
+# transpose of Pi_c x Pi_b x Pi_d, flattened, to be applied to vec(T_D tau).
+_CBD_KRON_ROWS = np.stack([np.kron(np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
+                                           pauli_projector(tomography.AXES[ui], 1 - 2 * bi)),
+                                   pauli_projector(tomography.AXES[ti], 1 - 2 * di)).T.reshape(-1)
+                           for si, ti, ui, ci, bi, di in product(range(3), range(3), range(3),
+                                                                 range(2), range(2), range(2))])
+
+
+def _random_state(rng, dim):
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T / np.trace(g @ g.conj().T).real
+
+
+@pytest.mark.parametrize("cells, kron_rows, factors", [
+    (causal.MEAS_STACK, _CBD_KRON_ROWS, causal.CBD_FACTORS),
+    (causal._pauli_rows(2), _CD_KRON_ROWS, tomography.CD_FACTORS),
+])
+def test_cell_probabilities_match_partial_transpose_formula(cells, kron_rows, factors):
+    # the rows transpose the prepared wire D on its projector; the reference
+    # transposes it on the state instead, Tr[T_D(rho) Pi_c x (Pi_b x) Pi_d]
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        rho = _random_state(rng, 2 ** len(factors))
+        want = np.real(kron_rows @ matlin.partial_transpose(rho, factors, "D").reshape(-1))
+        assert np.max(np.abs(tomography._cell_probabilities(cells, rho) - want)) <= 1e-15
 
 
 def _ccd_statistic(fit):
