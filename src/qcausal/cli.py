@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -77,18 +78,19 @@ def cmd_fit(args) -> int:
     return EXIT_OK if fit.converged else EXIT_NUMERICAL
 
 
-def _bootstrap_thresholds(table, args):
-    def statistic(f):
-        r = witness.classify(f.tau, ccd_settings=tuple(args.ccd_settings))
-        out = {"ccd": r.ccd}
-        for fam, vals in (("neg_c_bd", r.neg_c_bd), ("neg_d_cb", r.neg_d_cb),
-                          ("neg_b_cd", r.neg_b_cd)):
-            for k, v in vals.items():
-                out[f"{fam}_{k}"] = v
-        return out
+def _witness_values(fit, settings) -> dict:
+    """The witnesses of a fitted tau that the bootstrap thresholds rest on."""
+    r = witness.classify(fit.tau, ccd_settings=settings)
+    out = {"ccd": r.ccd}
+    for fam, vals in (("neg_c_bd", r.neg_c_bd), ("neg_d_cb", r.neg_d_cb),
+                      ("neg_b_cd", r.neg_b_cd)):
+        for k, v in vals.items():
+            out[f"{fam}_{k}"] = v
+    return out
 
-    bs = tomography.bootstrap_errorbars(table, statistic, n_resamples=args.resamples,
-                                        seed=args.seed)
+
+def _bootstrap_thresholds(refits, settings):
+    bs = tomography.bootstrap_summary(refits, lambda f: _witness_values(f, settings))
     neg_std = max(v for k, v in bs["std"].items() if k.startswith("neg"))
     thresholds = witness.Thresholds(
         negativity=max(3.0 * neg_std, witness.DEFAULT_THRESHOLD),
@@ -108,12 +110,16 @@ def cmd_pipeline(args) -> int:
     settings = tuple(args.ccd_settings)
     truth = witness.classify(tau, ccd_settings=settings)
     table = _simulate(tau, args)
-    fit = tomography.fit_causal_map(table)
+    resamples = (tomography.bootstrap_resamples(table, args.resamples, seed=args.seed)
+                 if args.resamples else [])
+    # the observed table and its resamples as one stack of problems: each
+    # fit is the one it gets alone, so fit is fit_causal_map(table)
+    fit, *refits = tomography.fit_causal_maps([table, *resamples])
 
     bootstrap = None
     thresholds = witness.Thresholds()
     if args.resamples:
-        thresholds, bootstrap = _bootstrap_thresholds(table, args)
+        thresholds, bootstrap = _bootstrap_thresholds(refits, settings)
     elif args.noise == "poisson":
         print(f"warning: fitted witnesses are compared with the default "
               f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; "
@@ -136,6 +142,7 @@ def cmd_pipeline(args) -> int:
             "chi2": fit.chi2,
             "penalty_residual": fit.penalty_residual,
             "n_iter": fit.n_iter,
+            "gap": fit.gap if math.isfinite(fit.gap) else None,   # None: no certificate
         },
         "bootstrap": bootstrap,
     }

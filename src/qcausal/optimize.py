@@ -11,9 +11,11 @@ objective of the problems idx.  Two objectives are defined here:
 ``LeastSquares``, the quadratic (z - c)^T g (z - c) about its unconstrained
 minimizer c, which ``psd_least_squares`` returns as it is whenever S(c) is
 positive definite, and ``PoissonLikelihood``, the negative log-likelihood of
-Poisson counts whose means are linear in z.
+Poisson counts whose means are linear in z, over a ``CountModel`` that keeps
+the row blocks of its Hessian.
 Problems here are tiny (tens of parameters, hundreds of counts), so every
-linear system is solved densely.  The stopping rule is GAP_TOL.
+linear system is solved densely; the solver keeps Cholesky factors of its
+primal and dual matrices.  The stopping rule is GAP_TOL.
 """
 
 from __future__ import annotations
@@ -94,23 +96,64 @@ class LeastSquares:
         return 0.25 * _rows_dot(dual_res, _solve(self.g, dual_res)), np.zeros_like(w)
 
 
+class CountModel:
+    """The real (m, n) matrix a of the means m = a z of a count model, with
+    the layout of its row blocks, built once per model.
+
+    A row block is a set of rows with the same nonzero columns, and every
+    block must have one shape, r rows over c columns: the 8 outcome rows of
+    each of tau_CBD's 27 settings span 6 of its 52 coordinates, the 4 of
+    each of the 9 (C, D) settings 4 of 16, and a dense a is one block.
+    ``gram`` then takes a^T diag(w) a as one batched product of the blocks
+    and one scatter-add, not a product over all m rows and n^2 pairs.
+    """
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        # each row's nonzero columns as one byte string, for np.unique to group
+        pattern = np.packbits(a != 0, axis=1)
+        _, block = np.unique(pattern.view(np.dtype((np.void, pattern.shape[1]))).ravel(),
+                             return_inverse=True)
+        order, sizes = np.argsort(block, kind="stable"), np.bincount(block)
+        cols = [np.flatnonzero(a[j]) for j in order[np.cumsum(sizes) - 1]]   # a row of each
+        if len(set(sizes)) > 1 or len({len(c) for c in cols}) > 1:
+            raise ValueError("the row blocks of a count model must have one shape")
+        self.rows = order.reshape(len(sizes), -1)     # (B, r)
+        cols = np.stack(cols)     # (B, c)
+        self.blocks = a[self.rows[:, :, None], cols[:, None, :]]    # (B, r, c)
+        self.blocks_t = np.ascontiguousarray(self.blocks.swapaxes(1, 2))
+        # where each entry of a block's (c, c) product lands in a^T W a, flattened
+        self.scatter = (cols[:, :, None] * a.shape[1] + cols[:, None, :]).reshape(-1)
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """a^T diag(w_k) a for each row w_k of the (K, m) stack w, as (K, n, n).
+
+        Each block's product is one matmul of its own, and the scatter-add
+        sums each problem's entries in one fixed order, so a problem's
+        result does not depend on the problems stacked with it."""
+        k, n = len(w), self.a.shape[1]
+        prods = self.blocks_t @ (self.blocks * w[:, self.rows, None])    # (K, B, c, c)
+        at = (self.scatter + n * n * np.arange(k)[:, None]).reshape(-1)
+        return np.bincount(at, weights=prods.reshape(-1), minlength=k * n * n).reshape(k, n, n)
+
+
 class PoissonLikelihood:
     """f_k(z) = sum_j m_j - n_kj - n_kj log(m_j / n_kj) with means m = a z.
 
-    One problem per row of counts (K, m) over the one (m, n) model a: the
-    Poisson negative log-likelihood of the counts n_k less that of the
-    saturated model m = n_k, half the deviance, 0 only when every mean
-    equals its count.  Terms with n_kj = 0 are m_j alone.  Every m_j must be
-    positive, which S(z) > 0 ensures when each mean is m_j = Tr(S P_j) for a
-    nonzero P_j >= 0, that is a_ji = Tr(E_i P_j).
+    One problem per row of counts (K, m) over the one CountModel of the
+    (m, n) matrix a: the Poisson negative log-likelihood of the counts n_k
+    less that of the saturated model m = n_k, half the deviance, 0 only when
+    every mean equals its count.  Terms with n_kj = 0 are m_j alone.  Every
+    m_j must be positive, which S(z) > 0 ensures when each mean is m_j =
+    Tr(S P_j) for a nonzero P_j >= 0, that is a_ji = Tr(E_i P_j).
     """
 
-    def __init__(self, a: np.ndarray, counts: np.ndarray):
-        self.a, self.n = a, counts
+    def __init__(self, model: CountModel, counts: np.ndarray):
+        self.model, self.a, self.n = model, model.a, counts
         self.pos = counts > 0
 
     def take(self, idx) -> "PoissonLikelihood":
-        return PoissonLikelihood(self.a, self.n[idx])
+        return PoissonLikelihood(self.model, self.n[idx])
 
     def __call__(self, z: np.ndarray):
         a, n = self.a, self.n
@@ -118,13 +161,9 @@ class PoissonLikelihood:
         ratio = n / m
         logs = np.log(ratio, out=np.zeros_like(ratio), where=self.pos)
         value = np.sum(m - n, axis=1) + _rows_dot(n, logs)
-        # a^T diag(n/m^2) a, one problem at a time: the (m, n) weighted rows
-        # of all K at once would be the largest array of a step
-        hess = np.empty((len(z), a.shape[1], a.shape[1]))
-        for h, nk, mk in zip(hess, n, m):
-            rows = a * (np.sqrt(nk) / mk)[:, None]
-            np.matmul(rows.T, rows, out=h)
-        return value, _rows(1.0 - ratio, a), hess
+        # the Hessian a^T diag(n/m^2) a from the model's row blocks: the
+        # weighted rows themselves are never formed
+        return value, _rows(1.0 - ratio, a), self.model.gram(n / m ** 2)
 
     def residual_cost(self, z, grad, hess, w):
         """Upper bounds on f(z) + f*(w') - <w', z>, inf where none is found,
@@ -168,10 +207,29 @@ class PoissonLikelihood:
 
 def _step_length(scale: np.ndarray, steps: np.ndarray, frac: float) -> np.ndarray:
     """min(1, frac a_k) for the largest a_k with X_k + a dX_k and Z_k + a dZ_k
-    both PSD, given scale = (X^-1/2, Z^-1/2) and steps = (dX, dZ), both
-    stacked as (K, 2, d, d)."""
-    w_min = np.linalg.eigvalsh(scale @ steps @ scale).min(axis=(1, 2))
+    both PSD, given scale = (L^-1, R^-1), the inverse Cholesky factors of
+    X = L L^H and Z = R R^H, and steps = (dX, dZ), both stacked as
+    (K, 2, d, d): X + a dX >= 0 exactly when 1 + a L^-1 dX L^-H >= 0.  The
+    conjugate transpose is on the right, since L^-1 is not Hermitian."""
+    w_min = np.linalg.eigvalsh(scale @ steps @ scale.conj().swapaxes(-1, -2)).min(axis=(1, 2))
     return frac / np.maximum(frac, -w_min)
+
+
+def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
+    """out = fn(*stacks) for a numpy.linalg function fn over stacks of K
+    problems; returns the problems at which fn raises LinAlgError, whose
+    part of out is left as it was.  numpy rejects the whole stack when one
+    problem fails, so then each problem is run as a stack of its own."""
+    fails = np.zeros(len(out), dtype=bool)
+    try:
+        out[:] = fn(*stacks)
+    except np.linalg.LinAlgError:
+        for j in range(len(out)):
+            try:
+                out[j:j + 1] = fn(*(s[j:j + 1] for s in stacks))
+            except np.linalg.LinAlgError:
+                fails[j] = True
+    return fails
 
 
 def _gaps(objective, primal, check, z, zd, w, tr_xz, grad, hess):
@@ -203,18 +261,22 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     ``objective`` holds the K problems (see the module docstring); ``basis``
     is the (n, d, d) stack of the E_i, Hermitian and orthonormal under
     Tr(E_i E_j); ``z`` is a (K, n) stack of starts, each S(z_k) positive
-    definite.  The dual starts are (f_k/d) S(z_k)^-1, which suits an f >= 0
-    that is 0 at a perfect fit.
+    definite.  The dual starts are (|f_k|/d) S(z_k)^-1, which suits an
+    f >= 0 that is 0 at a perfect fit: a start that is already optimal can
+    have f_k < 0 at round-off, and no f_k may be 0.
 
     Primal-dual interior-point steps follow the central path S Z = mu 1 of
     the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0.
     Each step is the HKM Newton direction (Helmberg et al., SIAM J. Optim. 6,
     342 (1996)) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 575
     (1992)); its reduced system is (hess f + M) dz = rhs with M_ij =
-    Re Tr(E_i S^-1 E_j Z), the Gram matrix of S^-1/2 E_i Z^1/2, both square
-    roots from one eigh and the products two GEMMs through a (d, n d) layout
-    of the basis.  A step goes STEP_FRAC of the way to the boundary of either
-    cone at most, so S and Z stay positive definite.  The K problems share
+    Re Tr(E_i S^-1 E_j Z), the Gram matrix of L^-1 E_i R for the Cholesky
+    factors S = L L^H and Z = R R^H (Todd, Toh & Tutuncu, SIAM J. Optim. 8,
+    769 (1998)): L^-1 and R^-1 come from one inv of the stacked factors,
+    S^-1 = L^-H L^-1, and the products are two GEMMs through a (d, n d)
+    layout of the basis.  A step goes STEP_FRAC of the way to the boundary of
+    either cone at most, the eigvalsh of L^-1 dS L^-H and R^-1 dZ R^-H, so S
+    and Z stay positive definite.  The K problems share
     the numpy calls of a step and nothing else: each has its own step
     lengths, gap and stop, and every product is taken one problem at a time,
     so its result is the one it gets alone.
@@ -233,12 +295,15 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     A problem stops, and leaves the stack, once its gap is at most GAP_TOL;
     ``converged`` means that happened within ``max_iter`` steps, and
     ``n_iter`` counts its steps.  Each step is tested against both cones
-    before it is taken, by the eigh of the new (S, Z) that the next step
-    needs anyway.  A step that round-off puts outside either cone, which
-    happens only next to an optimum where S or Z is singular to working
-    precision, is not taken: its problem stops at its current iterate, with
-    its gap, so the result does not depend on ``max_iter`` once that stop is
-    reached.  Each result carries its gap and its dual matrix.
+    before it is taken, by the Cholesky factorization of the new (S, Z) that
+    the next step needs anyway.  A step that round-off puts outside either
+    cone, which happens only next to an optimum where S or Z is singular to
+    working precision, is not taken: its problem stops at its current
+    iterate, with its gap, so the result does not depend on ``max_iter`` once
+    that stop is reached.  So is a step whose Newton system is singular to
+    working precision, or at whose end the objective is not finite (a cell
+    mean at 0), which happens only there too.  Each result carries its gap
+    and its dual matrix.
     """
     n, d = basis.shape[:2]
     basis = np.ascontiguousarray(basis)
@@ -254,17 +319,18 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
 
     z = np.asarray(z, dtype=float)
     x = primal(z)
-    w, v = np.linalg.eigh(x)
-    if w[:, 0].min() <= 0.0:
+    factors = np.empty((len(z), 2, d, d), dtype=complex)    # (L, R)
+    if _each(np.linalg.cholesky, factors[:, 0], x).any():
         raise ValueError("the start of psd_minimize is not positive definite")
     cost, grad, hess = objective(z)
-    zd = (v * (cost[:, None] / d / w)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    l_inv = np.linalg.inv(factors[:, 0])
+    zd = (np.abs(cost)[:, None, None] / d) * (l_inv.conj().swapaxes(1, 2) @ l_inv)
+    if _each(np.linalg.cholesky, factors[:, 1], zd).any():
+        raise ValueError("psd_minimize needs f > 0 at its start, for its dual start")
     results: list[OptimizeResult | None] = [None] * len(z)
     active = np.arange(len(z))          # the problems still in the stack
     newton = np.empty((len(z), n, n))
     pair = np.empty((len(z), 2, d, d), dtype=complex)    # (X, Z), then (dX, dZ)
-    pair[:, 0], pair[:, 1] = x, zd
-    w, v = np.linalg.eigh(pair)
     back = np.zeros(len(z), dtype=bool)     # the problems whose last step was not taken
     it = 0
     while True:
@@ -286,23 +352,23 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
                 break
             if stop.any():            # take the stopped problems out of the stack
                 rows = np.flatnonzero(~stop)
-                active, z, x, zd, cost, grad, hess, tr_xz, w, v = (
-                    part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, w, v))
+                active, z, x, zd, cost, grad, hess, tr_xz, factors = (
+                    part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, factors))
                 objective = objective.take(rows)
                 k = len(z)
         it += 1
-        vh = v.conj().swapaxes(2, 3)
-        scale = (v * w[:, :, None, :] ** -0.5) @ vh            # X^-1/2, Z^-1/2
-        x_inv = (v[:, 0] / w[:, 0, None, :]) @ vh[:, 0]
-        root_z = (v[:, 1] * np.sqrt(w[:, 1, None, :])) @ vh[:, 1]
+        scale = np.linalg.inv(factors)                  # L^-1, R^-1
+        x_inv = scale[:, 0].conj().swapaxes(1, 2) @ scale[:, 0]
         for j in range(k):
-            # S^-1/2 E_i Z^1/2 for every i as (d, n, d), then as real rows by i
-            g = ((scale[j, 0] @ left).reshape(d * n, d) @ root_z[j]).reshape(d, n, d)
+            # L^-1 E_i R for every i as (d, n, d), then as real rows by i
+            g = ((scale[j, 0] @ left).reshape(d * n, d) @ factors[j, 1]).reshape(d, n, d)
             g = g.transpose(1, 0, 2).copy().view(float).reshape(n, -1)
             np.matmul(g, g.T, out=newton[j])
         system = np.add(newton[:k], hess, out=newton[:k])
-        # predictor: the affine direction, aiming at mu = 0
-        dz = _solve(system, -grad)
+        # predictor: the affine direction, aiming at mu = 0.  A system that
+        # is singular to working precision fails its problem's step
+        dz = np.zeros((k, n))
+        fails = _each(_solve, dz, system, -grad)
         pair[:k, 0] = dx = primal(dz)
         pair[:k, 1] = dzd = -zd - hermitize(x_inv @ dx @ zd)
         a = _step_length(scale, pair[:k], 1.0)[:, None, None]
@@ -311,7 +377,7 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         target = tr_xz / d * np.minimum(1.0, (mu_aff / tr_xz) ** 3)
         # corrector: aim at the target mu, with the second-order term of S Z
         shift = target[:, None, None] * x_inv - hermitize(x_inv @ dx @ dzd)
-        dz = _solve(system, adjoint(shift) - grad)
+        fails |= _each(_solve, dz, system, adjoint(shift) - grad)
         pair[:k, 0] = dx = primal(dz)
         pair[:k, 1] = dzd = shift - zd - hermitize(x_inv @ dx @ zd)
         a = _step_length(scale, pair[:k], STEP_FRAC)
@@ -319,12 +385,13 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         x = primal(z_new)
         pair[:k, 0], pair[:k, 1] = x, zd_new
         # the step to the boundary is exact only to round-off: next to an
-        # optimum whose S or Z is singular, a step can leave a cone.  Such a
-        # step is not taken, and its problem stops at the top of the loop,
-        # which uses none of its x, w and v
-        w, v = np.linalg.eigh(pair[:k])
-        back = w[:, :, 0].min(axis=1) <= 0.0
+        # optimum whose S or Z is singular, a step can leave a cone or a mean
+        # its domain, or its Newton solve can fail.  Such a step is not
+        # taken, and its problem stops at the top of the loop, which uses
+        # none of its x and factors
+        back = fails | _each(np.linalg.cholesky, factors, pair[:k])
         step = (z_new, zd_new, *objective(z_new))
+        back |= ~(np.isfinite(step[2]) & np.isfinite(step[3]).all(axis=1))
         if back.any():
             step = [np.where(back.reshape((k,) + (1,) * (new.ndim - 1)), now, new)
                     for now, new in zip((z, zd, cost, grad, hess), step)]

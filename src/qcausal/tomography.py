@@ -15,7 +15,8 @@ programs over positive semidefinite S, solved by optimize.psd_minimize and
 stopped by a certified duality gap; of FitConfig they read only max_iter,
 which caps the interior-point steps.
 fit_causal_maps solves several tables, such as the bootstrap's resamples, as
-one stack of problems.
+one stack of problems; the pipeline fits its observed table in the same stack
+as its resamples.
 
 tau_CBD is the Poisson maximum-likelihood estimate (Hradil, PRA 55, R1561
 (1997)) over the S that cannot signal from B back to (C, D), Tr_B S =
@@ -188,6 +189,7 @@ class FitResult:
 # are _CBD_ROWS @ z.
 _NO_RETRO_BASIS = np.stack([f for f in _pauli_strings(3) if not no_retro_deviation(f).any()])
 _CBD_ROWS = _cell_probabilities(MEAS_STACK, _NO_RETRO_BASIS)
+_CBD_MODEL = optimize.CountModel(_CBD_ROWS)
 # coordinates of the identity, which lies in the span: Tr(F_i)
 _CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
 
@@ -243,7 +245,7 @@ def fit_causal_maps(tables: Sequence[CountTable],
             raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
     weights = _count_weights(data)
     starts = np.stack([_poisson_start(*row) for row in zip(data, weights)])
-    solved = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_ROWS, data), _NO_RETRO_BASIS,
+    solved = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_MODEL, data), _NO_RETRO_BASIS,
                                    starts, config.max_iter)
     fits = []
     for res, counts, w in zip(solved, data, weights):
@@ -323,20 +325,13 @@ class EmptyResampleError(ValueError):
     """A bootstrap resample of a sparse table drew no counts to refit."""
 
 
-def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
-                        seed: int | None = None,
-                        config: FitConfig | None = None) -> dict:
-    """Parametric bootstrap around an observed count table.
-
-    Each resample Poisson-fluctuates the observed counts; the resampled
-    tables are drawn in order from ``seed`` and refitted with ``config`` by
-    one call of fit_causal_maps, a stack of ``n_resamples`` problems that
-    each keep their own certified gap.  ``statistic`` (a FitResult -> dict
-    of floats) is then applied to every refit.  Returns per-key mean and
-    standard deviation over ``n_resamples`` >= 2 refits.  A resample that
+def bootstrap_resamples(table: CountTable, n_resamples: int,
+                        seed: int | None = None) -> list[CountTable]:
+    """The resamples of a parametric bootstrap around an observed count
+    table: ``n_resamples`` >= 2 tables, each the observed counts
+    Poisson-fluctuated, drawn in order from ``seed``.  A resample that
     draws no counts raises EmptyResampleError: it is neither skipped nor
-    redrawn, either of which would bias the error bars.
-    """
+    redrawn, either of which would bias the error bars."""
     if n_resamples < 2:
         raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
     rng = np.random.default_rng(seed)
@@ -349,13 +344,29 @@ def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
                                      f"so it has nothing to fit; the observed table holds only "
                                      f"{table.counts.sum():g} counts")
         tables.append(CountTable(counts.astype(float), table.n_runs))
+    return tables
 
+
+def bootstrap_summary(refits: Sequence[FitResult], statistic) -> dict:
+    """Per-key mean and standard deviation of ``statistic`` (a FitResult ->
+    dict of floats) over the refits of the bootstrap resamples."""
     samples: dict[str, list] = {}
-    for fit in fit_causal_maps(tables, config):
+    for fit in refits:
         for key, val in statistic(fit).items():
             samples.setdefault(key, []).append(float(val))
     return {
         "mean": {k: float(np.mean(v)) for k, v in samples.items()},
         "std": {k: float(np.std(v, ddof=1)) for k, v in samples.items()},
-        "n_resamples": n_resamples,
+        "n_resamples": len(refits),
     }
+
+
+def bootstrap_errorbars(table: CountTable, statistic, n_resamples: int = 20,
+                        seed: int | None = None,
+                        config: FitConfig | None = None) -> dict:
+    """Parametric bootstrap around an observed count table: the
+    bootstrap_resamples of ``table`` from ``seed``, refitted with ``config``
+    by one call of fit_causal_maps, a stack of ``n_resamples`` problems that
+    each keep their own certified gap, and their bootstrap_summary."""
+    tables = bootstrap_resamples(table, n_resamples, seed)
+    return bootstrap_summary(fit_causal_maps(tables, config), statistic)

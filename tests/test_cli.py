@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qcausal import berkson, cli, quantum
+from qcausal import berkson, causal, cli, quantum, tomography
 from qcausal.quantum import bell_phi_plus
 
 
@@ -125,7 +125,7 @@ class TestExitCodes:
         assert run(["fit", "--scenario", "probq", "--runs", "5", "--seed", "38",
                     "--out", str(out)]) == cli.EXIT_NUMERICAL
         fit = json.loads(out.read_text())
-        assert fit["converged"] is False and fit["gap"] is None and fit["n_iter"] == 21
+        assert fit["converged"] is False and fit["gap"] is None and fit["n_iter"] == 16
 
     @pytest.mark.parametrize("argv, name", [
         # the options of an earlier penalized, restarted fit are gone, and a
@@ -391,13 +391,47 @@ class TestPipeline:
         assert "--resamples" in err and "--noise" in err
         assert not (tmp_path / "r.json").exists()
 
-    def test_empty_resample_is_numerical(self, tmp_path, capsys):
+    def test_empty_resample_is_numerical(self, tmp_path, capsys, monkeypatch):
         # the simulated table holds 2 counts and the second resample draws
-        # none: a numerical failure of the bootstrap, not a usage error
+        # none: a numerical failure of the bootstrap, not a usage error,
+        # raised before anything is fitted
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the resamples were drawn")
+
+        monkeypatch.setattr(tomography, "fit_causal_maps", no_fit)
         assert run(["pipeline", "--runs", "3", "--resamples", "2", "--seed", "5",
                     "--out", str(tmp_path / "r.json")]) == cli.EXIT_NUMERICAL
         assert "resample 2 of 2 drew no counts" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
+
+    def test_fit_and_bootstrap_are_their_own_calls(self, tmp_path, schema):
+        # the observed table is fitted in one stack with its resamples: the
+        # report's fit and bootstrap are those of fit_causal_map and
+        # bootstrap_errorbars of the same table, bit for bit
+        out = tmp_path / "report.json"
+        assert run(["pipeline", "--scenario", "physc", "--runs", "30000", "--seed", "13",
+                    "--resamples", "3", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema)
+        table = tomography.sample_counts(causal.build_scenario("physc"), 30_000, seed=13)
+        fit = tomography.fit_causal_map(table)
+        assert report["fit"] == {"converged": fit.converged, "chi2": fit.chi2,
+                                 "penalty_residual": fit.penalty_residual,
+                                 "n_iter": fit.n_iter, "gap": fit.gap}
+        settings = ("x", "y", "z")
+        bootstrap = tomography.bootstrap_errorbars(
+            table, lambda f: cli._witness_values(f, settings), n_resamples=3, seed=13)
+        assert report["bootstrap"] == bootstrap
+
+    def test_uncertified_fit_reports_a_null_gap(self, tmp_path, schema):
+        # the probq table of 5 runs at seed 38 has no certificate (see
+        # TestExitCodes.test_uncertified_fit_is_numerical)
+        out = tmp_path / "report.json"
+        assert run(["pipeline", "--scenario", "probq", "--runs", "5", "--seed", "38",
+                    "--out", str(out)]) == cli.EXIT_NUMERICAL
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema)
+        assert report["fit"]["converged"] is False and report["fit"]["gap"] is None
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
