@@ -390,7 +390,8 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         # taken, and its problem stops at the top of the loop, which uses
         # none of its x and factors
         back = fails | _each(np.linalg.cholesky, factors, pair[:k])
-        step = (z_new, zd_new, *objective(z_new))
+        with np.errstate(divide="ignore", invalid="ignore"):    # a mean at 0, tested below
+            step = (z_new, zd_new, *objective(z_new))
         back |= ~(np.isfinite(step[2]) & np.isfinite(step[3]).all(axis=1))
         if back.any():
             step = [np.where(back.reshape((k,) + (1,) * (new.ndim - 1)), now, new)

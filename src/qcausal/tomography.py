@@ -26,16 +26,15 @@ other 52 strings: _NO_RETRO_BASIS holds the strings that no_retro_deviation
 maps to zero, and _CBD_ROWS is the (216, 52) count model over their
 coordinates.  The identity lies in the span, and every cell mean is Tr(S P)
 with P >= 0, so S > 0 keeps every mean positive.  The fit starts from the
-Neyman-weighted least-squares solution lifted along the identity until
-positive definite.
+linear inversion of the counts (Smolin, Gambetta & Smith, PRL 108, 070502
+(2012)), lifted along the identity until positive definite.
 
 The (C, D) state is fitted by Neyman-weighted least squares, weights
 1/sqrt(max(n, EPS_CELL)), over all Hermitian 4x4 S >= 0 in the coordinates
-of the 16 two-wire strings.  _neyman_quadratic, which also gives the
-tau_CBD fit its start, writes the cost of S = sum_i z_i E_i as
-(z - c)^T G (z - c) plus its minimum, with G = L^T L for the weighted rows L
-of _CD_ROWS and c the unconstrained solution; optimize.psd_least_squares
-returns c when S(c) is positive definite.
+of the 16 two-wire strings.  _neyman_quadratic writes the cost of S =
+sum_i z_i E_i as (z - c)^T G (z - c) plus its minimum, with G = L^T L for
+the weighted rows L of _CD_ROWS and c the unconstrained solution;
+optimize.psd_least_squares returns c when S(c) is positive definite.
 """
 
 from __future__ import annotations
@@ -190,6 +189,8 @@ class FitResult:
 _NO_RETRO_BASIS = np.stack([f for f in _pauli_strings(3) if not no_retro_deviation(f).any()])
 _CBD_ROWS = _cell_probabilities(MEAS_STACK, _NO_RETRO_BASIS)
 _CBD_MODEL = optimize.CountModel(_CBD_ROWS)
+# its linear inversion, one fixed map as the columns of _CBD_ROWS are orthogonal
+_CBD_INVERSE = np.ascontiguousarray(np.linalg.pinv(_CBD_ROWS).T)
 # coordinates of the identity, which lies in the span: Tr(F_i)
 _CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
 
@@ -203,24 +204,23 @@ def _count_weights(data: np.ndarray) -> np.ndarray:
 
 
 def _neyman_quadratic(rows: np.ndarray, data: np.ndarray, weights: np.ndarray):
-    """The Neyman-weighted cost ||L z - n w||^2 of a fit's coordinates z,
-    with L the model rows weighted by the _count_weights w, as the quadratic
-    (z - c)^T G (z - c) plus its minimum: returns G = L^T L and the
-    least-squares solution c."""
+    """The Neyman-weighted cost ||L z - n w||^2 of the (C, D) fit, L its rows
+    weighted by the _count_weights w, as the quadratic (z - c)^T G (z - c)
+    plus its minimum: returns G = L^T L and the least-squares solution c."""
     lw = rows * weights[:, None]
     gram = lw.T @ lw
     return gram, np.linalg.solve(gram, lw.T @ (data * weights))
 
 
-def _poisson_start(data: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Coordinates of a positive definite start for the tau_CBD fit: the
-    least-squares solution over the span with the _count_weights, lifted
-    along the identity until its smallest eigenvalue is START_LIFT of the
-    mean one."""
-    _, z = _neyman_quadratic(_CBD_ROWS, data, weights)
-    w_min = np.linalg.eigvalsh(np.tensordot(z, _NO_RETRO_BASIS, 1))[0]
-    floor = START_LIFT * data.sum() / 216.0
-    return z + max(floor - w_min, 0.0) * _CBD_IDENTITY
+def _poisson_start(data: np.ndarray) -> np.ndarray:
+    """Positive definite starts of the tau_CBD fits of a (K, 216) stack of
+    counts: each table's linear inversion, lifted along the identity until
+    its smallest eigenvalue is START_LIFT of the mean one.  Each product is
+    one table's own, so no start depends on the tables stacked with it."""
+    z = (data[:, None, :] @ _CBD_INVERSE)[:, 0]
+    s_mat = (z[:, None, :] @ _NO_RETRO_BASIS.reshape(-1, 64)).reshape(-1, 8, 8)
+    floor = START_LIFT * data.sum(axis=1) / 216.0
+    return z + np.maximum(floor - np.linalg.eigvalsh(s_mat)[:, 0], 0.0)[:, None] * _CBD_IDENTITY
 
 
 def fit_causal_maps(tables: Sequence[CountTable],
@@ -244,9 +244,8 @@ def fit_causal_maps(tables: Sequence[CountTable],
         if table.n_runs <= 0 and counts.any():
             raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
     weights = _count_weights(data)
-    starts = np.stack([_poisson_start(*row) for row in zip(data, weights)])
     solved = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_MODEL, data), _NO_RETRO_BASIS,
-                                   starts, config.max_iter)
+                                   _poisson_start(data), config.max_iter)
     fits = []
     for res, counts, w in zip(solved, data, weights):
         s_mat = np.tensordot(res.x, _NO_RETRO_BASIS, 1)
