@@ -7,6 +7,9 @@ Subcommands:
   pipeline   full simulate -> fit -> witness -> classify run with a JSON report
   berkson    classical Berkson quantities (bound / mi / reduce)
 
+The front end parses, runs and assembles: the bootstrap threshold rule is
+witness's, and each report block comes from the object it describes.
+
 Exit codes: 0 success, 2 usage or malformed input, 3 numerical failure.
 All randomness is controlled by --seed; reports embed the full configuration.
 """
@@ -15,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -78,26 +80,6 @@ def cmd_fit(args) -> int:
     return EXIT_OK if fit.converged else EXIT_NUMERICAL
 
 
-def _witness_values(fit, settings) -> dict:
-    """The witnesses of a fitted tau that the bootstrap thresholds rest on."""
-    r = witness.classify(fit.tau, ccd_settings=settings)
-    out = {"ccd": r.ccd}
-    for fam, vals in (("neg_c_bd", r.neg_c_bd), ("neg_d_cb", r.neg_d_cb),
-                      ("neg_b_cd", r.neg_b_cd)):
-        for k, v in vals.items():
-            out[f"{fam}_{k}"] = v
-    return out
-
-
-def _bootstrap_thresholds(refits, settings):
-    bs = tomography.bootstrap_summary(refits, lambda f: _witness_values(f, settings))
-    neg_std = max(v for k, v in bs["std"].items() if k.startswith("neg"))
-    thresholds = witness.Thresholds(
-        negativity=max(3.0 * neg_std, witness.DEFAULT_THRESHOLD),
-        ccd=max(3.0 * bs["std"]["ccd"], witness.DEFAULT_THRESHOLD))
-    return thresholds, bs
-
-
 def cmd_pipeline(args) -> int:
     if args.resamples < 0 or args.resamples == 1:
         raise ValueError(f"--resamples {args.resamples}: pass 0 (off) or at least 2, "
@@ -119,14 +101,15 @@ def cmd_pipeline(args) -> int:
     bootstrap = None
     thresholds = witness.Thresholds()
     if args.resamples:
-        thresholds, bootstrap = _bootstrap_thresholds(refits, settings)
+        bootstrap = tomography.bootstrap_summary(
+            refits, lambda f: witness.witness_values(f.tau, settings))
+        thresholds = witness.bootstrap_thresholds(bootstrap["std"])
     elif args.noise == "poisson":
         print(f"warning: fitted witnesses are compared with the default "
-              f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; "
-              f"pass --resamples K for bootstrap 3-sigma thresholds", file=sys.stderr)
+              f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; pass --resamples K "
+              f"for bootstrap {witness.THRESHOLD_SIGMAS:g}-sigma thresholds", file=sys.stderr)
     fitted = witness.classify(fit.tau, thresholds, ccd_settings=settings,
                               stddevs=(bootstrap or {}).get("std"))
-    fid = quantum.fidelity(fit.tau.tau, tau.tau)
 
     report = {
         "config": {
@@ -134,16 +117,10 @@ def cmd_pipeline(args) -> int:
             "seed": args.seed, "noise": args.noise, "resamples": args.resamples,
             "ccd_settings": list(settings),
         },
-        "truth": json.loads(truth.to_json()),
-        "fitted": json.loads(fitted.to_json()),
-        "fidelity": float(fid),
-        "fit": {
-            "converged": bool(fit.converged),
-            "chi2": fit.chi2,
-            "penalty_residual": fit.penalty_residual,
-            "n_iter": fit.n_iter,
-            "gap": fit.gap if math.isfinite(fit.gap) else None,   # None: no certificate
-        },
+        "truth": truth.to_dict(),
+        "fitted": fitted.to_dict(),
+        "fidelity": float(quantum.fidelity(fit.tau.tau, tau.tau)),
+        "fit": fit.report(),
         "bootstrap": bootstrap,
     }
     _write_out(json.dumps(report, sort_keys=True, indent=2), args.out)
@@ -155,8 +132,6 @@ def cmd_berkson(args) -> int:
         _write_out(repr(berkson_mod.berkson_bound(args.n)), args.out)
         return EXIT_OK
     if args.berkson_cmd == "mi":
-        if args.preset != "physc":
-            raise ValueError(f"unknown preset {args.preset!r}")
         jd = berkson_mod.physc_distribution()
         cmi = berkson_mod.conditional_mutual_information(jd.probs.transpose(0, 2, 1))
         _write_out(json.dumps({"conditional_mi_bits": {str(k): v for k, v in cmi.items()},
@@ -213,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     _add_experiment_flags(p)
     p.add_argument("--resamples", type=int, default=0,
-                   help="bootstrap resamples for 3-sigma thresholds: 0 (off) or at least 2; "
-                        "needs --noise poisson")
+                   help=f"bootstrap resamples for {witness.THRESHOLD_SIGMAS:g}-sigma thresholds: "
+                        "0 (off) or at least 2; needs --noise poisson")
     p.add_argument("--ccd-settings", nargs=3, default=("x", "y", "z"),
                    metavar=("S", "T", "U"))
     p.add_argument("--out", default=None)
@@ -226,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n", type=int, default=2)
     b.add_argument("--out", default=None)
     b = bsub.add_parser("mi")
-    b.add_argument("--preset", default="physc")
     b.add_argument("--out", default=None)
     b = bsub.add_parser("reduce")
     b.add_argument("--spec", required=True)

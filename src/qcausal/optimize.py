@@ -11,8 +11,8 @@ objective of the problems idx.  Two objectives are defined here:
 ``LeastSquares``, the quadratic (z - c)^T g (z - c) about its unconstrained
 minimizer c, which ``psd_least_squares`` returns as it is whenever S(c) is
 positive definite, and ``PoissonLikelihood``, the negative log-likelihood of
-Poisson counts whose means are linear in z, over a ``CountModel`` that keeps
-the row blocks of its Hessian.
+Poisson counts whose means are linear in z, over a ``CountModel`` whose
+rows come by setting, each setting one row block of its Hessian.
 Problems here are tiny (tens of parameters, hundreds of counts), so every
 linear system is solved densely; the solver keeps Cholesky factors of its
 primal and dual matrices.  The stopping rule is GAP_TOL.
@@ -97,33 +97,26 @@ class LeastSquares:
 
 
 class CountModel:
-    """The real (m, n) matrix a of the means m = a z of a count model, with
-    the layout of its row blocks, built once per model.
-
-    A row block is a set of rows with the same nonzero columns, and every
-    block must have one shape, r rows over c columns: the 8 outcome rows of
-    each of tau_CBD's 27 settings span 6 of its 52 coordinates, the 4 of
-    each of the 9 (C, D) settings 4 of 16, and a dense a is one block.
-    ``gram`` then takes a^T diag(w) a as one batched product of the blocks
-    and one scatter-add, not a product over all m rows and n^2 pairs.
+    """The means m = a z of a count model whose real rows come by setting,
+    (B, r, n): r outcome rows for each of B settings; ``a`` is their (B r, n)
+    matrix.  Each setting is one row block over the c columns its rows touch,
+    one c for all: the 8 rows of each of tau_CBD's 27 settings span 6 of its
+    52 coordinates, the 4 of each (C, D) setting 4 of 16, and a dense a is
+    a[None].  ``gram`` takes a^T diag(w) a as one batched product of the
+    blocks and one scatter-add, not a product over all rows and n^2 pairs.
     """
 
-    def __init__(self, a: np.ndarray):
-        self.a = a
-        # each row's nonzero columns as one byte string, for np.unique to group
-        pattern = np.packbits(a != 0, axis=1)
-        _, block = np.unique(pattern.view(np.dtype((np.void, pattern.shape[1]))).ravel(),
-                             return_inverse=True)
-        order, sizes = np.argsort(block, kind="stable"), np.bincount(block)
-        cols = [np.flatnonzero(a[j]) for j in order[np.cumsum(sizes) - 1]]   # a row of each
-        if len(set(sizes)) > 1 or len({len(c) for c in cols}) > 1:
+    def __init__(self, rows: np.ndarray):
+        n_blocks, _, n = rows.shape
+        self.a = rows.reshape(-1, n)
+        touched = (rows != 0).any(axis=1)      # (B, n)
+        if len(set(touched.sum(axis=1))) > 1:
             raise ValueError("the row blocks of a count model must have one shape")
-        self.rows = order.reshape(len(sizes), -1)     # (B, r)
-        cols = np.stack(cols)     # (B, c)
-        self.blocks = a[self.rows[:, :, None], cols[:, None, :]]    # (B, r, c)
+        self.cols = np.nonzero(touched)[1].reshape(n_blocks, -1)     # (B, c)
+        self.blocks = np.take_along_axis(rows, self.cols[:, None, :], axis=2)    # (B, r, c)
         self.blocks_t = np.ascontiguousarray(self.blocks.swapaxes(1, 2))
         # where each entry of a block's (c, c) product lands in a^T W a, flattened
-        self.scatter = (cols[:, :, None] * a.shape[1] + cols[:, None, :]).reshape(-1)
+        self.scatter = (self.cols[:, :, None] * n + self.cols[:, None, :]).reshape(-1)
 
     def gram(self, w: np.ndarray) -> np.ndarray:
         """a^T diag(w_k) a for each row w_k of the (K, m) stack w, as (K, n, n).
@@ -132,7 +125,8 @@ class CountModel:
         sums each problem's entries in one fixed order, so a problem's
         result does not depend on the problems stacked with it."""
         k, n = len(w), self.a.shape[1]
-        prods = self.blocks_t @ (self.blocks * w[:, self.rows, None])    # (K, B, c, c)
+        w = w.reshape(k, *self.blocks.shape[:2], 1)
+        prods = self.blocks_t @ (self.blocks * w)    # (K, B, c, c)
         at = (self.scatter + n * n * np.arange(k)[:, None]).reshape(-1)
         return np.bincount(at, weights=prods.reshape(-1), minlength=k * n * n).reshape(k, n, n)
 

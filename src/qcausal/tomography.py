@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -167,19 +168,19 @@ class FitResult:
     params: np.ndarray
     config: FitConfig
 
+    def report(self) -> dict:
+        """The fit block of a pipeline report; gap None means no certificate."""
+        return {"chi2": self.chi2, "penalty_residual": self.penalty_residual,
+                "gap": self.gap if math.isfinite(self.gap) else None,
+                "converged": self.converged, "n_iter": self.n_iter}
+
     def to_json(self) -> str:
-        import json
         m = self.tau.mat
-        return json.dumps({
-            "tau": {"re": m.real.tolist(), "im": m.imag.tolist()},
-            "chi2": self.chi2,
-            "penalty_residual": self.penalty_residual,
-            "cost": self.cost,
-            "gap": self.gap if math.isfinite(self.gap) else None,   # None: no certificate
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "config": {"eps_cell": EPS_CELL, "max_iter": self.config.max_iter},
-        })
+        out = {"tau": {"re": m.real.tolist(), "im": m.imag.tolist()},
+               "chi2": None, "penalty_residual": None, "cost": self.cost}
+        out.update(self.report())    # chi2 and penalty_residual keep their places
+        out["config"] = {"eps_cell": EPS_CELL, "max_iter": self.config.max_iter}
+        return json.dumps(out)
 
 
 # The tau_CBD fit's parameter space and count model: S = sum_i z_i F_i over
@@ -188,7 +189,7 @@ class FitResult:
 # are _CBD_ROWS @ z.
 _NO_RETRO_BASIS = np.stack([f for f in _pauli_strings(3) if not no_retro_deviation(f).any()])
 _CBD_ROWS = _cell_probabilities(MEAS_STACK, _NO_RETRO_BASIS)
-_CBD_MODEL = optimize.CountModel(_CBD_ROWS)
+_CBD_MODEL = optimize.CountModel(_CBD_ROWS.reshape(27, 8, -1))   # 8 outcome rows per setting
 # its linear inversion, one fixed map as the columns of _CBD_ROWS are orthogonal
 _CBD_INVERSE = np.ascontiguousarray(np.linalg.pinv(_CBD_ROWS).T)
 # coordinates of the identity, which lies in the span: Tr(F_i)

@@ -3,15 +3,15 @@
 Three witness families: pathway negativities (entanglement of the induced
 states), the covariance witness C_CD that vanishes on every probabilistic
 mixture of cause-effect and common-cause, and the Berkson-type test (induced
-entanglement between C and D for every outcome on B).
+entanglement between C and D for every outcome on B).  bootstrap_thresholds
+is the rule that turns bootstrap deviations of witness_values into thresholds.
 
-classify works on arrays, with no per-state objects: the six induced states
-(both z outcomes on C, D and B) come from causal.z_conditioned_states, one
-product with a matrix built at import, and one gather by a precomputed index
-lays out each state beside its partial transpose.  One eigvalsh over the 12
-matrices serves both the states' validation (quantum.check_states) and the
-negativities; C_CD and its expectation-value form come from one product of
-moments.
+classify works on arrays: the six induced states (both z outcomes on C, D
+and B) come from causal.z_conditioned_states, and one gather by a precomputed
+index lays out each state beside its partial transpose.  One eigvalsh over
+the 12 matrices serves both the states' validation (quantum.check_states) and
+the negativities; C_CD and its expectation-value form come from one product
+of moments.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .quantum import DensityOperator
 
 NEG_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 1e-6
+THRESHOLD_SIGMAS = 3.0   # bootstrap standard deviations a witness must exceed
 DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 
 # the H/V conditioning basis of every pathway witness, causal.Z_PROJECTORS
@@ -176,8 +177,9 @@ class WitnessReport:
         return _assign_label(self.quantum_cause_effect and self.quantum_common_cause,
                              self.physical_mixture, self.berkson)
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        """The report's fields with its label, as to_json writes them."""
+        return {
             "neg_c_bd": self.neg_c_bd,
             "neg_d_cb": self.neg_d_cb,
             "neg_b_cd": self.neg_b_cd,
@@ -188,7 +190,10 @@ class WitnessReport:
             "thresholds": {"negativity": self.thresholds.negativity,
                            "ccd": self.thresholds.ccd},
             "stddevs": self.stddevs,
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def _assign_label(quantum_both: bool, physical: bool, berkson: bool) -> str:
@@ -227,3 +232,20 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
         ccd=ccd, ccd0=ccd0, thresholds=thresholds, ccd_settings=tuple(ccd_settings),
         stddevs=stddevs or {},
     )
+
+
+def witness_values(tau: CausalChoi, ccd_settings=DEFAULT_CCD_SETTINGS) -> dict:
+    """The witnesses of tau that bootstrap thresholds rest on: ccd and the
+    six negativities, keyed neg_c_bd_H, neg_c_bd_V and so on."""
+    r = classify(tau, ccd_settings=ccd_settings).to_dict()
+    return {"ccd": r["ccd"], **{f"{fam}_{k}": v for fam in ("neg_c_bd", "neg_d_cb", "neg_b_cd")
+                                for k, v in r[fam].items()}}
+
+
+def bootstrap_thresholds(std: dict) -> Thresholds:
+    """THRESHOLD_SIGMAS times the bootstrap standard deviations ``std`` of
+    witness_values: one negativity threshold from the largest of the six
+    negativity deviations, one for ccd, each at least DEFAULT_THRESHOLD."""
+    neg_std = max(v for k, v in std.items() if k.startswith("neg"))
+    return Thresholds(negativity=max(THRESHOLD_SIGMAS * neg_std, DEFAULT_THRESHOLD),
+                      ccd=max(THRESHOLD_SIGMAS * std["ccd"], DEFAULT_THRESHOLD))

@@ -7,7 +7,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from qcausal import berkson, causal, cli, quantum, tomography
+from qcausal import berkson, causal, cli, quantum, tomography, witness
 from qcausal.quantum import bell_phi_plus
 
 
@@ -195,14 +195,17 @@ class TestBerkson:
         assert val == pytest.approx(0.1226, abs=1e-3)
 
     def test_mi(self, capsys):
-        assert run(["berkson", "mi", "--preset", "physc"]) == 0
+        assert run(["berkson", "mi"]) == 0
         data = json.loads(capsys.readouterr().out)
         for v in data["conditional_mi_bits"].values():
             assert v == pytest.approx(0.19, abs=0.005)
         assert data["bound_bits"] < min(data["conditional_mi_bits"].values())
 
-    def test_unknown_preset(self):
-        assert run(["berkson", "mi", "--preset", "bogus"]) == cli.EXIT_USAGE
+    def test_unknown_flag(self):
+        # mi has no options but --out: argparse refuses any other
+        with pytest.raises(SystemExit) as exc:
+            run(["berkson", "mi", "--preset", "physc"])
+        assert exc.value.code == cli.EXIT_USAGE
 
     def test_reduce(self, tmp_path, capsys):
         spec = tmp_path / "terms.csv"
@@ -420,7 +423,7 @@ class TestPipeline:
                                  "n_iter": fit.n_iter, "gap": fit.gap}
         settings = ("x", "y", "z")
         bootstrap = tomography.bootstrap_errorbars(
-            table, lambda f: cli._witness_values(f, settings), n_resamples=3, seed=13)
+            table, lambda f: witness.witness_values(f.tau, settings), n_resamples=3, seed=13)
         assert report["bootstrap"] == bootstrap
 
     def test_uncertified_fit_reports_a_null_gap(self, tmp_path, schema):

@@ -102,17 +102,17 @@ class TestPoissonLikelihood:
         a, counts, _, start = _poisson_problem(0)
         counts[:3] = 0.0
         m = a @ start
-        [value], _, _ = PoissonLikelihood(CountModel(a), counts[None])(start[None])
+        [value], _, _ = PoissonLikelihood(CountModel(a[None]), counts[None])(start[None])
         pos = counts > 0
         deviance = 2.0 * (np.sum(counts[pos] * np.log(counts[pos] / m[pos])) - np.sum(counts - m))
         assert value == pytest.approx(deviance / 2.0, rel=1e-12)
-        [saturated], _, _ = PoissonLikelihood(CountModel(a), (a @ start)[None])(start[None])
+        [saturated], _, _ = PoissonLikelihood(CountModel(a[None]), (a @ start)[None])(start[None])
         assert saturated == pytest.approx(0.0, abs=1e-9)
 
     def test_derivatives_match_finite_differences(self):
         a, counts, _, start = _poisson_problem(1)
         counts[:3] = 0.0
-        stacked = PoissonLikelihood(CountModel(a), counts[None])
+        stacked = PoissonLikelihood(CountModel(a[None]), counts[None])
 
         def objective(y):
             return tuple(part[0] for part in stacked(y[None]))
@@ -135,7 +135,7 @@ class TestPsdMinimize:
         # g(nu) = sum_{n > 0} n log(1 - nu) the dual function of the shifted NLL
         a, counts, basis, start = _poisson_problem(seed)
         counts[seed] = 0.0
-        objective = PoissonLikelihood(CountModel(a), counts[None])
+        objective = PoissonLikelihood(CountModel(a[None]), counts[None])
         [res] = psd_minimize(objective, basis, start[None], 100)
         assert res.converged and 0 < res.n_iter <= 40 and res.gap <= GAP_TOL
         s_mat = np.tensordot(res.x, basis, 1)
@@ -153,7 +153,8 @@ class TestPsdMinimize:
 
     def test_budget_caps_the_steps(self):
         a, counts, basis, start = _poisson_problem(0)
-        [res] = psd_minimize(PoissonLikelihood(CountModel(a), counts[None]), basis, start[None], 1)
+        objective = PoissonLikelihood(CountModel(a[None]), counts[None])
+        [res] = psd_minimize(objective, basis, start[None], 1)
         assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
@@ -178,4 +179,4 @@ class TestPsdMinimize:
         a, counts, basis, start = _poisson_problem(0)
         bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))
         with pytest.raises(ValueError, match="not positive definite"):
-            psd_minimize(PoissonLikelihood(CountModel(a), counts[None]), basis, bad[None], 10)
+            psd_minimize(PoissonLikelihood(CountModel(a[None]), counts[None]), basis, bad[None], 10)

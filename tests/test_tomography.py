@@ -540,7 +540,8 @@ def _fit_objective(dim, lin, rng):
     if dim == 8:
         z = 2000.0 * tomography._CBD_IDENTITY + 100.0 * rng.standard_normal(52)
         counts = rng.poisson(lin @ z).astype(float)
-        return _one_problem(optimize.PoissonLikelihood(optimize.CountModel(lin), counts[None])), z
+        model = optimize.CountModel(lin.reshape(27, 8, -1))   # 8 outcome rows per setting
+        return _one_problem(optimize.PoissonLikelihood(model, counts[None])), z
     weights = rng.uniform(0.01, 2.0, len(lin))
     g, c = tomography._neyman_quadratic(lin, rng.standard_normal(len(lin)) * 30.0, weights)
     return (_one_problem(optimize.LeastSquares(g[None], c[None])),
@@ -570,43 +571,57 @@ def _rel(a, b):
 
 
 def _hessian_problem(name, k):
-    """A count model, k rows of Poisson counts over it and k points z whose
-    means are all positive: tau_CBD's and the (C, D) fit's models about the
-    identity, and a dense random model of positive entries."""
+    """Count rows by setting, k rows of Poisson counts over them and k points
+    z whose means are all positive: tau_CBD's and the (C, D) fit's models
+    about the identity, and a dense random model of positive entries, one
+    setting of 30 rows."""
     rng = np.random.default_rng(k)
     if name == "dense":
-        a = rng.uniform(0.1, 1.0, (30, 9))
+        rows = rng.uniform(0.1, 1.0, (30, 9))[None]
         z = rng.uniform(1.0, 100.0, (k, 9))
     else:
-        a, basis = {"cbd": (tomography._CBD_ROWS, tomography._NO_RETRO_BASIS),
-                    "cd": (tomography._CD_ROWS, tomography._CD_BASIS)}[name]
+        rows, basis = {"cbd": (tomography._CBD_ROWS.reshape(27, 8, -1), tomography._NO_RETRO_BASIS),
+                       "cd": (tomography._CD_ROWS.reshape(9, 4, -1), tomography._CD_BASIS)}[name]
         identity = np.real(np.einsum("iaa->i", basis))
         z = 2000.0 * identity + 100.0 * rng.standard_normal((k, len(identity)))
-    counts = rng.poisson(z @ a.T).astype(float)
+    counts = rng.poisson(z @ rows.reshape(-1, z.shape[1]).T).astype(float)
     counts[:, ::7] = 0.0
-    return a, counts, z
+    return rows, counts, z
 
 
 class TestBlockHessian:
     @pytest.mark.parametrize("name, blocks", [("cbd", (27, 8, 6)), ("cd", (9, 4, 4)),
                                               ("dense", (1, 30, 9))])
     def test_row_blocks(self, name, blocks):
-        a, _, _ = _hessian_problem(name, 1)
-        model = optimize.CountModel(a)
+        rows, _, _ = _hessian_problem(name, 1)
+        model = optimize.CountModel(rows)
         assert model.blocks.shape == blocks
+        assert np.array_equal(model.a, rows.reshape(-1, rows.shape[2]))
         # the blocks hold every nonzero entry of a, once
-        assert np.count_nonzero(a) == model.blocks.size
-        assert np.array_equal(np.sort(model.rows.reshape(-1)), np.arange(len(a)))
+        assert np.count_nonzero(model.a) == model.blocks.size
+
+    def test_block_is_its_setting(self):
+        # block s holds the 8 rows of setting s, in order, over exactly the
+        # coordinates those rows touch, in ascending order
+        rows = tomography._CBD_ROWS.reshape(27, 8, -1)
+        model = optimize.CountModel(rows)
+        for s in range(27):
+            touched = np.flatnonzero(np.any(rows[s] != 0, axis=0))
+            assert np.array_equal(model.cols[s], touched)
+            assert np.array_equal(model.blocks[s], rows[s][:, touched])
+            assert not np.any(np.delete(rows[s], touched, axis=1))
 
     def test_blocks_of_unequal_shape_are_rejected(self):
+        # three settings of one row, touching 1, 2 and 1 columns
         with pytest.raises(ValueError, match="one shape"):
-            optimize.CountModel(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+            optimize.CountModel(np.array([[[1.0, 0.0]], [[1.0, 1.0]], [[0.0, 1.0]]]))
 
     @pytest.mark.parametrize("k", [1, 10])
     @pytest.mark.parametrize("name", ["cbd", "cd", "dense"])
     def test_equals_the_dense_product(self, name, k):
-        a, counts, z = _hessian_problem(name, k)
-        objective = optimize.PoissonLikelihood(optimize.CountModel(a), counts)
+        rows, counts, z = _hessian_problem(name, k)
+        objective = optimize.PoissonLikelihood(optimize.CountModel(rows), counts)
+        a = objective.a
         _, _, hess = objective(z)
         m = z @ a.T
         for h, n, mk in zip(hess, counts, m):

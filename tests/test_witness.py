@@ -174,6 +174,39 @@ class TestClassification:
         assert not (r.quantum_cause_effect or r.quantum_common_cause or r.berkson)
 
 
+# bootstrap standard deviations of the seven witness_values, built by hand
+_NEG_KEYS = [f"{fam}_{k}" for fam in ("neg_c_bd", "neg_d_cb", "neg_b_cd") for k in ("H", "V")]
+
+
+class TestBootstrapThresholds:
+    def test_witness_values_are_classify_flattened(self):
+        tau = build_scenario("coh")
+        r = classify(tau, ccd_settings=("z", "z", "z"))
+        values = witness.witness_values(tau, ("z", "z", "z"))
+        assert list(values) == ["ccd"] + _NEG_KEYS
+        assert values["ccd"] == r.ccd
+        assert values["neg_b_cd_V"] == r.neg_b_cd["V"] and values["neg_d_cb_H"] == r.neg_d_cb["H"]
+
+    @pytest.mark.parametrize("largest", _NEG_KEYS)
+    def test_three_sigma_of_the_largest_negativity_deviation(self, largest):
+        std = {"ccd": 0.02, **{k: 1e-3 for k in _NEG_KEYS}, largest: 0.01}
+        t = witness.bootstrap_thresholds(std)
+        assert witness.THRESHOLD_SIGMAS == 3.0
+        assert t == Thresholds(negativity=3.0 * 0.01, ccd=3.0 * 0.02)
+
+    def test_default_threshold_floors_both(self):
+        std = {"ccd": 1e-9, **{k: 2e-8 for k in _NEG_KEYS}}
+        assert witness.bootstrap_thresholds(std) == Thresholds(
+            negativity=witness.DEFAULT_THRESHOLD, ccd=witness.DEFAULT_THRESHOLD)
+        # one floored, the other not
+        std["ccd"] = 1e-3
+        assert witness.bootstrap_thresholds(std) == Thresholds(
+            negativity=witness.DEFAULT_THRESHOLD, ccd=3e-3)
+        std = {"ccd": 0.0, **{k: 0.0 for k in _NEG_KEYS}, "neg_c_bd_H": 1e-3}
+        assert witness.bootstrap_thresholds(std) == Thresholds(
+            negativity=3e-3, ccd=witness.DEFAULT_THRESHOLD)
+
+
 def kron_joint(tau, s, t, u):
     """P(c, d, b) as Tr[T_D(tau) Pi_c x Pi_b x Pi_d], one kron per cell."""
     td = matlin.partial_transpose(tau.mat, causal.CBD_FACTORS, "D")
