@@ -282,10 +282,16 @@ def reduce_spec(terms):
     return out, ok
 
 
-def _parse_number(text: str):
+def _parse_number(text: str, what: str):
+    """A spec field as a Fraction, or as a float when it is written with a
+    point or an exponent or is not a rational ("inf", "nan"); a zero
+    denominator raises ValueError naming ``what``."""
     text = text.strip()
     if "/" in text:
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"{what} {text!r} has a zero denominator") from None
     try:
         return Fraction(text) if "." not in text and "e" not in text.lower() else float(text)
     except ValueError:
@@ -328,9 +334,9 @@ def _check_term(i, term: MixtureTerm) -> None:
 def mixture_terms_from_csv(text: str):
     """Read the mixture_terms_to_csv format, skipping empty lines.  Empty text,
     another header, no term rows, a row without 6 fields, a negative index, rows
-    of one term that disagree on its weight, a repeated or missing (b, d, e) cell,
-    terms of different (b, d, e) shapes or terms that are not a normalized
-    mixture of P(b | d, e) raise ValueError."""
+    of one term that disagree on its weight, a fraction over 0, a repeated or
+    missing (b, d, e) cell, terms of different (b, d, e) shapes or terms that
+    are not a normalized mixture of P(b | d, e) raise ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
@@ -344,14 +350,14 @@ def mixture_terms_from_csv(text: str):
         i, cell = int(row[0]), tuple(int(x) for x in row[2:5])
         if min(i, *cell) < 0:
             raise ValueError(f"line {line}: negative index in {row}")
-        weight = _parse_number(row[1])
+        weight = _parse_number(row[1], f"line {line}: weight")
         if i in weights and weights[i] != weight:
             raise ValueError(f"line {line}: term {i} has weight {row[1]}, "
                              f"but an earlier row gives {weights[i]}")
         if cell in cells.setdefault(i, {}):
             raise ValueError(f"line {line}: repeated cell (b, d, e) = {cell} of term {i}")
         weights[i] = weight
-        cells[i][cell] = _parse_number(row[5])
+        cells[i][cell] = _parse_number(row[5], f"line {line}: prob")
     if not cells:
         raise ValueError("the spec has no mixture term rows")
     terms = []

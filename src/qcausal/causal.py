@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -71,16 +71,21 @@ def no_retro_deviation(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CausalChoi:
-    """Choi state tau_CBD of a trace-preserving causal map from D to (C, B)."""
+    """Choi state tau_CBD of a trace-preserving causal map from D to (C, B).
+    no_retro_residual is the largest entry of |no_retro_deviation(tau)|, which
+    the validation bounds by NO_RETRO_ATOL."""
 
     tau: DensityOperator
+    no_retro_residual: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tau.factors != CBD_FACTORS:
             raise quantum.ShapeMismatchError(f"expected factors {CBD_FACTORS}")
-        if np.max(np.abs(no_retro_deviation(self.tau.mat))) > NO_RETRO_ATOL:
+        residual = float(np.max(np.abs(no_retro_deviation(self.tau.mat))))
+        if residual > NO_RETRO_ATOL:
             raise quantum.StateValidationError(
                 "no-retrocausation violated: Tr_B(tau) != rho_C x 1/2")
+        object.__setattr__(self, "no_retro_residual", residual)
 
     @property
     def mat(self) -> np.ndarray:

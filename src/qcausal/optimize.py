@@ -9,7 +9,7 @@ coordinates it gives each f, gradient and Hessian; ``residual_cost``
 completes the duality gaps (see psd_minimize); ``take(idx)`` is the
 objective of the problems idx.  Two objectives are defined here:
 ``LeastSquares``, the quadratic (z - c)^T g (z - c) about its unconstrained
-minimizer c, which ``psd_least_squares`` returns as it is whenever S(c) is
+minimizer c, from which ``psd_least_squares`` starts whenever S(c) is
 positive definite, and ``PoissonLikelihood``, the negative log-likelihood of
 Poisson counts whose means are linear in z, over a ``CountModel`` whose
 rows come by setting, each setting one row block of its Hessian.
@@ -199,16 +199,6 @@ class PoissonLikelihood:
         return bound, rho
 
 
-def _step_length(scale: np.ndarray, steps: np.ndarray, frac: float) -> np.ndarray:
-    """min(1, frac a_k) for the largest a_k with X_k + a dX_k and Z_k + a dZ_k
-    both PSD, given scale = (L^-1, R^-1), the inverse Cholesky factors of
-    X = L L^H and Z = R R^H, and steps = (dX, dZ), both stacked as
-    (K, 2, d, d): X + a dX >= 0 exactly when 1 + a L^-1 dX L^-H >= 0.  The
-    conjugate transpose is on the right, since L^-1 is not Hermitian."""
-    w_min = np.linalg.eigvalsh(scale @ steps @ scale.conj().swapaxes(-1, -2)).min(axis=(1, 2))
-    return frac / np.maximum(frac, -w_min)
-
-
 def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     """out = fn(*stacks) for a numpy.linalg function fn over stacks of K
     problems; returns the problems at which fn raises LinAlgError, whose
@@ -232,14 +222,12 @@ def _gaps(objective, primal, check, z, zd, w, tr_xz, grad, hess):
     matrices that certify them: Z, or Z - sum_i rho_i E_i where
     objective.residual_cost moves rho out of w, if that matrix is PSD."""
     gap, dual = np.full(len(z), np.inf), zd
-    every = check.all()
-    rows = slice(None) if every else np.flatnonzero(check)
-    sub = objective if every else objective.take(rows)
-    bound, rho = sub.residual_cost(z[rows], grad[rows], hess[rows], w[rows])
+    rows = np.flatnonzero(check)
+    bound, rho = objective.take(rows).residual_cost(z[rows], grad[rows], hess[rows], w[rows])
     gap[rows] = tr_xz[rows] + bound
     if rho.any():
         moved = rho.any(axis=1)
-        at = np.flatnonzero(check)[moved]
+        at = rows[moved]
         gap[at] -= _rows_dot(z[at], rho[moved])
         dual = zd.copy()
         dual[at] -= primal(rho[moved])
@@ -254,26 +242,28 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
 
     ``objective`` holds the K problems (see the module docstring); ``basis``
     is the (n, d, d) stack of the E_i, Hermitian and orthonormal under
-    Tr(E_i E_j); ``z`` is a (K, n) stack of starts, each S(z_k) positive
-    definite.  The dual starts are (|f_k|/d) S(z_k)^-1, which suits an
-    f >= 0 that is 0 at a perfect fit: a start that is already optimal can
-    have f_k < 0 at round-off, and no f_k may be 0.
+    Tr(E_i E_j); ``z`` is a (K, n) stack of starts, any with S(z_k) positive
+    definite.  The dual starts are (s_k/d) S(z_k)^-1, whose Tr(S Z) is s_k =
+    |f_k| floored at GAP_TOL/2: the size of an f >= 0 that is 0 at a perfect
+    fit.  So a start that is already optimal, with f_k 0 or below 0 at
+    round-off, gets a dual start like any other, and its gap can certify it
+    at step 0.
 
     Primal-dual interior-point steps follow the central path S Z = mu 1 of
     the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0.
     Each step is the HKM Newton direction (Helmberg et al., SIAM J. Optim. 6,
     342 (1996)) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 575
-    (1992)); its reduced system is (hess f + M) dz = rhs with M_ij =
-    Re Tr(E_i S^-1 E_j Z), the Gram matrix of L^-1 E_i R for the Cholesky
-    factors S = L L^H and Z = R R^H (Todd, Toh & Tutuncu, SIAM J. Optim. 8,
-    769 (1998)): L^-1 and R^-1 come from one inv of the stacked factors,
-    S^-1 = L^-H L^-1, and the products are two GEMMs through a (d, n d)
-    layout of the basis.  A step goes STEP_FRAC of the way to the boundary of
-    either cone at most, the eigvalsh of L^-1 dS L^-H and R^-1 dZ R^-H, so S
-    and Z stay positive definite.  The K problems share
-    the numpy calls of a step and nothing else: each has its own step
-    lengths, gap and stop, and every product is taken one problem at a time,
-    so its result is the one it gets alone.
+    (1992)), both directions from one routine.  Its reduced system is
+    (hess f + M) dz = rhs with M_ij = Re Tr(E_i S^-1 E_j Z), the Gram matrix
+    of L^-1 E_i R for the Cholesky factors S = L L^H and Z = R R^H (Todd,
+    Toh & Tutuncu, SIAM J. Optim. 8, 769 (1998)): L^-1 and R^-1 come from
+    one inv of the stacked factors, S^-1 = L^-H L^-1, and the products are
+    two GEMMs through a (d, n d) layout of the basis.  A step goes STEP_FRAC
+    of the way to the boundary of either cone at most, the eigvalsh of
+    L^-1 dS L^-H and R^-1 dZ R^-H, so S and Z stay positive definite.  The
+    K problems share the numpy calls of a step and nothing else: each has
+    its own step lengths, gap and stop, and every product is taken one
+    problem at a time, so its result is the one it gets alone.
 
     An iterate is certified by its gap: for any Z >= 0 the dual function
     g(Z) = min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained
@@ -318,9 +308,9 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         raise ValueError("the start of psd_minimize is not positive definite")
     cost, grad, hess = objective(z)
     l_inv = np.linalg.inv(factors[:, 0])
-    zd = (np.abs(cost)[:, None, None] / d) * (l_inv.conj().swapaxes(1, 2) @ l_inv)
-    if _each(np.linalg.cholesky, factors[:, 1], zd).any():
-        raise ValueError("psd_minimize needs f > 0 at its start, for its dual start")
+    size = np.maximum(np.abs(cost), GAP_TOL / 2)       # Tr(S Z) of the dual start
+    zd = (size[:, None, None] / d) * (l_inv.conj().swapaxes(1, 2) @ l_inv)
+    factors[:, 1] = np.linalg.cholesky(zd)
     results: list[OptimizeResult | None] = [None] * len(z)
     active = np.arange(len(z))          # the problems still in the stack
     newton = np.empty((len(z), n, n))
@@ -328,10 +318,9 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     back = np.zeros(len(z), dtype=bool)     # the problems whose last step was not taken
     it = 0
     while True:
-        k = len(z)
         w_dual = adjoint(zd)
         tr_xz = _rows_dot(z, w_dual)
-        check = (tr_xz <= GAP_TOL) | back if it < max_iter else np.ones(k, dtype=bool)
+        check = (tr_xz <= GAP_TOL) | back if it < max_iter else np.ones(len(z), dtype=bool)
         if check.any():
             gap, cert = _gaps(objective, primal, check, z, zd, w_dual, tr_xz, grad, hess)
             stop = (gap <= GAP_TOL) | back if it < max_iter else check
@@ -349,7 +338,7 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
                 active, z, x, zd, cost, grad, hess, tr_xz, factors = (
                     part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, factors))
                 objective = objective.take(rows)
-                k = len(z)
+        k = len(z)
         it += 1
         scale = np.linalg.inv(factors)                  # L^-1, R^-1
         x_inv = scale[:, 0].conj().swapaxes(1, 2) @ scale[:, 0]
@@ -359,22 +348,30 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
             g = g.transpose(1, 0, 2).copy().view(float).reshape(n, -1)
             np.matmul(g, g.T, out=newton[j])
         system = np.add(newton[:k], hess, out=newton[:k])
-        # predictor: the affine direction, aiming at mu = 0.  A system that
-        # is singular to working precision fails its problem's step
-        dz = np.zeros((k, n))
-        fails = _each(_solve, dz, system, -grad)
-        pair[:k, 0] = dx = primal(dz)
-        pair[:k, 1] = dzd = -zd - hermitize(x_inv @ dx @ zd)
-        a = _step_length(scale, pair[:k], 1.0)[:, None, None]
+
+        def direction(rhs, base, frac):
+            """The step for the Newton right-hand side rhs: dz from
+            (hess f + M) dz = rhs, dS = S(dz) and the HKM dZ = base -
+            sym(S^-1 dS Z); the problems whose system is singular to working
+            precision; and the step length min(1, frac a), a the largest
+            with S + a dS and Z + a dZ both PSD.  S + a dS >= 0 exactly when
+            1 + a L^-1 dS L^-H >= 0 (the conjugate transpose on the right,
+            as L^-1 is not Hermitian), and Z + a dZ likewise with R."""
+            dz = np.zeros((k, n))
+            fails = _each(_solve, dz, system, rhs)
+            pair[:k, 0] = dx = primal(dz)
+            pair[:k, 1] = dzd = base - hermitize(x_inv @ dx @ zd)
+            w = np.linalg.eigvalsh(scale @ pair[:k] @ scale.conj().swapaxes(-1, -2))
+            return dz, dx, dzd, fails, frac / np.maximum(frac, -w.min(axis=(1, 2)))
+
+        # predictor: the affine direction, aiming at mu = 0
+        _, dx, dzd, fails_aff, a = direction(-grad, -zd, 1.0)
         # mu = Tr(S Z) / d now, and after the affine step
-        mu_aff = _rows_dot(x + a * dx, zd + a * dzd)
+        mu_aff = _rows_dot(x + a[:, None, None] * dx, zd + a[:, None, None] * dzd)
         target = tr_xz / d * np.minimum(1.0, (mu_aff / tr_xz) ** 3)
         # corrector: aim at the target mu, with the second-order term of S Z
         shift = target[:, None, None] * x_inv - hermitize(x_inv @ dx @ dzd)
-        fails |= _each(_solve, dz, system, adjoint(shift) - grad)
-        pair[:k, 0] = dx = primal(dz)
-        pair[:k, 1] = dzd = shift - zd - hermitize(x_inv @ dx @ zd)
-        a = _step_length(scale, pair[:k], STEP_FRAC)
+        dz, _, dzd, fails, a = direction(adjoint(shift) - grad, shift - zd, STEP_FRAC)
         z_new, zd_new = z + a[:, None] * dz, hermitize(zd + a[:, None, None] * dzd)
         x = primal(z_new)
         pair[:k, 0], pair[:k, 1] = x, zd_new
@@ -383,7 +380,7 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         # its domain, or its Newton solve can fail.  Such a step is not
         # taken, and its problem stops at the top of the loop, which uses
         # none of its x and factors
-        back = fails | _each(np.linalg.cholesky, factors, pair[:k])
+        back = fails_aff | fails | _each(np.linalg.cholesky, factors, pair[:k])
         with np.errstate(divide="ignore", invalid="ignore"):    # a mean at 0, tested below
             step = (z_new, zd_new, *objective(z_new))
         back |= ~(np.isfinite(step[2]) & np.isfinite(step[3]).all(axis=1))
@@ -402,20 +399,20 @@ def psd_least_squares(g: np.ndarray, c: np.ndarray, basis: np.ndarray,
     ``basis`` the (n, d, d) stack of the E_i: Hermitian, orthonormal under
     Tr(E_i E_j) and spanning the Hermitian d x d matrices.
 
-    When S(c) is positive definite, c is the optimum, with cost 0, n_iter 0
-    and gap 0.  Otherwise psd_minimize takes over, as a stack of one
-    problem, from S with the eigenvalues of S(c) clipped from below at the
-    size of the most negative one, and at START_FLOOR of the largest.  For
-    least squares the gap's residual term is exact, u^T g^-1 u / 4 with u =
+    psd_minimize solves it as a stack of one problem.  When S(c) is positive
+    definite it starts at c, the optimum, whose gap certifies it at step 0
+    with cost 0, unless S(c) is so near singular that the dual start is
+    large; then it takes steps from c.  Otherwise it starts from S with the
+    eigenvalues of S(c) clipped from below at the size of the most negative
+    one, and at START_FLOOR of the largest.  For least
+    squares the gap's residual term is exact, u^T g^-1 u / 4 with u =
     grad f(z) - A*(Z), and on the central path the gap is d mu.
     """
     n, d = basis.shape[:2]
     flat = basis.reshape(n, d * d)
     w, v = np.linalg.eigh((c @ flat).reshape(d, d))
-    if w[0] > 0.0:
-        return OptimizeResult(x=c, cost=0.0, n_iter=0, converged=True,
-                              message="unconstrained optimum is positive definite",
-                              gap=0.0, dual=np.zeros((d, d), dtype=complex))
-    w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
-    z = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
+    z = c
+    if w[0] <= 0.0:
+        w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
+        z = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
     return psd_minimize(LeastSquares(g[None], c[None]), basis, z[None], max_iter)[0]

@@ -34,7 +34,10 @@ The (C, D) state is fitted by Neyman-weighted least squares, weights
 of the 16 two-wire strings.  _neyman_quadratic writes the cost of S =
 sum_i z_i E_i as (z - c)^T G (z - c) plus its minimum, with G = L^T L for
 the weighted rows L of _CD_ROWS and c the unconstrained solution;
-optimize.psd_least_squares returns c when S(c) is positive definite.
+optimize.psd_least_squares starts at c when S(c) is positive definite, and
+its gap certifies c there like any other iterate.  The fit stays least
+squares, cheaper one call at a time than a Poisson (C, D) fit; README gives
+the measurement.
 """
 
 from __future__ import annotations
@@ -213,6 +216,14 @@ def _neyman_quadratic(rows: np.ndarray, data: np.ndarray, weights: np.ndarray):
     return gram, np.linalg.solve(gram, lw.T @ (data * weights))
 
 
+def _state_and_chi2(x, basis, rows, data, weights):
+    """The result tail of both fits: the state S/Tr S of S = sum_i x_i E_i
+    over ``basis``, and the Neyman chi^2 of the count ``rows`` at x."""
+    s_mat = np.tensordot(x, basis, 1)
+    resid = (rows @ x - data) * weights
+    return matlin.hermitize(s_mat / np.trace(s_mat).real), float(resid @ resid)
+
+
 def _poisson_start(data: np.ndarray) -> np.ndarray:
     """Positive definite starts of the tau_CBD fits of a (K, 216) stack of
     counts: each table's linear inversion, lifted along the identity until
@@ -237,9 +248,12 @@ def fit_causal_maps(tables: Sequence[CountTable],
     total count over 27; tau is S over its trace.  ``converged`` means the
     certified gap fell to optimize.GAP_TOL within config.max_iter steps;
     otherwise tau is the last iterate, still a valid causal Choi state.
-    Returns one FitResult per table, in order.
+    Returns one FitResult per table, in order; an empty sequence raises
+    ValueError.
     """
     config = config or FitConfig()
+    if not tables:
+        raise ValueError("a fit needs at least one count table")
     data = np.stack([table.counts.reshape(-1) for table in tables])
     for table, counts in zip(tables, data):
         if table.n_runs <= 0 and counts.any():
@@ -249,13 +263,10 @@ def fit_causal_maps(tables: Sequence[CountTable],
                                    _poisson_start(data), config.max_iter)
     fits = []
     for res, counts, w in zip(solved, data, weights):
-        s_mat = np.tensordot(res.x, _NO_RETRO_BASIS, 1)
-        tau_mat = matlin.hermitize(s_mat / np.trace(s_mat).real)
-        resid = (_CBD_ROWS @ res.x - counts) * w
-        penalty = float(np.max(np.abs(no_retro_deviation(tau_mat))))
+        tau_mat, chi2 = _state_and_chi2(res.x, _NO_RETRO_BASIS, _CBD_ROWS, counts, w)
         tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
-        fits.append(FitResult(tau=tau, cost=res.cost, chi2=float(resid @ resid),
-                              penalty_residual=penalty, n_iter=res.n_iter,
+        fits.append(FitResult(tau=tau, cost=res.cost, chi2=chi2,
+                              penalty_residual=tau.no_retro_residual, n_iter=res.n_iter,
                               converged=res.converged, gap=res.gap, params=res.x,
                               config=config))
     return fits
@@ -304,7 +315,8 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     start or restart to choose.  Of ``config`` only max_iter is read; it
     caps the interior-point steps.  Returns the state S/Tr S and the
     solver's result, whose cost is the weighted cost of the count rows and
-    whose gap bounds its distance to the optimum.
+    whose gap and dual matrix certify its distance to the optimum, also when
+    the unconstrained solution is positive definite and taken in 0 steps.
     """
     config = config or FitConfig()
     counts = np.asarray(counts, dtype=float)
@@ -315,10 +327,8 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     weights = _count_weights(data)
     res = optimize.psd_least_squares(*_neyman_quadratic(_CD_ROWS, data, weights), _CD_BASIS,
                                      config.max_iter)
-    s_mat = np.tensordot(res.x, _CD_BASIS, 1)
-    rho = matlin.hermitize(s_mat / np.trace(s_mat).real)
-    resid = (_CD_ROWS @ res.x - data) * weights
-    return DensityOperator(rho, CD_FACTORS), replace(res, cost=float(resid @ resid))
+    rho, cost = _state_and_chi2(res.x, _CD_BASIS, _CD_ROWS, data, weights)
+    return DensityOperator(rho, CD_FACTORS), replace(res, cost=cost)
 
 
 class EmptyResampleError(ValueError):

@@ -385,6 +385,16 @@ class TestReduction:
         with pytest.raises(ValueError, match="line 10: negative index"):
             mixture_terms_from_csv("\n".join(lines))
 
+    @pytest.mark.parametrize("column, line, field", [(1, 2, "weight"), (5, 3, "prob")],
+                             ids=["weight", "prob"])
+    def test_csv_zero_denominator_names_its_field(self, column, line, field):
+        lines = mixture_terms_to_csv([MixtureTerm(Fraction(1), d_table(1))]).splitlines()
+        row = lines[line - 1].split(",")
+        row[column] = "1/0"
+        lines[line - 1] = ",".join(row)
+        with pytest.raises(ValueError, match=f"line {line}: {field} '1/0' has a zero denominator"):
+            mixture_terms_from_csv("\n".join(lines))
+
     def test_agree_is_the_reader_rule(self):
         third = Fraction(1, 3)
         assert berkson.agree([[third, 1]], [[third, Fraction(1)]])

@@ -285,6 +285,18 @@ class TestBerkson:
         err = capsys.readouterr().err
         assert err.startswith("error:") and re.search(message, err)
 
+    @pytest.mark.parametrize("column", [1, 5], ids=["weight", "prob"])
+    def test_reduce_zero_denominator_is_usage_error(self, column, tmp_path, capsys):
+        rows = berkson.mixture_terms_to_csv([berkson.MixtureTerm(1, DE_TABLE)]).splitlines()
+        fields = rows[1].split(",")
+        fields[column] = "1/0"
+        rows[1] = ",".join(fields)
+        spec = tmp_path / "terms.csv"
+        spec.write_text("\n".join(rows) + "\n")
+        assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2:") and "'1/0' has a zero denominator" in err
+
     @staticmethod
     def _spec(tmp_path, fns, nd=2, ne=2):
         """A spec of equal-weight terms P(b | d, e) = fn(b, d, e) over b in {0, 1}."""

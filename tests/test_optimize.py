@@ -39,14 +39,21 @@ def _problem(seed, d=3):
 
 class TestPsdLeastSquares:
     def test_interior_optimum_is_the_closed_form(self):
+        # S(c) > 0: psd_minimize starts at c, the optimum, and certifies it at
+        # step 0 with a gap and a dual matrix computed like every other fit's
         rng, g, basis = _problem(0)
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         target = h @ h.conj().T + np.eye(3)                        # positive definite
-        z = np.real(np.einsum("iab,ba->i", basis, target))
-        res = psd_least_squares(g, z, basis, 50)
-        assert res.n_iter == 0 and res.converged and res.gap == 0.0
-        assert np.allclose(res.x, z, atol=1e-12)
-        assert res.cost <= 1e-20
+        c = np.real(np.einsum("iab,ba->i", basis, target))
+        res = psd_least_squares(g, c, basis, 50)
+        assert np.array_equal(res.x, c) and res.cost == 0.0
+        assert res.n_iter == 0 and res.converged
+        assert np.linalg.eigvalsh(res.dual)[0] >= 0.0
+        assert 0.0 < res.gap <= GAP_TOL
+        # the gap is Tr(S Z) + (grad f - A*(Z))^T g^-1 (grad f - A*(Z)) / 4, grad f(c) = 0
+        u = -np.real(np.einsum("iab,ba->i", basis, res.dual))
+        tr_sz = np.real(np.trace(target @ res.dual))
+        assert res.gap == pytest.approx(tr_sz + 0.25 * u @ np.linalg.solve(g, u), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_boundary_optimum_is_certified(self, seed):
@@ -150,6 +157,19 @@ class TestPsdMinimize:
         assert np.all(nu[pos] < 1.0) and np.all(nu[~pos] <= 1.0)
         dual_value = counts[pos] @ np.log(1.0 - nu[pos])
         assert res.cost - dual_value == pytest.approx(res.gap, abs=1e-9)
+
+    def test_optimal_start_is_certified_at_step_0(self):
+        # counts equal to the means at the start: f = 0 there, so the dual
+        # start takes its size Tr(S Z) from GAP_TOL / 2, and the gap
+        # certifies the start as it is
+        a, _, basis, start = _poisson_problem(0)
+        counts = (start[None, None, :] @ a.T)[0, 0]       # the objective's own product
+        objective = PoissonLikelihood(CountModel(a[None]), counts[None])
+        assert objective(start[None])[0][0] == 0.0
+        [res] = psd_minimize(objective, basis, start[None], 10)
+        assert np.array_equal(res.x, start) and res.cost == 0.0
+        assert res.n_iter == 0 and res.converged and 0.0 < res.gap <= GAP_TOL
+        assert np.linalg.eigvalsh(res.dual)[0] > 0.0
 
     def test_budget_caps_the_steps(self):
         a, counts, basis, start = _poisson_problem(0)

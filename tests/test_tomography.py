@@ -251,6 +251,14 @@ class TestFullFit:
             with pytest.raises(ValueError, match="n_runs"):
                 tomography.fit_causal_maps([table, CountTable(table.counts, 0)], FAST)
 
+    def test_rejects_no_tables(self):
+        with pytest.raises(ValueError, match="at least one count table"):
+            tomography.fit_causal_maps([], FAST)
+
+    def test_penalty_residual_is_the_deviation_of_tau(self):
+        fit = fit_causal_map(sample_counts(build_scenario("coh"), 200_000, seed=0), FAST)
+        assert fit.penalty_residual == np.max(np.abs(no_retro_deviation(fit.tau.mat)))
+
     @staticmethod
     def _fit_and_means():
         """A fit of sampled counts, the counts and the kron-model means of
@@ -871,7 +879,8 @@ class TestConditionedFit:
         rho, res = fit_conditioned_state(counts)
         assert res.converged and res.gap <= optimize.GAP_TOL
         _check_certificate(counts, rho, res)
-        # physc and epsmix are interior: the closed form is the optimum
+        # physc and epsmix are interior: the solver starts at the closed form,
+        # the optimum, and certifies it there
         assert (res.n_iter == 0) == (name in ("physc", "epsmix"))
 
     @settings(max_examples=15, deadline=None)
