@@ -1,5 +1,5 @@
-"""Convex minimization over positive semidefinite matrices, certified by a
-duality gap.
+"""Weighted least squares over positive semidefinite matrices, certified by
+a duality gap.
 
 ``psd_minimize`` minimizes smooth convex functions f(z) of the real
 coordinates of S(z) = sum_i z_i E_i subject to S >= 0, by primal-dual
@@ -7,15 +7,13 @@ interior-point steps, for a stack of K such problems over one basis at once.
 An objective holds the data of its K problems: called on the (K, n) stack of
 coordinates it gives each f, gradient and Hessian; ``residual_cost``
 completes the duality gaps (see psd_minimize); ``take(idx)`` is the
-objective of the problems idx.  Two objectives are defined here:
-``LeastSquares``, the quadratic (z - c)^T g (z - c) about its unconstrained
-minimizer c, from which ``psd_least_squares`` starts whenever S(c) is
-positive definite, and ``PoissonLikelihood``, the negative log-likelihood of
-Poisson counts whose means are linear in z, over a ``CountModel`` whose
-rows come by setting, each setting one row block of its Hessian.
-Problems here are tiny (tens of parameters, hundreds of counts), so every
-linear system is solved densely; the solver keeps Cholesky factors of its
-primal and dual matrices.  The stopping rule is GAP_TOL.
+objective of the problems idx.  The one objective is ``LeastSquares``, the
+quadratic (z - c)^T g (z - c) about its unconstrained minimizer c, and
+``psd_least_squares`` is its front end: it starts each problem at c, lifted
+along the identity when S(c) is not positive definite.  Problems here are
+tiny (tens of parameters, hundreds of counts), so every linear system is
+solved densely; the solver keeps Cholesky factors of its primal and dual
+matrices.  The stopping rule is GAP_TOL.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from .matlin import hermitize
 GAP_TOL = 1e-6     # duality gap at which psd_minimize stops, in units of f
 STEP_FRAC = 0.99   # share of the step to the boundary of the PSD cone taken
 START_FLOOR = 1e-9   # smallest start eigenvalue, relative to the largest
-RANGE_TOL = 1e-10    # Hessian eigenvalue, relative to the largest, counted as 0
 
 
 @dataclass
@@ -88,115 +85,11 @@ class LeastSquares:
         g_diff = _matvec(self.g, diff)
         return _rows_dot(diff, g_diff), 2.0 * g_diff, self.hess
 
-    def residual_cost(self, z, grad, hess, w):
+    def residual_cost(self, grad, w):
         """Exactly f(z) + f*(w) - <w, z>, with f* the convex conjugate:
-        (grad - w)^T g^-1 (grad - w) / 4; never a part of w to move (see
-        PoissonLikelihood.residual_cost)."""
+        (grad - w)^T g^-1 (grad - w) / 4 at grad = grad f(z)."""
         dual_res = grad - w
-        return 0.25 * _rows_dot(dual_res, _solve(self.g, dual_res)), np.zeros_like(w)
-
-
-class CountModel:
-    """The means m = a z of a count model whose real rows come by setting,
-    (B, r, n): r outcome rows for each of B settings; ``a`` is their (B r, n)
-    matrix.  Each setting is one row block over the c columns its rows touch,
-    one c for all: the 8 rows of each of tau_CBD's 27 settings span 6 of its
-    52 coordinates, the 4 of each (C, D) setting 4 of 16, and a dense a is
-    a[None].  ``gram`` takes a^T diag(w) a as one batched product of the
-    blocks and one scatter-add, not a product over all rows and n^2 pairs.
-    """
-
-    def __init__(self, rows: np.ndarray):
-        n_blocks, _, n = rows.shape
-        self.a = rows.reshape(-1, n)
-        touched = (rows != 0).any(axis=1)      # (B, n)
-        if len(set(touched.sum(axis=1))) > 1:
-            raise ValueError("the row blocks of a count model must have one shape")
-        self.cols = np.nonzero(touched)[1].reshape(n_blocks, -1)     # (B, c)
-        self.blocks = np.take_along_axis(rows, self.cols[:, None, :], axis=2)    # (B, r, c)
-        self.blocks_t = np.ascontiguousarray(self.blocks.swapaxes(1, 2))
-        # where each entry of a block's (c, c) product lands in a^T W a, flattened
-        self.scatter = (self.cols[:, :, None] * n + self.cols[:, None, :]).reshape(-1)
-
-    def gram(self, w: np.ndarray) -> np.ndarray:
-        """a^T diag(w_k) a for each row w_k of the (K, m) stack w, as (K, n, n).
-
-        Each block's product is one matmul of its own, and the scatter-add
-        sums each problem's entries in one fixed order, so a problem's
-        result does not depend on the problems stacked with it."""
-        k, n = len(w), self.a.shape[1]
-        w = w.reshape(k, *self.blocks.shape[:2], 1)
-        prods = self.blocks_t @ (self.blocks * w)    # (K, B, c, c)
-        at = (self.scatter + n * n * np.arange(k)[:, None]).reshape(-1)
-        return np.bincount(at, weights=prods.reshape(-1), minlength=k * n * n).reshape(k, n, n)
-
-
-class PoissonLikelihood:
-    """f_k(z) = sum_j m_j - n_kj - n_kj log(m_j / n_kj) with means m = a z.
-
-    One problem per row of counts (K, m) over the one CountModel of the
-    (m, n) matrix a: the Poisson negative log-likelihood of the counts n_k
-    less that of the saturated model m = n_k, half the deviance, 0 only when
-    every mean equals its count.  Terms with n_kj = 0 are m_j alone.  Every
-    m_j must be positive, which S(z) > 0 ensures when each mean is m_j =
-    Tr(S P_j) for a nonzero P_j >= 0, that is a_ji = Tr(E_i P_j).
-    """
-
-    def __init__(self, model: CountModel, counts: np.ndarray):
-        self.model, self.a, self.n = model, model.a, counts
-        self.pos = counts > 0
-
-    def take(self, idx) -> "PoissonLikelihood":
-        return PoissonLikelihood(self.model, self.n[idx])
-
-    def __call__(self, z: np.ndarray):
-        a, n = self.a, self.n
-        m = _rows(z, a.T)
-        ratio = n / m
-        logs = np.log(ratio, out=np.zeros_like(ratio), where=self.pos)
-        value = np.sum(m - n, axis=1) + _rows_dot(n, logs)
-        # the Hessian a^T diag(n/m^2) a from the model's row blocks: the
-        # weighted rows themselves are never formed
-        return value, _rows(1.0 - ratio, a), self.model.gram(n / m ** 2)
-
-    def residual_cost(self, z, grad, hess, w):
-        """Upper bounds on f(z) + f*(w') - <w', z>, inf where none is found,
-        and the parts rho = w - w' of w moved out of the way.
-
-        For any nu with a^T nu = w' and nu_j < 1 (nu_j <= 1 where n_j = 0),
-        min over m > 0 of sum_j f_j(m_j) - nu_j m_j is g(nu) = sum_{n_j > 0}
-        n_j log(1 - nu_j), so f*(w') <= -g(nu).  Here nu = 1 - n/m + W a y:
-        the gradient's multipliers, corrected by the least change in the
-        metric of the Hessian H = a^T W a, W = diag(n/m^2), that makes a^T nu
-        = w', that is H y = w' - grad.  With x_j = (a y)_j / m_j the bound is
-        sum_j n_j (-x_j - log(1 - x_j)), about (w' - grad)^T y / 2; it needs
-        every x_j < 1.
-
-        w' is w when H y = w - grad has a solution, to RANGE_TOL of w - grad.
-        When H is singular (the cells with counts do not span the
-        parameters), y is the solution on the range of H, eigenvalues below
-        RANGE_TOL of the largest counted as 0, and w' = grad + H y: the rest
-        rho of w - grad is left to psd_minimize, which moves it into the
-        dual matrix.
-        """
-        bound = np.full(len(z), np.inf)
-        rho = np.zeros_like(w)
-        for k, (zk, rk, hk) in enumerate(zip(z, w - grad, hess)):
-            pos = self.pos[k]
-            try:
-                y = np.linalg.solve(hk, rk)
-                solved = np.abs(hk @ y - rk).max() <= RANGE_TOL * np.abs(rk).max()
-            except np.linalg.LinAlgError:
-                solved = False
-            if not solved:
-                ev, vecs = np.linalg.eigh(hk)
-                span = ev > RANGE_TOL * ev[-1]
-                y = vecs[:, span] @ ((rk @ vecs[:, span]) / ev[span])
-                rho[k] = rk - hk @ y
-            x = (self.a[pos] @ y) / (self.a[pos] @ zk)
-            if np.all(x < 1.0):
-                bound[k] = self.n[k, pos] @ (-x - np.log1p(-x))
-        return bound, rho
+        return 0.25 * _rows_dot(dual_res, _solve(self.g, dual_res))
 
 
 def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
@@ -214,25 +107,6 @@ def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
             except np.linalg.LinAlgError:
                 fails[j] = True
     return fails
-
-
-def _gaps(objective, primal, check, z, zd, w, tr_xz, grad, hess):
-    """The certified gap of each problem at (z, Z), w = A*(Z) and tr_xz =
-    Tr(S Z), where check is set, inf elsewhere, and the stack of dual
-    matrices that certify them: Z, or Z - sum_i rho_i E_i where
-    objective.residual_cost moves rho out of w, if that matrix is PSD."""
-    gap, dual = np.full(len(z), np.inf), zd
-    rows = np.flatnonzero(check)
-    bound, rho = objective.take(rows).residual_cost(z[rows], grad[rows], hess[rows], w[rows])
-    gap[rows] = tr_xz[rows] + bound
-    if rho.any():
-        moved = rho.any(axis=1)
-        at = rows[moved]
-        gap[at] -= _rows_dot(z[at], rho[moved])
-        dual = zd.copy()
-        dual[at] -= primal(rho[moved])
-        gap[at[np.linalg.eigvalsh(dual[at])[:, 0] < 0.0]] = np.inf
-    return gap, dual
 
 
 def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
@@ -269,12 +143,9 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     g(Z) = min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained
     minimum, and f(z) - g(Z) = Tr(S Z) + [f(z) + f*(w) - <w, z>] with w =
     A*(Z), w_i = Tr(E_i Z), and f* the convex conjugate.  The bracket, 0 when
-    grad f(z) = w, is ``objective.residual_cost(z, grad, hess, w)`` or a bound
-    on it.  It is >= 0, so it is computed only once Tr(S Z) <= GAP_TOL, and
-    at the iterate a problem stops at.  residual_cost may instead bound it
-    at w - rho and return rho, when grad f(z) + rho = w has no solution in the
-    range of a singular Hessian; then Z - sum_i rho_i E_i, if PSD, is the
-    certifying dual matrix.
+    grad f(z) = w, is ``objective.residual_cost(grad, w)``.  It is >= 0, so
+    it is computed only once Tr(S Z) <= GAP_TOL, and at the iterate a
+    problem stops at, whatever stops it.
 
     A problem stops, and leaves the stack, once its gap is at most GAP_TOL;
     ``converged`` means that happened within ``max_iter`` steps, and
@@ -285,9 +156,8 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     working precision, is not taken: its problem stops at its current
     iterate, with its gap, so the result does not depend on ``max_iter`` once
     that stop is reached.  So is a step whose Newton system is singular to
-    working precision, or at whose end the objective is not finite (a cell
-    mean at 0), which happens only there too.  Each result carries its gap
-    and its dual matrix.
+    working precision, which happens only there too.  Each result carries
+    its gap and its dual matrix.
     """
     n, d = basis.shape[:2]
     basis = np.ascontiguousarray(basis)
@@ -322,7 +192,9 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         tr_xz = _rows_dot(z, w_dual)
         check = (tr_xz <= GAP_TOL) | back if it < max_iter else np.ones(len(z), dtype=bool)
         if check.any():
-            gap, cert = _gaps(objective, primal, check, z, zd, w_dual, tr_xz, grad, hess)
+            gap = np.full(len(z), np.inf)
+            rows = np.flatnonzero(check)
+            gap[rows] = tr_xz[rows] + objective.take(rows).residual_cost(grad[rows], w_dual[rows])
             stop = (gap <= GAP_TOL) | back if it < max_iter else check
             for j in np.flatnonzero(stop):
                 done = bool(gap[j] <= GAP_TOL)
@@ -330,7 +202,7 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
                     x=z[j], cost=float(cost[j]), n_iter=it - int(back[j]), converged=done,
                     message="duality gap below GAP_TOL" if done else
                     "a step left the cone at round-off" if back[j] else "max_iter reached",
-                    gap=float(gap[j]), dual=cert[j])
+                    gap=float(gap[j]), dual=zd[j])
             if stop.all():
                 break
             if stop.any():            # take the stopped problems out of the stack
@@ -376,14 +248,11 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         x = primal(z_new)
         pair[:k, 0], pair[:k, 1] = x, zd_new
         # the step to the boundary is exact only to round-off: next to an
-        # optimum whose S or Z is singular, a step can leave a cone or a mean
-        # its domain, or its Newton solve can fail.  Such a step is not
-        # taken, and its problem stops at the top of the loop, which uses
-        # none of its x and factors
+        # optimum whose S or Z is singular, a step can leave a cone, or its
+        # Newton solve can fail.  Such a step is not taken, and its problem
+        # stops at the top of the loop, which uses none of its x and factors
         back = fails_aff | fails | _each(np.linalg.cholesky, factors, pair[:k])
-        with np.errstate(divide="ignore", invalid="ignore"):    # a mean at 0, tested below
-            step = (z_new, zd_new, *objective(z_new))
-        back |= ~(np.isfinite(step[2]) & np.isfinite(step[3]).all(axis=1))
+        step = (z_new, zd_new, *objective(z_new))
         if back.any():
             step = [np.where(back.reshape((k,) + (1,) * (new.ndim - 1)), now, new)
                     for now, new in zip((z, zd, cost, grad, hess), step)]
@@ -392,27 +261,27 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
 
 
 def psd_least_squares(g: np.ndarray, c: np.ndarray, basis: np.ndarray,
-                      max_iter: int) -> OptimizeResult:
-    """Minimize f(z) = (z - c)^T g (z - c) subject to S(z) = sum_i z_i E_i >= 0.
+                      max_iter: int) -> list[OptimizeResult]:
+    """Minimize f_k(z) = (z - c_k)^T g_k (z - c_k) subject to S(z) = sum_i
+    z_i E_i >= 0, for k = 1..K at once; returns the K results in order.
 
-    ``g`` is a positive definite (n, n) matrix, ``c`` an n-vector and
-    ``basis`` the (n, d, d) stack of the E_i: Hermitian, orthonormal under
-    Tr(E_i E_j) and spanning the Hermitian d x d matrices.
+    ``g`` is a (K, n, n) stack of positive definite matrices, ``c`` a (K, n)
+    stack of unconstrained minimizers and ``basis`` the (n, d, d) stack of
+    the E_i, Hermitian, orthonormal under Tr(E_i E_j) and holding the
+    identity in their span, whose coordinates are then Tr E_i.
 
-    psd_minimize solves it as a stack of one problem.  When S(c) is positive
-    definite it starts at c, the optimum, whose gap certifies it at step 0
-    with cost 0, unless S(c) is so near singular that the dual start is
-    large; then it takes steps from c.  Otherwise it starts from S with the
-    eigenvalues of S(c) clipped from below at the size of the most negative
-    one, and at START_FLOOR of the largest.  For least
-    squares the gap's residual term is exact, u^T g^-1 u / 4 with u =
-    grad f(z) - A*(Z), and on the central path the gap is d mu.
+    psd_minimize solves the K problems as one stack.  Each starts at c_k
+    when S(c_k) is positive definite: the optimum, whose gap certifies it at
+    step 0 with cost 0, unless S(c_k) is so near singular that the dual
+    start is large; then it takes steps from c_k.  Otherwise c_k is lifted
+    along the identity until the smallest eigenvalue of S is the size of the
+    most negative one of S(c_k), and at least START_FLOOR of its largest.
+    For least squares the gap's residual term is exact, u^T g^-1 u / 4 with
+    u = grad f(z) - A*(Z), and on the central path the gap is d mu.
     """
     n, d = basis.shape[:2]
-    flat = basis.reshape(n, d * d)
-    w, v = np.linalg.eigh((c @ flat).reshape(d, d))
-    z = c
-    if w[0] <= 0.0:
-        w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
-        z = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
-    return psd_minimize(LeastSquares(g[None], c[None]), basis, z[None], max_iter)[0]
+    w = np.linalg.eigvalsh(_rows(c, basis.reshape(n, d * d)).reshape(-1, d, d))
+    lift = np.where(w[:, 0] > 0.0, 0.0,
+                    np.maximum(-w[:, 0], START_FLOOR * w[:, -1]) - w[:, 0])
+    start = c + lift[:, None] * np.real(np.trace(basis, axis1=1, axis2=2))
+    return psd_minimize(LeastSquares(g, c), basis, start, max_iter)

@@ -10,34 +10,33 @@ stack, 36 rows, for a (C, D) state of the Berkson analysis; one
 _cell_probabilities serves both.  Both fits work in the coordinates of
 normalized Pauli strings, a trace-orthonormal basis
 (causal._pauli_strings), and each count model is one product of its rows
-with that basis, a real matrix built at import.  Both fits are exact convex
-programs over positive semidefinite S, solved by optimize.psd_minimize and
-stopped by a certified duality gap; of FitConfig they read only max_iter,
-which caps the interior-point steps.
+with that basis, a real matrix built at import.  Both fits are stopped by
+a certified duality gap; of FitConfig they read only max_iter, which caps
+the interior-point steps.
 fit_causal_maps solves several tables, such as the bootstrap's resamples, as
 one stack of problems; the pipeline fits its observed table in the same stack
 as its resamples.
 
-tau_CBD is the Poisson maximum-likelihood estimate (Hradil, PRA 55, R1561
-(1997)) over the S that cannot signal from B back to (C, D), Tr_B S =
-Tr_BD S x 1/2.  A Pauli string sigma_C x sigma_B x sigma_D breaks that
+Both fits are one estimator: Neyman-weighted least squares of the Pauli
+rows over positive semidefinite S, weights 1/sqrt(max(n, EPS_CELL)).
+_neyman_quadratic writes the cost of S = sum_i z_i
+E_i as (z - c)^T G (z - c) plus its minimum, with G = L^T L for the weighted
+rows L and c the unconstrained solution, and optimize.psd_least_squares
+solves each stack of tables: it starts at c when S(c) is positive definite,
+where its gap certifies c like any other iterate, and otherwise at c lifted
+along the identity.  Every cell carries a positive weight, the zeros of a
+sparse table too, so G is positive definite at any N and every table gets a
+certificate.  At low counts the weights, which come from the counts
+themselves, cost efficiency against the Poisson maximum-likelihood estimate;
+README gives the measurement.
+
+tau_CBD is fitted over the S that cannot signal from B back to (C, D), Tr_B
+S = Tr_BD S x 1/2.  A Pauli string sigma_C x sigma_B x sigma_D breaks that
 exactly when sigma_B = 1 and sigma_D != 1, so those S are the span of the
 other 52 strings: _NO_RETRO_BASIS holds the strings that no_retro_deviation
 maps to zero, and _CBD_ROWS is the (216, 52) count model over their
-coordinates.  The identity lies in the span, and every cell mean is Tr(S P)
-with P >= 0, so S > 0 keeps every mean positive.  The fit starts from the
-linear inversion of the counts (Smolin, Gambetta & Smith, PRL 108, 070502
-(2012)), lifted along the identity until positive definite.
-
-The (C, D) state is fitted by Neyman-weighted least squares, weights
-1/sqrt(max(n, EPS_CELL)), over all Hermitian 4x4 S >= 0 in the coordinates
-of the 16 two-wire strings.  _neyman_quadratic writes the cost of S =
-sum_i z_i E_i as (z - c)^T G (z - c) plus its minimum, with G = L^T L for
-the weighted rows L of _CD_ROWS and c the unconstrained solution;
-optimize.psd_least_squares starts at c when S(c) is positive definite, and
-its gap certifies c there like any other iterate.  The fit stays least
-squares, cheaper one call at a time than a Poisson (C, D) fit; README gives
-the measurement.
+coordinates.  The identity lies in the span.  The (C, D) state is fitted
+over all Hermitian 4x4 S >= 0 in the coordinates of the 16 two-wire strings.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from itertools import product
@@ -65,7 +63,6 @@ from .quantum import PAULI_AXES as AXES, DensityOperator
 
 DEFAULT_RUNS = 200_000
 EPS_CELL = 0.5   # count floor in the weight 1/sqrt(max(n, EPS_CELL)) of a cell
-START_LIFT = 0.01   # smallest start eigenvalue of the tau_CBD fit, over the mean one
 
 
 def _check_counts(counts: np.ndarray) -> None:
@@ -156,10 +153,13 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A tau_CBD fit.  cost is the Poisson deviance over two at the fitted S,
-    gap the certified bound on its distance to the optimum, chi2 the Neyman
-    chi^2 sum_k (m_k - n_k)^2 / max(n_k, EPS_CELL) of the fitted means, and
-    penalty_residual the largest no-retrocausation deviation of tau."""
+    """A tau_CBD fit.  chi2 is the Neyman chi^2 sum_k (m_k - n_k)^2 /
+    max(n_k, EPS_CELL) of the fitted means, the cost the fit minimizes;
+    cost is chi2 less its unconstrained minimum over the no-retrocausation
+    span, the chi^2 that positivity costs, 0 when the unconstrained solution
+    is positive definite; gap is the certified bound on cost less its
+    constrained optimum; penalty_residual is the largest no-retrocausation
+    deviation of tau."""
 
     tau: CausalChoi
     cost: float
@@ -172,10 +172,9 @@ class FitResult:
     config: FitConfig
 
     def report(self) -> dict:
-        """The fit block of a pipeline report; gap None means no certificate."""
+        """The fit block of a pipeline report."""
         return {"chi2": self.chi2, "penalty_residual": self.penalty_residual,
-                "gap": self.gap if math.isfinite(self.gap) else None,
-                "converged": self.converged, "n_iter": self.n_iter}
+                "gap": self.gap, "converged": self.converged, "n_iter": self.n_iter}
 
     def to_json(self) -> str:
         m = self.tau.mat
@@ -192,11 +191,6 @@ class FitResult:
 # are _CBD_ROWS @ z.
 _NO_RETRO_BASIS = np.stack([f for f in _pauli_strings(3) if not no_retro_deviation(f).any()])
 _CBD_ROWS = _cell_probabilities(MEAS_STACK, _NO_RETRO_BASIS)
-_CBD_MODEL = optimize.CountModel(_CBD_ROWS.reshape(27, 8, -1))   # 8 outcome rows per setting
-# its linear inversion, one fixed map as the columns of _CBD_ROWS are orthogonal
-_CBD_INVERSE = np.ascontiguousarray(np.linalg.pinv(_CBD_ROWS).T)
-# coordinates of the identity, which lies in the span: Tr(F_i)
-_CBD_IDENTITY = np.real(np.trace(_NO_RETRO_BASIS, axis1=1, axis2=2))
 
 
 def _count_weights(data: np.ndarray) -> np.ndarray:
@@ -208,12 +202,16 @@ def _count_weights(data: np.ndarray) -> np.ndarray:
 
 
 def _neyman_quadratic(rows: np.ndarray, data: np.ndarray, weights: np.ndarray):
-    """The Neyman-weighted cost ||L z - n w||^2 of the (C, D) fit, L its rows
-    weighted by the _count_weights w, as the quadratic (z - c)^T G (z - c)
-    plus its minimum: returns G = L^T L and the least-squares solution c."""
-    lw = rows * weights[:, None]
-    gram = lw.T @ lw
-    return gram, np.linalg.solve(gram, lw.T @ (data * weights))
+    """The Neyman-weighted cost ||L z - n w||^2 of both fits, L the count
+    rows weighted by the _count_weights w, as the quadratic (z - c)^T G (z -
+    c) plus its minimum: returns G = L^T L and the least-squares solution c,
+    for one table or for each of a stack of them along the first axis.
+    Every product and solve is one table's own, so no table's quadratic
+    depends on the tables stacked with it."""
+    lw = rows * weights[..., None]
+    lw_t = np.swapaxes(lw, -1, -2)
+    gram = lw_t @ lw
+    return gram, np.linalg.solve(gram, (lw_t @ (data * weights)[..., None]))[..., 0]
 
 
 def _state_and_chi2(x, basis, rows, data, weights):
@@ -224,28 +222,16 @@ def _state_and_chi2(x, basis, rows, data, weights):
     return matlin.hermitize(s_mat / np.trace(s_mat).real), float(resid @ resid)
 
 
-def _poisson_start(data: np.ndarray) -> np.ndarray:
-    """Positive definite starts of the tau_CBD fits of a (K, 216) stack of
-    counts: each table's linear inversion, lifted along the identity until
-    its smallest eigenvalue is START_LIFT of the mean one.  Each product is
-    one table's own, so no start depends on the tables stacked with it."""
-    z = (data[:, None, :] @ _CBD_INVERSE)[:, 0]
-    s_mat = (z[:, None, :] @ _NO_RETRO_BASIS.reshape(-1, 64)).reshape(-1, 8, 8)
-    floor = START_LIFT * data.sum(axis=1) / 216.0
-    return z + np.maximum(floor - np.linalg.eigvalsh(s_mat)[:, 0], 0.0)[:, None] * _CBD_IDENTITY
-
-
 def fit_causal_maps(tables: Sequence[CountTable],
                     config: FitConfig | None = None) -> list[FitResult]:
     """Reconstruct the Choi state from each of a sequence of count tables.
 
-    The Poisson maximum-likelihood estimate over the positive semidefinite S
-    that cannot signal from B back to (C, D): the 216 cell means m =
-    _CBD_ROWS z of S = sum_i z_i F_i minimize the negative log-likelihood
-    sum_k m_k - n_k log m_k (optimize.PoissonLikelihood) by
-    optimize.psd_minimize from _poisson_start, all tables as one stack of
-    problems that each stop at their own gap.  At the optimum Tr S is the
-    total count over 27; tau is S over its trace.  ``converged`` means the
+    The Neyman-weighted least-squares estimate over the positive
+    semidefinite S that cannot signal from B back to (C, D): the 216 cell
+    means m = _CBD_ROWS z of S = sum_i z_i F_i minimize sum_k (m_k - n_k)^2
+    / max(n_k, EPS_CELL) by optimize.psd_least_squares on each table's
+    _neyman_quadratic, all tables as one stack of problems that each stop
+    at their own gap; tau is S over its trace.  ``converged`` means the
     certified gap fell to optimize.GAP_TOL within config.max_iter steps;
     otherwise tau is the last iterate, still a valid causal Choi state.
     Returns one FitResult per table, in order; an empty sequence raises
@@ -259,8 +245,8 @@ def fit_causal_maps(tables: Sequence[CountTable],
         if table.n_runs <= 0 and counts.any():
             raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
     weights = _count_weights(data)
-    solved = optimize.psd_minimize(optimize.PoissonLikelihood(_CBD_MODEL, data), _NO_RETRO_BASIS,
-                                   _poisson_start(data), config.max_iter)
+    solved = optimize.psd_least_squares(*_neyman_quadratic(_CBD_ROWS, data, weights),
+                                        _NO_RETRO_BASIS, config.max_iter)
     fits = []
     for res, counts, w in zip(solved, data, weights):
         tau_mat, chi2 = _state_and_chi2(res.x, _NO_RETRO_BASIS, _CBD_ROWS, counts, w)
@@ -310,13 +296,14 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     (3, 3, 2, 2) count table.
 
     Minimizes the weighted cost of the 36 count rows over positive
-    semidefinite 4x4 S, exactly (optimize.psd_least_squares on the
-    _neyman_quadratic): S in the two-wire Pauli basis, no penalty term, no
-    start or restart to choose.  Of ``config`` only max_iter is read; it
-    caps the interior-point steps.  Returns the state S/Tr S and the
-    solver's result, whose cost is the weighted cost of the count rows and
-    whose gap and dual matrix certify its distance to the optimum, also when
-    the unconstrained solution is positive definite and taken in 0 steps.
+    semidefinite 4x4 S, exactly as fit_causal_maps fits tau_CBD
+    (optimize.psd_least_squares on the _neyman_quadratic): S in the
+    two-wire Pauli basis, no penalty term, no start or restart to choose.
+    Of ``config`` only max_iter is read; it caps the interior-point steps.
+    Returns the state S/Tr S and the solver's result, whose cost is the
+    weighted cost of the count rows and whose gap and dual matrix certify
+    its distance to the optimum, also when the unconstrained solution is
+    positive definite and taken in 0 steps.
     """
     config = config or FitConfig()
     counts = np.asarray(counts, dtype=float)
@@ -325,8 +312,8 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     _check_counts(counts)
     data = counts.reshape(-1)
     weights = _count_weights(data)
-    res = optimize.psd_least_squares(*_neyman_quadratic(_CD_ROWS, data, weights), _CD_BASIS,
-                                     config.max_iter)
+    [res] = optimize.psd_least_squares(*_neyman_quadratic(_CD_ROWS, data[None], weights[None]),
+                                       _CD_BASIS, config.max_iter)
     rho, cost = _state_and_chi2(res.x, _CD_BASIS, _CD_ROWS, data, weights)
     return DensityOperator(rho, CD_FACTORS), replace(res, cost=cost)
 

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 import jsonschema
@@ -118,14 +119,25 @@ class TestExitCodes:
         assert run(["witness", "--scenario", "coh"]) == cli.EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_uncertified_fit_is_numerical(self, tmp_path):
-        # a table of 4 runs stops at round-off without a certificate: the fit
-        # is written, with no gap, and the exit code says it is not certified
+    def test_uncertified_fit_is_numerical(self, tmp_path, monkeypatch):
+        # with the fit budget at one step, the coh fit stops uncertified: the
+        # fit is written, with its gap, and the exit code says it is not
+        # certified
+        monkeypatch.setattr(tomography, "FitConfig", partial(tomography.FitConfig, max_iter=1))
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--scenario", "coh", "--runs", "20000", "--out", str(out)]) \
+            == cli.EXIT_NUMERICAL
+        fit = json.loads(out.read_text())
+        assert fit["converged"] is False and fit["n_iter"] == 1
+        assert fit["gap"] > 1e-6 and fit["config"]["max_iter"] == 1
+
+    def test_sparse_fit_is_certified(self, tmp_path):
+        # a table of 4 runs is certified like any other
         out = tmp_path / "fit.json"
         assert run(["fit", "--scenario", "probq", "--runs", "4", "--seed", "2638",
-                    "--out", str(out)]) == cli.EXIT_NUMERICAL
+                    "--out", str(out)]) == cli.EXIT_OK
         fit = json.loads(out.read_text())
-        assert fit["converged"] is False and fit["gap"] is None and fit["n_iter"] == 13
+        assert fit["converged"] is True and fit["gap"] <= 1e-6 and fit["n_iter"] == 8
 
     @pytest.mark.parametrize("argv, name", [
         # the options of an earlier penalized, restarted fit are gone, and a
@@ -438,15 +450,18 @@ class TestPipeline:
             table, lambda f: witness.witness_values(f.tau, settings), n_resamples=3, seed=13)
         assert report["bootstrap"] == bootstrap
 
-    def test_uncertified_fit_reports_a_null_gap(self, tmp_path, schema):
-        # the probq table of 4 runs at seed 2638 has no certificate (see
-        # TestExitCodes.test_uncertified_fit_is_numerical)
+    def test_uncertified_fit_reports_its_gap(self, tmp_path, schema, monkeypatch):
+        # with the fit budget at one step the fit stops uncertified (see
+        # TestExitCodes.test_uncertified_fit_is_numerical): the report is
+        # written, with the gap, and the exit code is numerical
+        monkeypatch.setattr(tomography, "FitConfig", partial(tomography.FitConfig, max_iter=1))
         out = tmp_path / "report.json"
-        assert run(["pipeline", "--scenario", "probq", "--runs", "4", "--seed", "2638",
+        assert run(["pipeline", "--scenario", "coh", "--runs", "20000", "--resamples", "2",
                     "--out", str(out)]) == cli.EXIT_NUMERICAL
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema)
-        assert report["fit"]["converged"] is False and report["fit"]["gap"] is None
+        assert report["fit"]["converged"] is False and report["fit"]["n_iter"] == 1
+        assert report["fit"]["gap"] > 1e-6
 
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
+from qcausal import optimize
 from qcausal.optimize import (
-    CountModel,
     GAP_TOL,
     START_FLOOR,
     LeastSquares,
-    PoissonLikelihood,
     psd_least_squares,
     psd_minimize,
 )
@@ -45,7 +44,7 @@ class TestPsdLeastSquares:
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         target = h @ h.conj().T + np.eye(3)                        # positive definite
         c = np.real(np.einsum("iab,ba->i", basis, target))
-        res = psd_least_squares(g, c, basis, 50)
+        [res] = psd_least_squares(g[None], c[None], basis, 50)
         assert np.array_equal(res.x, c) and res.cost == 0.0
         assert res.n_iter == 0 and res.converged
         assert np.linalg.eigvalsh(res.dual)[0] >= 0.0
@@ -62,7 +61,7 @@ class TestPsdLeastSquares:
         target = np.diag([-1.0, 0.5, 2.0]).astype(complex)
         u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         c = np.real(np.einsum("iab,ba->i", basis, u @ target @ u.conj().T))
-        res = psd_least_squares(g, c, basis, 50)
+        [res] = psd_least_squares(g[None], c[None], basis, 50)
         assert res.converged and 0 < res.n_iter <= 20
         s_mat = np.tensordot(res.x, basis, 1)
         assert np.linalg.eigvalsh(s_mat)[0] > 0.0
@@ -77,126 +76,229 @@ class TestPsdLeastSquares:
     def test_budget_caps_the_steps(self):
         rng, g, basis = _problem(1)
         c = np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 1.0, 1.0])))
-        res = psd_least_squares(g, c, basis, 1)
+        [res] = psd_least_squares(g[None], c[None], basis, 1)
         assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
 
-def _poisson_problem(seed, d=3, n_rows=30, mean=200.0):
-    """Counts over rows Tr(S P_k) of random rank-one P_k >= 0, Poisson-drawn
-    around a rank-one state plus 0.05 1; returns the rows a (n_rows, d^2),
-    the counts, the basis and a positive definite start."""
-    rng = np.random.default_rng(seed)
-    basis = _hermitian_basis(d)
-    kets = rng.standard_normal((n_rows, d)) + 1j * rng.standard_normal((n_rows, d))
-    proj = np.einsum("ka,kb->kab", kets, kets.conj())
-    a = np.real(np.einsum("kab,iba->ki", proj, basis))
-    g = rng.standard_normal((d, 1)) + 1j * rng.standard_normal((d, 1))
-    truth = g @ g.conj().T + 0.05 * np.eye(d)             # near the boundary
-    truth *= mean / np.real(np.einsum("kab,ba->k", proj, truth)).mean()
-    counts = rng.poisson(np.real(np.einsum("kab,ba->k", proj, truth))).astype(float)
-    start = np.real(np.einsum("iaa->i", basis)) * counts.mean()
-    return a, counts, basis, start
-
-
-def _numeric_gradient(fn, z, step=1e-5):
-    return np.array([(fn(z + step * e) - fn(z - step * e)) / (2.0 * step)
-                     for e in np.eye(z.size)])
-
-
-class TestPoissonLikelihood:
-    def test_value_is_half_the_deviance(self):
-        a, counts, _, start = _poisson_problem(0)
-        counts[:3] = 0.0
-        m = a @ start
-        [value], _, _ = PoissonLikelihood(CountModel(a[None]), counts[None])(start[None])
-        pos = counts > 0
-        deviance = 2.0 * (np.sum(counts[pos] * np.log(counts[pos] / m[pos])) - np.sum(counts - m))
-        assert value == pytest.approx(deviance / 2.0, rel=1e-12)
-        [saturated], _, _ = PoissonLikelihood(CountModel(a[None]), (a @ start)[None])(start[None])
-        assert saturated == pytest.approx(0.0, abs=1e-9)
+class TestLeastSquares:
+    def test_value_is_the_excess_weighted_cost(self):
+        # f(z) = ||L z - y||^2 less its minimum, for g = L^T L and c the
+        # least-squares solution of L c = y
+        rng = np.random.default_rng(0)
+        lin, y = rng.standard_normal((30, 9)), rng.standard_normal(30)
+        c = np.linalg.lstsq(lin, y, rcond=None)[0]
+        objective = LeastSquares((lin.T @ lin)[None], c[None])
+        for z in (c, c + rng.standard_normal(9), 10.0 * rng.standard_normal(9)):
+            [value], _, _ = objective(z[None])
+            excess = np.sum((lin @ z - y) ** 2) - np.sum((lin @ c - y) ** 2)
+            assert value == pytest.approx(excess, rel=1e-9, abs=1e-12)
+        assert objective(c[None])[0][0] == 0.0
 
     def test_derivatives_match_finite_differences(self):
-        a, counts, _, start = _poisson_problem(1)
-        counts[:3] = 0.0
-        stacked = PoissonLikelihood(CountModel(a[None]), counts[None])
+        _, g, _ = _problem(1)
+        rng = np.random.default_rng(1)
+        c, z = rng.standard_normal(9), rng.standard_normal(9)
+        objective = LeastSquares(g[None], c[None])
 
-        def objective(y):
-            return tuple(part[0] for part in stacked(y[None]))
+        def value(y):
+            return objective(y[None])[0][0]
 
-        z = start + np.random.default_rng(2).uniform(-0.1, 0.1, start.size) * start.max()
-        _, grad, hess = objective(z)
-        num_grad = _numeric_gradient(lambda y: objective(y)[0], z)
-        num_hess = np.stack([_numeric_gradient(lambda y: objective(y)[1][i], z)
-                             for i in range(z.size)])
-        assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
-        assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
-        assert np.allclose(hess, hess.T, rtol=0, atol=1e-15 * np.max(np.abs(hess)))
+        def gradient(y):
+            return objective(y[None])[1][0]
+
+        _, [grad], [hess] = objective(z[None])
+        step = 1e-3
+        num_grad = np.array([(value(z + step * e) - value(z - step * e)) / (2 * step)
+                             for e in np.eye(9)])
+        num_hess = np.array([(gradient(z + step * e) - gradient(z - step * e)) / (2 * step)
+                             for e in np.eye(9)])
+        assert np.max(np.abs(grad - num_grad)) <= 1e-8 * np.max(np.abs(grad))
+        assert np.max(np.abs(hess - num_hess)) <= 1e-8 * np.max(np.abs(hess))
+        assert np.array_equal(hess, hess.T)
+
+    def test_residual_cost_is_the_conjugate_bracket(self):
+        # f*(w) = sup_y <w, y> - f(y) = <w, c> + w^T g^-1 w / 4, taken at its
+        # maximizer y = c + g^-1 w / 2: residual_cost(grad f(z), w) is f(z) +
+        # f*(w) - <w, z>, >= 0 and 0 at w = grad f(z)
+        _, g, _ = _problem(2)
+        rng = np.random.default_rng(2)
+        c, z = rng.standard_normal((2, 9))
+        objective = LeastSquares(g[None], c[None])
+        [f], [grad], _ = objective(z[None])
+        for w in (rng.standard_normal(9), grad):
+            y = c + np.linalg.inv(g) @ w / 2.0
+            conjugate = w @ y - (y - c) @ g @ (y - c)
+            [bracket] = objective.residual_cost(grad[None], w[None])
+            assert bracket == pytest.approx(f + conjugate - w @ z, rel=1e-9, abs=1e-12)
+            assert bracket >= 0.0
+        assert objective.residual_cost(grad[None], grad[None])[0] == 0.0
+
+    def test_take_is_the_problems(self):
+        # take(idx) is the objective of the problems idx, bit for bit
+        g, c, _ = _boundary_stack(3)
+        z = np.random.default_rng(3).standard_normal(c.shape)
+        objective = LeastSquares(g, c)
+        whole = objective(z)
+        idx = np.array([3, 0, 2])
+        part = objective.take(idx)(z[idx])
+        for full, some in zip(whole, part):
+            assert np.array_equal(full[idx], some)
+        w = np.random.default_rng(4).standard_normal(c.shape)
+        assert np.array_equal(objective.residual_cost(whole[1], w)[idx],
+                              objective.take(idx).residual_cost(whole[1][idx], w[idx]))
+
+
+def _boundary_stack(k):
+    """k boundary problems, whose unconstrained optima have a negative
+    eigenvalue, and one interior problem last: g (k + 1, 9, 9), c (k + 1, 9)
+    and the basis."""
+    gs, cs = [], []
+    for seed in range(k + 1):
+        rng, g, basis = _problem(seed)
+        target = np.diag([-1.0, 0.5, 2.0]) if seed < k else np.diag([0.5, 1.0, 2.0])
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        gs.append(g)
+        cs.append(np.real(np.einsum("iab,ba->i", basis, u @ target @ u.conj().T)))
+    return np.stack(gs), np.stack(cs), basis
+
+
+class TestStart:
+    def test_lift_along_the_identity(self):
+        # a start off the cone is c lifted along the identity, whose
+        # coordinates are Tr E_i, until its smallest eigenvalue is the size
+        # of the most negative one of S(c); one inside the cone is c
+        g, c, basis = _boundary_stack(3)
+        identity = np.real(np.einsum("iaa->i", basis))
+        for res, ck in zip(psd_least_squares(g, c, basis, 0), c):
+            assert res.n_iter == 0
+            w = np.linalg.eigvalsh(np.tensordot(ck, basis, 1))
+            lift = (res.x - ck) @ identity / (identity @ identity)
+            assert np.allclose(res.x, ck + lift * identity, rtol=0, atol=1e-14)
+            start = np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))
+            if w[0] > 0.0:
+                assert np.array_equal(res.x, ck)
+            else:
+                assert start[0] == pytest.approx(-w[0], rel=1e-12)
+
+    def test_floor_is_relative_to_the_largest_eigenvalue(self):
+        # S(c) singular: no negative eigenvalue to mirror, so the lift stops
+        # at START_FLOOR of the largest
+        _, g, basis = _problem(0)
+        c = np.real(np.einsum("iab,ba->i", basis, np.diag([0.0, 1.0, 4.0])))
+        [res] = psd_least_squares(g[None], c[None], basis, 0)
+        start = np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))
+        assert start[0] == pytest.approx(START_FLOOR * 4.0, rel=1e-6)
+        assert start[0] > 0.0
+
+    def test_stacked_problems_are_their_own(self):
+        # each problem of a stack gets the start and the result it gets
+        # alone, bit for bit, and stops at its own step
+        g, c, basis = _boundary_stack(3)
+        for max_iter in (0, 3, 50):
+            stacked = psd_least_squares(g, c, basis, max_iter)
+            for j, res in enumerate(stacked):
+                [alone] = psd_least_squares(g[j:j + 1], c[j:j + 1], basis, max_iter)
+                assert np.array_equal(res.x, alone.x) and np.array_equal(res.dual, alone.dual)
+                assert res.n_iter == alone.n_iter and res.gap == alone.gap
+                assert res.message == alone.message
+        assert [res.n_iter == 0 for res in stacked] == [False, False, False, True]
+        assert all(res.converged for res in stacked)
 
 
 class TestPsdMinimize:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_poisson_gap_is_a_dual_certificate(self, seed):
-        # rebuild the dual point the gap rests on and check it directly: a^T nu
-        # = A*(Z), nu < 1 on the nonzero counts, and f - g(nu) = gap, with
-        # g(nu) = sum_{n > 0} n log(1 - nu) the dual function of the shifted NLL
-        a, counts, basis, start = _poisson_problem(seed)
-        counts[seed] = 0.0
-        objective = PoissonLikelihood(CountModel(a[None]), counts[None])
-        [res] = psd_minimize(objective, basis, start[None], 100)
-        assert res.converged and 0 < res.n_iter <= 40 and res.gap <= GAP_TOL
-        s_mat = np.tensordot(res.x, basis, 1)
-        assert np.linalg.eigvalsh(s_mat)[0] > 0.0
-        assert np.linalg.eigvalsh(res.dual)[0] > 0.0
-        m = a @ res.x
-        _, [grad], [hess] = objective(res.x[None])
-        w = np.real(np.einsum("iab,ba->i", basis, res.dual))
-        nu = 1.0 - counts / m + (counts / m ** 2) * (a @ np.linalg.solve(hess, w - grad))
-        assert np.allclose(a.T @ nu, w, rtol=0, atol=1e-12 * np.abs(a).sum())
-        pos = counts > 0
-        assert np.all(nu[pos] < 1.0) and np.all(nu[~pos] <= 1.0)
-        dual_value = counts[pos] @ np.log(1.0 - nu[pos])
-        assert res.cost - dual_value == pytest.approx(res.gap, abs=1e-9)
-
-    def test_optimal_start_is_certified_at_step_0(self):
-        # counts equal to the means at the start: f = 0 there, so the dual
-        # start takes its size Tr(S Z) from GAP_TOL / 2, and the gap
-        # certifies the start as it is
-        a, _, basis, start = _poisson_problem(0)
-        counts = (start[None, None, :] @ a.T)[0, 0]       # the objective's own product
-        objective = PoissonLikelihood(CountModel(a[None]), counts[None])
-        assert objective(start[None])[0][0] == 0.0
-        [res] = psd_minimize(objective, basis, start[None], 10)
-        assert np.array_equal(res.x, start) and res.cost == 0.0
-        assert res.n_iter == 0 and res.converged and 0.0 < res.gap <= GAP_TOL
-        assert np.linalg.eigvalsh(res.dual)[0] > 0.0
-
-    def test_budget_caps_the_steps(self):
-        a, counts, basis, start = _poisson_problem(0)
-        objective = PoissonLikelihood(CountModel(a[None]), counts[None])
-        [res] = psd_minimize(objective, basis, start[None], 1)
-        assert res.n_iter == 1 and not res.converged and res.gap > GAP_TOL
-        assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
-
     def test_least_squares_is_the_same_solver(self):
         # psd_least_squares runs psd_minimize on LeastSquares from the
-        # unconstrained solution with its eigenvalues clipped: the same call
+        # unconstrained solution lifted along the identity: the same call
         # here gives the same result, bit for bit
         rng, g, basis = _problem(3)
         c = np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
-        res = psd_least_squares(g, c, basis, 50)
+        [res] = psd_least_squares(g[None], c[None], basis, 50)
         assert res.converged and res.n_iter > 0
-        flat = basis.reshape(9, 9)
-        w, v = np.linalg.eigh((c @ flat).reshape(3, 3))
-        w = np.maximum(w, max(-w[0], START_FLOOR * w[-1]))
-        start = np.real(flat.conj() @ ((v * w) @ v.conj().T).reshape(-1))
+        w = np.linalg.eigvalsh(np.tensordot(c, basis, 1))
+        lift = max(-w[0], START_FLOOR * w[-1]) - w[0]
+        start = c + lift * np.real(np.einsum("iaa->i", basis))
         [again] = psd_minimize(LeastSquares(g[None], c[None]), basis, start[None], 50)
         assert again.n_iter == res.n_iter and again.converged
         assert again.cost == res.cost and again.gap == res.gap
         assert np.array_equal(again.x, res.x) and np.array_equal(again.dual, res.dual)
 
+    def test_optimal_start_is_certified_at_step_0(self):
+        # a start at the optimum has f = 0, so the dual start takes its size
+        # Tr(S Z) from GAP_TOL / 2, and the gap certifies the start as it is
+        g, c, basis = _boundary_stack(0)
+        [res] = psd_minimize(LeastSquares(g, c), basis, c, 10)
+        assert np.array_equal(res.x, c[0]) and res.cost == 0.0
+        assert res.n_iter == 0 and res.converged and 0.0 < res.gap <= GAP_TOL
+        tr_sz = np.real(np.trace(np.tensordot(c[0], basis, 1) @ res.dual))
+        assert tr_sz == pytest.approx(GAP_TOL / 2, rel=1e-9)
+
+    def test_dual_start_takes_its_size_from_f(self):
+        # the dual start is (s / d) S^-1, s = |f| at the start
+        g, c, basis = _boundary_stack(1)
+        start = 5.0 * np.real(np.einsum("iaa->i", basis))
+        objective = LeastSquares(g[:1], c[:1])
+        [f], _, _ = objective(start[None])
+        [res] = psd_minimize(objective, basis, start[None], 0)
+        assert res.n_iter == 0 and not res.converged and res.cost == f > GAP_TOL
+        s_mat = np.tensordot(start, basis, 1)
+        assert np.allclose(res.dual, f / 3.0 * np.linalg.inv(s_mat), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_any_start_reaches_the_optimum(self, scale):
+        # psd_minimize takes any positive definite start: from multiples of
+        # the identity far below and far above the optimum, each problem is
+        # certified at the optimum psd_least_squares finds from its own start
+        g, c, basis = _boundary_stack(3)
+        start = np.tile(scale * np.real(np.einsum("iaa->i", basis)), (len(c), 1))
+        for res, ref in zip(psd_minimize(LeastSquares(g, c), basis, start, 100),
+                            psd_least_squares(g, c, basis, 100)):
+            assert res.converged and ref.converged and res.n_iter <= 40
+            assert abs(res.cost - ref.cost) <= max(res.gap, ref.gap)
+            assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
+
+    @pytest.mark.parametrize("j", range(3))
+    def test_every_gap_bounds_the_optimum(self, j):
+        # an iterate stopped by its budget is not certified, but its gap is
+        # still a bound: cost - gap is at most the optimal cost
+        g, c, basis = _boundary_stack(3)
+        g, c = g[j:j + 1], c[j:j + 1]
+        [full] = psd_least_squares(g, c, basis, 100)
+        assert full.converged and full.n_iter > 1
+        for max_iter in range(full.n_iter):
+            [res] = psd_least_squares(g, c, basis, max_iter)
+            assert res.n_iter == max_iter and not res.converged
+            assert res.message == "max_iter reached" and res.gap > GAP_TOL
+            assert res.cost - res.gap <= full.cost + 1e-12
+            assert full.cost - full.gap <= res.cost
+            assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
+
+    def test_round_off_stop(self, monkeypatch):
+        # a step that leaves the cone is what round-off does next to a
+        # singular optimum.  Forced here by steps of twice the distance to
+        # the boundary, the Cholesky factorization of the trial point raises
+        # LinAlgError: that step is not taken, and its problem stops at its
+        # current iterate, inside the cone, with a finite gap and the result
+        # it gets alone, while the interior problem stacked with it is
+        # certified at step 0
+        g, c, basis = _boundary_stack(2)
+        monkeypatch.setattr(optimize, "STEP_FRAC", 2.0)
+        stacked = psd_least_squares(g, c, basis, 50)
+        assert [res.message for res in stacked] == ["a step left the cone at round-off"] * 2 + [
+            "duality gap below GAP_TOL"]
+        assert [res.converged for res in stacked] == [False, False, True]
+        for j, res in enumerate(stacked):
+            [alone] = psd_least_squares(g[j:j + 1], c[j:j + 1], basis, 50)
+            assert np.array_equal(res.x, alone.x) and res.gap == alone.gap
+            assert res.n_iter == alone.n_iter and np.isfinite(res.gap)
+            assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
+            # the stop does not depend on max_iter once it is reached: the
+            # step not taken is the last one of a budget of n_iter + 1
+            [cut] = psd_least_squares(g[j:j + 1], c[j:j + 1], basis, res.n_iter + 1)
+            assert np.array_equal(cut.x, res.x) and cut.message == res.message
+
     def test_rejects_a_start_off_the_cone(self):
-        a, counts, basis, start = _poisson_problem(0)
+        _, g, basis = _problem(0)
         bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))
         with pytest.raises(ValueError, match="not positive definite"):
-            psd_minimize(PoissonLikelihood(CountModel(a[None]), counts[None]), basis, bad[None], 10)
+            psd_minimize(LeastSquares(g[None], bad[None]), basis, bad[None], 10)

@@ -2,7 +2,7 @@ import csv
 import io
 import json
 import warnings
-from dataclasses import replace
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -87,8 +87,7 @@ class TestCountTable:
 # An independent reference for the tau_CBD fit, apart from tomography's model,
 # basis, solver and certificate: the 216 cell operators M_k = Pi_c x Pi_b x
 # T(Pi_d) built by kron, the no-retrocausation span from an explicit partial
-# trace, and the Poisson MLE by iteratively reweighted least squares, each
-# weighted problem solved by a primal log-barrier Newton method.
+# trace, and the Neyman-weighted cost over that span in closed form.
 _CBD_OPS = np.stack([np.kron(np.kron(pauli_projector(tomography.AXES[si], 1 - 2 * ci),
                                      pauli_projector(tomography.AXES[ui], 1 - 2 * bi)),
                              pauli_projector(tomography.AXES[ti], 1 - 2 * di).T)
@@ -99,12 +98,6 @@ _CBD_OPS = np.stack([np.kron(np.kron(pauli_projector(tomography.AXES[si], 1 - 2 
 def _kron_means(s_mat):
     """Tr(M_k S) for the 216 cells (s, t, u, c, b, d) of a Hermitian S."""
     return np.real(np.einsum("kab,ba->k", _CBD_OPS, s_mat))
-
-
-def _half_deviance(m, n):
-    """sum_k m_k - n_k - n_k log(m_k / n_k): the Poisson NLL less its saturated value."""
-    pos = n > 0
-    return float(np.sum(m - n) - n[pos] @ np.log(m[pos] / n[pos]))
 
 
 def _no_retro_span():
@@ -122,54 +115,32 @@ def _no_retro_span():
     return np.tensordot(vh[int(np.sum(sing > 1e-10)):], full, 1)
 
 
-def _barrier_wls(a, n, w, basis, z, t):
-    """Newton's method with backtracking on t sum_k w_k (a z - n)_k^2 - log det S(z)."""
-    gram, lin = 2.0 * (a.T * w) @ a, 2.0 * (a.T * w) @ n
-
-    def log_det(y):
-        try:
-            chol = np.linalg.cholesky(np.tensordot(y, basis, 1))
-        except np.linalg.LinAlgError:
-            return -np.inf
-        return 2.0 * np.sum(np.log(np.real(np.diag(chol))))
-
-    for _ in range(100):
-        x = np.linalg.inv(np.tensordot(z, basis, 1)) @ basis          # S^-1 F_i
-        grad_q = t * (gram @ z - lin)
-        grad = grad_q - np.real(np.einsum("iaa->i", x))
-        hess = t * gram + np.real(x.reshape(len(x), -1) @ x.transpose(0, 2, 1).reshape(len(x), -1).T)
-        dz = -np.linalg.solve(hess, grad)
-        decrement = -grad @ dz
-        if decrement <= 1e-12:
-            break
-        # Armijo on the change of the barrier function, written as a
-        # difference so that its size does not cancel away
-        step, base = 1.0, log_det(z)
-        while step > 1e-9 and (step * (grad_q @ dz) + 0.5 * t * step ** 2 * (dz @ gram @ dz)
-                               - log_det(z + step * dz) + base > -0.25 * step * decrement):
-            step *= 0.5
-        if step <= 1e-9:
-            break
-        z = z + step * dz
-    return z
-
-
-def _reference_mle(counts):
-    """Means of the Poisson MLE over the span by reweighted least squares:
-    weights 1/m from the model of the last solution, each weighted problem
-    solved along the barrier path t = 1, 10, ..., 1e10, reweighting at each t
-    until the half deviance settles to 1e-2 / t."""
+@cache
+def _span_model():
+    """The test's own span basis and the kron-model cell means of each of
+    its elements, (216, 52)."""
     basis = _no_retro_span()
-    a = np.real(np.einsum("kab,iba->ki", _CBD_OPS, basis))
-    z = np.real(np.einsum("iaa->i", basis)) * counts.sum() / 216.0
-    cost = _half_deviance(a @ z, counts)
-    for t in 10.0 ** np.arange(11):
-        while True:
-            z = _barrier_wls(a, counts, 1.0 / (a @ z), basis, z, t)
-            prev, cost = cost, _half_deviance(a @ z, counts)
-            if abs(prev - cost) <= 1e-2 / t:
-                break
-    return a @ z
+    return basis, np.real(np.einsum("kab,iba->ki", _CBD_OPS, basis))
+
+
+def _span_least_squares(counts, z_mat=None):
+    """The Neyman-weighted cost over the no-retrocausation span, from the
+    kron model: with a the cell means of the span's basis and W = diag(1 /
+    max(n, EPS_CELL)), the minimizer S of (a y - n)^T W (a y - n) - Tr(Z S)
+    over the span and its value, for a Hermitian Z (0 by default).  At Z = 0
+    that is the equality-constrained least-squares solution; at Z >= 0 the
+    value is the dual function, a lower bound on the constrained optimum."""
+    basis, a = _span_model()
+    w = 1.0 / np.maximum(counts, tomography.EPS_CELL)
+    zv = np.zeros(len(basis)) if z_mat is None else np.real(np.einsum("ab,iba->i", z_mat, basis))
+    y = np.linalg.solve(2.0 * (a.T * w) @ a, 2.0 * (a.T * w) @ counts + zv)
+    r = a @ y - counts
+    return np.tensordot(y, basis, 1), float(np.sum(w * r * r) - zv @ y)
+
+
+def _neyman_chi2(s_mat, counts):
+    """sum_k (Tr(M_k S) - n_k)^2 / max(n_k, EPS_CELL) over the kron model."""
+    return float(np.sum((_kron_means(s_mat) - counts) ** 2 / np.maximum(counts, tomography.EPS_CELL)))
 
 
 class TestFullFit:
@@ -269,34 +240,40 @@ class TestFullFit:
         assert np.allclose(fit.tau.mat, s_mat / np.trace(s_mat).real, rtol=0, atol=1e-15)
         return fit, table.counts.reshape(-1), _kron_means(s_mat)
 
-    def test_cost_is_half_deviance(self):
-        # cost is the Poisson deviance over two of the fitted unnormalized S
-        # over the 216 cells of the kron model
-        fit, n, m = self._fit_and_means()
-        assert fit.cost == pytest.approx(_half_deviance(m, n), rel=1e-12)
-        # at the optimum the means add up to the counts
-        assert abs(m.sum() - n.sum()) <= 1e-6 * n.sum()
-
     def test_cost_is_full_weighted_cost(self):
         # chi2 is the Neyman-weighted cost of the same S over all 216 cells,
-        # weights 1/max(n, 0.5), though the fit minimizes the deviance
+        # weights 1/max(n, 0.5); cost is chi2 less its unconstrained minimum
+        # over the no-retrocausation span, here a boundary fit
         fit, n, m = self._fit_and_means()
         assert fit.chi2 == pytest.approx(np.sum((m - n) ** 2 / np.maximum(n, 0.5)), rel=1e-12)
+        assert fit.cost == pytest.approx(fit.chi2 - _span_least_squares(n)[1], rel=1e-9)
+        assert fit.cost > 1.0
 
     @pytest.mark.parametrize("name", ["probc", "physc", "probq", "coh", "epsmix"])
-    def test_mle_matches_reweighted_least_squares(self, name):
-        # _reference_mle reaches the Poisson MLE by another route, with its
-        # own model, basis and solver
+    def test_optimality_certificate(self, name):
+        # the solver call of fit_causal_map, certified, and its certificate
+        # rebuilt with the kron model over the test's own span
         table = sample_counts(build_scenario(name), 200_000, seed=0)
         fit = fit_causal_map(table)
         assert fit.converged and fit.gap <= optimize.GAP_TOL
+        data, [res] = _stack_solve([table], FitConfig().max_iter)
+        assert np.array_equal(res.x, fit.params) and res.gap == fit.gap
+        _check_cbd_certificate(data[0], res)
+
+    @pytest.mark.parametrize("name", ["physc", "epsmix"])
+    def test_interior_fit_is_the_closed_form(self, name):
+        # the equality-constrained least-squares solution of the kron model
+        # over the span is positive definite: the fit starts there and
+        # certifies it at step 0, at cost 0
+        table = sample_counts(build_scenario(name), 200_000, seed=0)
         n = table.counts.reshape(-1)
-        reference = _half_deviance(_reference_mle(n), n)
-        # tau at the optimal scale, the total count over 27, is no worse than
-        # the fitted S, which is within its gap of the optimum
-        at_tau = _half_deviance(_kron_means(fit.tau.mat) * n.sum() / 27.0, n)
-        assert abs(at_tau - reference) <= 1e-6
-        assert -1e-8 <= fit.cost - reference <= fit.gap + 1e-8
+        s_ref, chi2_ref = _span_least_squares(n)
+        assert np.linalg.eigvalsh(s_ref)[0] > 0.0
+        fit = fit_causal_map(table)
+        assert fit.n_iter == 0 and fit.converged and fit.cost == 0.0
+        s_mat = np.tensordot(fit.params, tomography._NO_RETRO_BASIS, 1)
+        assert np.max(np.abs(s_mat - s_ref)) <= 1e-10 * np.max(np.abs(s_ref))
+        assert fit.chi2 == pytest.approx(chi2_ref, rel=1e-10)
 
     def test_to_json(self):
         fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000), FAST)
@@ -306,133 +283,119 @@ class TestFullFit:
         assert data["gap"] == fit.gap <= optimize.GAP_TOL
         assert data["config"] == {"eps_cell": tomography.EPS_CELL, "max_iter": FAST.max_iter}
 
-    def test_to_json_without_a_certificate(self):
-        # a fit with no finite gap (see optimize.PoissonLikelihood) writes
-        # null, not the non-standard JSON Infinity
-        fit = fit_causal_map(expected_counts(build_scenario("probc"), 20_000), FAST)
-        text = replace(fit, converged=False, gap=np.inf).to_json()
-        assert "Infinity" not in text and json.loads(text)["gap"] is None
+    def test_uncertified_fit_carries_its_gap(self):
+        # a fit stopped by its budget of one step is not certified, but tau is
+        # still a causal Choi state and the fit and its JSON carry its finite gap
+        table = sample_counts(build_scenario("coh"), 200_000, seed=0)
+        fit = fit_causal_map(table, FitConfig(max_iter=1))
+        assert not fit.converged and fit.n_iter == 1
+        assert optimize.GAP_TOL < fit.gap < np.inf
+        assert isinstance(fit.tau, CausalChoi)
+        assert np.linalg.eigvalsh(fit.tau.mat)[0] > 0.0
+        data = json.loads(fit.to_json())
+        assert data["converged"] is False and data["gap"] == fit.gap
+        assert data["config"]["max_iter"] == 1
 
 
 def _stack_solve(tables, max_iter):
     """The solver call of fit_causal_maps, for its certificates: the tables
-    as one stack of Poisson problems from their fit starts."""
+    as one stack of least-squares problems."""
     data = np.stack([t.counts.reshape(-1) for t in tables])
-    return data, optimize.psd_minimize(optimize.PoissonLikelihood(tomography._CBD_MODEL, data),
-                                       tomography._NO_RETRO_BASIS, tomography._poisson_start(data),
-                                       max_iter)
+    g, c = tomography._neyman_quadratic(tomography._CBD_ROWS, data,
+                                        tomography._count_weights(data))
+    return data, optimize.psd_least_squares(g, c, tomography._NO_RETRO_BASIS, max_iter)
 
 
-def _weighted_start(counts):
-    """A start of one table's tau_CBD fit from which sparse tables reach
-    round-off stops that _poisson_start avoids: the Neyman-weighted
-    least-squares solution, lifted along the identity as _poisson_start
-    lifts its linear inversion."""
-    rows, basis = tomography._CBD_ROWS, tomography._NO_RETRO_BASIS
-    _, z = tomography._neyman_quadratic(rows, counts, tomography._count_weights(counts))
-    w_min = np.linalg.eigvalsh(np.tensordot(z, basis, 1))[0]
-    floor = tomography.START_LIFT * counts.sum() / 216.0
-    return z + max(floor - w_min, 0.0) * tomography._CBD_IDENTITY
+def _check_cbd_certificate(counts, res):
+    """Check a tau_CBD fit's optimality certificate with the kron model over
+    the test's own span, as _check_certificate does for the (C, D) fit: S
+    and the returned dual matrix Z are PSD, Tr(Z S) is within GAP_TOL, the
+    duality gap chi2(S) - dual(Z) is res.gap and within GAP_TOL, and
+    res.cost is chi2(S) less its unconstrained minimum over the span."""
+    s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
+    chi2 = _neyman_chi2(s_mat, counts)
+    assert res.cost == pytest.approx(chi2 - _span_least_squares(counts)[1], abs=1e-9 * chi2)
+    assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+    z_mat = res.dual
+    assert np.linalg.eigvalsh(z_mat)[0] >= -1e-12 * max(np.abs(z_mat).max(), 1.0)
+    assert np.real(np.trace(z_mat @ s_mat)) <= optimize.GAP_TOL
+    gap = chi2 - _span_least_squares(counts, z_mat)[1]
+    assert gap <= optimize.GAP_TOL + 1e-9 * chi2
+    assert gap == pytest.approx(res.gap, abs=1e-9 * chi2)
 
 
-def _check_poisson_certificate(counts, res):
-    """Rebuild the dual point behind res.gap and check it directly, as
-    test_poisson_gap_is_a_dual_certificate does, with the Hessian solved on
-    its range: a^T nu = A*(Z), nu < 1 on the nonzero counts, nu <= 1 on the
-    zeros, Z >= 0 and f - g(nu) = gap."""
-    a, basis = tomography._CBD_ROWS, tomography._NO_RETRO_BASIS
-    [value], [grad], [hess] = optimize.PoissonLikelihood(tomography._CBD_MODEL, counts[None])(res.x[None])
-    assert value == pytest.approx(res.cost, rel=1e-12)
-    m = a @ res.x
-    w = np.real(np.einsum("iab,ba->i", basis, res.dual))
-    y = np.linalg.lstsq(hess, w - grad, rcond=None)[0]
-    nu = 1.0 - counts / m + (counts / m ** 2) * (a @ y)
-    assert np.allclose(a.T @ nu, w, rtol=0, atol=1e-12 * np.abs(a).sum())
-    pos = counts > 0
-    assert np.all(nu[pos] < 1.0) and np.all(nu[~pos] <= 1.0)
-    assert np.linalg.eigvalsh(res.dual)[0] >= 0.0
-    assert res.cost - counts[pos] @ np.log(1.0 - nu[pos]) == pytest.approx(res.gap, abs=1e-9)
+def _first_tables(name, n_runs, count, seed=2000):
+    """The first ``count`` non-empty tables of a scenario at n_runs, in
+    sample seed order from ``seed``."""
+    tau, tables = build_scenario(name), []
+    while len(tables) < count:
+        table = sample_counts(tau, n_runs, seed=seed)
+        if table.counts.any():
+            tables.append(table)
+        seed += 1
+    return tables
 
 
 class TestStackedFit:
-    # four tables at N = 2e5 and one sparse table, which stops at round-off
-    # without a certificate
+    # four tables at N = 2e5, of which physc and epsmix are interior and
+    # certified at step 0, and two sparse tables
     TABLES = (("coh", 200_000, 0), ("probc", 200_000, 0), ("physc", 200_000, 0),
-              ("epsmix", 200_000, 0), ("probq", 4, 2638))
+              ("epsmix", 200_000, 0), ("probq", 4, 2638), ("coh", 27, 0))
+
+    def _tables(self):
+        return [sample_counts(build_scenario(name), n, seed=seed) for name, n, seed in self.TABLES]
 
     @pytest.mark.parametrize("max_iter", [5, 10, 14, 2000])
     def test_each_problem_is_its_own_solve(self, max_iter):
-        tables = [sample_counts(build_scenario(name), n, seed=seed)
-                  for name, n, seed in self.TABLES]
+        tables = self._tables()
         data, stacked = _stack_solve(tables, max_iter)
         for table, res in zip(tables, stacked):
             [alone] = _stack_solve([table], max_iter)[1]
             assert res.n_iter == alone.n_iter <= max_iter
             assert res.converged == alone.converged and res.message == alone.message
-            assert abs(res.cost - alone.cost) <= max(res.gap, alone.gap)
+            assert np.array_equal(res.x, alone.x) and np.array_equal(res.dual, alone.dual)
+            assert res.cost == alone.cost and res.gap == alone.gap
         messages = [res.message for res in stacked]
         if max_iter >= 14:
-            assert messages == ["duality gap below GAP_TOL"] * 4 + [
-                "a step left the cone at round-off"]
+            # the sparse probq table of 4 runs certifies in 8 steps, and every
+            # result at max_iter = 14 is the one of max_iter = 2000, bit for bit
+            assert messages == ["duality gap below GAP_TOL"] * 6
+            assert [res.n_iter for res in stacked] == [11, 8, 0, 0, 8, 8]
+            for res, full in zip(stacked, _stack_solve(tables, 2000)[1]):
+                assert np.array_equal(res.x, full.x) and res.gap == full.gap
         else:
             assert "max_iter reached" in messages and "duality gap below GAP_TOL" in messages
-        if max_iter == 14:
-            # the sparse table's step 14 would leave the cone and is not
-            # taken: every result is the one of max_iter = 2000, bit for bit
-            assert stacked[-1].n_iter == 13
-            for res, full in zip(stacked, _stack_solve(tables, 2000)[1]):
-                assert np.array_equal(res.x, full.x) and res.n_iter == full.n_iter
-                assert res.gap == full.gap and res.message == full.message
-        for res in stacked:
-            s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
-            assert np.linalg.eigvalsh(s_mat)[0] > 0.0
         for counts, res in zip(data, stacked):
+            assert np.isfinite(res.gap)
             if res.converged:
-                _check_poisson_certificate(counts, res)
+                _check_cbd_certificate(counts, res)
+            else:
+                s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
+                assert np.linalg.eigvalsh(s_mat)[0] > 0.0 and res.gap > optimize.GAP_TOL
 
     def test_starts_are_their_own(self):
-        # each table's start in a stack is the one it gets alone, bit for bit
-        tables = [sample_counts(build_scenario(name), n, seed=seed)
-                  for name, n, seed in self.TABLES]
-        data = np.stack([t.counts.reshape(-1) for t in tables])
-        for counts, start in zip(data, tomography._poisson_start(data)):
-            assert np.array_equal(start, tomography._poisson_start(counts[None])[0])
-
-    def test_round_off_failures_stop_their_problem(self):
-        # two tables of three counts in three cells, fitted in one stack with
-        # a table at N = 2e5, each from its _weighted_start.  Past its
-        # round-off limit, the Newton system of the first is singular and a
-        # mean of the second's next iterate is 0: each such step is not
-        # taken, and only that problem stops, at its current iterate, with
-        # the result it gets alone
-        tables = [sample_counts(build_scenario("epsmix"), 3, seed=seed) for seed in (2054, 2202)]
-        tables.append(sample_counts(build_scenario("coh"), 200_000, seed=0))
-        data = np.stack([t.counts.reshape(-1) for t in tables])
-
-        def solve(rows):
-            return optimize.psd_minimize(
-                optimize.PoissonLikelihood(tomography._CBD_MODEL, data[rows]),
-                tomography._NO_RETRO_BASIS, np.stack([_weighted_start(n) for n in data[rows]]),
-                2000)
-
-        stacked = solve(slice(None))
-        for j, res in enumerate(stacked):
-            [alone] = solve(slice(j, j + 1))
-            assert np.array_equal(res.x, alone.x) and res.n_iter == alone.n_iter
-            assert res.gap == alone.gap and res.message == alone.message
-        assert [res.message for res in stacked] == ["a step left the cone at round-off"] * 2 + [
-            "duality gap below GAP_TOL"]
-        for res in stacked:
-            s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
-            assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+        # each table's quadratic and start in a stack are the ones it gets
+        # alone, bit for bit; an interior table starts at its c
+        tables = self._tables()
+        data, starts = _stack_solve(tables, 0)
+        g, c = tomography._neyman_quadratic(tomography._CBD_ROWS, data,
+                                            tomography._count_weights(data))
+        for j, (table, counts, start) in enumerate(zip(tables, data, starts)):
+            g_one, c_one = tomography._neyman_quadratic(tomography._CBD_ROWS, counts,
+                                                        tomography._count_weights(counts))
+            assert np.array_equal(g[j], g_one) and np.array_equal(c[j], c_one)
+            [alone] = _stack_solve([table], 0)[1]
+            assert start.n_iter == 0 and np.array_equal(start.x, alone.x)
+        assert [np.array_equal(start.x, cj) for start, cj in zip(starts, c)] == [
+            False, False, True, True, False, False]
 
     def test_certified_problem_stays_frozen(self):
         # a problem certified early leaves the stack: the steps the others
         # take after it change none of its result
-        tables = [sample_counts(build_scenario(name), n, seed=seed)
-                  for name, n, seed in self.TABLES]
+        tables = self._tables()
         _, full = _stack_solve(tables, 2000)
-        early = min(range(len(full)), key=lambda j: full[j].n_iter)
+        early = min((j for j in range(len(full)) if full[j].n_iter > 0),
+                    key=lambda j: full[j].n_iter)
         assert full[early].converged and full[early].n_iter < max(r.n_iter for r in full)
         _, cut = _stack_solve(tables, full[early].n_iter)
         assert cut[early].converged
@@ -443,28 +406,82 @@ class TestStackedFit:
     @pytest.mark.parametrize("n_runs, seeds", [(27, range(10)), (5, range(10, 40))],
                              ids=["27_runs", "5_runs"])
     def test_sparse_tables_are_certified(self, n_runs, seeds):
-        # at N = 27 the cells with counts do not span the 52 parameters, so the
-        # Poisson Hessian is singular; the part of A*(Z) - grad f outside its
-        # range moves into Z.  Every fit is certified, and every certificate
-        # checked directly.  A plain solve of the singular Hessian "certified"
-        # 19 of the N = 27 fits, none of which passes this check; from the
-        # _weighted_start 3 of the 150 fits at N = 5 stop at round-off
+        # every cell carries a weight, the cells without counts too, so the
+        # quadratic is positive definite at any N: every fit is certified,
+        # and every certificate checked directly
         tables = [sample_counts(build_scenario(name), n_runs, seed=seed)
                   for name in ("probc", "physc", "probq", "coh", "epsmix") for seed in seeds]
         data, stacked = _stack_solve(tables, 2000)
         for counts, res in zip(data, stacked):
             assert res.converged and res.gap <= optimize.GAP_TOL
-            _check_poisson_certificate(counts, res)
+            _check_cbd_certificate(counts, res)
         assert all(fit.converged for fit in tomography.fit_causal_maps(tables))
+
+    @pytest.mark.parametrize("n_runs", [3, 4, 5, 6])
+    def test_very_sparse_tables_are_certified(self, n_runs):
+        # tables of 3 to 6 runs, the first 20 non-empty ones from sample seed
+        # 2000 of each scenario, one stack per scenario: every fit certified
+        # within 30 steps
+        for name in ("probc", "physc", "probq", "coh", "epsmix"):
+            tables = _first_tables(name, n_runs, 20)
+            data, stacked = _stack_solve(tables, 2000)
+            for counts, res in zip(data, stacked):
+                assert res.converged and res.n_iter <= 30, (name, res.n_iter)
+                _check_cbd_certificate(counts, res)
+
+    def test_round_off_failures_stop_their_problem(self, monkeypatch):
+        # steps of twice the distance to the boundary stand in for what
+        # round-off does next to a singular optimum: a step that leaves the
+        # cone is not taken, and only its problem stops, at its current
+        # iterate inside the cone, with a finite gap and the result it gets
+        # alone; the interior tables stacked with it are certified at step 0
+        monkeypatch.setattr(optimize, "STEP_FRAC", 2.0)
+        tables = self._tables()
+        data, stacked = _stack_solve(tables, 2000)
+        for table, res in zip(tables, stacked):
+            [alone] = _stack_solve([table], 2000)[1]
+            assert np.array_equal(res.x, alone.x) and res.n_iter == alone.n_iter
+            assert res.gap == alone.gap and res.message == alone.message
+            assert np.isfinite(res.gap)
+            s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
+            assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+        assert [res.message for res in stacked] == ["a step left the cone at round-off"] * 2 + [
+            "duality gap below GAP_TOL"] * 2 + ["a step left the cone at round-off"] * 2
+        for j in (2, 3):
+            assert stacked[j].n_iter == 0
+            _check_cbd_certificate(data[j], stacked[j])
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_iter=st.integers(1, 15))
+    def test_converged_fits_carry_their_certificate(self, seed, max_iter):
+        # random probabilistic mixtures at N log-uniform in [3, 2e5], under a
+        # budget of a few steps: a fit that says it converged carries its
+        # checked certificate; one that does not is inside the cone, and its
+        # gap still bounds the optimum: cost - gap is at most the optimal cost
+        rng = np.random.default_rng(seed)
+        n_runs = int(round(np.exp(rng.uniform(np.log(3.0), np.log(2e5)))))
+        table = sample_counts(random_probabilistic_mixture(rng), n_runs, seed=seed)
+        assume(table.counts.any())
+        data, [res] = _stack_solve([table], max_iter)
+        if res.converged:
+            _check_cbd_certificate(data[0], res)
+        else:
+            assert res.message == "max_iter reached" and res.n_iter == max_iter
+            assert optimize.GAP_TOL < res.gap < np.inf
+            s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
+            assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+            [full] = _stack_solve([table], FitConfig().max_iter)[1]
+            assert full.converged
+            assert res.cost - res.gap <= full.cost + 1e-9 * max(full.cost, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
     def test_random_mixtures_are_certified(self, seed):
-        # random probabilistic mixtures at N log-uniform in [27, 2e5], sparse
+        # random probabilistic mixtures at N log-uniform in [3, 2e5], sparse
         # tables included: every fit is certified, tau is a causal Choi state
-        # and the certificate rebuilds as nu
+        # and the certificate rebuilds with the kron model
         rng = np.random.default_rng(seed)
-        n_runs = int(round(np.exp(rng.uniform(np.log(27.0), np.log(2e5)))))
+        n_runs = int(round(np.exp(rng.uniform(np.log(3.0), np.log(2e5)))))
         table = sample_counts(random_probabilistic_mixture(rng), n_runs, seed=seed)
         assume(table.counts.any())
         fit = fit_causal_map(table)
@@ -472,25 +489,7 @@ class TestStackedFit:
         assert fit.converged and fit.gap <= optimize.GAP_TOL
         data, [res] = _stack_solve([table], FitConfig().max_iter)
         assert np.array_equal(res.x, fit.params) and res.gap == fit.gap
-        _check_poisson_certificate(data[0], res)
-
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_converged_fits_carry_their_certificate(self, seed):
-        # random probabilistic mixtures at N log-uniform in [5, 2e5]: a fit
-        # that says it converged rebuilds its certificate as nu; one that
-        # does not stopped at round-off, inside the cone
-        rng = np.random.default_rng(seed)
-        n_runs = int(round(np.exp(rng.uniform(np.log(5.0), np.log(2e5)))))
-        table = sample_counts(random_probabilistic_mixture(rng), n_runs, seed=seed)
-        assume(table.counts.any())
-        data, [res] = _stack_solve([table], FitConfig().max_iter)
-        if res.converged:
-            _check_poisson_certificate(data[0], res)
-        else:
-            assert res.message == "a step left the cone at round-off"
-        s_mat = np.tensordot(res.x, tomography._NO_RETRO_BASIS, 1)
-        assert np.linalg.eigvalsh(s_mat)[0] > 0.0
+        _check_cbd_certificate(data[0], res)
 
 
 class TestFitConfig:
@@ -539,17 +538,10 @@ def _direct_model(s_mat, dim):
 _BASIS = {8: tomography._NO_RETRO_BASIS, 4: tomography._CD_BASIS}
 
 
-def _fit_objective(dim, lin, rng):
-    """Each fit's objective over its coordinates, on random data, and a
-    point z: for dim 8 the Poisson likelihood of counts drawn about the count
-    rows, at a z with S(z) positive definite so that every mean is positive;
-    for dim 4 least squares of random targets under random positive count
+def _fit_objective(lin, rng):
+    """The fits' objective over their coordinates, on random data, and a
+    point z: least squares of random targets under random positive count
     weights, as the fit's quadratic, at any z."""
-    if dim == 8:
-        z = 2000.0 * tomography._CBD_IDENTITY + 100.0 * rng.standard_normal(52)
-        counts = rng.poisson(lin @ z).astype(float)
-        model = optimize.CountModel(lin.reshape(27, 8, -1))   # 8 outcome rows per setting
-        return _one_problem(optimize.PoissonLikelihood(model, counts[None])), z
     weights = rng.uniform(0.01, 2.0, len(lin))
     g, c = tomography._neyman_quadratic(lin, rng.standard_normal(len(lin)) * 30.0, weights)
     return (_one_problem(optimize.LeastSquares(g[None], c[None])),
@@ -578,69 +570,6 @@ def _rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def _hessian_problem(name, k):
-    """Count rows by setting, k rows of Poisson counts over them and k points
-    z whose means are all positive: tau_CBD's and the (C, D) fit's models
-    about the identity, and a dense random model of positive entries, one
-    setting of 30 rows."""
-    rng = np.random.default_rng(k)
-    if name == "dense":
-        rows = rng.uniform(0.1, 1.0, (30, 9))[None]
-        z = rng.uniform(1.0, 100.0, (k, 9))
-    else:
-        rows, basis = {"cbd": (tomography._CBD_ROWS.reshape(27, 8, -1), tomography._NO_RETRO_BASIS),
-                       "cd": (tomography._CD_ROWS.reshape(9, 4, -1), tomography._CD_BASIS)}[name]
-        identity = np.real(np.einsum("iaa->i", basis))
-        z = 2000.0 * identity + 100.0 * rng.standard_normal((k, len(identity)))
-    counts = rng.poisson(z @ rows.reshape(-1, z.shape[1]).T).astype(float)
-    counts[:, ::7] = 0.0
-    return rows, counts, z
-
-
-class TestBlockHessian:
-    @pytest.mark.parametrize("name, blocks", [("cbd", (27, 8, 6)), ("cd", (9, 4, 4)),
-                                              ("dense", (1, 30, 9))])
-    def test_row_blocks(self, name, blocks):
-        rows, _, _ = _hessian_problem(name, 1)
-        model = optimize.CountModel(rows)
-        assert model.blocks.shape == blocks
-        assert np.array_equal(model.a, rows.reshape(-1, rows.shape[2]))
-        # the blocks hold every nonzero entry of a, once
-        assert np.count_nonzero(model.a) == model.blocks.size
-
-    def test_block_is_its_setting(self):
-        # block s holds the 8 rows of setting s, in order, over exactly the
-        # coordinates those rows touch, in ascending order
-        rows = tomography._CBD_ROWS.reshape(27, 8, -1)
-        model = optimize.CountModel(rows)
-        for s in range(27):
-            touched = np.flatnonzero(np.any(rows[s] != 0, axis=0))
-            assert np.array_equal(model.cols[s], touched)
-            assert np.array_equal(model.blocks[s], rows[s][:, touched])
-            assert not np.any(np.delete(rows[s], touched, axis=1))
-
-    def test_blocks_of_unequal_shape_are_rejected(self):
-        # three settings of one row, touching 1, 2 and 1 columns
-        with pytest.raises(ValueError, match="one shape"):
-            optimize.CountModel(np.array([[[1.0, 0.0]], [[1.0, 1.0]], [[0.0, 1.0]]]))
-
-    @pytest.mark.parametrize("k", [1, 10])
-    @pytest.mark.parametrize("name", ["cbd", "cd", "dense"])
-    def test_equals_the_dense_product(self, name, k):
-        rows, counts, z = _hessian_problem(name, k)
-        objective = optimize.PoissonLikelihood(optimize.CountModel(rows), counts)
-        a = objective.a
-        _, _, hess = objective(z)
-        m = z @ a.T
-        for h, n, mk in zip(hess, counts, m):
-            want = a.T @ (a * (n / mk ** 2)[:, None])
-            assert np.max(np.abs(h - want)) <= 1e-13 * np.max(np.abs(want))
-        # each problem's Hessian is the one it gets alone, bit for bit
-        for j in range(k):
-            _, _, [alone] = optimize.PoissonLikelihood(objective.model, counts[j:j + 1])(z[j:j + 1])
-            assert np.array_equal(hess[j], alone)
-
-
 @pytest.mark.parametrize("dim, lin", [(8, tomography._CBD_ROWS), (4, tomography._CD_ROWS)])
 class TestModelMap:
     def test_shape(self, dim, lin):
@@ -665,7 +594,7 @@ class TestModelMap:
         # cost, and its Hessian the Jacobian of the gradient
         rng = np.random.default_rng(dim + 1)
         for _ in range(3):
-            objective, z = _fit_objective(dim, lin, rng)
+            objective, z = _fit_objective(lin, rng)
             _, grad, hess = objective(z)
             num_grad = _numeric_jacobian(lambda y: objective(y)[0], z, 1e-3)
             num_hess = _numeric_jacobian(lambda y: objective(y)[1], z, 1e-3)
@@ -674,14 +603,12 @@ class TestModelMap:
             assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
 
     def test_jacobian_matches_ds_stack(self, dim, lin):
-        # the rows the solver reads are the Jacobian of the model in the
-        # fit's coordinates: for dim 8 the count rows as they are, for dim 4
-        # the quadratic of the weighted rows L = w J, G = L^T L and the c
-        # that solves the normal equations G c = L^T (w n)
+        # the count rows are the Jacobian J of the model in the fit's
+        # coordinates, and the solver reads the quadratic of the weighted
+        # rows L = w J: G = L^T L and the c that solves the normal equations
+        # G c = L^T (w n)
         jac = _model_jacobian(dim)
-        if dim == 8:
-            assert _rel(lin, jac) <= 1e-12
-            return
+        assert _rel(lin, jac) <= 1e-12
         rng = np.random.default_rng(dim + 2)
         for _ in range(5):
             w = rng.uniform(0.01, 2.0, len(lin))
@@ -724,7 +651,7 @@ class TestNoRetroBasis:
 
     def test_identity_and_scenarios_lie_in_the_span(self):
         basis = tomography._NO_RETRO_BASIS
-        identity = np.tensordot(tomography._CBD_IDENTITY, basis, 1)
+        identity = np.tensordot(np.real(np.einsum("iaa->i", basis)), basis, 1)
         assert np.max(np.abs(identity - np.eye(8))) <= 1e-14
         for name in ("probc", "physc", "probq", "coh", "epsmix"):
             tau = build_scenario(name).mat
