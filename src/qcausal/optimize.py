@@ -1,19 +1,16 @@
 """Weighted least squares over positive semidefinite matrices, certified by
 a duality gap.
 
-``psd_minimize`` minimizes smooth convex functions f(z) of the real
-coordinates of S(z) = sum_i z_i E_i subject to S >= 0, by primal-dual
+``psd_minimize`` minimizes the quadratics f(z) = (z - c)^T g (z - c) of the
+real coordinates of S(z) = sum_i z_i E_i subject to S >= 0, by primal-dual
 interior-point steps, for a stack of K such problems over one basis at once.
-An objective holds the data of its K problems: called on the (K, n) stack of
-coordinates it gives each f, gradient and Hessian; ``residual_cost``
-completes the duality gaps (see psd_minimize); ``take(idx)`` is the
-objective of the problems idx.  The one objective is ``LeastSquares``, the
-quadratic (z - c)^T g (z - c) about its unconstrained minimizer c, and
-``psd_least_squares`` is its front end: it starts each problem at c, lifted
-along the identity when S(c) is not positive definite.  Problems here are
-tiny (tens of parameters, hundreds of counts), so every linear system is
-solved densely; the solver keeps Cholesky factors of its primal and dual
-matrices.  The stopping rule is GAP_TOL.
+Each f is a weighted least squares ||L z - y||^2 with g = L^T L, about its
+unconstrained minimizer c, less its minimum.  ``psd_least_squares`` is its
+front end: it starts each problem at c, lifted along the identity when S(c)
+is not well inside the cone.  Problems here are tiny (tens of parameters,
+hundreds of counts), so every linear system is solved densely; the solver
+keeps Cholesky factors of its primal and dual matrices.  The stopping rule
+is GAP_TOL.
 """
 
 from __future__ import annotations
@@ -35,9 +32,9 @@ class OptimizeResult:
     cost: float
     n_iter: int
     converged: bool
-    message: str = ""
-    gap: float | None = None    # certified bound on cost - optimum
-    dual: np.ndarray | None = None   # the dual matrix Z that certifies gap
+    message: str
+    gap: float              # certified bound on cost - optimum
+    dual: np.ndarray        # the dual matrix Z that certifies gap
 
 
 # Products over a stack are taken one problem at a time (a stacked matmul
@@ -67,31 +64,6 @@ def _rows_dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (p.reshape(len(p), 1, -1) @ q.reshape(len(q), -1, 1))[:, 0, 0]
 
 
-class LeastSquares:
-    """f_k(z) = (z - c_k)^T g_k (z - c_k) for positive definite (n, n) g_k
-    and n-vectors c_k, stacked as g (K, n, n) and c (K, n): weighted least
-    squares ||L z - y||^2 with g = L^T L, about its unconstrained minimizer
-    c, less its minimum."""
-
-    def __init__(self, g: np.ndarray, c: np.ndarray):
-        self.g, self.c = g, c
-        self.hess = 2.0 * g
-
-    def take(self, idx) -> "LeastSquares":
-        return LeastSquares(self.g[idx], self.c[idx])
-
-    def __call__(self, z: np.ndarray):
-        diff = z - self.c
-        g_diff = _matvec(self.g, diff)
-        return _rows_dot(diff, g_diff), 2.0 * g_diff, self.hess
-
-    def residual_cost(self, grad, w):
-        """Exactly f(z) + f*(w) - <w, z>, with f* the convex conjugate:
-        (grad - w)^T g^-1 (grad - w) / 4 at grad = grad f(z)."""
-        dual_res = grad - w
-        return 0.25 * _rows_dot(dual_res, _solve(self.g, dual_res))
-
-
 def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     """out = fn(*stacks) for a numpy.linalg function fn over stacks of K
     problems; returns the problems at which fn raises LinAlgError, whose
@@ -109,26 +81,26 @@ def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     return fails
 
 
-def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
+def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
                  max_iter: int) -> list[OptimizeResult]:
-    """Minimize smooth convex f_k(z) subject to S(z) = sum_i z_i E_i >= 0,
-    for k = 1..K at once; returns the K results in order.
+    """Minimize f_k(z) = (z - c_k)^T g_k (z - c_k) subject to S(z) = sum_i
+    z_i E_i >= 0, for k = 1..K at once; returns the K results in order.
 
-    ``objective`` holds the K problems (see the module docstring); ``basis``
-    is the (n, d, d) stack of the E_i, Hermitian and orthonormal under
-    Tr(E_i E_j); ``z`` is a (K, n) stack of starts, any with S(z_k) positive
-    definite.  The dual starts are (s_k/d) S(z_k)^-1, whose Tr(S Z) is s_k =
-    |f_k| floored at GAP_TOL/2: the size of an f >= 0 that is 0 at a perfect
-    fit.  So a start that is already optimal, with f_k 0 or below 0 at
-    round-off, gets a dual start like any other, and its gap can certify it
-    at step 0.
+    ``g`` is a (K, n, n) stack of positive definite matrices and ``c`` a
+    (K, n) stack of unconstrained minimizers; ``basis`` is the (n, d, d)
+    stack of the E_i, Hermitian and orthonormal under Tr(E_i E_j); ``z`` is
+    a (K, n) stack of starts, any with S(z_k) positive definite.  The dual
+    starts are (s_k/d) S(z_k)^-1, whose Tr(S Z) is s_k = |f_k| floored at
+    GAP_TOL/2: the size of an f >= 0 that is 0 at a perfect fit.  So a start
+    that is already optimal, with f_k 0 or below 0 at round-off, gets a dual
+    start like any other, and its gap can certify it at step 0.
 
     Primal-dual interior-point steps follow the central path S Z = mu 1 of
     the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0.
     Each step is the HKM Newton direction (Helmberg et al., SIAM J. Optim. 6,
     342 (1996)) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 575
     (1992)), both directions from one routine.  Its reduced system is
-    (hess f + M) dz = rhs with M_ij = Re Tr(E_i S^-1 E_j Z), the Gram matrix
+    (2 g + M) dz = rhs with M_ij = Re Tr(E_i S^-1 E_j Z), the Gram matrix
     of L^-1 E_i R for the Cholesky factors S = L L^H and Z = R R^H (Todd,
     Toh & Tutuncu, SIAM J. Optim. 8, 769 (1998)): L^-1 and R^-1 come from
     one inv of the stacked factors, S^-1 = L^-H L^-1, and the products are
@@ -140,12 +112,12 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     problem at a time, so its result is the one it gets alone.
 
     An iterate is certified by its gap: for any Z >= 0 the dual function
-    g(Z) = min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained
-    minimum, and f(z) - g(Z) = Tr(S Z) + [f(z) + f*(w) - <w, z>] with w =
-    A*(Z), w_i = Tr(E_i Z), and f* the convex conjugate.  The bracket, 0 when
-    grad f(z) = w, is ``objective.residual_cost(grad, w)``.  It is >= 0, so
-    it is computed only once Tr(S Z) <= GAP_TOL, and at the iterate a
-    problem stops at, whatever stops it.
+    q(Z) = min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained
+    minimum, and f(z) - q(Z) = Tr(S Z) + u^T g^-1 u / 4 with u = grad f(z)
+    - A*(Z), A*(Z)_i = Tr(E_i Z).  The second term is f(z) + f*(w) - <w, z>
+    at w = A*(Z), f* the convex conjugate, and 0 when grad f(z) = w.  It is
+    >= 0, so it is computed only once Tr(S Z) <= GAP_TOL, and at the
+    iterate a problem stops at, whatever stops it.
 
     A problem stops, and leaves the stack, once its gap is at most GAP_TOL;
     ``converged`` means that happened within ``max_iter`` steps, and
@@ -171,12 +143,18 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
     def adjoint(m):         # A*(M_k) = (Tr(E_i M_k))_i for contiguous Hermitian M_k
         return _rows(m.reshape(len(m), -1).view(float), real_t)
 
+    def value(y):           # f_k(y_k) and grad f_k(y_k) for each row y_k of the current stack
+        diff = y - c
+        g_diff = _matvec(g, diff)
+        return _rows_dot(diff, g_diff), 2.0 * g_diff
+
     z = np.asarray(z, dtype=float)
     x = primal(z)
     factors = np.empty((len(z), 2, d, d), dtype=complex)    # (L, R)
     if _each(np.linalg.cholesky, factors[:, 0], x).any():
         raise ValueError("the start of psd_minimize is not positive definite")
-    cost, grad, hess = objective(z)
+    cost, grad = value(z)
+    hess = 2.0 * g
     l_inv = np.linalg.inv(factors[:, 0])
     size = np.maximum(np.abs(cost), GAP_TOL / 2)       # Tr(S Z) of the dual start
     zd = (size[:, None, None] / d) * (l_inv.conj().swapaxes(1, 2) @ l_inv)
@@ -194,7 +172,8 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         if check.any():
             gap = np.full(len(z), np.inf)
             rows = np.flatnonzero(check)
-            gap[rows] = tr_xz[rows] + objective.take(rows).residual_cost(grad[rows], w_dual[rows])
+            u = grad[rows] - w_dual[rows]
+            gap[rows] = tr_xz[rows] + 0.25 * _rows_dot(u, _solve(g[rows], u))
             stop = (gap <= GAP_TOL) | back if it < max_iter else check
             for j in np.flatnonzero(stop):
                 done = bool(gap[j] <= GAP_TOL)
@@ -207,23 +186,23 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
                 break
             if stop.any():            # take the stopped problems out of the stack
                 rows = np.flatnonzero(~stop)
-                active, z, x, zd, cost, grad, hess, tr_xz, factors = (
-                    part[rows] for part in (active, z, x, zd, cost, grad, hess, tr_xz, factors))
-                objective = objective.take(rows)
+                active, z, x, zd, cost, grad, tr_xz, factors, g, c, hess = (
+                    part[rows] for part in
+                    (active, z, x, zd, cost, grad, tr_xz, factors, g, c, hess))
         k = len(z)
         it += 1
         scale = np.linalg.inv(factors)                  # L^-1, R^-1
         x_inv = scale[:, 0].conj().swapaxes(1, 2) @ scale[:, 0]
         for j in range(k):
             # L^-1 E_i R for every i as (d, n, d), then as real rows by i
-            g = ((scale[j, 0] @ left).reshape(d * n, d) @ factors[j, 1]).reshape(d, n, d)
-            g = g.transpose(1, 0, 2).copy().view(float).reshape(n, -1)
-            np.matmul(g, g.T, out=newton[j])
+            m = ((scale[j, 0] @ left).reshape(d * n, d) @ factors[j, 1]).reshape(d, n, d)
+            m = m.transpose(1, 0, 2).copy().view(float).reshape(n, -1)
+            np.matmul(m, m.T, out=newton[j])
         system = np.add(newton[:k], hess, out=newton[:k])
 
         def direction(rhs, base, frac):
             """The step for the Newton right-hand side rhs: dz from
-            (hess f + M) dz = rhs, dS = S(dz) and the HKM dZ = base -
+            (2 g + M) dz = rhs, dS = S(dz) and the HKM dZ = base -
             sym(S^-1 dS Z); the problems whose system is singular to working
             precision; and the step length min(1, frac a), a the largest
             with S + a dS and Z + a dZ both PSD.  S + a dS >= 0 exactly when
@@ -252,11 +231,8 @@ def psd_minimize(objective, basis: np.ndarray, z: np.ndarray,
         # Newton solve can fail.  Such a step is not taken, and its problem
         # stops at the top of the loop, which uses none of its x and factors
         back = fails_aff | fails | _each(np.linalg.cholesky, factors, pair[:k])
-        step = (z_new, zd_new, *objective(z_new))
-        if back.any():
-            step = [np.where(back.reshape((k,) + (1,) * (new.ndim - 1)), now, new)
-                    for now, new in zip((z, zd, cost, grad, hess), step)]
-        z, zd, cost, grad, hess = step
+        z, zd = np.where(back[:, None], z, z_new), np.where(back[:, None, None], zd, zd_new)
+        cost, grad = value(z)
     return results
 
 
@@ -265,23 +241,23 @@ def psd_least_squares(g: np.ndarray, c: np.ndarray, basis: np.ndarray,
     """Minimize f_k(z) = (z - c_k)^T g_k (z - c_k) subject to S(z) = sum_i
     z_i E_i >= 0, for k = 1..K at once; returns the K results in order.
 
-    ``g`` is a (K, n, n) stack of positive definite matrices, ``c`` a (K, n)
-    stack of unconstrained minimizers and ``basis`` the (n, d, d) stack of
-    the E_i, Hermitian, orthonormal under Tr(E_i E_j) and holding the
-    identity in their span, whose coordinates are then Tr E_i.
-
+    ``g``, ``c`` and ``basis`` are as in psd_minimize, and the span of the
+    E_i holds the identity, whose coordinates are then Tr E_i.
     psd_minimize solves the K problems as one stack.  Each starts at c_k
-    when S(c_k) is positive definite: the optimum, whose gap certifies it at
-    step 0 with cost 0, unless S(c_k) is so near singular that the dual
-    start is large; then it takes steps from c_k.  Otherwise c_k is lifted
-    along the identity until the smallest eigenvalue of S is the size of the
-    most negative one of S(c_k), and at least START_FLOOR of its largest.
-    For least squares the gap's residual term is exact, u^T g^-1 u / 4 with
-    u = grad f(z) - A*(Z), and on the central path the gap is d mu.
+    when S(c_k) is well inside the cone, its smallest eigenvalue above
+    START_FLOOR of its largest: the optimum, whose gap certifies it at step
+    0 with cost 0, unless S(c_k) is so near singular that the dual start is
+    large; then it takes steps from c_k.  Otherwise c_k is lifted along the
+    identity until the smallest eigenvalue of S is the size of the most
+    negative one of S(c_k), and at least START_FLOOR of its largest.  A
+    noiseless table of a pure state has an S(c_k) singular to round-off,
+    whose smallest eigenvalue can come out just above 0; that start would
+    give a dual start of the size of 1/round-off, so it is lifted to the
+    floor.  On the central path the gap is d mu.
     """
     n, d = basis.shape[:2]
     w = np.linalg.eigvalsh(_rows(c, basis.reshape(n, d * d)).reshape(-1, d, d))
-    lift = np.where(w[:, 0] > 0.0, 0.0,
-                    np.maximum(-w[:, 0], START_FLOOR * w[:, -1]) - w[:, 0])
+    floor = START_FLOOR * w[:, -1]
+    lift = np.where(w[:, 0] > floor, 0.0, np.maximum(-w[:, 0], floor) - w[:, 0])
     start = c + lift[:, None] * np.real(np.trace(basis, axis1=1, axis2=2))
-    return psd_minimize(LeastSquares(g, c), basis, start, max_iter)
+    return psd_minimize(g, c, basis, start, max_iter)

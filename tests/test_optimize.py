@@ -5,7 +5,6 @@ from qcausal import optimize
 from qcausal.optimize import (
     GAP_TOL,
     START_FLOOR,
-    LeastSquares,
     psd_least_squares,
     psd_minimize,
 )
@@ -81,72 +80,52 @@ class TestPsdLeastSquares:
         assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
 
-class TestLeastSquares:
-    def test_value_is_the_excess_weighted_cost(self):
+class TestQuadratic:
+    def test_cost_is_the_excess_weighted_cost(self):
         # f(z) = ||L z - y||^2 less its minimum, for g = L^T L and c the
-        # least-squares solution of L c = y
-        rng = np.random.default_rng(0)
-        lin, y = rng.standard_normal((30, 9)), rng.standard_normal(30)
+        # least-squares solution of L c = y: the cost of a result at step 0
+        # is f at its start
+        rng, _, basis = _problem(0)
+        lin = rng.standard_normal((30, 9))
+        y = lin @ np.real(np.einsum("iaa->i", basis)) + 0.1 * rng.standard_normal(30)
         c = np.linalg.lstsq(lin, y, rcond=None)[0]
-        objective = LeastSquares((lin.T @ lin)[None], c[None])
-        for z in (c, c + rng.standard_normal(9), 10.0 * rng.standard_normal(9)):
-            [value], _, _ = objective(z[None])
+        assert np.linalg.eigvalsh(np.tensordot(c, basis, 1))[0] > 0.0
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        above = np.real(np.einsum("iab,ba->i", basis, h @ h.conj().T))
+        starts = np.stack([c, c + above, 10.0 * c, c + 0.01 * above])
+        results = psd_minimize(np.tile(lin.T @ lin, (4, 1, 1)), np.tile(c, (4, 1)), basis,
+                               starts, 0)
+        for z, res in zip(starts, results):
+            assert res.n_iter == 0 and np.array_equal(res.x, z)
             excess = np.sum((lin @ z - y) ** 2) - np.sum((lin @ c - y) ** 2)
-            assert value == pytest.approx(excess, rel=1e-9, abs=1e-12)
-        assert objective(c[None])[0][0] == 0.0
+            assert res.cost == pytest.approx(excess, rel=1e-9, abs=1e-12)
+        assert results[0].cost == 0.0
 
-    def test_derivatives_match_finite_differences(self):
-        _, g, _ = _problem(1)
-        rng = np.random.default_rng(1)
-        c, z = rng.standard_normal(9), rng.standard_normal(9)
-        objective = LeastSquares(g[None], c[None])
-
-        def value(y):
-            return objective(y[None])[0][0]
-
-        def gradient(y):
-            return objective(y[None])[1][0]
-
-        _, [grad], [hess] = objective(z[None])
-        step = 1e-3
-        num_grad = np.array([(value(z + step * e) - value(z - step * e)) / (2 * step)
-                             for e in np.eye(9)])
-        num_hess = np.array([(gradient(z + step * e) - gradient(z - step * e)) / (2 * step)
-                             for e in np.eye(9)])
-        assert np.max(np.abs(grad - num_grad)) <= 1e-8 * np.max(np.abs(grad))
-        assert np.max(np.abs(hess - num_hess)) <= 1e-8 * np.max(np.abs(hess))
-        assert np.array_equal(hess, hess.T)
-
-    def test_residual_cost_is_the_conjugate_bracket(self):
-        # f*(w) = sup_y <w, y> - f(y) = <w, c> + w^T g^-1 w / 4, taken at its
-        # maximizer y = c + g^-1 w / 2: residual_cost(grad f(z), w) is f(z) +
-        # f*(w) - <w, z>, >= 0 and 0 at w = grad f(z)
-        _, g, _ = _problem(2)
-        rng = np.random.default_rng(2)
-        c, z = rng.standard_normal((2, 9))
-        objective = LeastSquares(g[None], c[None])
-        [f], [grad], _ = objective(z[None])
-        for w in (rng.standard_normal(9), grad):
-            y = c + np.linalg.inv(g) @ w / 2.0
-            conjugate = w @ y - (y - c) @ g @ (y - c)
-            [bracket] = objective.residual_cost(grad[None], w[None])
-            assert bracket == pytest.approx(f + conjugate - w @ z, rel=1e-9, abs=1e-12)
-            assert bracket >= 0.0
-        assert objective.residual_cost(grad[None], grad[None])[0] == 0.0
-
-    def test_take_is_the_problems(self):
-        # take(idx) is the objective of the problems idx, bit for bit
-        g, c, _ = _boundary_stack(3)
-        z = np.random.default_rng(3).standard_normal(c.shape)
-        objective = LeastSquares(g, c)
-        whole = objective(z)
-        idx = np.array([3, 0, 2])
-        part = objective.take(idx)(z[idx])
-        for full, some in zip(whole, part):
-            assert np.array_equal(full[idx], some)
-        w = np.random.default_rng(4).standard_normal(c.shape)
-        assert np.array_equal(objective.residual_cost(whole[1], w)[idx],
-                              objective.take(idx).residual_cost(whole[1][idx], w[idx]))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_gap_is_the_conjugate_bracket(self, seed):
+        # the gap at a start is Tr(S Z) + u^T g^-1 u / 4 with u = grad f(z) -
+        # A*(Z), grad f(z) = 2 g (z - c): that bracket is f(z) + f*(w) - <w,
+        # z> at w = A*(Z), f*(w) = sup_y <w, y> - f(y) = <w, y> - f(y) at its
+        # maximizer y = c + g^-1 w / 2, so the gap is f(z) - q(Z), the dual
+        # function q(Z) = min_y f(y) - <w, y>
+        rng, g, basis = _problem(seed)
+        c = rng.standard_normal(9)
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        start = np.real(np.einsum("iab,ba->i", basis, h @ h.conj().T + np.eye(3)))
+        [res] = psd_minimize(g[None], c[None], basis, start[None], 0)
+        assert res.n_iter == 0 and not res.converged
+        f = (start - c) @ g @ (start - c)
+        assert res.cost == pytest.approx(f, rel=1e-12)
+        w = np.real(np.einsum("iab,ba->i", basis, res.dual))
+        tr_sz = np.real(np.trace(np.tensordot(start, basis, 1) @ res.dual))
+        u = 2.0 * g @ (start - c) - w
+        bracket = 0.25 * u @ np.linalg.solve(g, u)
+        assert res.gap == pytest.approx(tr_sz + bracket, rel=1e-12)
+        y = c + np.linalg.solve(g, w) / 2.0
+        conjugate = w @ y - (y - c) @ g @ (y - c)
+        assert bracket == pytest.approx(f + conjugate - w @ start, rel=1e-9)
+        assert res.gap == pytest.approx(f - ((y - c) @ g @ (y - c) - w @ y), rel=1e-9)
+        assert bracket > 0.0
 
 
 def _boundary_stack(k):
@@ -181,14 +160,21 @@ class TestStart:
             else:
                 assert start[0] == pytest.approx(-w[0], rel=1e-12)
 
-    def test_floor_is_relative_to_the_largest_eigenvalue(self):
-        # S(c) singular: no negative eigenvalue to mirror, so the lift stops
-        # at START_FLOOR of the largest
+    @pytest.mark.parametrize("low", [0.0, 1e-12, 1e-8])
+    def test_floor_is_relative_to_the_largest_eigenvalue(self, low):
+        # S(c) singular, or positive definite with its smallest eigenvalue
+        # at most START_FLOOR of the largest (4e-9 here), as the S(c) of a
+        # noiseless table of a pure state is to round-off: no negative
+        # eigenvalue to mirror, so the lift stops at START_FLOOR of the
+        # largest.  An S(c) above the floor is the start as it is
         _, g, basis = _problem(0)
-        c = np.real(np.einsum("iab,ba->i", basis, np.diag([0.0, 1.0, 4.0])))
+        c = np.real(np.einsum("iab,ba->i", basis, np.diag([low, 1.0, 4.0])))
         [res] = psd_least_squares(g[None], c[None], basis, 0)
         start = np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))
-        assert start[0] == pytest.approx(START_FLOOR * 4.0, rel=1e-6)
+        if low > START_FLOOR * 4.0:
+            assert np.array_equal(res.x, c)
+        else:
+            assert start[0] == pytest.approx(START_FLOOR * 4.0, rel=1e-6)
         assert start[0] > 0.0
 
     def test_stacked_problems_are_their_own(self):
@@ -208,8 +194,8 @@ class TestStart:
 
 class TestPsdMinimize:
     def test_least_squares_is_the_same_solver(self):
-        # psd_least_squares runs psd_minimize on LeastSquares from the
-        # unconstrained solution lifted along the identity: the same call
+        # psd_least_squares runs psd_minimize from the unconstrained
+        # solution lifted along the identity: the same call
         # here gives the same result, bit for bit
         rng, g, basis = _problem(3)
         c = np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
@@ -218,7 +204,7 @@ class TestPsdMinimize:
         w = np.linalg.eigvalsh(np.tensordot(c, basis, 1))
         lift = max(-w[0], START_FLOOR * w[-1]) - w[0]
         start = c + lift * np.real(np.einsum("iaa->i", basis))
-        [again] = psd_minimize(LeastSquares(g[None], c[None]), basis, start[None], 50)
+        [again] = psd_minimize(g[None], c[None], basis, start[None], 50)
         assert again.n_iter == res.n_iter and again.converged
         assert again.cost == res.cost and again.gap == res.gap
         assert np.array_equal(again.x, res.x) and np.array_equal(again.dual, res.dual)
@@ -227,7 +213,7 @@ class TestPsdMinimize:
         # a start at the optimum has f = 0, so the dual start takes its size
         # Tr(S Z) from GAP_TOL / 2, and the gap certifies the start as it is
         g, c, basis = _boundary_stack(0)
-        [res] = psd_minimize(LeastSquares(g, c), basis, c, 10)
+        [res] = psd_minimize(g, c, basis, c, 10)
         assert np.array_equal(res.x, c[0]) and res.cost == 0.0
         assert res.n_iter == 0 and res.converged and 0.0 < res.gap <= GAP_TOL
         tr_sz = np.real(np.trace(np.tensordot(c[0], basis, 1) @ res.dual))
@@ -237,10 +223,10 @@ class TestPsdMinimize:
         # the dual start is (s / d) S^-1, s = |f| at the start
         g, c, basis = _boundary_stack(1)
         start = 5.0 * np.real(np.einsum("iaa->i", basis))
-        objective = LeastSquares(g[:1], c[:1])
-        [f], _, _ = objective(start[None])
-        [res] = psd_minimize(objective, basis, start[None], 0)
-        assert res.n_iter == 0 and not res.converged and res.cost == f > GAP_TOL
+        f = (start - c[0]) @ g[0] @ (start - c[0])
+        [res] = psd_minimize(g[:1], c[:1], basis, start[None], 0)
+        assert res.n_iter == 0 and not res.converged and res.cost == pytest.approx(f, rel=1e-12)
+        assert f > GAP_TOL
         s_mat = np.tensordot(start, basis, 1)
         assert np.allclose(res.dual, f / 3.0 * np.linalg.inv(s_mat), rtol=1e-12, atol=0)
 
@@ -251,7 +237,7 @@ class TestPsdMinimize:
         # certified at the optimum psd_least_squares finds from its own start
         g, c, basis = _boundary_stack(3)
         start = np.tile(scale * np.real(np.einsum("iaa->i", basis)), (len(c), 1))
-        for res, ref in zip(psd_minimize(LeastSquares(g, c), basis, start, 100),
+        for res, ref in zip(psd_minimize(g, c, basis, start, 100),
                             psd_least_squares(g, c, basis, 100)):
             assert res.converged and ref.converged and res.n_iter <= 40
             assert abs(res.cost - ref.cost) <= max(res.gap, ref.gap)
@@ -301,4 +287,4 @@ class TestPsdMinimize:
         _, g, basis = _problem(0)
         bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))
         with pytest.raises(ValueError, match="not positive definite"):
-            psd_minimize(LeastSquares(g[None], bad[None]), basis, bad[None], 10)
+            psd_minimize(g[None], bad[None], basis, bad[None], 10)

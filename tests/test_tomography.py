@@ -491,6 +491,45 @@ class TestStackedFit:
         assert np.array_equal(res.x, fit.params) and res.gap == fit.gap
         _check_cbd_certificate(data[0], res)
 
+    @pytest.mark.parametrize("stack", ["fit_poisson", "pipeline_bootstrap"])
+    def test_benchmark_stacks_take_their_steps(self, stack):
+        # the steps of the benchmark's tau fits, pinned, so that a change
+        # that keeps every fit bit for bit shows it here: the five tables at
+        # N = 2e5 of fit_poisson, and the pipeline's stack of the coh table
+        # at sample seed 1 with its ten bootstrap resamples
+        if stack == "fit_poisson":
+            tables = [sample_counts(build_scenario(name), 200_000, seed=0)
+                      for name in ("probc", "physc", "probq", "coh", "epsmix")]
+            steps = [8, 0, 10, 11, 0]
+        else:
+            table = sample_counts(build_scenario("coh"), 200_000, seed=1)
+            tables = [table, *tomography.bootstrap_resamples(table, 10, seed=1)]
+            steps = [11, 11, 11, 10, 11, 10, 11, 11, 11, 11, 11]
+        fits = tomography.fit_causal_maps(tables)
+        assert all(fit.converged for fit in fits)
+        assert [fit.n_iter for fit in fits] == steps
+
+
+class TestNoiselessTables:
+    # noiseless tables of pure-state scenarios, whose unconstrained S(c) is
+    # singular to round-off: its smallest eigenvalue can come out just above
+    # 0, and a start there would give a dual start of the size of
+    # 1/round-off.  Such a start is lifted to the floor like one just below
+    # 0, so each fit is certified in a few steps, with no RuntimeWarning
+    @pytest.mark.parametrize("name, n_runs", [("probc", 3), ("probc", 141), ("probq", 11),
+                                              ("probq", 22), ("coh", 2), ("coh", 91)])
+    def test_tau_fit_is_certified(self, name, n_runs):
+        fit = fit_causal_map(expected_counts(build_scenario(name), n_runs))
+        assert fit.converged and fit.gap <= optimize.GAP_TOL and fit.n_iter <= 4
+
+    @pytest.mark.parametrize("name, outcome, n_runs", [
+        ("probc", +1, 5), ("probc", +1, 10), ("probc", +1, 67),
+        ("coh", +1, 25), ("coh", -1, 3), ("coh", -1, 74)])
+    def test_conditioned_fit_is_certified(self, name, outcome, n_runs):
+        state, _ = induced_state_given_b(build_scenario(name), pauli_projector("z", outcome))
+        _, res = fit_conditioned_state(expected_conditioned_counts(state, n_runs))
+        assert res.converged and res.gap <= optimize.GAP_TOL and res.n_iter <= 4
+
 
 class TestFitConfig:
     @pytest.mark.parametrize("field, value", [
@@ -538,28 +577,6 @@ def _direct_model(s_mat, dim):
 _BASIS = {8: tomography._NO_RETRO_BASIS, 4: tomography._CD_BASIS}
 
 
-def _fit_objective(lin, rng):
-    """The fits' objective over their coordinates, on random data, and a
-    point z: least squares of random targets under random positive count
-    weights, as the fit's quadratic, at any z."""
-    weights = rng.uniform(0.01, 2.0, len(lin))
-    g, c = tomography._neyman_quadratic(lin, rng.standard_normal(len(lin)) * 30.0, weights)
-    return (_one_problem(optimize.LeastSquares(g[None], c[None])),
-            rng.standard_normal(len(c)) * 10.0)
-
-
-def _one_problem(objective):
-    """An objective over a stack of one problem as a function of its z."""
-    return lambda z: tuple(part[0] for part in objective(z[None]))
-
-
-def _numeric_jacobian(fn, z, step):
-    """Central differences of fn at z, one column per coordinate."""
-    cols = [(np.asarray(fn(z + step * e)) - np.asarray(fn(z - step * e))) / (2.0 * step)
-            for e in np.eye(z.size)]
-    return np.stack(cols, axis=-1)
-
-
 def _model_jacobian(dim):
     """Jacobian of the kron-built cell means in the coordinates of S = sum_p
     z_p E_p of the fit's basis: column p is the model applied to E_p."""
@@ -589,18 +606,22 @@ class TestModelMap:
             want = _direct_model(np.tensordot(z, _BASIS[dim], 1), dim)
             assert np.max(np.abs(lin @ z - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_jacobian_matches_finite_differences(self, dim, lin):
-        # the gradient each fit hands the solver is the Jacobian of its
-        # cost, and its Hessian the Jacobian of the gradient
+    def test_quadratic_is_the_weighted_cost(self, dim, lin):
+        # the quadratic each fit hands the solver, (z - c)^T G (z - c), is
+        # its weighted cost under the kron-built model less that cost's
+        # minimum, which it takes at c, on random data and count weights
         rng = np.random.default_rng(dim + 1)
+        basis = _BASIS[dim]
+
+        def cost(y):
+            return np.sum(((_direct_model(np.tensordot(y, basis, 1), dim) - data) * w) ** 2)
+
         for _ in range(3):
-            objective, z = _fit_objective(lin, rng)
-            _, grad, hess = objective(z)
-            num_grad = _numeric_jacobian(lambda y: objective(y)[0], z, 1e-3)
-            num_hess = _numeric_jacobian(lambda y: objective(y)[1], z, 1e-3)
-            assert grad.shape == (len(z),) and hess.shape == (len(z), len(z))
-            assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(grad))
-            assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(hess))
+            w = rng.uniform(0.01, 2.0, len(lin))
+            data = rng.standard_normal(len(lin)) * 30.0
+            g, c = tomography._neyman_quadratic(lin, data, w)
+            for z in (c + rng.standard_normal(len(c)), rng.standard_normal(len(c)) * 10.0):
+                assert (z - c) @ g @ (z - c) == pytest.approx(cost(z) - cost(c), rel=1e-9)
 
     def test_jacobian_matches_ds_stack(self, dim, lin):
         # the count rows are the Jacobian J of the model in the fit's
@@ -809,6 +830,12 @@ class TestConditionedFit:
         # physc and epsmix are interior: the solver starts at the closed form,
         # the optimum, and certifies it there
         assert (res.n_iter == 0) == (name in ("physc", "epsmix"))
+
+    def test_benchmark_tables_take_their_steps(self):
+        # the steps of the berkson_witness benchmark's (C, D) fits, pinned,
+        # so that a change that keeps every fit bit for bit shows it here
+        steps = [fit_conditioned_state(param.values[1])[1].n_iter for param in _berkson_tables()]
+        assert steps == [4, 5, 0, 0, 4, 5, 7, 9, 0, 0]
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4),
