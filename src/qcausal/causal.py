@@ -16,12 +16,10 @@ repreparation on D, u on B) gives the uniform-preparation joint
 P(c, b, d | s, t, u); tomography uses it, and the two-wire stack for the
 (C, D) states of the Berkson analysis.  The same broadcast product gives
 the normalized Pauli strings (_pauli_strings), the coordinates of both
-tomographic fits.  Conditioning is one contraction of tau as a (2,)*6
-tensor per wire, for a whole stack of projectors at once
-(conditioned_states).  Classification takes its six induced states, both z
-outcomes on C, D and B, from one product with the (96, 64) matrix those
-contractions give on the 64 unit matrices, built at import
-(z_conditioned_states).
+tomographic fits.  Conditioning on a projector is one contraction of tau as
+a (2,)*6 tensor (induced_state_given_c/d/b).  For a z outcome that state is
+a diagonal block of the tensor, so classification takes its six induced
+states, both z outcomes on C, D and B, as one gather (z_conditioned_states).
 """
 
 from __future__ import annotations
@@ -253,28 +251,26 @@ def _pauli_strings(n: int) -> np.ndarray:
 # (3, 3, 3, 8, 64) over (s, t, u, cbd): sigma_s on C, sigma_t on D, sigma_u on B
 MEAS_STACK = np.ascontiguousarray(_pauli_rows(3).transpose(0, 2, 1, 3, 4))
 
-# Tr_w[(Pi_n on wire w) tau] for a stack of projectors Pi_n and tau as a
-# (c, b, d, c', b', d') tensor; D is fed Pi_n^T, whose row and column the
-# einsum swaps
+# Tr_w[(Pi on wire w) tau] for tau as a (c, b, d, c', b', d') tensor; D is fed
+# Pi^T, whose row and column the einsum swaps
 _CONDITION = {
-    "C": "nxk,kbdxef->nbdef",
-    "D": "nkx,cbkefx->ncbef",
-    "B": "nxk,ckdexf->ncdef",
+    "C": "xk,kbdxef->bdef",
+    "D": "kx,cbkefx->cbef",
+    "B": "xk,ckdexf->cdef",
 }
 # the factors left after conditioning on (or preparing) each wire
 _REMAINING = {w: tuple(f for f in CBD_FACTORS if f[0] != w) for w in _CONDITION}
 
-
-def _conditioned_raw(mat: np.ndarray, proj: np.ndarray, wires: str) -> np.ndarray:
-    """Unnormalized induced states of the 8x8 matrix mat, (n, len(wires), 4, 4):
-    one einsum per wire for the whole stack of projectors."""
-    t = mat.reshape((2,) * 6)
-    return np.stack([np.einsum(_CONDITION[w], proj, t).reshape(-1, 4, 4) for w in wires],
-                    axis=1)
+# (2, 3, 4, 4) positions in vec(tau) of the unnormalized states after outcome
+# k of z on C, D and B: diagonal blocks of the (c, b, d, c', b', d') tensor
+_CBD_POSITIONS = np.arange(64).reshape((2,) * 6)
+_Z_INDEX = np.array([[_CBD_POSITIONS[k, :, :, k], _CBD_POSITIONS[:, :, k, :, :, k],
+                      _CBD_POSITIONS[:, k, :, :, k]] for k in range(2)]).reshape(2, 3, 4, 4)
 
 
 def _normalized(raw: np.ndarray, wires: str):
-    """(states, probs) from the unnormalized induced states raw."""
+    """(states, probs) from the unnormalized induced states raw, whose axis
+    -3 runs over the wires named in the string wires."""
     probs = np.trace(raw, axis1=-2, axis2=-1).real
     # C and B states are normalized by their probability; dividing by 1/2 is
     # the exact doubling of the preparation on D
@@ -284,40 +280,19 @@ def _normalized(raw: np.ndarray, wires: str):
     return hermitize(raw / norm[..., None, None]), probs
 
 
-def conditioned_states(tau: CausalChoi, proj: np.ndarray, wires: str):
-    """Induced states of tau for a (n, 2, 2) stack of projectors on each of
-    the wires named in the string wires, one einsum per wire for the whole
-    stack.
-
-    Returns (states, probs) of shapes (n, len(wires), 4, 4) and
-    (n, len(wires)).  On C and B, states[k, i] is the state of the other two
-    wires after finding Pi_k on wire i, and probs[k, i] its probability; a
-    probability below 1e-12 raises ConditioningError.  On D, states[k, i] is
-    the (C, B) state prepared by feeding Pi_k, 2 Tr_D[tau (1 x Pi_k^T)], and
-    probs[k, i] is P(Pi_k) under the uniform preparation, 1/2 for a rank-one
-    projector.
-    """
-    return _normalized(_conditioned_raw(tau.mat, proj, wires), wires)
-
-
-Z_PROJECTORS = np.array([pauli_projector("z", +1), pauli_projector("z", -1)])
-# Complex (96, 64) matrix taking vec(tau) to the unnormalized states of
-# conditioned_states(tau, Z_PROJECTORS, "CDB"): the einsums applied to the 64
-# unit matrices.  Each row holds a single 1, so its product copies entries.
-_Z_MAP = np.stack([_conditioned_raw(e, Z_PROJECTORS, "CDB").reshape(-1)
-                   for e in np.eye(64).reshape(64, 8, 8)], axis=1)
-
-
 def z_conditioned_states(tau: CausalChoi):
-    """conditioned_states(tau, Z_PROJECTORS, "CDB"), the six induced states
-    of classification, from one product with a matrix built at import."""
-    raw = (_Z_MAP @ tau.mat.reshape(-1)).reshape(2, 3, 4, 4)
-    return _normalized(raw, "CDB")
+    """The six induced states of classification as one gather of tau's
+    entries: (states, probs) of shapes (2, 3, 4, 4) and (2, 3), states[k, i]
+    that of induced_state_given_c/d/b at pauli_projector("z", (+1, -1)[k]) for
+    wire i of C, D, B, and probs[k, i] its probability, 1/2 on D.  A
+    probability below 1e-12 on C or B raises ConditioningError."""
+    return _normalized(tau.mat.reshape(-1)[_Z_INDEX], "CDB")
 
 
 def _induced_state(tau: CausalChoi, proj: np.ndarray, wire: str):
-    states, probs = conditioned_states(tau, np.asarray(proj)[None], wire)
-    return DensityOperator(states[0, 0], _REMAINING[wire]), float(probs[0, 0])
+    raw = np.einsum(_CONDITION[wire], np.asarray(proj), tau.mat.reshape((2,) * 6))
+    states, probs = _normalized(raw.reshape(1, 4, 4), wire)
+    return DensityOperator(states[0], _REMAINING[wire]), float(probs[0])
 
 
 def induced_state_given_b(tau: CausalChoi, proj_b: np.ndarray):

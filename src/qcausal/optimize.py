@@ -117,7 +117,10 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
     - A*(Z), A*(Z)_i = Tr(E_i Z).  The second term is f(z) + f*(w) - <w, z>
     at w = A*(Z), f* the convex conjugate, and 0 when grad f(z) = w.  It is
     >= 0, so it is computed only once Tr(S Z) <= GAP_TOL, and at the
-    iterate a problem stops at, whatever stops it.
+    iterate a problem stops at, whatever stops it.  Tr(S Z) is summed in
+    coordinates, z . A*(Z), for mu and for that test; in the gap it is
+    ||L^H R||_F^2 of the Cholesky factors instead, a sum of squares, since
+    the coordinate sum cancels at large counts and can come out below 0.
 
     A problem stops, and leaves the stack, once its gap is at most GAP_TOL;
     ``converged`` means that happened within ``max_iter`` steps, and
@@ -173,7 +176,8 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
             gap = np.full(len(z), np.inf)
             rows = np.flatnonzero(check)
             u = grad[rows] - w_dual[rows]
-            gap[rows] = tr_xz[rows] + 0.25 * _rows_dot(u, _solve(g[rows], u))
+            lr = factors[rows, 0].conj().swapaxes(1, 2) @ factors[rows, 1]     # L^H R
+            gap[rows] = _rows_dot(lr, lr) + 0.25 * _rows_dot(u, _solve(g[rows], u))
             stop = (gap <= GAP_TOL) | back if it < max_iter else check
             for j in np.flatnonzero(stop):
                 done = bool(gap[j] <= GAP_TOL)
@@ -229,9 +233,12 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
         # the step to the boundary is exact only to round-off: next to an
         # optimum whose S or Z is singular, a step can leave a cone, or its
         # Newton solve can fail.  Such a step is not taken, and its problem
-        # stops at the top of the loop, which uses none of its x and factors
-        back = fails_aff | fails | _each(np.linalg.cholesky, factors, pair[:k])
+        # stops at the top of the loop, which uses none of its x and keeps
+        # the factors of its iterate for the gap
+        new = np.empty_like(factors)
+        back = fails_aff | fails | _each(np.linalg.cholesky, new, pair[:k])
         z, zd = np.where(back[:, None], z, z_new), np.where(back[:, None, None], zd, zd_new)
+        factors = np.where(back[:, None, None, None], factors, new)
         cost, grad = value(z)
     return results
 

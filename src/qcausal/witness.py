@@ -30,7 +30,7 @@ DEFAULT_THRESHOLD = 1e-6
 THRESHOLD_SIGMAS = 3.0   # bootstrap standard deviations a witness must exceed
 DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 
-# the H/V conditioning basis of every pathway witness, causal.Z_PROJECTORS
+# the H/V (z) outcomes of every pathway witness, as causal.z_conditioned_states orders them
 _OUTCOMES = ("H", "V")
 # Positions, in a flattened two-qubit state, of the state and then of its
 # partial transpose on the second factor: the transposed factor of each of

@@ -184,28 +184,17 @@ class TestInducedStates:
         _, p_v = induced_state_given_b(tau, pauli_projector("x", -1))
         assert p_h + p_v == pytest.approx(1.0, abs=1e-10)
 
-    def test_stack_matches_single_projectors(self):
-        tau = build_scenario("coh")
-        proj = np.array([pauli_projector("x", +1), pauli_projector("y", -1)])
-        states, probs = causal.conditioned_states(tau, proj, "CDB")
-        assert states.shape == (2, 3, 4, 4) and probs.shape == (2, 3)
-        for k, pj in enumerate(proj):
-            for i, (st, p) in enumerate((induced_state_given_c(tau, pj),
-                                         (induced_state_given_d(tau, pj), 0.5),
-                                         induced_state_given_b(tau, pj))):
-                assert np.array_equal(states[k, i], st.mat)
-                assert probs[k, i] == pytest.approx(p, abs=1e-12)
-
     def test_preparation_needs_no_outcome_probability(self):
         # pure |H> on C: D and B condition fine, only C on |V> is impossible
         phi = quantum.bell_phi_plus(("B", "D")).mat
         tau = CausalChoi(DensityOperator(np.kron(quantum.ket_dm(quantum.KET_H), phi),
                                          causal.CBD_FACTORS))
-        v = pauli_projector("z", -1)[None]
-        states, _ = causal.conditioned_states(tau, v, "DB")
-        assert states.shape == (1, 2, 4, 4)
+        v = pauli_projector("z", -1)
+        assert induced_state_given_d(tau, v).factors == (("C", 2), ("B", 2))
+        st_cd, p_v = induced_state_given_b(tau, v)
+        assert st_cd.factors == (("C", 2), ("D", 2)) and p_v == pytest.approx(0.5, abs=1e-12)
         with pytest.raises(causal.ConditioningError):
-            causal.conditioned_states(tau, v, "CDB")
+            induced_state_given_c(tau, v)
 
     def test_zero_probability_conditioning(self):
         # pure |H> on C: conditioning C on |V> is impossible
@@ -215,16 +204,22 @@ class TestInducedStates:
         with pytest.raises(causal.ConditioningError):
             induced_state_given_c(tau, pauli_projector("z", -1))
 
-
-    def test_z_map_matches_einsums(self):
+    def test_z_gather_matches_einsums(self):
+        # the gather of tau's entries against the per-wire einsums of the
+        # one-projector functions, two independent implementations
         rng = np.random.default_rng(11)
         maps = ([build_scenario(sid) for sid in causal.SCENARIO_IDS]
                 + [random_probabilistic_mixture(rng) for _ in range(20)])
         for tau in maps:
             states, probs = causal.z_conditioned_states(tau)
-            ref_states, ref_probs = causal.conditioned_states(tau, causal.Z_PROJECTORS, "CDB")
-            assert np.max(np.abs(states - ref_states)) <= 1e-15
-            assert np.max(np.abs(probs - ref_probs)) <= 1e-15
+            assert states.shape == (2, 3, 4, 4) and probs.shape == (2, 3)
+            for k, outcome in enumerate((+1, -1)):
+                proj = pauli_projector("z", outcome)
+                (st_c, p_c), (st_b, p_b) = (induced_state_given_c(tau, proj),
+                                            induced_state_given_b(tau, proj))
+                ref_states = (st_c.mat, induced_state_given_d(tau, proj).mat, st_b.mat)
+                assert np.max(np.abs(states[k] - np.array(ref_states))) <= 1e-15
+                assert np.max(np.abs(probs[k] - [p_c, 0.5, p_b])) <= 1e-15
 
     def test_z_map_keeps_the_zero_probability_check(self):
         phi = quantum.bell_phi_plus(("B", "D")).mat

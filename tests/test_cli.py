@@ -463,6 +463,16 @@ class TestPipeline:
         assert report["fit"]["converged"] is False and report["fit"]["n_iter"] == 1
         assert report["fit"]["gap"] > 1e-6
 
+    def test_large_table_report_passes_the_schema(self, tmp_path, schema):
+        # a table of 1e10 runs, whose certified gap came out below 0 when
+        # Tr(S Z) was summed in coordinates: the report must still validate
+        out = tmp_path / "report.json"
+        assert run(["pipeline", "--scenario", "probc", "--runs", "10000000000", "--seed", "6",
+                    "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema)
+        assert 0.0 <= report["fit"]["gap"] <= 1e-6 and report["fit"]["converged"] is True
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pipeline", "--scenario", "physc", "--noise", "poisson",

@@ -283,6 +283,30 @@ class TestPsdMinimize:
             [cut] = psd_least_squares(g[j:j + 1], c[j:j + 1], basis, res.n_iter + 1)
             assert np.array_equal(cut.x, res.x) and cut.message == res.message
 
+    def test_singular_newton_stop_keeps_its_certificate(self, monkeypatch):
+        # a Newton system singular to working precision, forced from the
+        # third step on: the step is not taken, though the trial point it
+        # leaves is inside both cones, and the gap is that of the iterate the
+        # problem stops at and its dual matrix, Tr(S Z) + u^T g^-1 u / 4 with
+        # u = grad f(x) - A*(Z)
+        g, c, basis = _boundary_stack(1)
+        each, solves = optimize._each, []
+
+        def failing_solves(fn, out, *stacks):
+            if fn is optimize._solve:
+                solves.append(fn)
+                if len(solves) > 4:     # the predictor and corrector of steps 1 and 2
+                    return np.ones(len(out), dtype=bool)
+            return each(fn, out, *stacks)
+
+        monkeypatch.setattr(optimize, "_each", failing_solves)
+        res = psd_least_squares(g[:1], c[:1], basis, 50)[0]
+        assert res.message == "a step left the cone at round-off" and res.n_iter == 2
+        w = np.real(np.einsum("iab,ba->i", basis, res.dual))
+        u = 2.0 * g[0] @ (res.x - c[0]) - w
+        tr_sz = np.real(np.trace(np.tensordot(res.x, basis, 1) @ res.dual))
+        assert res.gap == pytest.approx(tr_sz + 0.25 * u @ np.linalg.solve(g[0], u), rel=1e-12)
+
     def test_rejects_a_start_off_the_cone(self):
         _, g, basis = _problem(0)
         bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))

@@ -509,6 +509,13 @@ class TestStackedFit:
         assert all(fit.converged for fit in fits)
         assert [fit.n_iter for fit in fits] == steps
 
+    @pytest.mark.parametrize("n_runs, seed", [(10**10, 6), (10**11, 1)])
+    def test_gap_of_a_large_table_is_not_negative(self, n_runs, seed):
+        # at large N the coordinate sum z . A*(Z) of Tr(S Z) cancels to below
+        # 0; the gap takes it as ||L^H R||^2 from the Cholesky factors
+        fit = fit_causal_map(sample_counts(build_scenario("probc"), n_runs, seed=seed))
+        assert fit.gap >= 0.0 and fit.converged == (fit.gap <= optimize.GAP_TOL)
+
 
 class TestNoiselessTables:
     # noiseless tables of pure-state scenarios, whose unconstrained S(c) is
