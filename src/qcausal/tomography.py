@@ -76,8 +76,9 @@ class CountTable:
     """Counts of one full experiment, indexed [s, t, u, c, b, d].
 
     Setting axes run over (x, y, z); outcome index 0 means +1, 1 means -1.
-    ``n_runs`` is the designed total; the recorded counts fluctuate around
-    n_runs/27 per setting when Poisson-sampled.
+    ``n_runs`` is the designed total, positive unless every count is 0; the
+    recorded counts fluctuate around n_runs/27 per setting when
+    Poisson-sampled.
     """
 
     counts: np.ndarray
@@ -88,6 +89,8 @@ class CountTable:
         if c.shape != (3, 3, 3, 2, 2, 2):
             raise ValueError("expected a (3, 3, 3, 2, 2, 2) count array")
         _check_counts(c)
+        if self.n_runs <= 0 and c.any():
+            raise ValueError(f"n_runs must be positive for a table with counts, got {self.n_runs}")
         object.__setattr__(self, "counts", c)
 
     def to_csv(self) -> str:
@@ -134,7 +137,10 @@ class FitConfig:
     Both fits read only max_iter, which caps their interior-point steps.
     lam, seed and restarts remain as fields, validated, so that callers of
     an earlier penalized, restarted fit keep working; the certified fits
-    have no penalty, no random start and no restart, and ignore them.
+    have no penalty, no random start and no restart, and ignore them.  The
+    benchmark's fit_poisson workload passes lam, seed and restarts, its
+    berkson_witness workload seed and restarts (perfbench/workloads.py),
+    and the acceptance tests restarts=1.
     """
 
     lam: float = 1e7
@@ -241,9 +247,6 @@ def fit_causal_maps(tables: Sequence[CountTable],
     if not tables:
         raise ValueError("a fit needs at least one count table")
     data = np.stack([table.counts.reshape(-1) for table in tables])
-    for table, counts in zip(tables, data):
-        if table.n_runs <= 0 and counts.any():
-            raise ValueError(f"n_runs must be positive for a table with counts, got {table.n_runs}")
     weights = _count_weights(data)
     solved = optimize.psd_least_squares(*_neyman_quadratic(_CBD_ROWS, data, weights),
                                         _NO_RETRO_BASIS, config.max_iter)

@@ -473,6 +473,17 @@ class TestPipeline:
         jsonschema.validate(report, schema)
         assert 0.0 <= report["fit"]["gap"] <= 1e-6 and report["fit"]["converged"] is True
 
+    def test_null_gap_fails_the_schema(self, tmp_path, schema):
+        # every stopped fit has a finite gap, so a report without one is invalid
+        out = tmp_path / "report.json"
+        assert run(["pipeline", "--scenario", "coh", "--noise", "none", "--runs", "27000",
+                    "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema)
+        report["fit"]["gap"] = None
+        with pytest.raises(jsonschema.ValidationError, match="None is not of type 'number'"):
+            jsonschema.validate(report, schema)
+
     def test_deterministic_given_seed(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["pipeline", "--scenario", "physc", "--noise", "poisson",

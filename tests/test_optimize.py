@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from qcausal import optimize
-from qcausal.optimize import (
-    GAP_TOL,
-    START_FLOOR,
-    psd_least_squares,
-    psd_minimize,
-)
+from qcausal.optimize import GAP_TOL, START_FLOOR, psd_least_squares
 
 
 def _hermitian_basis(d):
@@ -37,8 +32,9 @@ def _problem(seed, d=3):
 
 class TestPsdLeastSquares:
     def test_interior_optimum_is_the_closed_form(self):
-        # S(c) > 0: psd_minimize starts at c, the optimum, and certifies it at
-        # step 0 with a gap and a dual matrix computed like every other fit's
+        # S(c) > 0: psd_least_squares starts at c, the optimum, and certifies
+        # it at step 0 with a gap and a dual matrix computed like every other
+        # fit's
         rng, g, basis = _problem(0)
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         target = h @ h.conj().T + np.eye(3)                        # positive definite
@@ -84,22 +80,24 @@ class TestQuadratic:
     def test_cost_is_the_excess_weighted_cost(self):
         # f(z) = ||L z - y||^2 less its minimum, for g = L^T L and c the
         # least-squares solution of L c = y: the cost of a result at step 0
-        # is f at its start
+        # is f at its start, c itself when S(c) is inside the cone, and c
+        # lifted along the identity when it is not
         rng, _, basis = _problem(0)
         lin = rng.standard_normal((30, 9))
-        y = lin @ np.real(np.einsum("iaa->i", basis)) + 0.1 * rng.standard_normal(30)
-        c = np.linalg.lstsq(lin, y, rcond=None)[0]
-        assert np.linalg.eigvalsh(np.tensordot(c, basis, 1))[0] > 0.0
         h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        above = np.real(np.einsum("iab,ba->i", basis, h @ h.conj().T))
-        starts = np.stack([c, c + above, 10.0 * c, c + 0.01 * above])
-        results = psd_minimize(np.tile(lin.T @ lin, (4, 1, 1)), np.tile(c, (4, 1)), basis,
-                               starts, 0)
-        for z, res in zip(starts, results):
-            assert res.n_iter == 0 and np.array_equal(res.x, z)
-            excess = np.sum((lin @ z - y) ** 2) - np.sum((lin @ c - y) ** 2)
+        targets = [np.eye(3), h @ h.conj().T + np.eye(3), np.diag([-1.0, 0.5, 2.0]),
+                   np.diag([-3.0, -1.0, 1.0])]
+        ys = [lin @ np.real(np.einsum("iab,ba->i", basis, t)) + 0.1 * rng.standard_normal(30)
+              for t in targets]
+        c = np.stack([np.linalg.lstsq(lin, y, rcond=None)[0] for y in ys])
+        inside = [np.linalg.eigvalsh(np.tensordot(ck, basis, 1))[0] > 0.0 for ck in c]
+        assert inside == [True, True, False, False]
+        results = psd_least_squares(np.tile(lin.T @ lin, (4, 1, 1)), c, basis, 0)
+        for y, ck, res, interior in zip(ys, c, results, inside):
+            assert res.n_iter == 0 and np.array_equal(res.x, ck) == interior
+            excess = np.sum((lin @ res.x - y) ** 2) - np.sum((lin @ ck - y) ** 2)
             assert res.cost == pytest.approx(excess, rel=1e-9, abs=1e-12)
-        assert results[0].cost == 0.0
+            assert (res.cost == 0.0) == interior
 
     @pytest.mark.parametrize("seed", range(3))
     def test_gap_is_the_conjugate_bracket(self, seed):
@@ -110,9 +108,9 @@ class TestQuadratic:
         # function q(Z) = min_y f(y) - <w, y>
         rng, g, basis = _problem(seed)
         c = rng.standard_normal(9)
-        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        start = np.real(np.einsum("iab,ba->i", basis, h @ h.conj().T + np.eye(3)))
-        [res] = psd_minimize(g[None], c[None], basis, start[None], 0)
+        assert np.linalg.eigvalsh(np.tensordot(c, basis, 1))[0] < 0.0
+        [res] = psd_least_squares(g[None], c[None], basis, 0)
+        start = res.x                       # c lifted along the identity
         assert res.n_iter == 0 and not res.converged
         f = (start - c) @ g @ (start - c)
         assert res.cost == pytest.approx(f, rel=1e-12)
@@ -177,6 +175,19 @@ class TestStart:
             assert start[0] == pytest.approx(START_FLOOR * 4.0, rel=1e-6)
         assert start[0] > 0.0
 
+    def test_negative_definite_start_is_lifted(self):
+        # S(c) = diag(-2, -1, -0.5) has no eigenvalue above 0: the lift of 4
+        # mirrors the most negative one, so the start is positive definite,
+        # with eigenvalues (2, 3, 3.5), and the fit from it is certified
+        _, g, basis = _problem(0)
+        c = np.real(np.einsum("iab,ba->i", basis, np.diag([-2.0, -1.0, -0.5])))
+        [start] = psd_least_squares(g[None], c[None], basis, 0)
+        w = np.linalg.eigvalsh(np.tensordot(start.x, basis, 1))
+        assert np.allclose(w, [2.0, 3.0, 3.5], rtol=1e-12, atol=0)
+        [res] = psd_least_squares(g[None], c[None], basis, 50)
+        assert res.converged and res.gap <= GAP_TOL
+        assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
+
     def test_stacked_problems_are_their_own(self):
         # each problem of a stack gets the start and the result it gets
         # alone, bit for bit, and stops at its own step
@@ -193,55 +204,28 @@ class TestStart:
 
 
 class TestPsdMinimize:
-    def test_least_squares_is_the_same_solver(self):
-        # psd_least_squares runs psd_minimize from the unconstrained
-        # solution lifted along the identity: the same call
-        # here gives the same result, bit for bit
-        rng, g, basis = _problem(3)
-        c = np.real(np.einsum("iab,ba->i", basis, np.diag([-1.0, 0.5, 2.0])))
-        [res] = psd_least_squares(g[None], c[None], basis, 50)
-        assert res.converged and res.n_iter > 0
-        w = np.linalg.eigvalsh(np.tensordot(c, basis, 1))
-        lift = max(-w[0], START_FLOOR * w[-1]) - w[0]
-        start = c + lift * np.real(np.einsum("iaa->i", basis))
-        [again] = psd_minimize(g[None], c[None], basis, start[None], 50)
-        assert again.n_iter == res.n_iter and again.converged
-        assert again.cost == res.cost and again.gap == res.gap
-        assert np.array_equal(again.x, res.x) and np.array_equal(again.dual, res.dual)
-
     def test_optimal_start_is_certified_at_step_0(self):
         # a start at the optimum has f = 0, so the dual start takes its size
         # Tr(S Z) from GAP_TOL / 2, and the gap certifies the start as it is
         g, c, basis = _boundary_stack(0)
-        [res] = psd_minimize(g, c, basis, c, 10)
+        assert np.linalg.eigvalsh(np.tensordot(c[0], basis, 1))[0] > 0.0
+        [res] = psd_least_squares(g, c, basis, 10)
         assert np.array_equal(res.x, c[0]) and res.cost == 0.0
         assert res.n_iter == 0 and res.converged and 0.0 < res.gap <= GAP_TOL
         tr_sz = np.real(np.trace(np.tensordot(c[0], basis, 1) @ res.dual))
         assert tr_sz == pytest.approx(GAP_TOL / 2, rel=1e-9)
 
     def test_dual_start_takes_its_size_from_f(self):
-        # the dual start is (s / d) S^-1, s = |f| at the start
+        # the dual start is (s / d) S^-1, s = |f| at the start, here c
+        # lifted along the identity
         g, c, basis = _boundary_stack(1)
-        start = 5.0 * np.real(np.einsum("iaa->i", basis))
+        [res] = psd_least_squares(g[:1], c[:1], basis, 0)
+        start = res.x
         f = (start - c[0]) @ g[0] @ (start - c[0])
-        [res] = psd_minimize(g[:1], c[:1], basis, start[None], 0)
         assert res.n_iter == 0 and not res.converged and res.cost == pytest.approx(f, rel=1e-12)
         assert f > GAP_TOL
         s_mat = np.tensordot(start, basis, 1)
         assert np.allclose(res.dual, f / 3.0 * np.linalg.inv(s_mat), rtol=1e-12, atol=0)
-
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_any_start_reaches_the_optimum(self, scale):
-        # psd_minimize takes any positive definite start: from multiples of
-        # the identity far below and far above the optimum, each problem is
-        # certified at the optimum psd_least_squares finds from its own start
-        g, c, basis = _boundary_stack(3)
-        start = np.tile(scale * np.real(np.einsum("iaa->i", basis)), (len(c), 1))
-        for res, ref in zip(psd_minimize(g, c, basis, start, 100),
-                            psd_least_squares(g, c, basis, 100)):
-            assert res.converged and ref.converged and res.n_iter <= 40
-            assert abs(res.cost - ref.cost) <= max(res.gap, ref.gap)
-            assert np.linalg.eigvalsh(np.tensordot(res.x, basis, 1))[0] > 0.0
 
     @pytest.mark.parametrize("j", range(3))
     def test_every_gap_bounds_the_optimum(self, j):
@@ -306,9 +290,3 @@ class TestPsdMinimize:
         u = 2.0 * g[0] @ (res.x - c[0]) - w
         tr_sz = np.real(np.trace(np.tensordot(res.x, basis, 1) @ res.dual))
         assert res.gap == pytest.approx(tr_sz + 0.25 * u @ np.linalg.solve(g[0], u), rel=1e-12)
-
-    def test_rejects_a_start_off_the_cone(self):
-        _, g, basis = _problem(0)
-        bad = np.real(np.einsum("iab,ba->i", basis, np.diag([1.0, 1.0, -1.0])))
-        with pytest.raises(ValueError, match="not positive definite"):
-            psd_minimize(g[None], bad[None], basis, bad[None], 10)
