@@ -3,7 +3,7 @@ between two time-ordered qubits, including quantum-coherent mixtures of
 cause-effect and common-cause mechanisms."""
 
 from .causal import CausalChoi, build_scenario
-from .quantum import DensityOperator, KrausChannel
+from .quantum import DensityOperator
 from .tomography import CountTable, FitConfig, fit_causal_map, sample_counts
 from .witness import Thresholds, WitnessReport, classify
 
@@ -14,7 +14,6 @@ __all__ = [
     "CountTable",
     "DensityOperator",
     "FitConfig",
-    "KrausChannel",
     "Thresholds",
     "WitnessReport",
     "__version__",

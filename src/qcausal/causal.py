@@ -3,10 +3,12 @@
 A causal relation between a pre-intervention system C, a repreparation D and
 a later system B is represented by the tripartite Choi state tau_CBD of the
 map from D to (C, B).  The four reference circuits share a single structure:
-C and E start in |Phi+>, a gate takes the (D, E) wire pair to (B, F), and F
-is discarded; tau_CBD is one contraction of the gate's stacked Kraus
-operators with rho_CE (causal_map_from_circuit).  The fifth, epsmix, blends
-the circuit's probq with a z-basis physically mixed term.
+C and E start in |Phi+>, a unitary gate takes the (D, E) wire pair to
+(B, F), and F is discarded; its tau_CBD is one contraction of the gate with
+rho_CE (_circuit_choi).  The classical scenarios dephase that Choi state
+wire by wire (_dephase): D and B as themselves, and E, entangled with C in
+|Phi+>, as C.  probq mixes the Choi states of two gates, and the fifth,
+epsmix, blends probq with a z-basis physically mixed term.
 
 Every Pauli measurement row comes from one builder, _pauli_rows(n): a row
 dotted with vec(rho) is the probability of its cell, Tr[rho Pi_1 x ... x
@@ -37,13 +39,10 @@ from .quantum import (
     IDENTITY_2,
     PAULI_AXES,
     DensityOperator,
-    KrausChannel,
     SIGMA,
     SWAP_4,
     bell_phi_plus,
-    mix_channels,
     pauli_projector,
-    unitary_channel,
 )
 
 NO_RETRO_ATOL = 1e-8
@@ -131,64 +130,58 @@ def partial_swap(theta: float) -> np.ndarray:
     return u
 
 
-def dephasing(axis_unit_vector) -> KrausChannel:
-    """Complete dephasing in the eigenbasis of n.sigma."""
-    n = np.asarray(axis_unit_vector, dtype=float)
-    if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-        raise ValueError("dephasing axis must be a unit vector")
-    nsigma = n[0] * SIGMA["x"] + n[1] * SIGMA["y"] + n[2] * SIGMA["z"]
-    s = 1 / np.sqrt(2)
-    return KrausChannel((s * np.eye(2, dtype=complex), s * nsigma))
+def _circuit_choi(u: np.ndarray) -> np.ndarray:
+    """tau_CBD of Tr_F o U( . x rho_CE ), rho_CE = |Phi+><Phi+|, fed with half
+    of |Phi+> on D, for a unitary u taking the (D, E) wire pair to (B, F):
+    tau[c b d, c' b' d'] = 1/2 sum_f U[b f, d e] rho_CE[c e, c' e'] conj(U[b' f, d' e'])."""
+    k = np.asarray(u, dtype=complex).reshape(2, 2, 2, 2)      # (b, f, d, e)
+    rho = bell_phi_plus(("C", "E")).mat.reshape(2, 2, 2, 2)   # (c, e, c', e')
+    tau = 0.5 * np.einsum("bfde,cexy,zfwy->cbdxzw", k, rho, k.conj()).reshape(8, 8)
+    return hermitize(tau)
 
 
-def _dephase_gate(u: np.ndarray, pre_d, pre_e, post_b) -> KrausChannel:
-    """Wrap a (D,E)->(B,F) unitary in dephasing channels on D, E and B."""
-    pre = quantum.tensor_channels(dephasing(pre_d), dephasing(pre_e))
-    post = quantum.tensor_channels(dephasing(post_b), quantum.identity_channel(2))
-    return quantum.compose_channels(post, quantum.compose_channels(unitary_channel(u), pre))
-
-
-def causal_map_from_circuit(rho_ce: DensityOperator, gate: KrausChannel) -> CausalChoi:
-    """Choi state of Tr_F o E_BF|DE( . x rho_CE ), fed with half of |Phi+> on D:
-    tau[c b d, c' b' d'] = 1/2 sum_k K_k[b f, d e] rho_CE[c e, c' e'] conj(K_k[b' f, d' e']),
-    one contraction over the stacked Kraus operators."""
-    if gate.dim_in != 4 or gate.dim_out != 4:
-        raise quantum.ShapeMismatchError("gate must act on the two-qubit (D,E) pair")
-    if rho_ce.labels != ("C", "E"):
-        raise quantum.ShapeMismatchError("initial state must carry labels (C, E)")
-    k = np.array(gate.kraus_ops).reshape(-1, 2, 2, 2, 2)     # (n, b, f, d, e)
-    rho = rho_ce.mat.reshape(2, 2, 2, 2)                       # (c, e, c', e')
-    tau = 0.5 * np.einsum("nbfde,cexy,nzfwy->cbdxzw", k, rho, k.conj()).reshape(8, 8)
-    return CausalChoi(DensityOperator(hermitize(tau), CBD_FACTORS))
+def _dephase(tau: np.ndarray, wire: str, axis: str) -> np.ndarray:
+    """Complete dephasing of one wire of tau_CBD in the eigenbasis of
+    sigma_axis: the sum of Pi tau Pi over both projectors Pi on that wire.  A
+    projector pair is its own transpose, so this on D dephases the input D;
+    on C it dephases E before the gate, since (1 x A)|Phi+> = (A^T x 1)|Phi+>
+    and the gate does not touch C."""
+    stacks = [IDENTITY_2[None]] * 3
+    stacks["CBD".index(wire)] = np.array([pauli_projector(axis, o) for o in (+1, -1)])
+    p = _wire_product(stacks).reshape(2, 8, 8)
+    return (p @ tau @ p).sum(axis=0)
 
 
 def build_scenario(scenario: str, eps: float = 0.1) -> CausalChoi:
-    """Reference causal relations; all share rho_CE = |Phi+> and differ by gate.
-    epsmix blends probq with weight 1 - eps into a z-basis physically mixed
-    term; eps must lie in [0, 1] for every scenario."""
+    """Reference causal relations: coh a partial swap's _circuit_choi, probq
+    the 50/50 mix of identity's and swap's, probc and physc a partial swap's
+    dephased on D, E (as C) and B.  epsmix blends probq with weight 1 - eps
+    into a z-basis physically mixed term; eps must lie in [0, 1] for all."""
     if not 0.0 <= eps <= 1.0:
         raise ValueError("eps must lie in [0, 1]")
     scenario = scenario.lower()
-    u = partial_swap(-np.pi / 2)
     if scenario == "coh":
-        gate = unitary_channel(u)
+        tau = _circuit_choi(partial_swap(-np.pi / 2))
     elif scenario == "probq":
-        gate = mix_channels([unitary_channel(np.eye(4)), unitary_channel(SWAP_4)], [0.5, 0.5])
+        tau = 0.5 * (_circuit_choi(np.eye(4)) + _circuit_choi(SWAP_4))
     elif scenario == "probc":
-        gate = _dephase_gate(u, (0, 0, 1), (0, 0, 1), (0, 0, 1))
+        tau = _circuit_choi(partial_swap(-np.pi / 2))
+        for wire in "DCB":
+            tau = _dephase(tau, wire, "z")
     elif scenario == "physc":
         # The opposite swap phase gives the anti-correlated XOR form of this
         # map; with theta = -pi/2 the correlations come out sign-exchanged.
-        gate = _dephase_gate(partial_swap(np.pi / 2), (0, 1, 0), (1, 0, 0), (0, 0, 1))
+        tau = _circuit_choi(partial_swap(np.pi / 2))
+        for wire, axis in (("D", "y"), ("C", "x"), ("B", "z")):
+            tau = _dephase(tau, wire, axis)
     elif scenario == "epsmix":
         # u(c) u(d) delta_{b, c xor d} over (c, b, d)
         xor = np.diag([0.25 * (b == c ^ d) for c, b, d in product(range(2), repeat=3)])
         mixed = np.eye(8) / 8
         tau = (1 - eps) * build_scenario("probq").mat + eps * (0.5 * mixed + 0.5 * xor)
-        return CausalChoi(DensityOperator(tau, CBD_FACTORS))
     else:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}")
-    return causal_map_from_circuit(bell_phi_plus(("C", "E")), gate)
+    return CausalChoi(DensityOperator(tau, CBD_FACTORS))
 
 
 def random_probabilistic_mixture(rng=None) -> CausalChoi:
@@ -201,11 +194,12 @@ def random_probabilistic_mixture(rng=None) -> CausalChoi:
     tau_cb = g @ g.conj().T
     tau_cb = tau_cb / np.trace(tau_cb).real
     rho_c, _ = partial_trace(tau_cb, (("C", 2), ("B", 2)), "B")
-    # random qubit channel D -> B from a Haar-ish isometry into B x env
+    # random qubit channel D -> B from a Haar-ish isometry into env x B: its
+    # Choi state 1/2 sum_k K_k x conj(K_k) over the 2x2 blocks K_k
     v = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
     v, _ = np.linalg.qr(v)
-    kraus = tuple(v[2 * k:2 * k + 2, :] for k in range(4))
-    tau_bd = quantum.choi_of_channel(quantum.KrausChannel(kraus), "B", "D").mat
+    k = v.reshape(4, 2, 2)                                    # (env, b, d)
+    tau_bd = hermitize(0.5 * np.einsum("nbd,nxy->bdxy", k, k.conj()).reshape(4, 4))
     p = float(rng.uniform())
     ce = np.kron(rho_c, tau_bd)                               # (C, B, D)
     cc = np.kron(tau_cb, np.eye(2) / 2)

@@ -103,11 +103,13 @@ def cmd_pipeline(args) -> int:
     if args.resamples:
         bootstrap = tomography.bootstrap_summary(
             refits, lambda f: witness.witness_values(f.tau, settings))
-        thresholds = witness.bootstrap_thresholds(bootstrap["std"])
+        bootstrap["multiplier"] = witness.threshold_sigmas(bootstrap["n_resamples"])
+        thresholds = witness.bootstrap_thresholds(bootstrap)
     elif args.noise == "poisson":
         print(f"warning: fitted witnesses are compared with the default "
               f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; pass --resamples K "
-              f"for bootstrap {witness.THRESHOLD_SIGMAS:g}-sigma thresholds", file=sys.stderr)
+              f"for bootstrap thresholds at the 3-sigma tail of a Student t with K - 1 dof",
+              file=sys.stderr)
     fitted = witness.classify(fit.tau, thresholds, ccd_settings=settings,
                               stddevs=(bootstrap or {}).get("std"))
 
@@ -188,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(p)
     _add_experiment_flags(p)
     p.add_argument("--resamples", type=int, default=0,
-                   help=f"bootstrap resamples for {witness.THRESHOLD_SIGMAS:g}-sigma thresholds: "
-                        "0 (off) or at least 2; needs --noise poisson")
+                   help="bootstrap resamples K, 0 (off) or at least 2, for thresholds at the "
+                        "3-sigma tail of a Student t with K - 1 dof; needs --noise poisson")
     p.add_argument("--ccd-settings", nargs=3, default=("x", "y", "z"),
                    metavar=("S", "T", "U"))
     p.add_argument("--out", default=None)

@@ -1,8 +1,9 @@
-"""Quantum-information primitives: states, Pauli observables, channels, Choi.
+"""Quantum-information primitives: states, Pauli observables, fidelity.
 
 Conventions: the qubit basis is (|H>, |V>), the sigma_z eigenbasis, and every
-transpose is taken in that basis.  Choi states are unit-trace, built from the
-symmetric maximally entangled state with the output factor listed first.
+transpose is taken in that basis.  The Choi states of causal are unit-trace,
+built from the symmetric maximally entangled state bell_phi_plus with the
+output factor listed first.
 State validity has one definition, check_states, which DensityOperator runs
 on its matrix and classification runs on a stack of computed states.  The
 functionals of states take it as given: fidelity is defined on every state
@@ -18,7 +19,6 @@ import numpy as np
 from . import matlin
 from .matlin import Factors, as_factors, hermitize
 
-TRACE_ATOL = 1e-10
 # tolerances of a valid density matrix; see check_states
 STATE_HERM_ATOL = 1e-9
 STATE_TRACE_ATOL = 1e-8
@@ -109,75 +109,6 @@ def bell_phi_plus(labels=("C", "E")) -> DensityOperator:
     """|Phi+><Phi+| with |Phi+> = (|HH> + |VV>)/sqrt(2)."""
     psi = (np.kron(KET_H, KET_H) + np.kron(KET_V, KET_V)) / np.sqrt(2)
     return DensityOperator(ket_dm(psi), tuple((lbl, 2) for lbl in labels))
-
-
-@dataclass(frozen=True)
-class KrausChannel:
-    """Trace-preserving completely positive map stored as a Kraus collection."""
-
-    kraus_ops: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus_ops)
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        object.__setattr__(self, "kraus_ops", ops)
-        s = sum(k.conj().T @ k for k in ops)
-        eye = np.eye(ops[0].shape[1])
-        if np.max(np.abs(s - eye)) > TRACE_ATOL:
-            raise StateValidationError("channel is not trace-preserving")
-
-    @property
-    def dim_in(self) -> int:
-        return self.kraus_ops[0].shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.kraus_ops[0].shape[0]
-
-    def apply_matrix(self, rho: np.ndarray) -> np.ndarray:
-        if rho.shape != (self.dim_in, self.dim_in):
-            raise ShapeMismatchError(f"input shape {rho.shape}, channel expects {self.dim_in}")
-        return sum(k @ rho @ k.conj().T for k in self.kraus_ops)
-
-
-def identity_channel(dim: int = 2) -> KrausChannel:
-    return KrausChannel((np.eye(dim, dtype=complex),))
-
-
-def unitary_channel(u: np.ndarray) -> KrausChannel:
-    return KrausChannel((np.asarray(u, dtype=complex),))
-
-
-def compose_channels(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """outer after inner."""
-    ops = tuple(a @ b for a in outer.kraus_ops for b in inner.kraus_ops)
-    return KrausChannel(ops)
-
-
-def tensor_channels(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    ops = tuple(np.kron(ka, kb) for ka in a.kraus_ops for kb in b.kraus_ops)
-    return KrausChannel(ops)
-
-
-def mix_channels(channels, weights) -> KrausChannel:
-    """Probabilistic mixture: Kraus union with sqrt(weight) prefactors."""
-    ops = []
-    for ch, w in zip(channels, weights):
-        ops.extend(np.sqrt(w) * k for k in ch.kraus_ops)
-    return KrausChannel(tuple(ops))
-
-
-def choi_of_channel(ch: KrausChannel, out_label: str = "B", in_label: str = "A") -> DensityOperator:
-    """Unit-trace Choi state (E x I)(|Phi+><Phi+|), output factor first:
-    tau[b d, b' d'] = 1/2 sum_k K_k[b, d] conj(K_k[b', d'])."""
-    d = ch.dim_in
-    if d != 2:
-        raise ValueError("only qubit-input channels are needed here")
-    k = np.array(ch.kraus_ops)
-    n = ch.dim_out * d
-    tau = 0.5 * np.einsum("nbd,nxy->bdxy", k, k.conj()).reshape(n, n)
-    return DensityOperator(hermitize(tau), ((out_label, ch.dim_out), (in_label, d)))
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:

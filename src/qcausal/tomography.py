@@ -165,7 +165,7 @@ class FitResult:
     span, the chi^2 that positivity costs, 0 when the unconstrained solution
     is positive definite; gap is the certified bound on cost less its
     constrained optimum; penalty_residual is the largest no-retrocausation
-    deviation of tau."""
+    deviation of tau, CausalChoi.no_retro_residual (the schema's name)."""
 
     tau: CausalChoi
     cost: float

@@ -16,7 +16,9 @@ of moments.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +29,7 @@ from .quantum import DensityOperator
 
 NEG_FLOOR = 1e-12
 DEFAULT_THRESHOLD = 1e-6
-THRESHOLD_SIGMAS = 3.0   # bootstrap standard deviations a witness must exceed
+THRESHOLD_TAIL = math.erfc(3.0 / math.sqrt(2.0))   # two-sided tail of a 3-sigma normal test
 DEFAULT_CCD_SETTINGS = ("x", "y", "z")
 
 # the H/V (z) outcomes of every pathway witness, as causal.z_conditioned_states orders them
@@ -242,10 +244,36 @@ def witness_values(tau: CausalChoi, ccd_settings=DEFAULT_CCD_SETTINGS) -> dict:
                                 for k, v in r[fam].items()}}
 
 
-def bootstrap_thresholds(std: dict) -> Thresholds:
-    """THRESHOLD_SIGMAS times the bootstrap standard deviations ``std`` of
-    witness_values: one negativity threshold from the largest of the six
-    negativity deviations, one for ccd, each at least DEFAULT_THRESHOLD."""
+@functools.cache
+def threshold_sigmas(n_resamples: int) -> float:
+    """The multiplier of bootstrap_thresholds, the two-sided Student-t quantile
+    with nu = n_resamples - 1 degrees of freedom at THRESHOLD_TAIL: 235.80 at 2
+    resamples, 4.0943 at 10, toward 3 as they grow.  P(|T| <= t) is a finite
+    sum in theta = arctan(t / sqrt(nu)) (Abramowitz & Stegun 26.7.3-4), bisected."""
+    nu = n_resamples - 1
+    if nu < 1:
+        raise ValueError(f"a standard deviation needs n_resamples >= 2, got {n_resamples}")
+    odd = nu % 2
+    j = np.arange(1, nu // 2)
+    ratio = (2 * j - 1 + odd) / (2 * j + odd)
+
+    def central(theta):       # P(|T| <= sqrt(nu) tan(theta))
+        c, s = math.cos(theta), math.sin(theta)
+        series = 1.0 + np.cumprod(ratio * c * c).sum()
+        return 2.0 / math.pi * (theta + s * c * series * (nu > 1)) if odd else s * series
+
+    lo, hi = 0.0, math.pi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if central(mid) < 1.0 - THRESHOLD_TAIL else (lo, mid)
+    return math.sqrt(nu) * math.tan(mid)
+
+
+def bootstrap_thresholds(summary: dict) -> Thresholds:
+    """threshold_sigmas(K) times the standard deviations of witness_values in
+    ``summary``, their tomography.bootstrap_summary over K refits: one
+    negativity threshold from the largest of the six negativity deviations,
+    one for ccd, each at least DEFAULT_THRESHOLD."""
+    sigmas, std = threshold_sigmas(summary["n_resamples"]), summary["std"]
     neg_std = max(v for k, v in std.items() if k.startswith("neg"))
-    return Thresholds(negativity=max(THRESHOLD_SIGMAS * neg_std, DEFAULT_THRESHOLD),
-                      ccd=max(THRESHOLD_SIGMAS * std["ccd"], DEFAULT_THRESHOLD))
+    return Thresholds(negativity=max(sigmas * neg_std, DEFAULT_THRESHOLD),
+                      ccd=max(sigmas * std["ccd"], DEFAULT_THRESHOLD))

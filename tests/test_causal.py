@@ -9,8 +9,6 @@ from qcausal import causal, matlin, quantum, tomography
 from qcausal.causal import (
     CausalChoi,
     build_scenario,
-    causal_map_from_circuit,
-    dephasing,
     induced_state_given_b,
     induced_state_given_c,
     induced_state_given_d,
@@ -42,22 +40,6 @@ class TestPartialSwap:
         u = partial_swap(-np.pi / 2)
         target = (np.eye(4) + 1j * SWAP_4) / np.sqrt(2)
         assert np.allclose(u / np.exp(-1j * np.pi / 4), target, atol=1e-12)
-
-
-class TestDephasing:
-    def test_kills_off_diagonals(self):
-        ch = dephasing((0, 0, 1))
-        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        assert np.allclose(ch.apply_matrix(rho), np.eye(2) / 2)
-
-    def test_fixes_basis_states(self):
-        ch = dephasing((1, 0, 0))
-        plus = quantum.ket_dm(np.array([1, 1]) / np.sqrt(2))
-        assert np.allclose(ch.apply_matrix(plus), plus)
-
-    def test_requires_unit_vector(self):
-        with pytest.raises(ValueError):
-            dephasing((0, 0, 2))
 
 
 class TestScenarios:
@@ -126,39 +108,71 @@ class TestScenarios:
         with pytest.raises(quantum.StateValidationError):
             CausalChoi(DensityOperator(m, causal.CBD_FACTORS))
 
-    def test_circuit_requires_two_qubit_gate(self):
-        with pytest.raises(quantum.ShapeMismatchError):
-            causal_map_from_circuit(quantum.bell_phi_plus(("C", "E")),
-                                    quantum.identity_channel(2))
+
+# The circuits of the reference scenarios, written out in plain numpy: the
+# gate on (D, E) and the dephasing axes of D, E and B (None: not dephased).
+_PAULI = {"x": np.array([[0, 1], [1, 0]]), "y": np.array([[0, -1j], [1j, 0]]),
+          "z": np.array([[1, 0], [0, -1]])}
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+CIRCUITS = {
+    "coh": [((np.eye(4) + 1j * _SWAP) / np.sqrt(2), None, None, None)],
+    "probq": [(np.eye(4), None, None, None), (_SWAP, None, None, None)],
+    "probc": [((np.eye(4) + 1j * _SWAP) / np.sqrt(2), "z", "z", "z")],
+    "physc": [((np.eye(4) - 1j * _SWAP) / np.sqrt(2), "y", "x", "z")],
+}
 
 
-def random_state(rng, n):
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+def _on_wire(op, wire):
+    """op on one of four qubit wires, the identity on the others."""
+    ops = [np.eye(2)] * 4
+    ops[wire] = op
+    return np.kron(np.kron(ops[0], ops[1]), np.kron(ops[2], ops[3]))
+
+
+def _dephased(rho, wire, axis):
+    if axis is None:
+        return rho
+    projs = [_on_wire((np.eye(2) + o * _PAULI[axis]) / 2, wire) for o in (1, -1)]
+    return sum(p @ rho @ p for p in projs)
+
+
+def circuit_choi(gate, axis_d, axis_e, axis_b):
+    """tau_CBD of the circuit run on |Phi+>_CE and on half of |Phi+>_RD, R
+    the reference wire that becomes the Choi state's D: dephase D and E,
+    apply the gate to (D, E), giving (B, F), dephase B and trace out F."""
+    psi = np.einsum("ce,rd->crde", np.eye(2), np.eye(2)).reshape(16) / 2
+    rho = _dephased(_dephased(np.outer(psi, psi), 2, axis_d), 3, axis_e)
+    u = np.kron(np.eye(4), gate)
+    rho = _dephased(u @ rho @ u.conj().T, 2, axis_b)               # wires (C, R, B, F)
+    rho = np.trace(rho.reshape((2,) * 8), axis1=3, axis2=7)       # (c, r, b, c', r', b')
+    return rho.transpose(0, 2, 1, 3, 5, 4).reshape(8, 8)
 
 
 class TestCircuit:
-    @given(seed=st.integers(0, 2**32 - 1), n_kraus=st.integers(2, 4))
-    @settings(max_examples=50, deadline=None)
-    def test_choi_state_reproduces_the_circuit(self, seed, n_kraus):
-        # feeding rho_D into the causal map, 2 Tr_D[tau (1 x rho_D^T)], gives
-        # Tr_F of the gate applied to rho_D x rho_CE with C as a spectator
+    @pytest.mark.parametrize("sid", sorted(CIRCUITS))
+    def test_scenario_is_its_circuit(self, sid):
+        # build_scenario dephases C where the circuit dephases E, so this
+        # checks (1 x A)|Phi+> = (A^T x 1)|Phi+> too; probq mixes two gates
+        runs = CIRCUITS[sid]
+        ref = sum(circuit_choi(*run) for run in runs) / len(runs)
+        assert np.max(np.abs(build_scenario(sid).mat - ref)) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_mixture_is_its_isometry(self, seed):
+        # the draws of random_probabilistic_mixture, with tau_BD the Choi
+        # state of the isometry v from D into (env, B): v applied to half of
+        # |Phi+>_DR, env traced out
         rng = np.random.default_rng(seed)
-        g = rng.standard_normal((4 * n_kraus, 4)) + 1j * rng.standard_normal((4 * n_kraus, 4))
-        v, _ = np.linalg.qr(g)                       # isometry from (D, E)
-        gate = quantum.KrausChannel(tuple(v[4 * k:4 * k + 4] for k in range(n_kraus)))
-        rho_ce = random_state(rng, 4)
-        rho_d = random_state(rng, 2)
-        tau = causal_map_from_circuit(DensityOperator(rho_ce, (("C", 2), ("E", 2))), gate)
-        fed, _ = matlin.partial_trace(2 * tau.mat @ np.kron(np.eye(4), rho_d.T),
-                                      causal.CBD_FACTORS, "D")
-        # input on (C, D, E), output on (C, B, F)
-        inp = np.einsum("cexy,dw->cdexwy", rho_ce.reshape(2, 2, 2, 2), rho_d).reshape(8, 8)
-        lifted = quantum.tensor_channels(quantum.identity_channel(2), gate)
-        out, _ = matlin.partial_trace(lifted.apply_matrix(inp),
-                                      (("C", 2), ("B", 2), ("F", 2)), "F")
-        assert np.max(np.abs(fed - out)) <= 1e-12
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        tau_cb = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        v = np.linalg.qr(rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2)))[0]
+        p = rng.uniform()
+        out = (v @ np.eye(2) / np.sqrt(2)).reshape(4, 4)              # (env, b r)
+        tau_bd = out.T @ out.conj()                                   # Tr_env
+        rho_c = np.trace(tau_cb.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        ref = p * np.kron(rho_c, tau_bd) + (1 - p) * np.kron(tau_cb, np.eye(2) / 2)
+        tau = random_probabilistic_mixture(np.random.default_rng(seed))
+        assert np.max(np.abs(tau.mat - ref)) <= 1e-14
 
 
 class TestInducedStates:

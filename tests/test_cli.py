@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import asdict
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -448,7 +449,9 @@ class TestPipeline:
         settings = ("x", "y", "z")
         bootstrap = tomography.bootstrap_errorbars(
             table, lambda f: witness.witness_values(f.tau, settings), n_resamples=3, seed=13)
-        assert report["bootstrap"] == bootstrap
+        assert report["bootstrap"] == {**bootstrap, "multiplier": witness.threshold_sigmas(3)}
+        assert report["fitted"]["thresholds"] == asdict(
+            witness.bootstrap_thresholds(bootstrap))
 
     def test_uncertified_fit_reports_its_gap(self, tmp_path, schema, monkeypatch):
         # with the fit budget at one step the fit stops uncertified (see

@@ -3,24 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcausal import quantum
-from qcausal.matlin import hermitize, partial_trace
-from qcausal.quantum import (
-    DensityOperator,
-    KrausChannel,
-    bell_phi_plus,
-    choi_of_channel,
-    fidelity,
-    identity_channel,
-    ket_dm,
-    pauli_projector,
-    unitary_channel,
-)
-
-
-def random_channel(rng, n_kraus=4):
-    v = rng.standard_normal((2 * n_kraus, 2)) + 1j * rng.standard_normal((2 * n_kraus, 2))
-    v, _ = np.linalg.qr(v)
-    return KrausChannel(tuple(v[2 * k:2 * k + 2, :] for k in range(n_kraus)))
+from qcausal.matlin import partial_trace
+from qcausal.quantum import DensityOperator, bell_phi_plus, fidelity, ket_dm, pauli_projector
 
 
 def random_state(rng, labels=("A",)):
@@ -118,65 +102,6 @@ class TestCheckStates:
         stack = np.stack([np.eye(4) / 4, _bad_state("trace", 0.5), _bad_state("trace", 0.25)])
         with pytest.raises(quantum.StateValidationError, match="trace 1.5 != 1"):
             quantum.check_states(stack)
-
-
-class TestChannels:
-    def test_trace_preservation_enforced(self):
-        with pytest.raises(quantum.StateValidationError):
-            KrausChannel((0.5 * np.eye(2),))
-
-    def test_unitary_preserves_purity(self):
-        rng = np.random.default_rng(10)
-        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
-        rho = random_state(rng)
-        out = DensityOperator(hermitize(unitary_channel(u).apply_matrix(rho.mat)), rho.factors)
-        purity = np.trace(rho.mat @ rho.mat).real
-        assert np.trace(out.mat @ out.mat).real == pytest.approx(purity, abs=1e-10)
-
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_channel_preserves_trace_and_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        ch = random_channel(rng)
-        rho = random_state(rng)
-        # validation inside asserts PSD/trace
-        out = DensityOperator(hermitize(ch.apply_matrix(rho.mat)), rho.factors)
-        assert abs(np.trace(out.mat).real - 1.0) < 1e-10
-
-    def test_mix_channels(self):
-        flip = unitary_channel(quantum.SIGMA["x"])
-        mixed = quantum.mix_channels([identity_channel(2), flip], [0.5, 0.5])
-        out = mixed.apply_matrix(ket_dm(quantum.KET_H))
-        assert np.allclose(out, np.eye(2) / 2)
-
-    def test_compose_is_sequential(self):
-        flip = unitary_channel(quantum.SIGMA["x"])
-        twice = quantum.compose_channels(flip, flip)
-        rho = ket_dm(quantum.KET_H)
-        assert np.allclose(twice.apply_matrix(rho), rho)
-
-
-class TestChoi:
-    def test_identity_choi_is_bell(self):
-        tau = choi_of_channel(identity_channel(2), "B", "A")
-        assert np.allclose(tau.mat, bell_phi_plus().mat)
-        assert tau.factors == (("B", 2), ("A", 2))
-
-    def test_input_marginal_is_mixed(self):
-        rng = np.random.default_rng(11)
-        tau = choi_of_channel(random_channel(rng), "B", "A")
-        assert np.allclose(partial_trace(tau.mat, tau.factors, "B")[0], np.eye(2) / 2, atol=1e-10)
-
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_channel_choi_roundtrip(self, seed):
-        rng = np.random.default_rng(seed)
-        ch = random_channel(rng)
-        tau = choi_of_channel(ch, "B", "A")
-        rho = random_state(rng).mat
-        # E(rho) = 2 Tr_A[tau (1 x rho^T)], tau indexed (b, a, b', a')
-        out = 2 * np.einsum("xayb,ab->xy", tau.mat.reshape(2, 2, 2, 2), rho)
-        assert np.allclose(out, ch.apply_matrix(rho), atol=1e-10)
 
 
 class TestFidelity:

@@ -1,4 +1,5 @@
 import json
+import math
 from itertools import product
 
 import numpy as np
@@ -189,22 +190,52 @@ class TestBootstrapThresholds:
 
     @pytest.mark.parametrize("largest", _NEG_KEYS)
     def test_three_sigma_of_the_largest_negativity_deviation(self, largest):
+        # the multiplier is the two-sided t quantile at the 3-sigma normal
+        # tail, 4.0943 for the 9 degrees of freedom of 10 resamples
         std = {"ccd": 0.02, **{k: 1e-3 for k in _NEG_KEYS}, largest: 0.01}
-        t = witness.bootstrap_thresholds(std)
-        assert witness.THRESHOLD_SIGMAS == 3.0
-        assert t == Thresholds(negativity=3.0 * 0.01, ccd=3.0 * 0.02)
+        t = witness.bootstrap_thresholds({"std": std, "n_resamples": 10})
+        sigmas = witness.threshold_sigmas(10)
+        assert sigmas == pytest.approx(4.0943, rel=1e-4)
+        assert t == Thresholds(negativity=sigmas * 0.01, ccd=sigmas * 0.02)
 
     def test_default_threshold_floors_both(self):
+        def thresholds(std):
+            return witness.bootstrap_thresholds({"std": std, "n_resamples": 40})
+
+        sigmas = witness.threshold_sigmas(40)
         std = {"ccd": 1e-9, **{k: 2e-8 for k in _NEG_KEYS}}
-        assert witness.bootstrap_thresholds(std) == Thresholds(
-            negativity=witness.DEFAULT_THRESHOLD, ccd=witness.DEFAULT_THRESHOLD)
+        assert thresholds(std) == Thresholds(negativity=witness.DEFAULT_THRESHOLD,
+                                             ccd=witness.DEFAULT_THRESHOLD)
         # one floored, the other not
         std["ccd"] = 1e-3
-        assert witness.bootstrap_thresholds(std) == Thresholds(
-            negativity=witness.DEFAULT_THRESHOLD, ccd=3e-3)
+        assert thresholds(std) == Thresholds(negativity=witness.DEFAULT_THRESHOLD,
+                                             ccd=sigmas * 1e-3)
         std = {"ccd": 0.0, **{k: 0.0 for k in _NEG_KEYS}, "neg_c_bd_H": 1e-3}
-        assert witness.bootstrap_thresholds(std) == Thresholds(
-            negativity=3e-3, ccd=witness.DEFAULT_THRESHOLD)
+        assert thresholds(std) == Thresholds(negativity=sigmas * 1e-3,
+                                             ccd=witness.DEFAULT_THRESHOLD)
+
+    @pytest.mark.parametrize("n_resamples, quantile", [
+        (3, 19.207), (4, 9.2189), (5, 6.6202), (10, 4.0943), (40, 3.2042)])
+    def test_multiplier_is_the_t_quantile(self, n_resamples, quantile):
+        # two-sided Student-t quantiles at p = erfc(3 / sqrt(2)) = 0.0027, both
+        # parities of the degrees of freedom
+        assert witness.THRESHOLD_TAIL == pytest.approx(0.0027, rel=1e-3)
+        assert witness.threshold_sigmas(n_resamples) == pytest.approx(quantile, rel=1e-4)
+
+    def test_multiplier_at_one_degree_of_freedom_is_closed_form(self):
+        # t with one degree of freedom is Cauchy: the quantile is cot(pi p / 2)
+        cot = 1.0 / math.tan(math.pi * witness.THRESHOLD_TAIL / 2)
+        assert witness.threshold_sigmas(2) == pytest.approx(cot, rel=1e-12)
+        assert cot == pytest.approx(235.80, rel=1e-4)
+
+    def test_multiplier_falls_toward_three(self):
+        sigmas = [witness.threshold_sigmas(k) for k in (2, 3, 6, 11, 40, 101, 1000, 10_000)]
+        assert all(a > b for a, b in zip(sigmas, sigmas[1:]))
+        assert 3.0 < sigmas[-1] < 3.001
+
+    def test_multiplier_needs_two_resamples(self):
+        with pytest.raises(ValueError):
+            witness.threshold_sigmas(1)
 
 
 def kron_joint(tau, s, t, u):
