@@ -1,9 +1,12 @@
 """Classical Berkson analysis: discrete distributions, mutual information,
 posterior inversion for probabilistic mixtures, and the induced-correlation
-upper bound that physical mixtures can exceed.
+upper bound that physical mixtures can exceed; information is in bits.
 
-Probabilities may be floats or fractions.Fraction.  The two-term reduction of
-a probabilistic mixture is exact algebra on (b, d, e) object arrays when fed
+Probabilities may be floats or fractions.Fraction.  Every table of them is
+checked where its object is made, by one rule (`_check_distribution`): each
+entry lies in [0, 1], exactly for Fractions and ints and to 1e-15 for floats,
+and each column sums to 1 by `agree`.  The two-term reduction of a
+probabilistic mixture is exact algebra on (b, d, e) object arrays when fed
 rationals; all terms share term 0's (b, d, e) shape.  `reduce_spec` is the
 layout of `qcausal berkson reduce`: lambda uniform over the spec's e values,
 C = E = lambda, and both output terms written on the spec's own cells.
@@ -28,10 +31,22 @@ class NotProbabilisticMixtureError(ValueError):
     common cause itself."""
 
 
-def _check_probabilities(probs: np.ndarray, what: str) -> None:
-    """ValueError unless every entry lies in [0, 1], to 1e-15; a NaN entry fails."""
-    if not np.all(np.abs(probs - 0.5) <= 0.5 + 1e-15):
-        raise ValueError(f"{what}: probabilities must lie in [0, 1]")
+def _check_distribution(table, what: str) -> None:
+    """ValueError naming the table ``what`` unless it holds probabilities of
+    the variable on its axis 0: every entry lies in [0, 1], exactly for
+    Fractions and ints and to 1e-15 for floats (NaN fails), and at each index
+    of the other axes the entries sum to 1 by `agree`.  The message names the
+    first bad entry, or the column what[:, ...] whose sum is off."""
+    a = np.asarray(table)
+    for index, p in np.ndenumerate(a):
+        slack = 1e-15 if isinstance(p, float) else 0
+        if not -slack <= p <= 1 + slack:
+            raise ValueError(f"{what}: probabilities must lie in [0, 1], "
+                             f"but entry {list(index)} is {p}")
+    for column, total in np.ndenumerate(a.sum(axis=0)):
+        if not agree(total, 1):
+            at = f"[:, {', '.join(map(str, column))}]" if column else ""
+            raise ValueError(f"{what}{at} sums to {total}, not 1")
 
 
 @dataclass(frozen=True)
@@ -42,39 +57,28 @@ class JointDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "variables", tuple((str(n), int(c)) for n, c in self.variables))
-        if probs.shape != tuple(c for _, c in self.variables):
+        if np.shape(self.probs) != tuple(c for _, c in self.variables):
             raise ValueError("probability table shape does not match cardinalities")
-        _check_probabilities(probs, "joint distribution")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {probs.sum()}")
+        _check_distribution(np.reshape(self.probs, -1), "joint distribution")
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
 
-def mutual_information(joint: np.ndarray, base: float = 2.0) -> float:
-    """I(X:Y) of a two-variable joint probability table, in base-`base` units."""
+def mutual_information(joint: np.ndarray) -> float:
+    """I(X:Y) of a two-variable joint probability table, in bits."""
     p = np.asarray(joint, dtype=float)
     if p.ndim != 2:
         raise ValueError("expected a two-variable joint distribution")
-    px = p.sum(axis=1)
-    py = p.sum(axis=0)
-    mi = 0.0
-    for i, j in product(range(p.shape[0]), range(p.shape[1])):
-        if p[i, j] > 0:
-            mi += p[i, j] * math.log(p[i, j] / (px[i] * py[j])) / math.log(base)
-    return max(mi, 0.0)
+    nz = p > 0
+    outer = np.outer(p.sum(axis=1), p.sum(axis=0))[nz]
+    return max(float(np.sum(p[nz] * np.log2(p[nz] / outer))), 0.0)
 
 
-def conditional_mutual_information(joint: np.ndarray, base: float = 2.0) -> dict:
-    """I(X:Y | Z=z) for each z of a three-variable table indexed [x, y, z]."""
+def conditional_mutual_information(joint: np.ndarray) -> dict:
+    """I(X:Y | Z=z) in bits for each z of a three-variable table indexed [x, y, z]."""
     p = np.asarray(joint, dtype=float)
-    out = {}
-    for z in range(p.shape[2]):
-        pz = p[:, :, z].sum()
-        if pz > 0:
-            out[z] = mutual_information(p[:, :, z] / pz, base=base)
-    return out
+    pz = p.sum(axis=(0, 1))
+    return {z: mutual_information(p[:, :, z] / pz[z]) for z in range(len(pz)) if pz[z] > 0}
 
 
 @dataclass(frozen=True)
@@ -89,16 +93,10 @@ class ClassicalMixtureSpec:
     mechanism_e: np.ndarray
 
     def __post_init__(self):
-        md = np.asarray(self.mechanism_d, dtype=float)
-        me = np.asarray(self.mechanism_e, dtype=float)
-        object.__setattr__(self, "mechanism_d", md)
-        object.__setattr__(self, "mechanism_e", me)
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("weight p must lie in [0, 1]")
-        for m in (md, me):
-            _check_probabilities(m, "mechanism")
-            if np.max(np.abs(m.sum(axis=0) - 1.0)) > 1e-12:
-                raise ValueError("mechanism columns must be normalized over B")
+        _check_distribution([self.p, 1 - self.p], "(p, 1 - p)")
+        for name in ("mechanism_d", "mechanism_e"):
+            _check_distribution(getattr(self, name), name)
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
 
 
 def berkson_posterior(spec: ClassicalMixtureSpec, b: int):
@@ -121,13 +119,12 @@ def berkson_posterior(spec: ClassicalMixtureSpec, b: int):
     return JointDistribution((("D", nd), ("E", ne)), joint), q
 
 
-def berkson_bound(n: int, base: float = 2.0) -> float:
-    """Maximal I(D:E) given the common effect, over probabilistic mixtures:
-    log N - (N+1)/N [log(N+1) - 1], strictly below the unconstrained log N."""
+def berkson_bound(n: int) -> float:
+    """Maximal I(D:E) given the common effect, over probabilistic mixtures, in
+    bits: log N - (N+1)/N [log(N+1) - 1], strictly below the unconstrained log N."""
     if n < 2:
         raise ValueError("cardinality must be at least 2")
-    bits = math.log2(n) - (n + 1) / n * (math.log2(n + 1) - 1.0)
-    return bits * math.log(2) / math.log(base)
+    return math.log2(n) - (n + 1) / n * (math.log2(n + 1) - 1.0)
 
 
 def physc_distribution():
@@ -147,7 +144,10 @@ def physc_distribution():
 class MixtureTerm:
     """One term of a probabilistic mixture: weight and mechanism P(B|D,E),
     given as nested lists table[b][d][e] (floats or Fractions), and held also
-    as ``array``, a read-only object array of a non-empty (b, d, e) box."""
+    as ``array``, a read-only object array of a non-empty (b, d, e) box.
+
+    ValueError unless the table is such a box, the weight lies in [0, 1] and
+    the table is a conditional distribution P(b | d, e)."""
 
     weight: object
     table: tuple
@@ -157,6 +157,8 @@ class MixtureTerm:
         array = np.array(self.table, dtype=object)
         if array.ndim != 3 or not array.size:
             raise ValueError("a mechanism table must be a non-empty (b, d, e) box")
+        _check_distribution([self.weight, 1 - self.weight], "(weight, 1 - weight)")
+        _check_distribution(array, "P(b | d, e)")
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
         object.__setattr__(self, "table", tuple(tuple(map(tuple, plane))
@@ -169,8 +171,8 @@ class MixtureContext:
     as nested lists p_lambda[l], p_c[c][l], p_e[e][l]; kept as object arrays.
 
     ValueError unless P(lambda) is a non-empty vector, the two conditional
-    tables have one column per lambda, every entry lies in [0, 1] and
-    P(lambda) and each column sum to 1, by the agree rule."""
+    tables have one column per lambda and all three are distributions by
+    `_check_distribution`."""
 
     p_lambda: np.ndarray
     p_c_given_lambda: np.ndarray
@@ -182,17 +184,12 @@ class MixtureContext:
         if self.p_lambda.ndim != 1 or not self.p_lambda.size:
             raise ValueError(f"P(lambda) must be a non-empty vector, got shape {self.p_lambda.shape}")
         n_lambda = len(self.p_lambda)
-        _check_probabilities(self.p_lambda, "P(lambda)")
-        if not agree(self.p_lambda.sum(), 1):
-            raise ValueError(f"P(lambda) sums to {self.p_lambda.sum()}, not 1")
+        _check_distribution(self.p_lambda, "P(lambda)")
         for var, table in (("c", self.p_c_given_lambda), ("e", self.p_e_given_lambda)):
             if table.ndim != 2 or table.shape[1] != n_lambda:
                 raise ValueError(f"P({var}|lambda) has shape {table.shape}, not "
                                  f"(n_{var}, n_lambda) with n_lambda = {n_lambda}")
-            _check_probabilities(table, f"P({var}|lambda)")
-            for l, total in enumerate(table.sum(axis=0)):
-                if not agree(total, 1):
-                    raise ValueError(f"P({var}|lambda={l}) sums to {total}, not 1")
+            _check_distribution(table, f"P({var}|lambda)")
 
 
 def _mixture_shape(terms, ctx: MixtureContext | None = None) -> tuple:
@@ -250,7 +247,7 @@ def reduce_to_two_terms(terms, ctx: MixtureContext):
 
     (w_ce, p_bd), (w_cc, p_be) = (side("cause-effect", lambda a: a[:, :, 0]),
                                   side("common-cause", lambda a: a[:, 0, :]))
-    one = Fraction(1) if isinstance(w_ce + w_cc, Fraction) else 1.0
+    one = 1.0 if isinstance(w_ce + w_cc, float) else Fraction(1)
     p_bd = p_bd / w_ce if w_ce else np.full((nb, nd), one / nb)
     p_bl = (p_be.dot(ctx.p_e_given_lambda) / w_cc if w_cc
             else np.full((nb, len(ctx.p_lambda)), one / nb))
@@ -318,25 +315,13 @@ def agree(x, y) -> bool:
     return diff == 0 if isinstance(diff, Fraction) else abs(diff) <= 1e-12
 
 
-def _check_term(i, term: MixtureTerm) -> None:
-    """ValueError naming term i unless its weight lies in [0, 1] and its
-    table is a conditional distribution P(b | d, e)."""
-    if not 0 <= term.weight <= 1:
-        raise ValueError(f"term {i}: weight {term.weight} is outside [0, 1]")
-    for (b, d, e), p in np.ndenumerate(term.array):
-        if not 0 <= p <= 1:
-            raise ValueError(f"term {i}: P(b={b} | d={d}, e={e}) = {p} is outside [0, 1]")
-    for (d, e), total in np.ndenumerate(term.array.sum(axis=0)):
-        if not agree(total, 1):
-            raise ValueError(f"term {i}: P(b | d={d}, e={e}) sums to {total}, not 1")
-
-
 def mixture_terms_from_csv(text: str):
     """Read the mixture_terms_to_csv format, skipping empty lines.  Empty text,
     another header, no term rows, a row without 6 fields, a negative index, rows
     of one term that disagree on its weight, a fraction over 0, a repeated or
-    missing (b, d, e) cell, terms of different (b, d, e) shapes or terms that
-    are not a normalized mixture of P(b | d, e) raise ValueError."""
+    missing (b, d, e) cell, a term that `MixtureTerm` rejects (the message
+    then starts with ``term {i}: ``), terms of different (b, d, e) shapes or
+    weights that do not sum to 1 raise ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
@@ -368,8 +353,10 @@ def mixture_terms_from_csv(text: str):
             if cell not in cells[i]:
                 raise ValueError(f"term {i}: no row for cell (b, d, e) = {cell}")
         table = np.array([p for _, p in sorted(cells[i].items())], dtype=object)
-        terms.append(MixtureTerm(weights[i], table.reshape(nb, nd, ne)))
-        _check_term(i, terms[-1])
+        try:
+            terms.append(MixtureTerm(weights[i], table.reshape(nb, nd, ne)))
+        except ValueError as exc:
+            raise ValueError(f"term {i}: {exc}") from None
     _mixture_shape(terms)
     if not agree(sum(t.weight for t in terms), 1):
         raise ValueError(f"term weights sum to {sum(t.weight for t in terms)}, not 1")

@@ -45,12 +45,6 @@ class TestMutualInformation:
     def test_perfectly_correlated(self):
         assert mutual_information(np.diag([0.5, 0.5])) == pytest.approx(1.0, abs=1e-12)
 
-    def test_base_change(self):
-        p = np.array([[0.4, 0.1], [0.1, 0.4]])
-        bits = mutual_information(p, base=2)
-        nats = mutual_information(p, base=math.e)
-        assert nats == pytest.approx(bits * math.log(2), abs=1e-12)
-
     def test_conditional(self):
         jd = physc_distribution()
         cmi = conditional_mutual_information(jd.probs.transpose(0, 2, 1))
@@ -80,6 +74,43 @@ class TestClassicalMixtureSpec:
         md, me = (bad, good) if side == "d" else (good, bad)
         with pytest.raises(ValueError, match="mechanism"):
             ClassicalMixtureSpec(0.5, md, me)
+
+
+def _make_joint(column):
+    return JointDistribution((("X", len(column)),), column)
+
+
+def _make_spec(column):
+    return ClassicalMixtureSpec(0.5, [[p] for p in column], [[1.0]] + [[0.0]] * (len(column) - 1))
+
+
+def _make_context(column):
+    eye = np.eye(len(column), dtype=int).tolist()
+    return MixtureContext(column, eye, eye)
+
+
+def _make_term(column):
+    return MixtureTerm(Fraction(1), [[[p]] for p in column])
+
+
+class TestDistributionRule:
+    """One rule for every table: entries in [0, 1] exactly for Fractions and
+    to 1e-15 for floats, columns summing to 1 exactly or to 1e-12."""
+
+    @pytest.mark.parametrize("make", [_make_joint, _make_spec, _make_context, _make_term],
+                             ids=["joint", "spec", "context", "term"])
+    @pytest.mark.parametrize("column, message", [
+        ([1 + Fraction(1, 10 ** 20), -Fraction(1, 10 ** 20)], r"must lie in \[0, 1\]"),
+        ([1.0000000000000002, 0.0], None),
+        ([0.7, 0.2, 0.1], None),                      # sums to 1 - 1.1e-16
+        ([0.5, 0.5 + 1e-9], "sums to"),
+    ], ids=["fraction_entry", "float_entry", "float_round_off", "float_sum"])
+    def test_boundary(self, make, column, message):
+        if message is None:
+            make(column)
+        else:
+            with pytest.raises(ValueError, match=message):
+                make(column)
 
 
 class TestBound:
@@ -229,6 +260,27 @@ class TestReduction:
         with pytest.raises(ValueError, match=r"non-empty \(b, d, e\) box"):
             MixtureTerm(Fraction(1), table)
 
+    @pytest.mark.parametrize("weight, table, message", [
+        (Fraction(3, 2), d_table(0), r"\(weight, 1 - weight\): .* entry \[0\] is 3/2"),
+        (1, [[[2, 2], [0, 0]], [[-1, -1], [1, 1]]], r"P\(b \| d, e\): .* entry \[0, 0, 0\] is 2"),
+        (1, [[[-1, -1], [0, 0]], [[2, 2], [1, 1]]], r"P\(b \| d, e\): .* entry \[0, 0, 0\] is -1"),
+        (1, [[[1.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [math.nan, 1.0]]],
+         r"P\(b \| d, e\): .* entry \[1, 1, 0\] is nan"),
+        (1, [[[1, 1], [0, 0]], [[1, 0], [1, 1]]], r"P\(b \| d, e\)\[:, 0, 0\] sums to 2, not 1"),
+    ], ids=["weight_3_2", "entry_2", "entry_minus_1", "nan", "column_sum"])
+    def test_term_rejects_non_distribution(self, weight, table, message):
+        with pytest.raises(ValueError, match=message):
+            MixtureTerm(weight, table)
+
+    def test_integer_weight_keeps_vacuous_side_exact(self):
+        # an int weight is rational, so the empty cause-effect side stays 1/3
+        table = [[[Fraction(int(b == e)) for e in range(3)] for _ in range(2)]
+                 for b in range(3)]
+        (ce, cc), ok = reduce_spec([MixtureTerm(1, table)])
+        assert ok and ce.weight == 0 and cc.weight == 1
+        assert set(ce.array.flat) == {Fraction(1, 3)}
+        assert all(type(p) is Fraction for p in ce.array.flat)
+
     def test_term_array_is_read_only(self):
         term = MixtureTerm(Fraction(1), d_table(0))
         assert term.array.shape == (2, 2, 2) and term.array.tolist() == d_table(0)
@@ -261,7 +313,7 @@ class TestReduction:
     @pytest.mark.parametrize("p_lambda, p_c, message", [
         ([Fraction(1, 2), Fraction(1, 3)], None, r"P\(lambda\) sums to 5/6, not 1"),
         ([0.5, 0.5 + 1e-9], None, r"P\(lambda\) sums to"),
-        (None, [[Fraction(1, 2), 1], [Fraction(1, 3), 0]], r"P\(c\|lambda=0\) sums to 5/6"),
+        (None, [[Fraction(1, 2), 1], [Fraction(1, 3), 0]], r"P\(c\|lambda\)\[:, 0\] sums to 5/6"),
         (None, [[1, 0, 0], [0, 1, 1]], r"P\(c\|lambda\) has shape \(2, 3\)"),
         ([], None, r"P\(lambda\) must be a non-empty vector"),
         ([[Fraction(1)]], None, r"P\(lambda\) must be a non-empty vector"),
@@ -341,10 +393,12 @@ class TestReduction:
         (("1", "1"), (d_table(0), e_table(0)), "weights sum to 2, not 1"),
         (("1/2", "1/3"), (d_table(0), e_table(0)), "weights sum to 5/6, not 1"),
         (("0.5", "0.5000001"), (d_table(0), e_table(0)), "weights sum to"),
-        (("3/2", "-1/2"), (d_table(0), e_table(0)), "term 0: weight 3/2 is outside"),
-        (("1",), ([[[2, 2], [0, 0]], [[-1, -1], [1, 1]]],), r"term 0: P\(b=0 \| d=0, e=0\) = 2"),
-        (("1",), ([[[1, 1], [0, 0]], [[1, 0], [1, 1]]],), r"term 0: P\(b \| d=0, e=0\) sums to 2"),
-        (("1",), ([[[0.5, 0.5], [0, 0]], [[0.5, 0.5000001], [1, 1]]],), r"d=0, e=1\) sums to"),
+        (("3/2", "-1/2"), (d_table(0), e_table(0)),
+         r"term 0: \(weight, 1 - weight\): probabilities must lie in \[0, 1\], but entry \[0\] is 3/2"),
+        (("1",), ([[[2, 2], [0, 0]], [[-1, -1], [1, 1]]],),
+         r"term 0: P\(b \| d, e\): probabilities must lie in \[0, 1\], but entry \[0, 0, 0\] is 2"),
+        (("1",), ([[[1, 1], [0, 0]], [[1, 0], [1, 1]]],), r"term 0: P\(b \| d, e\)\[:, 0, 0\] sums to 2"),
+        (("1",), ([[[0.5, 0.5], [0, 0]], [[0.5, 0.5000001], [1, 1]]],), r"\[:, 0, 1\] sums to"),
     ], ids=["weights_2", "weights_5_6", "float_weights", "weight_range", "prob_range",
             "column_sum", "float_column"])
     def test_csv_rejects_unnormalized_spec(self, weights, tables, message):

@@ -256,16 +256,18 @@ class TestBerkson:
         ((1, 1), DE_TABLE, None, "weights sum to 2, not 1"),
         # a term whose probabilities are 2 and -1
         ((Fraction(1, 2),) * 2, [[[2, 2], [0, 0]], [[-1, -1], [1, 1]]], None,
-         r"term 0: P\(b=0 \| d=0, e=0\) = 2 is outside"),
+         r"term 0: P\(b \| d, e\): probabilities must lie in \[0, 1\], but entry \[0, 0, 0\] is 2"),
         # a term without its (0, 0, 1) cell
         ((Fraction(1, 2),) * 2, DE_TABLE, "1,1/2,0,0,1,",
          r"term 1: no row for cell \(b, d, e\) = \(0, 0, 1\)"),
     ], ids=["weights", "probabilities", "missing_cell"])
     def test_reduce_bad_spec_is_usage_error(self, weights, table_0, drop, message,
                                             tmp_path, capsys):
-        terms = [berkson.MixtureTerm(weights[0], table_0),
-                 berkson.MixtureTerm(weights[1], [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])]
-        rows = berkson.mixture_terms_to_csv(terms).splitlines()
+        # written as text: a MixtureTerm of an invalid table cannot be built
+        tables = (table_0, [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
+        rows = ["term,weight,b,d,e,prob"] + [
+            f"{i},{w},{b},{d},{e},{t[b][d][e]}" for i, (w, t) in enumerate(zip(weights, tables))
+            for b in range(2) for d in range(2) for e in range(2)]
         spec = tmp_path / "terms.csv"
         spec.write_text("\n".join(r for r in rows if drop is None or not r.startswith(drop)))
         assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
