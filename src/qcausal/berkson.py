@@ -85,7 +85,8 @@ def conditional_mutual_information(joint: np.ndarray) -> dict:
 class ClassicalMixtureSpec:
     """Probabilistic mixture P(B|DE) = (1-p) P_D(B|D) + p P_E(B|E).
 
-    Mechanism tables are indexed [b, cause_value] and column-normalized.
+    Mechanism tables are indexed [b, cause_value] and column-normalized, and
+    both run over the same values of B.
     """
 
     p: float
@@ -97,14 +98,20 @@ class ClassicalMixtureSpec:
         for name in ("mechanism_d", "mechanism_e"):
             _check_distribution(getattr(self, name), name)
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        if self.mechanism_d.shape[0] != self.mechanism_e.shape[0]:
+            raise ValueError(f"mechanism_d of shape {self.mechanism_d.shape} and mechanism_e "
+                             f"of shape {self.mechanism_e.shape} differ in the values of B")
 
 
 def berkson_posterior(spec: ClassicalMixtureSpec, b: int):
     """Posterior P(D, E | B=b) under uniform priors, and the modified weight q.
 
-    Returns (JointDistribution over D and E, q_b).
+    Returns (JointDistribution over D and E, q_b); a b that is not an
+    integer in range(n_B) raises ValueError.
     """
     md, me = spec.mechanism_d, spec.mechanism_e
+    if not isinstance(b, (int, np.integer)) or b not in range(md.shape[0]):
+        raise ValueError(f"outcome B={b} is not one of the {md.shape[0]} values of B")
     nd, ne = md.shape[1], me.shape[1]
     wd = md[b, :].sum() / nd                     # sum_D P_D(b|D) u(D)
     we = me[b, :].sum() / ne
@@ -317,11 +324,11 @@ def agree(x, y) -> bool:
 
 def mixture_terms_from_csv(text: str):
     """Read the mixture_terms_to_csv format, skipping empty lines.  Empty text,
-    another header, no term rows, a row without 6 fields, a negative index, rows
-    of one term that disagree on its weight, a fraction over 0, a repeated or
-    missing (b, d, e) cell, a term that `MixtureTerm` rejects (the message
-    then starts with ``term {i}: ``), terms of different (b, d, e) shapes or
-    weights that do not sum to 1 raise ValueError."""
+    another header, no term rows, a row without 6 fields, a non-integer or
+    negative index, rows of one term that disagree on its weight, a fraction
+    over 0, a repeated or missing (b, d, e) cell, a term that `MixtureTerm`
+    rejects (the message then starts with ``term {i}: ``), terms of different
+    (b, d, e) shapes or weights that do not sum to 1 raise ValueError."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or rows[0] != ["term", "weight", "b", "d", "e", "prob"]:
         raise ValueError("unexpected CSV header for mixture terms")
@@ -332,7 +339,10 @@ def mixture_terms_from_csv(text: str):
             continue
         if len(row) != 6:
             raise ValueError(f"line {line}: expected 6 fields, got {len(row)}")
-        i, cell = int(row[0]), tuple(int(x) for x in row[2:5])
+        try:
+            i, cell = int(row[0]), tuple(int(x) for x in row[2:5])
+        except ValueError:
+            raise ValueError(f"line {line}: non-integer index in {row}") from None
         if min(i, *cell) < 0:
             raise ValueError(f"line {line}: negative index in {row}")
         weight = _parse_number(row[1], f"line {line}: weight")

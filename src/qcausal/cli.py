@@ -110,8 +110,7 @@ def cmd_pipeline(args) -> int:
               f"{witness.DEFAULT_THRESHOLD:g} thresholds, below Poisson noise; pass --resamples K "
               f"for bootstrap thresholds at the 3-sigma tail of a Student t with K - 1 dof",
               file=sys.stderr)
-    fitted = witness.classify(fit.tau, thresholds, ccd_settings=settings,
-                              stddevs=(bootstrap or {}).get("std"))
+    fitted = witness.classify(fit.tau, thresholds, ccd_settings=settings)
 
     report = {
         "config": {

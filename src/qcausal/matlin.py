@@ -11,8 +11,6 @@ import functools
 
 import numpy as np
 
-HERMITIAN_ATOL = 1e-12
-
 Factors = tuple[tuple[str, int], ...]
 
 
@@ -47,7 +45,7 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
+def is_hermitian(m: np.ndarray, atol: float) -> bool:
     """Whether m, or every matrix of the stack m, is Hermitian to atol."""
     return bool(np.max(np.abs(m - _dagger(m))) <= atol)
 

@@ -100,10 +100,6 @@ class DensityOperator:
             raise ShapeMismatchError(f"matrix shape {mat.shape} vs factors {factors}")
         check_states(mat)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lbl for lbl, _ in self.factors)
-
 
 def bell_phi_plus(labels=("C", "E")) -> DensityOperator:
     """|Phi+><Phi+| with |Phi+> = (|HH> + |VV>)/sqrt(2)."""

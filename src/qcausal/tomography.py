@@ -17,10 +17,10 @@ fit_causal_maps solves several tables, such as the bootstrap's resamples, as
 one stack of problems; the pipeline fits its observed table in the same stack
 as its resamples.
 
-Both fits are one estimator: Neyman-weighted least squares of the Pauli
-rows over positive semidefinite S, weights 1/sqrt(max(n, EPS_CELL)).
-_neyman_quadratic writes the cost of S = sum_i z_i
-E_i as (z - c)^T G (z - c) plus its minimum, with G = L^T L for the weighted
+Both fits are one estimator, _neyman_fits: Neyman-weighted least squares
+of the Pauli rows over positive semidefinite S, weights 1/sqrt(max(n,
+EPS_CELL)).  _neyman_quadratic writes the cost of S = sum_i z_i E_i as
+(z - c)^T G (z - c) plus its minimum, with G = L^T L for the weighted
 rows L and c the unconstrained solution, and optimize.psd_least_squares
 solves each stack of tables: it starts at c when S(c) is positive definite,
 where its gap certifies c like any other iterate, and otherwise at c lifted
@@ -76,21 +76,16 @@ class CountTable:
     """Counts of one full experiment, indexed [s, t, u, c, b, d].
 
     Setting axes run over (x, y, z); outcome index 0 means +1, 1 means -1.
-    ``n_runs`` is the designed total, positive unless every count is 0; the
-    recorded counts fluctuate around n_runs/27 per setting when
-    Poisson-sampled.
+    Every count is finite and non-negative.
     """
 
     counts: np.ndarray
-    n_runs: int
 
     def __post_init__(self):
         c = np.array(self.counts, dtype=float)
         if c.shape != (3, 3, 3, 2, 2, 2):
             raise ValueError("expected a (3, 3, 3, 2, 2, 2) count array")
         _check_counts(c)
-        if self.n_runs <= 0 and c.any():
-            raise ValueError(f"n_runs must be positive for a table with counts, got {self.n_runs}")
         object.__setattr__(self, "counts", c)
 
     def to_csv(self) -> str:
@@ -119,7 +114,7 @@ def _cell_probabilities(cells: np.ndarray, mats: np.ndarray) -> np.ndarray:
 def expected_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS) -> CountTable:
     """Noiseless count table: n_runs/27 per setting times the cell probability."""
     cells = _cell_probabilities(MEAS_STACK, tau.mat) * (n_runs / 27.0)
-    return CountTable(cells.reshape(3, 3, 3, 2, 2, 2), n_runs)
+    return CountTable(cells.reshape(3, 3, 3, 2, 2, 2))
 
 
 def sample_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS,
@@ -127,7 +122,7 @@ def sample_counts(tau: CausalChoi, n_runs: int = DEFAULT_RUNS,
     """Poisson-sample every cell of the expected table independently."""
     rng = np.random.default_rng(seed)
     mean = np.clip(expected_counts(tau, n_runs).counts, 0.0, None)
-    return CountTable(rng.poisson(mean).astype(float), n_runs)
+    return CountTable(rng.poisson(mean).astype(float))
 
 
 @dataclass(frozen=True)
@@ -220,12 +215,20 @@ def _neyman_quadratic(rows: np.ndarray, data: np.ndarray, weights: np.ndarray):
     return gram, np.linalg.solve(gram, (lw_t @ (data * weights)[..., None]))[..., 0]
 
 
-def _state_and_chi2(x, basis, rows, data, weights):
-    """The result tail of both fits: the state S/Tr S of S = sum_i x_i E_i
-    over ``basis``, and the Neyman chi^2 of the count ``rows`` at x."""
-    s_mat = np.tensordot(x, basis, 1)
-    resid = (rows @ x - data) * weights
-    return matlin.hermitize(s_mat / np.trace(s_mat).real), float(resid @ resid)
+def _neyman_fits(rows, basis, data, max_iter):
+    """The one body of both fits: for each table of the stack ``data``,
+    optimize.psd_least_squares on the _neyman_quadratic of the count ``rows``
+    over S = sum_i x_i E_i >= 0, E the ``basis``, within max_iter steps.
+    Returns, per table, the solver's result, the state S/Tr S and the Neyman
+    chi^2 of the rows at x."""
+    weights = _count_weights(data)
+    solved = optimize.psd_least_squares(*_neyman_quadratic(rows, data, weights), basis, max_iter)
+    fits = []
+    for res, counts, w in zip(solved, data, weights):
+        s_mat = np.tensordot(res.x, basis, 1)
+        resid = (rows @ res.x - counts) * w
+        fits.append((res, matlin.hermitize(s_mat / np.trace(s_mat).real), float(resid @ resid)))
+    return fits
 
 
 def fit_causal_maps(tables: Sequence[CountTable],
@@ -247,12 +250,8 @@ def fit_causal_maps(tables: Sequence[CountTable],
     if not tables:
         raise ValueError("a fit needs at least one count table")
     data = np.stack([table.counts.reshape(-1) for table in tables])
-    weights = _count_weights(data)
-    solved = optimize.psd_least_squares(*_neyman_quadratic(_CBD_ROWS, data, weights),
-                                        _NO_RETRO_BASIS, config.max_iter)
     fits = []
-    for res, counts, w in zip(solved, data, weights):
-        tau_mat, chi2 = _state_and_chi2(res.x, _NO_RETRO_BASIS, _CBD_ROWS, counts, w)
+    for res, tau_mat, chi2 in _neyman_fits(_CBD_ROWS, _NO_RETRO_BASIS, data, config.max_iter):
         tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
         fits.append(FitResult(tau=tau, cost=res.cost, chi2=chi2,
                               penalty_residual=tau.no_retro_residual, n_iter=res.n_iter,
@@ -299,8 +298,7 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     (3, 3, 2, 2) count table.
 
     Minimizes the weighted cost of the 36 count rows over positive
-    semidefinite 4x4 S, exactly as fit_causal_maps fits tau_CBD
-    (optimize.psd_least_squares on the _neyman_quadratic): S in the
+    semidefinite 4x4 S by the _neyman_fits of fit_causal_maps: S in the
     two-wire Pauli basis, no penalty term, no start or restart to choose.
     Of ``config`` only max_iter is read; it caps the interior-point steps.
     Returns the state S/Tr S and the solver's result, whose cost is the
@@ -313,11 +311,8 @@ def fit_conditioned_state(counts: np.ndarray, config: FitConfig | None = None):
     if counts.shape != (3, 3, 2, 2):
         raise ValueError("expected a (3, 3, 2, 2) count array")
     _check_counts(counts)
-    data = counts.reshape(-1)
-    weights = _count_weights(data)
-    [res] = optimize.psd_least_squares(*_neyman_quadratic(_CD_ROWS, data[None], weights[None]),
-                                       _CD_BASIS, config.max_iter)
-    rho, cost = _state_and_chi2(res.x, _CD_BASIS, _CD_ROWS, data, weights)
+    [(res, rho, cost)] = _neyman_fits(_CD_ROWS, _CD_BASIS, counts.reshape(1, -1),
+                                      config.max_iter)
     return DensityOperator(rho, CD_FACTORS), replace(res, cost=cost)
 
 
@@ -343,7 +338,7 @@ def bootstrap_resamples(table: CountTable, n_resamples: int,
             raise EmptyResampleError(f"bootstrap resample {k + 1} of {n_resamples} drew no counts, "
                                      f"so it has nothing to fit; the observed table holds only "
                                      f"{table.counts.sum():g} counts")
-        tables.append(CountTable(counts.astype(float), table.n_runs))
+        tables.append(CountTable(counts.astype(float)))
     return tables
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,6 @@ class WitnessReport:
     ccd0: float
     thresholds: Thresholds
     ccd_settings: tuple = DEFAULT_CCD_SETTINGS
-    stddevs: dict = field(default_factory=dict)
 
     @property
     def quantum_cause_effect(self) -> bool:
@@ -191,7 +190,6 @@ class WitnessReport:
             "label": self.label,
             "thresholds": {"negativity": self.thresholds.negativity,
                            "ccd": self.thresholds.ccd},
-            "stddevs": self.stddevs,
         }
 
     def to_json(self) -> str:
@@ -211,7 +209,7 @@ def _assign_label(quantum_both: bool, physical: bool, berkson: bool) -> str:
 
 
 def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
-             ccd_settings=DEFAULT_CCD_SETTINGS, stddevs: dict | None = None) -> WitnessReport:
+             ccd_settings=DEFAULT_CCD_SETTINGS) -> WitnessReport:
     """Evaluate all witnesses in the H/V conditioning bases and label the map.
 
     ccd_settings picks one member of the covariance-witness family; (x, y, z)
@@ -232,7 +230,6 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     return WitnessReport(
         neg_c_bd=neg_c_bd, neg_d_cb=neg_d_cb, neg_b_cd=neg_b_cd,
         ccd=ccd, ccd0=ccd0, thresholds=thresholds, ccd_settings=tuple(ccd_settings),
-        stddevs=stddevs or {},
     )
 
 

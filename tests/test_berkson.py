@@ -75,6 +75,19 @@ class TestClassicalMixtureSpec:
         with pytest.raises(ValueError, match="mechanism"):
             ClassicalMixtureSpec(0.5, md, me)
 
+    def test_rejects_mechanisms_over_different_b(self):
+        # P_D over 2 values of B and P_E over 3 would make P(B) unnormalized
+        with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2\)"):
+            ClassicalMixtureSpec(0.5, np.eye(2), np.full((3, 2), 1 / 3))
+
+    @pytest.mark.parametrize("b", [-1, 2, 1.0])
+    def test_posterior_rejects_outcome_outside_b(self, b):
+        # b = -1 would index the last value of B, b = 2 none, and b = 1.0
+        # is no index
+        spec = ClassicalMixtureSpec(0.3, [[0.9, 0.2], [0.1, 0.8]], [[0.6, 0.3], [0.4, 0.7]])
+        with pytest.raises(ValueError, match=f"B={b} is not one of the 2 values"):
+            berkson_posterior(spec, b)
+
 
 def _make_joint(column):
     return JointDistribution((("X", len(column)),), column)

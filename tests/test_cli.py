@@ -31,6 +31,13 @@ def schema():
     return json.loads(text)
 
 
+@pytest.fixture(scope="module")
+def witness_schema(schema):
+    """The report schema's witness_report definition, as a schema of its own."""
+    return {"$schema": schema["$schema"], "$ref": "#/definitions/witness_report",
+            "definitions": schema["definitions"]}
+
+
 class TestExitCodes:
     def test_bad_scenario_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -180,6 +187,12 @@ class TestScenario:
 
 
 class TestWitness:
+    @pytest.mark.parametrize("scenario", causal.SCENARIO_IDS)
+    def test_report_passes_the_schema(self, tmp_path, witness_schema, scenario):
+        out = tmp_path / "w.json"
+        assert run(["witness", "--scenario", scenario, "--out", str(out)]) == 0
+        jsonschema.validate(json.loads(out.read_text()), witness_schema)
+
     def test_labels(self, tmp_path):
         out = tmp_path / "w.json"
         assert run(["witness", "--scenario", "physc", "--out", str(out)]) == 0
@@ -199,6 +212,16 @@ class TestWitness:
         data = json.loads(out.read_text())
         assert data["label"] == "PhysQ"
         assert data["ccd"] == pytest.approx(0.05, abs=1e-9)
+
+
+def _spec_rows(weights, table_0, drop=None):
+    """The rows of a two-term spec, term 0 of table_0 and term 1 of b = e,
+    without the row that starts with ``drop``; written as text, since a
+    MixtureTerm of an invalid table cannot be built."""
+    tables = (table_0, [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
+    rows = [f"{i},{w},{b},{d},{e},{t[b][d][e]}" for i, (w, t) in enumerate(zip(weights, tables))
+            for b in range(2) for d in range(2) for e in range(2)]
+    return [r for r in rows if drop is None or not r.startswith(drop)]
 
 
 class TestBerkson:
@@ -251,25 +274,22 @@ class TestBerkson:
         assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("weights, table_0, drop, message", [
+    @pytest.mark.parametrize("rows, message", [
         # two terms of weight 1 each
-        ((1, 1), DE_TABLE, None, "weights sum to 2, not 1"),
+        (_spec_rows((1, 1), DE_TABLE), "weights sum to 2, not 1"),
         # a term whose probabilities are 2 and -1
-        ((Fraction(1, 2),) * 2, [[[2, 2], [0, 0]], [[-1, -1], [1, 1]]], None,
+        (_spec_rows((Fraction(1, 2),) * 2, [[[2, 2], [0, 0]], [[-1, -1], [1, 1]]]),
          r"term 0: P\(b \| d, e\): probabilities must lie in \[0, 1\], but entry \[0, 0, 0\] is 2"),
         # a term without its (0, 0, 1) cell
-        ((Fraction(1, 2),) * 2, DE_TABLE, "1,1/2,0,0,1,",
+        (_spec_rows((Fraction(1, 2),) * 2, DE_TABLE, drop="1,1/2,0,0,1,"),
          r"term 1: no row for cell \(b, d, e\) = \(0, 0, 1\)"),
-    ], ids=["weights", "probabilities", "missing_cell"])
-    def test_reduce_bad_spec_is_usage_error(self, weights, table_0, drop, message,
-                                            tmp_path, capsys):
-        # written as text: a MixtureTerm of an invalid table cannot be built
-        tables = (table_0, [[[1, 0], [1, 0]], [[0, 1], [0, 1]]])
-        rows = ["term,weight,b,d,e,prob"] + [
-            f"{i},{w},{b},{d},{e},{t[b][d][e]}" for i, (w, t) in enumerate(zip(weights, tables))
-            for b in range(2) for d in range(2) for e in range(2)]
+        # a term index and a cell index that are not integers
+        (["x,1,0,0,0,1"], r"line 2: non-integer index"),
+        (["0,1,0,y,0,1"], r"line 2: non-integer index"),
+    ], ids=["weights", "probabilities", "missing_cell", "term_index", "cell_index"])
+    def test_reduce_bad_spec_is_usage_error(self, rows, message, tmp_path, capsys):
         spec = tmp_path / "terms.csv"
-        spec.write_text("\n".join(r for r in rows if drop is None or not r.startswith(drop)))
+        spec.write_text("\n".join(["term,weight,b,d,e,prob", *rows]))
         assert run(["berkson", "reduce", "--spec", str(spec)]) == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and re.search(message, err)
@@ -393,6 +413,8 @@ class TestPipeline:
         report = json.loads(out.read_text())
         jsonschema.validate(report, schema)
         assert report["bootstrap"]["n_resamples"] == 3
+        # the deviations appear once, under bootstrap.std
+        assert "stddevs" not in report["truth"] and "stddevs" not in report["fitted"]
         # C_CD of a probabilistic mixture stays within 3 sigma of zero
         assert abs(report["fitted"]["ccd"]) <= 3.0 * report["bootstrap"]["std"]["ccd"]
 
