@@ -51,15 +51,11 @@ def _check_distribution(table, what: str) -> None:
 
 @dataclass(frozen=True)
 class JointDistribution:
-    """Discrete joint distribution over named variables."""
+    """A discrete joint probability table, one axis per variable."""
 
-    variables: tuple[tuple[str, int], ...]
     probs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "variables", tuple((str(n), int(c)) for n, c in self.variables))
-        if np.shape(self.probs) != tuple(c for _, c in self.variables):
-            raise ValueError("probability table shape does not match cardinalities")
         _check_distribution(np.reshape(self.probs, -1), "joint distribution")
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
 
@@ -85,8 +81,8 @@ def conditional_mutual_information(joint: np.ndarray) -> dict:
 class ClassicalMixtureSpec:
     """Probabilistic mixture P(B|DE) = (1-p) P_D(B|D) + p P_E(B|E).
 
-    Mechanism tables are indexed [b, cause_value] and column-normalized, and
-    both run over the same values of B.
+    Mechanism tables are non-empty 2-D arrays indexed [b, cause_value] and
+    column-normalized, and both run over the same values of B.
     """
 
     p: float
@@ -96,6 +92,10 @@ class ClassicalMixtureSpec:
     def __post_init__(self):
         _check_distribution([self.p, 1 - self.p], "(p, 1 - p)")
         for name in ("mechanism_d", "mechanism_e"):
+            shape = np.shape(getattr(self, name))
+            if len(shape) != 2 or 0 in shape:
+                raise ValueError(f"{name} must be a non-empty [b, cause_value] table, "
+                                 f"got shape {shape}")
             _check_distribution(getattr(self, name), name)
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         if self.mechanism_d.shape[0] != self.mechanism_e.shape[0]:
@@ -106,7 +106,7 @@ class ClassicalMixtureSpec:
 def berkson_posterior(spec: ClassicalMixtureSpec, b: int):
     """Posterior P(D, E | B=b) under uniform priors, and the modified weight q.
 
-    Returns (JointDistribution over D and E, q_b); a b that is not an
+    Returns (JointDistribution with axes (D, E), q_b); a b that is not an
     integer in range(n_B) raises ValueError.
     """
     md, me = spec.mechanism_d, spec.mechanism_e
@@ -123,7 +123,7 @@ def berkson_posterior(spec: ClassicalMixtureSpec, b: int):
     pe = me[b, :] / me[b, :].sum() if we > 0 else np.full(ne, 1.0 / ne)
     joint = (1.0 - q) * np.outer(pd, np.full(ne, 1.0 / ne)) \
         + q * np.outer(np.full(nd, 1.0 / nd), pe)
-    return JointDistribution((("D", nd), ("E", ne)), joint), q
+    return JointDistribution(joint), q
 
 
 def berkson_bound(n: int) -> float:
@@ -135,13 +135,14 @@ def berkson_bound(n: int) -> float:
 
 
 def physc_distribution():
-    """Joint P(c, b, d) of the classical physical-mixture example:
+    """Joint P(c, b, d) of the classical physical-mixture example, a
+    JointDistribution with axes (c, b, d):
     P(cb|d) = 1/2 u(c) u(b) + 1/2 u(c) delta_{b, c xor d}, with uniform d."""
     probs = np.zeros((2, 2, 2))
     for c, b, d in product(range(2), repeat=2 + 1):
         p = 0.5 * 0.25 + 0.5 * 0.5 * (1 if b == c ^ d else 0)
         probs[c, b, d] = p * 0.5
-    return JointDistribution((("c", 2), ("b", 2), ("d", 2)), probs)
+    return JointDistribution(probs)
 
 
 # ---------------------------------------------------------------------------

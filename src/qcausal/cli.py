@@ -174,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="classify a causal relation noiselessly")
     _add_scenario_flags(p, with_infile=True)
-    p.add_argument("--ccd-settings", nargs=3, default=("x", "y", "z"),
+    p.add_argument("--ccd-settings", nargs=3, default=witness.DEFAULT_CCD_SETTINGS,
                    metavar=("S", "T", "U"))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_witness)
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resamples", type=int, default=0,
                    help="bootstrap resamples K, 0 (off) or at least 2, for thresholds at the "
                         "3-sigma tail of a Student t with K - 1 dof; needs --noise poisson")
-    p.add_argument("--ccd-settings", nargs=3, default=("x", "y", "z"),
+    p.add_argument("--ccd-settings", nargs=3, default=witness.DEFAULT_CCD_SETTINGS,
                    metavar=("S", "T", "U"))
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_pipeline)

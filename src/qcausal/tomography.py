@@ -159,13 +159,13 @@ class FitResult:
     cost is chi2 less its unconstrained minimum over the no-retrocausation
     span, the chi^2 that positivity costs, 0 when the unconstrained solution
     is positive definite; gap is the certified bound on cost less its
-    constrained optimum; penalty_residual is the largest no-retrocausation
-    deviation of tau, CausalChoi.no_retro_residual (the schema's name)."""
+    constrained optimum.  report() writes tau's CausalChoi.no_retro_residual,
+    the largest no-retrocausation deviation, as penalty_residual (the
+    schema's name)."""
 
     tau: CausalChoi
     cost: float
     chi2: float
-    penalty_residual: float
     n_iter: int
     converged: bool
     gap: float
@@ -174,7 +174,7 @@ class FitResult:
 
     def report(self) -> dict:
         """The fit block of a pipeline report."""
-        return {"chi2": self.chi2, "penalty_residual": self.penalty_residual,
+        return {"chi2": self.chi2, "penalty_residual": self.tau.no_retro_residual,
                 "gap": self.gap, "converged": self.converged, "n_iter": self.n_iter}
 
     def to_json(self) -> str:
@@ -253,8 +253,7 @@ def fit_causal_maps(tables: Sequence[CountTable],
     fits = []
     for res, tau_mat, chi2 in _neyman_fits(_CBD_ROWS, _NO_RETRO_BASIS, data, config.max_iter):
         tau = CausalChoi(DensityOperator(tau_mat, CBD_FACTORS))
-        fits.append(FitResult(tau=tau, cost=res.cost, chi2=chi2,
-                              penalty_residual=tau.no_retro_residual, n_iter=res.n_iter,
+        fits.append(FitResult(tau=tau, cost=res.cost, chi2=chi2, n_iter=res.n_iter,
                               converged=res.converged, gap=res.gap, params=res.x,
                               config=config))
     return fits

@@ -77,9 +77,9 @@ _CCD_MOMENTS = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
 
 
 def _ccd_forms(p: np.ndarray) -> tuple[float, float]:
-    """(C_CD, sum c d b P) from the moments of a normalized p: the covariance
-    form and the expectation value m_cd(H) - m_cd(V)."""
-    p = _check_normalized(p)
+    """(C_CD, sum c d b P) from the moments of a normalized (c, d, b) array
+    p, taken as given: the covariance form and the expectation value
+    m_cd(H) - m_cd(V)."""
     (pb_h, pb_v), (c_h, c_v), (d_h, d_v), (cd_h, cd_v) = (
         _CCD_MOMENTS @ p.reshape(4, 2)).tolist()
     h = pb_h * cd_h - c_h * d_h if pb_h > 0 else 0.0
@@ -95,7 +95,7 @@ def witness_ccd_from_distribution(p: np.ndarray) -> float:
     = P(b) m_cd - m_c m_d, all taken in one product; an outcome of b with
     probability 0 adds nothing.
     """
-    return _ccd_forms(p)[0]
+    return _ccd_forms(_check_normalized(p))[0]
 
 
 def witness_ccd_product_form(p: np.ndarray) -> float:
@@ -143,11 +143,9 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """All witness values for one causal map plus the resulting class label.
-
-    The pathway tests are sufficient conditions: a flag reports "witnessed at
-    these settings", never "proven absent".
-    """
+    """The witness values of one causal map, the thresholds they are
+    compared with and the covariance setting of ccd; ``label`` is the class
+    they witness, and to_dict/to_json the report block."""
 
     neg_c_bd: dict
     neg_d_cb: dict
@@ -155,28 +153,24 @@ class WitnessReport:
     ccd: float
     ccd0: float
     thresholds: Thresholds
-    ccd_settings: tuple = DEFAULT_CCD_SETTINGS
-
-    @property
-    def quantum_cause_effect(self) -> bool:
-        return min(self.neg_c_bd.values()) > self.thresholds.negativity
-
-    @property
-    def quantum_common_cause(self) -> bool:
-        return min(self.neg_d_cb.values()) > self.thresholds.negativity
-
-    @property
-    def physical_mixture(self) -> bool:
-        return abs(self.ccd) > self.thresholds.ccd
-
-    @property
-    def berkson(self) -> bool:
-        return min(self.neg_b_cd.values()) > self.thresholds.negativity
+    ccd_settings: tuple
 
     @property
     def label(self) -> str:
-        return _assign_label(self.quantum_cause_effect and self.quantum_common_cause,
-                             self.physical_mixture, self.berkson)
+        """The classification rule.  Both pathways are quantum when both
+        outcomes of neg_c_bd and of neg_d_cb exceed the negativity
+        threshold; the map is then Coh if both outcomes of the Berkson test
+        neg_b_cd do too, else PhysQ or ProbQ as |ccd| exceeds the ccd
+        threshold or not.  Otherwise it is PhysC or ProbC by the same ccd
+        test.  Each test is a sufficient condition: a witnessed property
+        means "witnessed at these settings", never "proven absent"."""
+        def witnessed(neg: dict) -> bool:
+            return min(neg.values()) > self.thresholds.negativity
+
+        physical = abs(self.ccd) > self.thresholds.ccd
+        if witnessed(self.neg_c_bd) and witnessed(self.neg_d_cb):
+            return "Coh" if witnessed(self.neg_b_cd) else "PhysQ" if physical else "ProbQ"
+        return "PhysC" if physical else "ProbC"
 
     def to_dict(self) -> dict:
         """The report's fields with its label, as to_json writes them."""
@@ -194,18 +188,6 @@ class WitnessReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
-
-
-def _assign_label(quantum_both: bool, physical: bool, berkson: bool) -> str:
-    if berkson and quantum_both:
-        return "Coh"
-    if quantum_both and physical:
-        return "PhysQ"
-    if quantum_both:
-        return "ProbQ"
-    if physical:
-        return "PhysC"
-    return "ProbC"
 
 
 def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
@@ -226,6 +208,8 @@ def classify(tau: CausalChoi, thresholds: Thresholds | None = None,
     negs = _negativities(both[:, 1], w[:, 1]).reshape(len(_OUTCOMES), 3)
     neg_c_bd, neg_d_cb, neg_b_cd = ({k: float(v) for k, v in zip(_OUTCOMES, col)}
                                     for col in negs.T)
+    # tau passed check_states when it was made, so its joint distribution
+    # is taken as given
     ccd, ccd0 = _ccd_forms(causal.joint_distribution(tau, *ccd_settings))
     return WitnessReport(
         neg_c_bd=neg_c_bd, neg_d_cb=neg_d_cb, neg_b_cd=neg_b_cd,

@@ -54,13 +54,13 @@ class TestMutualInformation:
 class TestJointDistribution:
     def test_validation(self):
         with pytest.raises(ValueError):
-            JointDistribution((("X", 2),), np.array([0.7, 0.2]))
+            JointDistribution(np.array([0.7, 0.2]))
         with pytest.raises(ValueError):
-            JointDistribution((("X", 2),), np.array([1.2, -0.2]))
+            JointDistribution(np.array([1.2, -0.2]))
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
-            JointDistribution((("X", 2),), np.array([np.nan, 1.0]))
+            JointDistribution(np.array([np.nan, 1.0]))
 
 
 class TestClassicalMixtureSpec:
@@ -80,6 +80,22 @@ class TestClassicalMixtureSpec:
         with pytest.raises(ValueError, match=r"\(2, 2\).*\(3, 2\)"):
             ClassicalMixtureSpec(0.5, np.eye(2), np.full((3, 2), 1 / 3))
 
+    @pytest.mark.parametrize("side", ["d", "e"])
+    @pytest.mark.parametrize("table", [1.0, [[[1.0]], [[0.0]]], np.zeros((2, 0))],
+                             ids=["scalar", "3d", "empty"])
+    def test_rejects_a_mechanism_that_is_not_a_table(self, table, side):
+        good = np.eye(2)
+        md, me = (table, good) if side == "d" else (good, table)
+        with pytest.raises(ValueError, match=f"mechanism_{side} must be a non-empty "
+                                             r"\[b, cause_value\] table"):
+            ClassicalMixtureSpec(0.5, md, me)
+
+    def test_rejects_the_one_dimensional_example(self):
+        # it passed the distribution rule, and berkson_posterior(spec, 0)
+        # then raised IndexError at md.shape[1]
+        with pytest.raises(ValueError, match="mechanism_d"):
+            ClassicalMixtureSpec(0.5, [0.5, 0.5], [0.5, 0.5])
+
     @pytest.mark.parametrize("b", [-1, 2, 1.0])
     def test_posterior_rejects_outcome_outside_b(self, b):
         # b = -1 would index the last value of B, b = 2 none, and b = 1.0
@@ -90,7 +106,7 @@ class TestClassicalMixtureSpec:
 
 
 def _make_joint(column):
-    return JointDistribution((("X", len(column)),), column)
+    return JointDistribution(column)
 
 
 def _make_spec(column):

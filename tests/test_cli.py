@@ -205,6 +205,19 @@ class TestWitness:
         assert run(["witness", "--in", str(tau_path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["label"] == "Coh"
 
+    def test_from_file_at_the_trace_tolerance(self, tmp_path):
+        # tau scaled by 1 + 5e-9 passes check_states (trace to 1e-8), and
+        # so does every step of classify: C_CD takes its joint distribution
+        # as given
+        data = json.loads(causal.build_scenario("coh").to_json())
+        data["re"] = (np.array(data["re"]) * (1 + 5e-9)).tolist()
+        data["im"] = (np.array(data["im"]) * (1 + 5e-9)).tolist()
+        tau_path = tmp_path / "tau.json"
+        tau_path.write_text(json.dumps(data))
+        out = tmp_path / "w.json"
+        assert run(["witness", "--in", str(tau_path), "--out", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text())["label"] == "Coh"
+
     def test_ccd_settings_flag(self, tmp_path):
         out = tmp_path / "w.json"
         run(["witness", "--scenario", "epsmix", "--ccd-settings", "z", "z", "z",
@@ -468,7 +481,7 @@ class TestPipeline:
         table = tomography.sample_counts(causal.build_scenario("physc"), 30_000, seed=13)
         fit = tomography.fit_causal_map(table)
         assert report["fit"] == {"converged": fit.converged, "chi2": fit.chi2,
-                                 "penalty_residual": fit.penalty_residual,
+                                 "penalty_residual": fit.tau.no_retro_residual,
                                  "n_iter": fit.n_iter, "gap": fit.gap}
         settings = ("x", "y", "z")
         bootstrap = tomography.bootstrap_errorbars(
@@ -509,6 +522,24 @@ class TestPipeline:
         jsonschema.validate(report, schema)
         report["fit"]["gap"] = None
         with pytest.raises(jsonschema.ValidationError, match="None is not of type 'number'"):
+            jsonschema.validate(report, schema)
+
+    @pytest.mark.parametrize("block, key", [
+        (("fitted",), "anything"), (("fitted",), "stddevs"), (("truth",), "anything"),
+        (("fitted", "thresholds"), "anything"), (("fitted", "neg_b_cd"), "X")],
+        ids=["fitted", "fitted_stddevs", "truth", "thresholds", "neg_pair"])
+    def test_extra_witness_key_fails_the_schema(self, tmp_path, schema, block, key):
+        # the witness blocks hold exactly WitnessReport.to_dict's keys
+        out = tmp_path / "report.json"
+        assert run(["pipeline", "--scenario", "coh", "--noise", "none", "--runs", "27000",
+                    "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        jsonschema.validate(report, schema)
+        target = report
+        for name in block:
+            target = target[name]
+        target[key] = 0.0
+        with pytest.raises(jsonschema.ValidationError, match="Additional properties"):
             jsonschema.validate(report, schema)
 
     def test_deterministic_given_seed(self, tmp_path):

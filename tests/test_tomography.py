@@ -149,7 +149,7 @@ class TestFullFit:
         fit = fit_causal_map(expected_counts(tau, 200_000), FAST)
         assert fit.converged
         assert fidelity(fit.tau.tau, tau.tau) > 0.999
-        assert fit.penalty_residual < 1e-6
+        assert fit.report()["penalty_residual"] < 1e-6
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -218,7 +218,7 @@ class TestFullFit:
 
     def test_penalty_residual_is_the_deviation_of_tau(self):
         fit = fit_causal_map(sample_counts(build_scenario("coh"), 200_000, seed=0), FAST)
-        assert fit.penalty_residual == np.max(np.abs(no_retro_deviation(fit.tau.mat)))
+        assert fit.report()["penalty_residual"] == np.max(np.abs(no_retro_deviation(fit.tau.mat)))
 
     @staticmethod
     def _fit_and_means():

@@ -11,6 +11,7 @@ from qcausal.causal import build_scenario, joint_distribution, random_probabilis
 from qcausal.quantum import DensityOperator, bell_phi_plus, ket_dm, pauli_projector, KET_H, KET_V
 from qcausal.witness import (
     Thresholds,
+    WitnessReport,
     classify,
     negativity,
     witness_ccd0,
@@ -20,6 +21,15 @@ from qcausal.witness import (
 )
 
 QUARTER = 0.25 * (np.sqrt(2.0) - 1.0)
+
+# The paper's class for each (both pathways quantum, physical mixture,
+# Berkson entanglement) of the witnessed properties
+LABELS = {
+    (False, False, False): "ProbC", (False, False, True): "ProbC",
+    (False, True, False): "PhysC", (False, True, True): "PhysC",
+    (True, False, False): "ProbQ", (True, False, True): "Coh",
+    (True, True, False): "PhysQ", (True, True, True): "Coh",
+}
 
 
 def random_distribution(seed):
@@ -141,11 +151,13 @@ class TestClassification:
         assert classify(tau).label == "ProbQ"
 
     def test_random_mixtures_never_flag_physical(self):
+        # neither C_CD nor the Berkson test exceeds its threshold
         rng = np.random.default_rng(42)
         for _ in range(20):
             report = classify(random_probabilistic_mixture(rng))
-            assert not report.physical_mixture
-            assert not report.berkson
+            assert abs(report.ccd) <= report.thresholds.ccd
+            assert min(report.neg_b_cd.values()) <= report.thresholds.negativity
+            assert report.label in ("ProbC", "ProbQ")
 
     def test_thresholds_respected(self):
         # raising the negativity threshold above 1/4(sqrt2 - 1) hides Coh
@@ -168,11 +180,29 @@ class TestClassification:
             classify(tau)
 
     def test_flags(self):
-        r = classify(build_scenario("coh"))
-        assert r.quantum_cause_effect and r.quantum_common_cause and r.berkson
-        r = classify(build_scenario("physc"))
-        assert r.physical_mixture
-        assert not (r.quantum_cause_effect or r.quantum_common_cause or r.berkson)
+        # which witnesses exceed their thresholds at both outcomes
+        def flags(r):
+            t = r.thresholds.negativity
+            return ([min(neg.values()) > t for neg in (r.neg_c_bd, r.neg_d_cb, r.neg_b_cd)],
+                    abs(r.ccd) > r.thresholds.ccd)
+
+        assert flags(classify(build_scenario("coh"))) == ([True, True, True], True)
+        assert flags(classify(build_scenario("physc"))) == ([False, False, False], True)
+
+    @pytest.mark.parametrize("cause_effect, common_cause, physical, berkson",
+                             list(product((False, True), repeat=4)))
+    def test_label_rule(self, cause_effect, common_cause, physical, berkson):
+        # a witnessed family exceeds the threshold at both outcomes; one
+        # outcome at the threshold, or |ccd| at it, witnesses nothing
+        t = Thresholds(negativity=0.1, ccd=0.01)
+
+        def neg(witnessed):
+            return {"H": 0.3, "V": 0.2 if witnessed else 0.1}
+
+        report = WitnessReport(neg_c_bd=neg(cause_effect), neg_d_cb=neg(common_cause),
+                               neg_b_cd=neg(berkson), ccd=-0.02 if physical else 0.01,
+                               ccd0=0.0, thresholds=t, ccd_settings=("x", "y", "z"))
+        assert report.label == LABELS[cause_effect and common_cause, physical, berkson]
 
 
 # bootstrap standard deviations of the seven witness_values, built by hand
@@ -280,4 +310,4 @@ class TestClassifyAgainstReference:
                 assert abs(report.ccd0 - ccd0) <= 1e-12
                 quantum_both = min(neg["neg_c_bd"].values()) > t and min(neg["neg_d_cb"].values()) > t
                 berkson = min(neg["neg_b_cd"].values()) > t
-                assert report.label == witness._assign_label(quantum_both, abs(ccd) > t, berkson)
+                assert report.label == LABELS[quantum_both, abs(ccd) > t, berkson]
